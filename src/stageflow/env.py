@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EnvError
+from . import randomize
 from .randomize import SceneParameters, desk_scene
 from .tensor import Tensor
 
@@ -232,52 +233,6 @@ BINDING_KEYS = (
 )
 
 
-class BatchedEnv:
-    """N independent walkers, each with its own randomized scene, stepped in
-    lockstep. Environments auto-reset on done."""
-
-    def __init__(self, env_config: dict, num_envs: int, base_seed: int = 0,
-                 randomize_rules: dict | None = None,
-                 nominal: SceneParameters | None = None,
-                 episode_length: int = 1000):
-        from .randomize import resample_per_env
-
-        nominal = nominal or desk_scene()
-        self.episode_length = episode_length
-        self.envs = []
-        for i in range(num_envs):
-            scene = (
-                resample_per_env(randomize_rules, nominal, base_seed, i)
-                if randomize_rules else nominal
-            )
-            self.envs.append(DeskWalker(env_config, scene, seed=base_seed * 100003 + i))
-        self.episode_steps = np.zeros(num_envs, dtype=int)
-
-    @property
-    def num_envs(self):
-        return len(self.envs)
-
-    def reset_all(self) -> np.ndarray:
-        self.episode_steps[:] = 0
-        return np.stack([e.reset() for e in self.envs])
-
-    def step(self, actions: np.ndarray):
-        """Returns (obs, bindings_list, done array). ``done`` includes the
-        episode-length truncation; finished envs are reset in place."""
-        all_bindings, dones, obs = [], [], []
-        for i, env in enumerate(self.envs):
-            bindings, done = env.step(actions[i])
-            self.episode_steps[i] += 1
-            truncated = self.episode_steps[i] >= self.episode_length
-            all_bindings.append(bindings)
-            dones.append(done or truncated)
-            if done or truncated:
-                env.reset()
-                self.episode_steps[i] = 0
-            obs.append(env.observe())
-        return np.stack(obs), all_bindings, np.array(dones, dtype=bool)
-
-
 # -- trace record / replay ----------------------------------------------------
 
 def _tensor_to_json(t: Tensor) -> dict:
@@ -340,39 +295,65 @@ class ReplayEnv:
         return bindings, self.i >= len(self.steps)
 
 
+def _scaled(lo, hi, u: np.ndarray) -> np.ndarray:
+    """``Generator.uniform(lo, hi)`` computes ``lo + (hi - lo) * d`` from the
+    next double ``d`` that ``random()`` would return. Applied here to rows of
+    raw doubles, one per env, it yields the per-env uniform draws exactly."""
+    return lo + (hi - lo) * u
+
+
 class VecEnv:
-    """Vectorized counterpart of BatchedEnv used by the training loop.
+    """N walkers, each with its own randomized scene, stepped in lockstep by
+    the training loop. Environments auto-reset on done or truncation.
 
     All physics state carries a leading env axis and steps in a handful of
     numpy ops; bindings come back as stacked BatchValue arrays for the batched
-    reward evaluator. Per-env RNG draws (resets, kicks, obs noise) go through
-    one Generator per env in the same order as DeskWalker, so a VecEnv and a
-    loop of DeskWalkers agree exactly whenever the draws themselves are
-    deterministic (equal-bound ranges, no noise) -- that equivalence is what
-    the tests pin down.
+    reward evaluator. Scenes come from one ``resample_per_env`` call over all
+    env indices. Per-env RNG draws (resets, kicks, obs noise) keep one
+    Generator per env and DeskWalker's draw order: each env's generator fills
+    a whole row of raw doubles in one call, and scaling, state writes and
+    impulses happen once across the env axis (see ``_scaled``). A VecEnv and
+    a loop of DeskWalkers therefore agree draw for draw; the tests pin that
+    equivalence and a golden digest of a noisy, kicked 64-env rollout
+    (``tests/data/vecenv_golden.json``).
     """
 
     def __init__(self, env_config: dict, num_envs: int, base_seed: int = 0,
                  randomize_rules: dict | None = None,
                  nominal: SceneParameters | None = None,
                  episode_length: int = 1000):
-        from .randomize import resample_per_env
-
-        self.cfg = env_config
+        self.cfg = cfg = env_config
         self.n = num_envs
         self.episode_length = episode_length
         self._rngs = [np.random.default_rng(base_seed * 100003 + i)
                       for i in range(num_envs)]
-        nominal = nominal or desk_scene()
-        gains = []
-        for i in range(num_envs):
-            scene = (resample_per_env(randomize_rules, nominal, base_seed, i)
-                     if randomize_rules else nominal)
-            fric_factor = float(np.mean(scene["geom_friction"][:, 0])) / 0.8
-            mass_factor = float(scene["body_mass"].sum()) / 4.2
-            gains.append(float(np.clip(0.25 * fric_factor / mass_factor, 0.02, 0.9)))
-        self.gain = np.array(gains)
+        scenes = randomize.resample_per_env(randomize_rules or {}, nominal or desk_scene(),
+                                            base_seed, range(num_envs))
+        fric_factor = np.mean(scenes["geom_friction"][:, :, 0], axis=1) / 0.8
+        mass_factor = scenes["body_mass"].sum(axis=1) / 4.2
+        self.gain = np.clip(0.25 * fric_factor / mass_factor, 0.02, 0.9)
         self.joint_gain = 0.35
+
+        # Reset draws in DeskWalker order, one double each: gait frequency,
+        # foot height, [joint offsets, phase,] stand coin; then the command
+        # unless the env stands.
+        gait = cfg.get("gait_frequency", [2.0, 2.0])
+        foot = cfg.get("foot_height_range", [0.03, 0.05])
+        self._init_rand = bool(cfg.get("init_rand", False))
+        lo, hi = [gait[0], foot[0]], [gait[1], foot[1]]
+        if self._init_rand:
+            lo += [-0.1] * NUM_JOINTS + [0.0]
+            hi += [0.1] * NUM_JOINTS + [2.0 * np.pi]
+        self._reset_bounds = (np.array(lo + [0.0], dtype=np.float64),
+                              np.array(hi + [1.0], dtype=np.float64))
+        cmd = [cfg.get(key, [0.0, 0.0]) for key in
+               ("command_lin_vel_x_range", "command_lin_vel_y_range",
+                "command_ang_vel_yaw_range")]
+        self._cmd_bounds = (np.array([c[0] for c in cmd], dtype=np.float64),
+                            np.array([c[1] for c in cmd], dtype=np.float64))
+        self._stand_prob = float(cfg.get("command_stand_prob", 0.0))
+        self._max_foot_height = float(cfg.get("max_foot_height", foot[1]))
+        self._noise = np.empty((num_envs, OBS_DIM))
 
         n = num_envs
         self.t = np.zeros(n, dtype=int)
@@ -393,64 +374,67 @@ class VecEnv:
         self.prev_contact = np.zeros((n, 2), dtype=bool)
         self.done = np.zeros(n, dtype=bool)
         self.episode_steps = np.zeros(n, dtype=int)
-        self._reset_rows(range(n))
+        self._reset_rows(np.arange(n))
 
     @property
     def num_envs(self):
         return self.n
 
-    def _reset_rows(self, rows) -> None:
-        cfg = self.cfg
-        for i in rows:
+    def _reset_rows(self, rows: np.ndarray) -> None:
+        u = np.empty((len(rows), len(self._reset_bounds[0])))
+        u_cmd = np.zeros((len(rows), 3))
+        moving = np.zeros(len(rows), dtype=bool)
+        for k, i in enumerate(rows):
             rng = self._rngs[i]
-            self.t[i] = 0
-            self.vel[i] = 0.0
-            self.yaw_rate[i] = 0.0
-            self.tilt[i] = 0.0
-            self.joints[i] = DEFAULT_POSE
-            self.action[i] = 0.0
-            self.last_act[i] = 0.0
-            self.done[i] = False
-            lo, hi = cfg.get("gait_frequency", [2.0, 2.0])
-            self.gait_freq[i] = rng.uniform(lo, hi)
-            lo, hi = cfg.get("foot_height_range", [0.03, 0.05])
-            self.foot_h[i] = rng.uniform(lo, hi)
-            self.max_foot_height[i] = float(cfg.get("max_foot_height", hi))
-            if cfg.get("init_rand", False):
-                self.joints[i] = DEFAULT_POSE + rng.uniform(-0.1, 0.1, NUM_JOINTS)
-                self.phase[i] = rng.uniform(0.0, 2.0 * np.pi)
-            else:
-                self.phase[i] = 0.0
-            if rng.uniform() < float(cfg.get("command_stand_prob", 0.0)):
-                self.command[i] = 0.0
-            else:
-                for j, key in enumerate(("command_lin_vel_x_range",
-                                         "command_lin_vel_y_range",
-                                         "command_ang_vel_yaw_range")):
-                    lo, hi = cfg.get(key, [0.0, 0.0])
-                    self.command[i, j] = rng.uniform(lo, hi)
-            self.air_time[i] = 0.0
-            self.swing_peak[i] = 0.0
-            self.episode_steps[i] = 0
-        s = np.sin(self.phase)
-        foot_z = self.foot_h[:, None] * np.maximum(0.0, np.stack([s, -s], axis=1))
-        for i in rows:
-            self.prev_contact[i] = foot_z[i] <= 1e-12
+            rng.random(out=u[k])
+            # the stand coin is uniform(0, 1), i.e. the raw double itself
+            if not u[k, -1] < self._stand_prob:
+                moving[k] = True
+                rng.random(out=u_cmd[k])
+        draws = _scaled(*self._reset_bounds, u)
+        commands = np.where(moving[:, None], _scaled(*self._cmd_bounds, u_cmd), 0.0)
+        self.t[rows] = 0
+        self.vel[rows] = 0.0
+        self.yaw_rate[rows] = 0.0
+        self.tilt[rows] = 0.0
+        self.action[rows] = 0.0
+        self.last_act[rows] = 0.0
+        self.done[rows] = False
+        self.gait_freq[rows] = draws[:, 0]
+        self.foot_h[rows] = draws[:, 1]
+        self.max_foot_height[rows] = self._max_foot_height
+        if self._init_rand:
+            self.joints[rows] = DEFAULT_POSE + draws[:, 2:2 + NUM_JOINTS]
+            self.phase[rows] = draws[:, 2 + NUM_JOINTS]
+        else:
+            self.joints[rows] = DEFAULT_POSE
+            self.phase[rows] = 0.0
+        self.command[rows] = commands
+        self.air_time[rows] = 0.0
+        self.swing_peak[rows] = 0.0
+        self.episode_steps[rows] = 0
+        s = np.sin(self.phase[rows])
+        foot_z = self.foot_h[rows, None] * np.maximum(0.0, np.stack([s, -s], axis=1))
+        self.prev_contact[rows] = foot_z <= 1e-12
 
     def _kicks(self, key: str) -> None:
         cfg = self.cfg
         interval = int(cfg.get(f"{key}_kick_interval", 0) or 0)
         if interval < 1:
             return
-        lo = float(cfg.get(f"{key}_min_kick_vel", 0.0))
-        hi = float(cfg.get(f"{key}_max_kick_vel", 0.0))
-        for i in np.flatnonzero(self.t % interval == 0):
-            rng = self._rngs[i]
-            mag = float(rng.uniform(lo, hi))
-            theta = float(rng.uniform(0.0, 2.0 * np.pi))
-            impulse = mag * np.array([np.cos(theta), np.sin(theta)])
-            self.vel[i] += impulse
-            self.tilt[i] += 0.5 * impulse
+        rows = np.flatnonzero(self.t % interval == 0)
+        if not rows.size:
+            return
+        u = np.empty((rows.size, 2))  # (magnitude, direction) per kicked env
+        for k, i in enumerate(rows):
+            self._rngs[i].random(out=u[k])
+        lo = np.array([float(cfg.get(f"{key}_min_kick_vel", 0.0)), 0.0])
+        hi = np.array([float(cfg.get(f"{key}_max_kick_vel", 0.0)), 2.0 * np.pi])
+        draws = _scaled(lo, hi, u)
+        mag, theta = draws[:, 0:1], draws[:, 1]
+        impulse = mag * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        self.vel[rows] += impulse
+        self.tilt[rows] += 0.5 * impulse
 
     def step(self, actions: np.ndarray):
         """Returns (obs (N, OBS_DIM), stacked bindings, done (N,)). ``done``
@@ -566,6 +550,7 @@ class VecEnv:
         ], axis=1)
         noise = float(self.cfg.get("obs_noise", 0.0))
         if noise > 0.0:
-            for i in range(self.n):
-                obs[i] += noise * self._rngs[i].standard_normal(OBS_DIM)
+            for rng, row in zip(self._rngs, self._noise):
+                rng.standard_normal(out=row)
+            obs += noise * self._noise
         return obs

@@ -1,8 +1,13 @@
 """Sample per-stage domain-randomization rules over nominal scene parameters.
 
-Draws are counter-based: each (seed, field, target, env_index) tuple derives
-its own generator, so editing or reordering unrelated rules never perturbs a
-draw. Operations: add, scale, set (the default when a rule omits it).
+Draws are keyed: each (seed, field, target, env_index) tuple derives its own
+generator, so editing or reordering unrelated rules never perturbs a draw.
+``resample_per_env`` is the one sampler: it samples many env indices at once,
+with one generator call per (rule, env) that draws the rule's whole target
+rows, and applies the operations across the env axis. ``sample`` is its
+single-index case. Operations: add, scale, set (the default when a rule omits
+it). ``tests/data/vecenv_golden.json`` pins the resulting scenes through a
+VecEnv rollout.
 """
 
 from __future__ import annotations
@@ -19,8 +24,9 @@ from .errors import RandomizeError
 class FieldGroup:
     """One named parameter group: rows along axis 0, optionally named.
 
-    ``inert`` groups are sampled (to keep rule files honest) but never applied;
-    the flat desk scene uses this for hfield_data.
+    ``inert`` groups have their rules validated (to keep rule files honest)
+    but are never drawn or applied; the flat desk scene uses this for
+    hfield_data.
     """
     values: np.ndarray
     names: list = field(default_factory=list)
@@ -104,7 +110,7 @@ def _select_rows(group: FieldGroup, target, field_name: str) -> list[int]:
     return rows
 
 
-def _draw(rng, minval, maxval, row_shape) -> np.ndarray:
+def _bounds(minval, maxval, row_shape) -> tuple[np.ndarray, np.ndarray]:
     lo = np.asarray(minval, dtype=np.float64)
     hi = np.asarray(maxval, dtype=np.float64)
     if lo.shape != hi.shape:
@@ -114,41 +120,62 @@ def _draw(rng, minval, maxval, row_shape) -> np.ndarray:
             "SHAPE_MISMATCH",
             f"bounds of shape {lo.shape} against parameter rows of shape {row_shape}",
         )
-    u = rng.uniform(size=row_shape)
-    return lo + u * (hi - lo)
+    return lo, hi
 
 
-def sample(rules: dict, nominal: SceneParameters, seed: int, env_index: int = 0) -> SceneParameters:
-    """Apply every rule to a copy of ``nominal``. ``rules`` is the mapping under
-    the ``randomization:`` top-level key."""
-    out = nominal.copy()
+def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
+                     env_indices) -> dict:
+    """Apply every rule for each index in ``env_indices``. ``rules`` is the
+    mapping under the ``randomization:`` top-level key.
+
+    Returns ``field -> array`` of shape ``(len(env_indices),) + nominal shape``
+    for every field of ``nominal``, which is left untouched. Each rule is
+    validated once; then each env's generator for the rule fills all of the
+    rule's target rows in one call. A generator fills its output in order,
+    so row ``r`` gets the same doubles as a per-row draw would.
+    """
+    env_indices = list(env_indices)
+    n = len(env_indices)
+    out = {name: np.repeat(group.values[None], n, axis=0)
+           for name, group in nominal.fields.items()}
     for field_name, rule_list in rules.items():
         if field_name == "randomize" or field_name == "randomize_config_path":
             continue
-        if field_name not in out.fields:
+        if field_name not in nominal.fields:
             raise RandomizeError("UNKNOWN_FIELD", f"unknown parameter group {field_name!r}")
-        group = out.fields[field_name]
+        group = nominal.fields[field_name]
+        values = out[field_name]
+        row_shape = group.values.shape[1:]
         for rule in rule_list:
             target = rule.get("target", "ALL")
             uni = rule["distribution"]["uniform"]
             op = rule.get("operation", "set")
             rows = _select_rows(group, target, field_name)
-            rng = _rng_for(seed, field_name, target, env_index)
-            row_shape = group.values.shape[1:] if group.values.ndim > 1 else ()
-            for r in rows:
-                u = _draw(rng, uni["minval"], uni["maxval"], row_shape)
-                if group.inert:
-                    continue
+            if not rows:
+                continue
+            lo, hi = _bounds(uni["minval"], uni["maxval"], row_shape)
+            if group.inert:
+                continue
+            u = np.empty((n, len(rows)) + row_shape)
+            for k, env_index in enumerate(env_indices):
+                # random() yields the same doubles as uniform(0, 1), in place
+                _rng_for(base_seed, field_name, target, env_index).random(out=u[k])
+            u = lo + u * (hi - lo)
+            for j, r in enumerate(rows):  # in order, so a repeated target row compounds
                 if op == "add":
-                    group.values[r] = group.values[r] + u
+                    values[:, r] = values[:, r] + u[:, j]
                 elif op == "scale":
-                    group.values[r] = group.values[r] * u
+                    values[:, r] = values[:, r] * u[:, j]
                 else:  # set
-                    group.values[r] = u
+                    values[:, r] = u[:, j]
     return out
 
 
-def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
-                     env_index: int) -> SceneParameters:
-    """Independent reproducible draw for one environment index."""
-    return sample(rules, nominal, base_seed, env_index=env_index)
+def sample(rules: dict, nominal: SceneParameters, seed: int, env_index: int = 0) -> SceneParameters:
+    """One environment's draw: ``resample_per_env`` for the single index
+    ``env_index``, as a copy of ``nominal``."""
+    drawn = resample_per_env(rules, nominal, seed, [env_index])
+    return SceneParameters({
+        name: FieldGroup(drawn[name][0], list(group.names), group.inert)
+        for name, group in nominal.fields.items()
+    })

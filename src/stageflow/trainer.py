@@ -334,32 +334,39 @@ def load_checkpoint(path) -> Checkpoint:
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise TrainerError("VERSION_MISMATCH", f"{path}: not a checkpoint file")
+    if len(raw) < 10:
+        raise TrainerError("CHECKPOINT_CORRUPT",
+                           f"{path}: truncated inside the {len(raw)}-byte preamble")
     (version,) = struct.unpack("<H", raw[4:6])
     if version != CHECKPOINT_VERSION:
         raise TrainerError(
             "VERSION_MISMATCH", f"{path}: version {version}, expected {CHECKPOINT_VERSION}"
         )
     (head_len,) = struct.unpack("<I", raw[6:10])
-    header = json.loads(raw[10:10 + head_len])
     offset = 10 + head_len
+    if len(raw) < offset:
+        raise TrainerError("CHECKPOINT_CORRUPT",
+                           f"{path}: {len(raw)} bytes, header alone declares {offset}")
+    try:
+        header = json.loads(raw[10:offset])
+        specs = []
+        for spec in header["arrays"]:
+            dtype = np.dtype(spec["dtype"])
+            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+            specs.append((spec["name"], spec["shape"], dtype, count * dtype.itemsize))
+        meta = {k: header[k] for k in ("step_count", "obs_dim", "act_dim",
+                                        "policy_sizes", "value_sizes", "rng_state")}
+    except (ValueError, KeyError, TypeError):  # JSONDecodeError is a ValueError
+        raise TrainerError("CHECKPOINT_CORRUPT", f"{path}: unreadable header")
+    expected = offset + sum(nbytes for *_, nbytes in specs)
+    if len(raw) != expected:
+        raise TrainerError("CHECKPOINT_CORRUPT",
+                           f"{path}: {len(raw)} bytes, header declares {expected}")
     arrays = {}
-    for spec in header["arrays"]:
-        dtype = np.dtype(spec["dtype"])
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-        nbytes = count * dtype.itemsize
-        arrays[spec["name"]] = np.frombuffer(
-            raw[offset:offset + nbytes], dtype=dtype
-        ).reshape(spec["shape"]).copy()
+    for name, shape, dtype, nbytes in specs:
+        arrays[name] = np.frombuffer(raw[offset:offset + nbytes], dtype=dtype).reshape(shape).copy()
         offset += nbytes
-    return Checkpoint(
-        arrays=arrays,
-        step_count=header["step_count"],
-        obs_dim=header["obs_dim"],
-        act_dim=header["act_dim"],
-        policy_sizes=header["policy_sizes"],
-        value_sizes=header["value_sizes"],
-        rng_state=header["rng_state"],
-    )
+    return Checkpoint(arrays=arrays, **meta)
 
 
 def restore_policy(ckpt: Checkpoint, policy: Policy, obs_norm: RunningNorm) -> None:

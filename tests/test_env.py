@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from stageflow.env import (ACTION_DIM, BINDING_KEYS, OBS_DIM, DeskWalker,
                            VecEnv, read_trace, write_trace)
-from stageflow.randomize import desk_scene, resample_per_env
+from stageflow.randomize import desk_scene, sample
 
 CALM = {"command_lin_vel_x_range": [-0.5, 0.5],
         "command_lin_vel_y_range": [-0.3, 0.3],
@@ -86,7 +88,7 @@ class TestVecEnv:
         vec = VecEnv(RICH, n, base_seed=base_seed, randomize_rules=RULES,
                      episode_length=ep_len)
         refs = [DeskWalker(RICH,
-                           scene=resample_per_env(RULES, desk_scene(), base_seed, i),
+                           scene=sample(RULES, desk_scene(), base_seed, env_index=i),
                            seed=base_seed * 100003 + i)
                 for i in range(n)]
         np.testing.assert_array_equal(
@@ -105,6 +107,18 @@ class TestVecEnv:
                                           np.asarray(br[k].to_numpy())), (t, i, k)
             np.testing.assert_array_equal(
                 obs, np.stack([r.observe() for r in refs]))
+
+    def test_golden_rollout_digest(self):
+        """Obs, every binding and ``finished`` of a 64-env tune rollout with
+        obs noise, kicks, resets and all seven tune rules match the digest
+        recorded from the per-env reference loops, byte for byte."""
+        from vecenv_golden import GOLDEN, rollout_digest
+        expected = json.loads(GOLDEN.read_text())
+        got = rollout_digest()
+        assert got["resets"] == expected["resets"] > 0
+        for key, digest in expected["digests"].items():
+            assert got["digests"].get(key) == digest, key
+        assert set(got["digests"]) == set(expected["digests"])
 
     def test_auto_reset_on_truncation(self):
         vec = VecEnv(CALM, 2, base_seed=0, episode_length=5)

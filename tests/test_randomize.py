@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from stageflow.errors import RandomizeError
-from stageflow.randomize import desk_scene, resample_per_env, sample
+from stageflow.randomize import _rng_for, desk_scene, resample_per_env, sample
 
 RULES = {
     "body_mass": [{
@@ -63,9 +65,21 @@ class TestSample:
 
     def test_resample_per_env_matches_sample(self):
         nominal = desk_scene()
-        a = resample_per_env(RULES, nominal, base_seed=5, env_index=2)
+        a = resample_per_env(RULES, nominal, base_seed=5, env_indices=[2])
         b = sample(RULES, nominal, seed=5, env_index=2)
-        np.testing.assert_array_equal(a["body_mass"], b["body_mass"])
+        np.testing.assert_array_equal(a["body_mass"][0], b["body_mass"])
+
+    def test_inert_rule_still_validated(self):
+        bad = {"hfield_data": [{
+            "target": "ALL",
+            "distribution": {"uniform": {"minval": [0.0, 0.0], "maxval": [1.0, 1.0]}},
+            "operation": "scale",
+        }]}
+        for draw in (lambda: sample(bad, desk_scene(), seed=0),
+                     lambda: resample_per_env(bad, desk_scene(), 0, range(4))):
+            with pytest.raises(RandomizeError) as e:
+                draw()
+            assert e.value.code == "SHAPE_MISMATCH"
 
     def test_unknown_field_rejected(self):
         with pytest.raises(RandomizeError) as e:
@@ -82,3 +96,96 @@ class TestCorpusRandomize:
             rules = stage.randomize_doc.get("randomization") or {}
             scene = sample(rules, desk_scene(), seed=1)
             assert np.all(scene["body_mass"] > 0)
+
+
+def _shipped_rule_sets():
+    from stageflow.schema import parse_bundle
+    from conftest import DATA
+    for name in ("desk", "tune", "blind"):
+        for stage in parse_bundle(DATA / "bundles" / name).stages:
+            yield f"{name}/stage{stage.index}", stage.randomize_doc.get("randomization") or {}
+
+
+SHIPPED = dict(_shipped_rule_sets())
+
+
+def per_row_reference(rules, nominal, seed, env_index):
+    """The per-row loop the batched sampler replaced: one generator per
+    (seed, field, target, env) and one ``uniform(size=row_shape)`` call per
+    target row, applied row by row to one env's copy of the scene."""
+    out = {name: group.values.copy() for name, group in nominal.fields.items()}
+    for field_name, rule_list in rules.items():
+        if field_name in ("randomize", "randomize_config_path"):
+            continue
+        group = nominal.fields[field_name]
+        for rule in rule_list:
+            target = rule.get("target", "ALL")
+            wanted = target if isinstance(target, list) else [target]
+            rows = (range(len(group.values)) if target == "ALL"
+                    else [group.names.index(t) for t in wanted])
+            lo = np.asarray(rule["distribution"]["uniform"]["minval"], dtype=np.float64)
+            hi = np.asarray(rule["distribution"]["uniform"]["maxval"], dtype=np.float64)
+            rng = _rng_for(seed, field_name, target, env_index)
+            op = rule.get("operation", "set")
+            for r in rows:
+                u = lo + rng.uniform(size=group.values.shape[1:]) * (hi - lo)
+                if group.inert:
+                    continue
+                v = out[field_name]
+                v[r] = v[r] + u if op == "add" else v[r] * u if op == "scale" else u
+    return out
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    def test_rows_match_sample_and_per_row_loop(self, name):
+        rules, nominal, seed = SHIPPED[name], desk_scene(), 11
+        batched = resample_per_env(rules, nominal, seed, range(6))
+        assert set(batched) == set(nominal.fields)
+        for i in range(6):
+            one = sample(rules, nominal, seed, env_index=i)
+            ref = per_row_reference(rules, nominal, seed, i)
+            for f in nominal.fields:
+                assert batched[f].shape == (6,) + nominal[f].shape
+                assert batched[f][i].tobytes() == one[f].tobytes(), (f, i)
+                assert batched[f][i].tobytes() == ref[f].tobytes(), (f, i)
+
+    def test_env_indices_need_not_start_at_zero(self):
+        rules = SHIPPED["tune/stage1"]
+        batched = resample_per_env(rules, desk_scene(), 4, [9, 3])
+        for k, i in enumerate([9, 3]):
+            one = sample(rules, desk_scene(), 4, env_index=i)
+            for f in batched:
+                np.testing.assert_array_equal(batched[f][k], one[f])
+
+    @pytest.mark.parametrize("field_name,rule_index",
+                             [(f, j) for f, rs in SHIPPED["tune/stage1"].items()
+                              for j in range(len(rs))])
+    def test_editing_one_rule_leaves_other_draws(self, field_name, rule_index):
+        rules = SHIPPED["tune/stage1"]
+        nominal = desk_scene()
+        edited = copy.deepcopy(rules)
+        uni = edited[field_name][rule_index]["distribution"]["uniform"]
+        uni["maxval"] = (np.asarray(uni["maxval"], dtype=np.float64) + 0.5).tolist()
+        before = resample_per_env(rules, nominal, 2, range(8))
+        after = resample_per_env(edited, nominal, 2, range(8))
+        group = nominal.fields[field_name]
+        target = rules[field_name][rule_index].get("target", "ALL")
+        wanted = target if isinstance(target, list) else [target]
+        touched = (set(range(len(group.values))) if target == "ALL"
+                   else {group.names.index(t) for t in wanted})
+        for f in nominal.fields:
+            for r in range(len(nominal[f])):
+                if f == field_name and r in touched:
+                    continue
+                assert before[f][:, r].tobytes() == after[f][:, r].tobytes(), (f, r)
+        if not group.inert:
+            assert before[field_name].tobytes() != after[field_name].tobytes()
+
+    def test_field_order_does_not_matter(self):
+        rules = SHIPPED["tune/stage1"]
+        flipped = dict(reversed(list(rules.items())))
+        a = resample_per_env(rules, desk_scene(), 5, range(4))
+        b = resample_per_env(flipped, desk_scene(), 5, range(4))
+        for f in a:
+            assert a[f].tobytes() == b[f].tobytes(), f

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from stageflow.errors import TrainerError
-from stageflow.trainer import (Adam, Policy, RunningNorm, clipped_surrogate,
+from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Policy,
+                               RunningNorm, clipped_surrogate,
                                gae, load_checkpoint, ppo_loss,
                                restore_policy, save_checkpoint)
 
@@ -208,6 +211,34 @@ class TestCheckpoint:
         with pytest.raises(TrainerError) as e:
             load_checkpoint(path)
         assert e.value.code == "VERSION_MISMATCH"
+
+    def test_truncated_or_padded_file_is_corrupt(self, tmp_path):
+        policy = small_policy()
+        path = tmp_path / "t.bin"
+        save_checkpoint(path, policy, RunningNorm(policy.obs_dim), 0,
+                        np.random.default_rng(0).bit_generator.state)
+        raw = path.read_bytes()
+        head_end = 10 + int.from_bytes(raw[6:10], "little")
+        # inside the version, the header length, the header, the arrays
+        cuts = [5, 8, head_end - 3, head_end, (head_end + len(raw)) // 2, len(raw) - 1]
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(TrainerError) as e:
+                load_checkpoint(path)
+            assert e.value.code == "CHECKPOINT_CORRUPT", cut
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(TrainerError) as e:
+            load_checkpoint(path)
+        assert e.value.code == "CHECKPOINT_CORRUPT"
+
+    def test_header_missing_keys_is_corrupt(self, tmp_path):
+        path = tmp_path / "h.bin"
+        for head in (b"{}", b'{"arrays": [{"name": "x"}]}', b"[1]", b"\xff"):
+            path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(head))
+                             + head)
+            with pytest.raises(TrainerError) as e:
+                load_checkpoint(path)
+            assert e.value.code == "CHECKPOINT_CORRUPT", head
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "d.bin"
