@@ -146,32 +146,22 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .orchestrator import promote
+    from .orchestrator import promote, train_stages
     from .schema import parse_bundle, validate
-    from .trainer import train_stage
 
     bundle = parse_bundle(_resolve(args.workdir, args.workflow))
     report = validate(bundle)
     if not report.ok:
         _emit(args, json.loads(report.to_json()), report.to_text())
         return EXIT_FINDINGS
-    out = _resolve(args.workdir, args.out)
-    checkpoint = None
-    records = []
-    for stage in bundle.stages:
-        result = train_stage(
-            stage, out / f"stage{stage.index}",
-            checkpoint_in=checkpoint if stage.resume_from_checkpoint else None,
-            seed=args.seed, paper_scale=args.paper_scale)
-        checkpoint = result.checkpoint_path
-        records.append({
-            "stage": stage.index,
-            "env_steps": result.env_steps,
-            "last_eval": result.last_eval,
-            "promoted": promote(result, stage.promotion),
-        })
-        if not records[-1]["promoted"]:
-            break
+    results, _ = train_stages(bundle, _resolve(args.workdir, args.out),
+                              seed=args.seed, paper_scale=args.paper_scale)
+    records = [{
+        "stage": stage.index,
+        "env_steps": result.env_steps,
+        "last_eval": result.last_eval,
+        "promoted": promote(result, stage.promotion),
+    } for stage, result in zip(bundle.stages, results)]
     _emit(args, {"stages": records},
           "\n".join(f"stage {r['stage']}: {r['env_steps']} steps, "
                     f"reward {r['last_eval'].get('eval/episode_reward', 0.0):.2f}, "
@@ -189,29 +179,19 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_vdb_add(args) -> int:
-    from .vdb import RunArtifact, VectorStore
+    from .vdb import VectorStore, run_artifact
 
     run_dir = _resolve(args.workdir, args.run_dir)
     if not run_dir.is_dir():
         raise StageflowError("MISSING_FILE", f"no such run directory: {run_dir}")
-    files = {}
-    for p in sorted(run_dir.rglob("*.yaml")):
-        files[str(p.relative_to(run_dir))] = p.read_text()
-    metrics = "".join(p.read_text() for p in sorted(run_dir.rglob("metrics.jsonl")))
-    scores_path = run_dir / "scores.json"
+    run_id = args.run_id or run_dir.resolve().name
     prompt_path = run_dir / "prompt.txt"
-    store = VectorStore(_resolve(args.workdir, args.vdb))
-    run_id = args.run_id or run_dir.name
-    store.add_run(RunArtifact(
-        run_id=run_id,
-        prompt=prompt_path.read_text() if prompt_path.is_file() else run_id,
-        files=files,
-        metrics_jsonl=metrics,
-        scores=json.loads(scores_path.read_text()) if scores_path.is_file() else {},
-        evaluation=args.evaluation,
-    ))
-    _emit(args, {"run_id": run_id, "files": len(files)},
-          f"stored {run_id} ({len(files)} files)")
+    artifact = run_artifact(
+        run_dir, run_id, prompt_path.read_text() if prompt_path.is_file() else run_id,
+        args.evaluation)
+    VectorStore(_resolve(args.workdir, args.vdb)).add_run(artifact)
+    _emit(args, {"run_id": run_id, "files": len(artifact.files)},
+          f"stored {run_id} ({len(artifact.files)} files)")
     return EXIT_OK
 
 

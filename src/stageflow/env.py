@@ -5,8 +5,9 @@ feet follow a gait oscillator, and kicks inject velocity impulses on a fixed
 schedule. The point of the environment is to emit, every step, the complete
 binding map the reward programs consume; it is not a physics simulator.
 
-A replay environment feeds recorded binding traces instead (JSON-lines, one
-binding map per step, tensors as flat arrays with explicit shape).
+``write_trace``/``read_trace`` store a run of binding maps as JSON-lines (one
+binding map per step, tensors as flat arrays with explicit shape) for
+``stageflow score``.
 """
 
 from __future__ import annotations
@@ -272,27 +273,6 @@ def read_trace(path) -> list[dict]:
             raise EnvError("TRACE_FORMAT_ERROR", f"{path}:{lineno}: malformed trace record")
         steps.append(bindings)
     return steps
-
-
-class ReplayEnv:
-    """Yields recorded binding maps step by step; deterministic."""
-
-    def __init__(self, trace_path):
-        self.steps = read_trace(trace_path)
-        self.i = 0
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __len__(self):
-        return len(self.steps)
-
-    def step(self):
-        if self.i >= len(self.steps):
-            raise EnvError("TRACE_FORMAT_ERROR", "trace exhausted")
-        bindings = self.steps[self.i]
-        self.i += 1
-        return bindings, self.i >= len(self.steps)
 
 
 def _scaled(lo, hi, u: np.ndarray) -> np.ndarray:

@@ -102,9 +102,6 @@ class SliceItem:
     stop: int | None
 
 
-FULL_SLICE = SliceItem(None, None)
-
-
 @dataclass(frozen=True)
 class Index:
     base: object

@@ -13,27 +13,25 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
 import yaml
 
-from . import agents, schema, scoring
+from . import scoring
 from .agents import (GeneratedFileBlock, invoke_with_retry, load_template,
                      parse_file_blocks, parse_selector_json, render,
                      request_digest)
 from .env import DeskWalker
 from .errors import AgentError, StageflowError
 from .randomize import desk_scene, sample
-from .schema import PromotionCriterion, StageBundle, parse_bundle, validate
+from .schema import (STAGE_ROLES, CurriculumBundle, PromotionCriterion,
+                     StageBundle, build_stage, parse_bundle, validate)
 from .trainer import (Policy, RunningNorm, StageResult, load_checkpoint,
                       restore_policy, train_stage)
-from .vdb import RunArtifact, VectorStore
+from .vdb import RunArtifact, VectorStore, check_run_id, run_artifact
 
 _DATA = Path(__file__).parent / "data"
-_STAGE_FILE_NAMES = ("reward.yaml", "config.yaml", "randomize.yaml")
 
 
 @dataclass
@@ -135,41 +133,33 @@ def _examples_from_artifact(artifact: RunArtifact, selection: dict) -> dict:
 def _classify_blocks(blocks) -> dict:
     roles = {}
     for b in blocks:
-        for role in ("reward", "config", "randomize"):
+        for role in STAGE_ROLES:
             if role in b.file_name:
                 roles[role] = b
                 break
     return roles
 
 
-def _stage_findings(blocks, stage_entry: dict) -> list:
-    """Validate one stage's three generated files in isolation by wrapping
-    them in a single-stage workflow; returns finding strings."""
-    import tempfile
-
+def _stage_findings(blocks) -> list:
+    """Validate one stage's three generated files in isolation, in memory,
+    as the only stage of a workflow; returns finding strings naming the
+    generated files."""
     roles = _classify_blocks(blocks)
-    missing = [r for r in ("reward", "config", "randomize") if r not in roles]
+    missing = [r for r in STAGE_ROLES if r not in roles]
     if missing:
         return [f"missing generated file for: {', '.join(missing)}"]
-    with tempfile.TemporaryDirectory() as td:
-        tmp = Path(td)
-        for role in ("reward", "config", "randomize"):
-            (tmp / roles[role].file_name).write_text(roles[role].content)
-        # wrapped as a first stage, so resume stays off regardless of the
-        # real entry; the full-bundle validation covers resume placement
-        wf = {"workflow": {"name": "stage-check", "stages": [{
-            "index": 1,
-            "reward": roles["reward"].file_name,
-            "config": roles["config"].file_name,
-            "randomize": roles["randomize"].file_name,
-            "resume_from_checkpoint": False,
-        }]}}
-        (tmp / "workflow.yaml").write_text(yaml.safe_dump(wf))
-        try:
-            report = validate(parse_bundle(tmp / "workflow.yaml"))
-        except StageflowError as e:
-            return [f"[{e.code}] {e.message}"]
-        return [f"[{f.code}] {f.path}: {f.message}" for f in report.errors]
+    # wrapped as a first stage, so resume stays off regardless of the real
+    # entry; the full-bundle validation covers resume placement
+    entry = {"index": 1, "resume_from_checkpoint": False,
+             **{role: roles[role].file_name for role in STAGE_ROLES}}
+    try:
+        stage = build_stage(entry, {role: roles[role].content for role in STAGE_ROLES})
+        report = validate(CurriculumBundle(
+            workflow_path="workflow.yaml", workflow_doc={"workflow": {"stages": [entry]}},
+            workflow_text="", stages=[stage]))
+    except StageflowError as e:
+        return [f"[{e.code}] {e.message}"]
+    return [f"[{f.code}] {f.path}: {f.message}" for f in report.errors]
 
 
 def _apply_overrides(config_doc: dict, overrides: dict) -> dict:
@@ -186,18 +176,17 @@ def _apply_overrides(config_doc: dict, overrides: dict) -> dict:
     return doc
 
 
-def _write_stage_files(run_dir: Path, index: int, blocks) -> None:
-    roles = _classify_blocks(blocks)
-    stage_dir = run_dir / f"stage{index}"
+def _write_stage_files(stage_dir: Path, blocks) -> None:
+    """Write each given role's block as ``stage_dir/<role>.yaml``; roles not
+    given are left as they are."""
     stage_dir.mkdir(parents=True, exist_ok=True)
-    for role in ("reward", "config", "randomize"):
-        text = roles[role].content
+    for role, block in _classify_blocks(blocks).items():
+        text = block.content
         if role == "config":
             # point the config at the canonical stage layout
-            text = re.sub(r"(randomize_config_path:\s*).*",
-                          r'\g<1>"randomize.yaml"', text, count=1)
-            text = re.sub(r"(reward_config_path:\s*).*",
-                          r'\g<1>"reward.yaml"', text, count=1)
+            for target in ("randomize", "reward"):
+                text = re.sub(rf"({target}_config_path:\s*).*",
+                              rf'\g<1>"{target}.yaml"', text, count=1)
         (stage_dir / f"{role}.yaml").write_text(text)
 
 
@@ -277,47 +266,42 @@ def final_scores(checkpoint_path, stage: StageBundle, seed: int = 7,
         scene = sample(rules, desk_scene(), seed=seed + 100 * e)
         env = DeskWalker(env_cfg, scene=scene, seed=seed + 100 * e)
         obs = env.reset()
-        cmd, loc, air, swing, cnorm = [], [], [], [], []
-        survived = horizon
-        for t in range(horizon):
-            act = policy.act_deterministic(obs_norm.normalize(obs))
-            bindings, done = env.step(act)
-            c = np.asarray(bindings["command"].tolist())
-            v = np.asarray(bindings["local_vel"].tolist())
-            at = np.asarray(bindings["feet_air_time"].tolist())
-            contact = np.asarray(bindings["foot_contact"].tolist())
-            i = int(np.argmax(at))
-            cmd.append(c[:2]); loc.append(v[:2])
-            air.append(at[i]); swing.append(1.0 - contact[i])
-            cnorm.append(float(bindings["command_norm"].tolist()))
+        steps = []
+        for _ in range(horizon):
+            bindings, done = env.step(
+                policy.act_deterministic(obs_norm.normalize(obs)))
+            steps.append(bindings)
             if done:
-                survived = t + 1
                 break
             obs = env.observe()
-        eps.append(scoring.Episode(
-            survived=survived,
-            command_vel=np.array(cmd), local_vel=np.array(loc),
-            air_time=np.array(air), swing=np.array(swing),
-            command_norm=np.array(cnorm),
-        ))
+        eps.append(scoring.episode_from_bindings(steps))
     return scoring.score_triple(scoring.EvalBatch(episodes=eps, horizon=horizon))
 
 
 # -- stage loop ----------------------------------------------------------------
 
-def run_stage_loop(bundle, transport, run_dir, log: AgentLog, seed: int = 7,
-                   paper_scale: bool = False,
-                   stage_descriptions: dict | None = None):
-    """Train stages in index order with the feedback agent between them.
+def train_stages(bundle: CurriculumBundle, run_dir, seed: int = 7,
+                 paper_scale: bool = False, feedback=None):
+    """Train the stages in index order into ``run_dir/stageN``; a stage that
+    resumes starts from the previous stage's checkpoint. Stops after the
+    first stage that misses its promotion criterion.
 
-    Returns (results, status) where status is completed, terminated_by_feedback,
-    or failed(stage, reason) encoded as the triple elsewhere.
+    ``feedback(stage, result, next_stage)``, when given, runs between a
+    promoted stage with feedback on and the next stage, and returns a
+    :class:`FeedbackDecision`. Revised files are written to the next stage's
+    directory and the stage is reloaded from ``run_dir/workflow.yaml``, so
+    only a bundle laid out in ``run_dir`` (a pipeline run) can be revised;
+    the revised stage replaces its entry in ``bundle.stages``.
+
+    Returns (results, (status, failure_stage, reason)) with status
+    completed, terminated_by_feedback or failed.
     """
     run_dir = Path(run_dir)
+    stages = bundle.stages
     results = []
     checkpoint = None
-    stages = bundle.stages
-    for pos, stage in enumerate(stages):
+    for pos in range(len(stages)):
+        stage = stages[pos]  # a revision may have replaced it
         result = train_stage(
             stage, run_dir / f"stage{stage.index}",
             checkpoint_in=checkpoint if stage.resume_from_checkpoint else None,
@@ -327,23 +311,19 @@ def run_stage_loop(bundle, transport, run_dir, log: AgentLog, seed: int = 7,
         if not promote(result, stage.promotion):
             return results, ("failed", f"stage{stage.index}",
                              "promotion criterion not met")
-        if pos + 1 >= len(stages) or not stage.feedback:
+        if feedback is None or pos + 1 >= len(stages) or not stage.feedback:
             continue
         nxt = stages[pos + 1]
-        decision = _feedback_step(
-            transport, log, stage, nxt, result, run_dir,
-            (stage_descriptions or {}).get(nxt.index, ""))
+        decision = feedback(stage, result, nxt)
         if decision.action == "terminate":
             return results, ("terminated_by_feedback", "", decision.rationale)
         if decision.action == "proceed_with_revised_files":
-            _apply_revision(run_dir, nxt, decision.revised_blocks)
-            # reload so the next stage trains with the revised files
-            bundle = parse_bundle(run_dir / "workflow.yaml")
-            stages = bundle.stages
+            _write_stage_files(run_dir / f"stage{nxt.index}", decision.revised_blocks)
+            stages[pos + 1] = parse_bundle(run_dir / "workflow.yaml").stages[pos + 1]
     return results, ("completed", "", "")
 
 
-def _feedback_step(transport, log, stage, next_stage, result, run_dir,
+def _feedback_step(transport, log, stage, next_stage, result,
                    next_description: str) -> FeedbackDecision:
     template = load_template("feedback")
     context = (
@@ -360,9 +340,8 @@ def _feedback_step(transport, log, stage, next_stage, result, run_dir,
     def check(decision: FeedbackDecision):
         if decision.action != "proceed_with_revised_files":
             return []
-        merged = _merged_stage_blocks(next_stage, decision.revised_blocks)
-        return _stage_findings(merged, {
-            "resume_from_checkpoint": next_stage.resume_from_checkpoint})
+        return _stage_findings(
+            _merged_stage_blocks(next_stage, decision.revised_blocks))
 
     return _logged_invoke(log, transport, "feedback", prompt,
                           parse_feedback, check)
@@ -378,19 +357,6 @@ def _merged_stage_blocks(next_stage: StageBundle, revised) -> list:
             for role, text in texts.items()]
 
 
-def _apply_revision(run_dir: Path, next_stage: StageBundle, revised) -> None:
-    """Feedback may only touch the next stage's three files."""
-    stage_dir = Path(run_dir) / f"stage{next_stage.index}"
-    for role, block in _classify_blocks(revised).items():
-        text = block.content
-        if role == "config":
-            text = re.sub(r"(randomize_config_path:\s*).*",
-                          r'\g<1>"randomize.yaml"', text, count=1)
-            text = re.sub(r"(reward_config_path:\s*).*",
-                          r'\g<1>"reward.yaml"', text, count=1)
-        (stage_dir / f"{role}.yaml").write_text(text)
-
-
 # -- the pipeline --------------------------------------------------------------
 
 def _next_run_id(vdb: VectorStore) -> str:
@@ -401,7 +367,7 @@ def run_pipeline(task_prompt: str, vdb: VectorStore, transport, out_dir,
                  run_id: str | None = None, seed: int = 7,
                  paper_scale: bool = False,
                  config_overrides: dict | None = None) -> CurriculumRun:
-    run_id = run_id or _next_run_id(vdb)
+    run_id = check_run_id(run_id or _next_run_id(vdb))
     run_dir = Path(out_dir) / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     log = AgentLog(run_dir / "agent_log.jsonl")
@@ -424,9 +390,10 @@ def run_pipeline(task_prompt: str, vdb: VectorStore, transport, out_dir,
                 + "; ".join(f"[{f.code}] {f.message}" for f in report.errors))
         run.bundle = bundle
         phase = "training"
-        results, (status, fail_stage, reason) = run_stage_loop(
-            bundle, transport, run_dir, log, seed=seed,
-            paper_scale=paper_scale, stage_descriptions=descriptions)
+        results, (status, fail_stage, reason) = train_stages(
+            bundle, run_dir, seed=seed, paper_scale=paper_scale,
+            feedback=lambda stage, result, nxt: _feedback_step(
+                transport, log, stage, nxt, result, descriptions.get(nxt.index, "")))
         run.stage_results = results
         if status == "failed":
             run.status, run.failure_stage, run.failure_reason = status, fail_stage, reason
@@ -437,7 +404,7 @@ def run_pipeline(task_prompt: str, vdb: VectorStore, transport, out_dir,
                                   seed=seed)
         (run_dir / "scores.json").write_text(run.scores.to_json())
         phase = "store"
-        _store_run(run, vdb, run_dir, evaluation)
+        vdb.add_run(run_artifact(run_dir, run_id, task_prompt))
         run.status = status
         run.failure_reason = reason if status == "terminated_by_feedback" else ""
         return run
@@ -546,7 +513,7 @@ def _generate_stages(task_prompt, wf_doc, descriptions, examples, transport,
         })
         blocks = _logged_invoke(
             log, transport, "per_stage", prompt, parse_file_blocks,
-            lambda bs, entry=entry: _stage_findings(bs, entry))
+            _stage_findings)
         if config_overrides:
             roles = _classify_blocks(blocks)
             doc = _apply_overrides(yaml.safe_load(roles["config"].content),
@@ -555,28 +522,5 @@ def _generate_stages(task_prompt, wf_doc, descriptions, examples, transport,
             blocks.append(GeneratedFileBlock(
                 roles["config"].file_name, roles["config"].file_path,
                 yaml.safe_dump(doc, sort_keys=False)))
-        _write_stage_files(run_dir, idx, blocks)
+        _write_stage_files(run_dir / f"stage{idx}", blocks)
     _write_workflow(run_dir, wf_doc)
-
-
-def _store_run(run: CurriculumRun, vdb: VectorStore, run_dir: Path,
-               evaluation: str) -> None:
-    files = {"workflow.yaml": (run_dir / "workflow.yaml").read_text()}
-    metrics_parts = []
-    for stage_dir in sorted(run_dir.glob("stage*")):
-        for name in _STAGE_FILE_NAMES:
-            p = stage_dir / name
-            if p.is_file():
-                files[f"{stage_dir.name}/{name}"] = p.read_text()
-        m = stage_dir / "metrics.jsonl"
-        if m.is_file():
-            metrics_parts.append(m.read_text())
-    vdb.add_run(RunArtifact(
-        run_id=run.run_id,
-        prompt=run.task_prompt,
-        files=files,
-        metrics_jsonl="".join(metrics_parts),
-        scores=run.scores.to_dict() if run.scores else {},
-        evaluation="",
-        created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
-    ))

@@ -157,19 +157,70 @@ class CurriculumBundle:
         return len(self.stages)
 
 
-def _load_yaml(path: Path) -> tuple[dict, str]:
+STAGE_ROLES = ("reward", "config", "randomize")
+
+
+def _read(path: Path) -> str:
     if not path.is_file():
         raise BundleError("MISSING_FILE", f"no such file: {path}")
-    text = path.read_text()
+    return path.read_text()
+
+
+def _parse_yaml(text: str, name) -> dict:
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise BundleError("PARSE_ERROR", f"{path}: invalid YAML{loc}")
+        raise BundleError("PARSE_ERROR", f"{name}: invalid YAML{loc}")
     if not isinstance(doc, dict):
-        raise BundleError("PARSE_ERROR", f"{path}: document is not a mapping")
-    return doc, text
+        raise BundleError("PARSE_ERROR", f"{name}: document is not a mapping")
+    return doc
+
+
+def _stage_entries(wf_doc: dict, wf_path) -> list:
+    wf = wf_doc.get("workflow")
+    if not isinstance(wf, dict):
+        raise BundleError("PARSE_ERROR", f"{wf_path}: top-level key must be 'workflow:'")
+    entries = wf.get("stages")
+    if not isinstance(entries, list) or not entries:
+        raise BundleError("PARSE_ERROR", f"{wf_path}: workflow.stages must be a non-empty list")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise BundleError("PARSE_ERROR", f"{wf_path}: stage entry must be a mapping")
+        for key in ("index",) + STAGE_ROLES:
+            if key not in entry:
+                raise BundleError("PARSE_ERROR", f"{wf_path}: stage entry missing key {key!r}")
+    return entries
+
+
+def build_stage(entry: dict, texts: dict, root: Path = Path()) -> StageBundle:
+    """One stage from its workflow entry and the already-read texts of its
+    files, keyed by role (``reward``, ``config``, ``randomize``). Errors name
+    each file as ``root`` joined with the entry's path for it."""
+    docs = {role: _parse_yaml(texts[role], root / entry[role]) for role in STAGE_ROLES}
+    if "reward" not in docs["reward"]:
+        raise BundleError(
+            "PARSE_ERROR", f"{root / entry['reward']}: top-level key must be 'reward:'")
+    promo_spec = entry.get("promotion") or {}
+    return StageBundle(
+        index=int(entry["index"]),
+        reward_path=str(entry["reward"]),
+        config_path=str(entry["config"]),
+        randomize_path=str(entry["randomize"]),
+        resume_from_checkpoint=bool(entry.get("resume_from_checkpoint", False)),
+        feedback=bool(entry.get("feedback", True)),
+        promotion=PromotionCriterion(
+            mode=promo_spec.get("mode", "timesteps_exhausted"),
+            reward_threshold=float(promo_spec.get("reward_threshold", 0.0)),
+        ),
+        reward_doc=docs["reward"],
+        config_doc=docs["config"],
+        randomize_doc=docs["randomize"],
+        reward_text=texts["reward"],
+        config_text=texts["config"],
+        randomize_text=texts["randomize"],
+    )
 
 
 def parse_bundle(workflow_path: str | Path) -> CurriculumBundle:
@@ -179,54 +230,13 @@ def parse_bundle(workflow_path: str | Path) -> CurriculumBundle:
     wf_path = Path(workflow_path)
     if wf_path.is_dir():
         wf_path = wf_path / "workflow.yaml"
-    wf_doc, wf_text = _load_yaml(wf_path)
-    wf = wf_doc.get("workflow")
-    if not isinstance(wf, dict):
-        raise BundleError("PARSE_ERROR", f"{wf_path}: top-level key must be 'workflow:'")
-    stages_spec = wf.get("stages")
-    if not isinstance(stages_spec, list) or not stages_spec:
-        raise BundleError("PARSE_ERROR", f"{wf_path}: workflow.stages must be a non-empty list")
-
+    wf_text = _read(wf_path)
+    wf_doc = _parse_yaml(wf_text, wf_path)
     root = wf_path.parent
     stages = []
-    for entry in stages_spec:
-        if not isinstance(entry, dict):
-            raise BundleError("PARSE_ERROR", f"{wf_path}: stage entry must be a mapping")
-        try:
-            idx = int(entry["index"])
-            reward_rel = entry["reward"]
-            config_rel = entry["config"]
-            randomize_rel = entry["randomize"]
-        except KeyError as e:
-            raise BundleError("PARSE_ERROR", f"{wf_path}: stage entry missing key {e}")
-        reward_doc, reward_text = _load_yaml(root / reward_rel)
-        if "reward" not in reward_doc:
-            raise BundleError(
-                "PARSE_ERROR",
-                f"{root / reward_rel}: top-level key must be 'reward:'",
-            )
-        config_doc, config_text = _load_yaml(root / config_rel)
-        randomize_doc, randomize_text = _load_yaml(root / randomize_rel)
-        promo_spec = entry.get("promotion") or {}
-        promotion = PromotionCriterion(
-            mode=promo_spec.get("mode", "timesteps_exhausted"),
-            reward_threshold=float(promo_spec.get("reward_threshold", 0.0)),
-        )
-        stages.append(StageBundle(
-            index=idx,
-            reward_path=str(reward_rel),
-            config_path=str(config_rel),
-            randomize_path=str(randomize_rel),
-            resume_from_checkpoint=bool(entry.get("resume_from_checkpoint", False)),
-            feedback=bool(entry.get("feedback", True)),
-            promotion=promotion,
-            reward_doc=reward_doc,
-            config_doc=config_doc,
-            randomize_doc=randomize_doc,
-            reward_text=reward_text,
-            config_text=config_text,
-            randomize_text=randomize_text,
-        ))
+    for entry in _stage_entries(wf_doc, wf_path):
+        texts = {role: _read(root / entry[role]) for role in STAGE_ROLES}
+        stages.append(build_stage(entry, texts, root))
     stages.sort(key=lambda s: s.index)
     return CurriculumBundle(
         workflow_path=str(wf_path), workflow_doc=wf_doc, workflow_text=wf_text,

@@ -1,5 +1,5 @@
 """Deployment evaluation scores: survival, velocity tracking, feet air time,
-plus the z-score normalization used for learning curves."""
+computed from the environment's per-step binding maps."""
 
 from __future__ import annotations
 
@@ -95,30 +95,10 @@ def score_triple(batch: EvalBatch, sigma: float = 0.1, lift_thresh: float = 0.2,
     )
 
 
-def zscore_normalize(series) -> np.ndarray:
-    """(x - mean) / population std. Rejects constant or too-short series."""
-    x = np.asarray(series, dtype=np.float64)
-    if x.size < 2:
-        raise ScoreError("ZERO_VARIANCE", "series must have at least 2 points")
-    std = x.std()
-    if std == 0.0:
-        raise ScoreError("ZERO_VARIANCE", "series has zero variance")
-    return (x - x.mean()) / std
-
-
-# -- trace I/O ----------------------------------------------------------------
-
-def batch_from_trace(path, horizon: int | None = None) -> EvalBatch:
-    """Build an EvalBatch from a binding-trace JSON-lines file (one episode).
-
-    Uses command / local_vel / feet_air_time / foot_contact / command_norm
-    bindings recorded by the environment.
-    """
-    from .env import read_trace
-
-    steps = read_trace(path)
-    if not steps:
-        raise ScoreError("BAD_EPISODE", f"empty trace {path}")
+def episode_from_bindings(steps) -> Episode:
+    """One episode from its per-step binding maps, in step order, using the
+    command / local_vel / feet_air_time / foot_contact / command_norm
+    bindings. Every step counts as survived."""
     cmd, loc, air, swing, cnorm = [], [], [], [], []
     for bindings in steps:
         c = np.asarray(bindings["command"].tolist())
@@ -131,13 +111,23 @@ def batch_from_trace(path, horizon: int | None = None) -> EvalBatch:
         air.append(at[i])
         swing.append(1.0 - contact[i])
         cnorm.append(float(bindings["command_norm"].tolist()))
-    T = len(steps)
-    ep = Episode(
-        survived=T,
+    return Episode(
+        survived=len(steps),
         command_vel=np.array(cmd),
         local_vel=np.array(loc),
         air_time=np.array(air),
         swing=np.array(swing),
         command_norm=np.array(cnorm),
     )
-    return EvalBatch(episodes=[ep], horizon=horizon or T)
+
+
+# -- trace I/O ----------------------------------------------------------------
+
+def batch_from_trace(path, horizon: int | None = None) -> EvalBatch:
+    """Build an EvalBatch from a binding-trace JSON-lines file (one episode)."""
+    from .env import read_trace
+
+    steps = read_trace(path)
+    if not steps:
+        raise ScoreError("BAD_EPISODE", f"empty trace {path}")
+    return EvalBatch(episodes=[episode_from_bindings(steps)], horizon=horizon or len(steps))

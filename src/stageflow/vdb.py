@@ -13,6 +13,7 @@ import json
 import os
 import re
 import tempfile
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +59,40 @@ class RunArtifact:
         return f"{self.prompt}\n{self.evaluation}".strip()
 
 
+def check_run_id(run_id: str) -> str:
+    """A run id names one directory under a run or store root, so it must be
+    a single path component."""
+    if run_id in ("", ".", "..") or any(c in run_id for c in "/\\\0"):
+        raise StoreError("BAD_RUN_ID", f"run id {run_id!r} is not a single path component")
+    return run_id
+
+
+_STAGE_DIR_RE = re.compile(r"stage(\d+)")
+
+
+def run_artifact(run_dir, run_id: str, prompt: str, evaluation: str = "") -> RunArtifact:
+    """Read a finished run directory in the pipeline's layout: its
+    ``workflow.yaml``, each ``stageN/{reward,config,randomize}.yaml``, the
+    ``stageN/metrics.jsonl`` files joined in stage order, and ``scores.json``."""
+    run_dir = Path(run_dir)
+    numbered = sorted((int(m.group(1)), d) for d in run_dir.iterdir()
+                      if d.is_dir() and (m := _STAGE_DIR_RE.fullmatch(d.name)))
+    stage_dirs = [d for _, d in numbered]
+    files = [run_dir / "workflow.yaml"] + [
+        d / f"{role}.yaml" for d in stage_dirs for role in ("reward", "config", "randomize")]
+    metrics = [d / "metrics.jsonl" for d in stage_dirs]
+    scores = run_dir / "scores.json"
+    return RunArtifact(
+        run_id=run_id,
+        prompt=prompt,
+        files={p.relative_to(run_dir).as_posix(): p.read_text() for p in files if p.is_file()},
+        metrics_jsonl="".join(p.read_text() for p in metrics if p.is_file()),
+        scores=json.loads(scores.read_text()) if scores.is_file() else {},
+        evaluation=evaluation,
+        created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
+    )
+
+
 class VectorStore:
     """Many readers, single writer; index updates are write-temp-then-rename."""
 
@@ -81,10 +116,8 @@ class VectorStore:
     def __len__(self):
         return len(self._index["runs"])
 
-    def run_ids(self) -> list[str]:
-        return sorted(self._index["runs"], key=lambda r: self._index["runs"][r]["order"])
-
     def add_run(self, artifact: RunArtifact) -> str:
+        check_run_id(artifact.run_id)
         if artifact.run_id in self._index["runs"]:
             raise StoreError("DUPLICATE_ID", f"run id {artifact.run_id!r} already stored")
         vec = embed(artifact.embed_text)

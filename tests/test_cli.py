@@ -1,0 +1,172 @@
+"""The command line: exit codes, and the commands the pipeline replay does
+not run (train, score, vdb add)."""
+
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from stageflow import trainer
+from stageflow.cli import main
+from stageflow.env import ACTION_DIM, DeskWalker, write_trace
+from stageflow.vdb import VectorStore
+
+from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts
+
+
+def _cli(capsys, *argv):
+    code = main(["--json", *map(str, argv)])
+    return code, capsys.readouterr()
+
+
+@pytest.fixture
+def tiny_desk(tmp_path):
+    """A copy of the shipped 2-stage desk bundle, one PPO iteration a stage."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(DESK, bundle)
+    for x in (1, 2):
+        (bundle / f"configs/generated_config_stage{x}.yaml").write_text(
+            desk_stage_texts(x)["config"])
+    return bundle
+
+
+def _write_run_dir(root: Path, stages: int) -> Path:
+    """A finished run directory in the pipeline's layout."""
+    run_dir = root / "run-0007"
+    stage_entries = []
+    for i in range(1, stages + 1):
+        d = run_dir / f"stage{i}"
+        d.mkdir(parents=True)
+        for role in ("reward", "config", "randomize"):
+            (d / f"{role}.yaml").write_text(f"{role}: stage {i}\n")
+        (d / "metrics.jsonl").write_text(json.dumps({"stage": i}) + "\n")
+        stage_entries.append(f"  - index: {i}\n")
+    (run_dir / "workflow.yaml").write_text("workflow:\n  stages:\n" + "".join(stage_entries))
+    (run_dir / "scores.json").write_text(json.dumps({"survival_score": 0.5}))
+    (run_dir / "prompt.txt").write_text("walk forward")
+    return run_dir
+
+
+class TestExitCodes:
+    def test_valid_bundle(self, capsys):
+        code, out = _cli(capsys, "validate", DESK)
+        assert code == 0
+        assert json.loads(out.out)["ok"] is True
+
+    def test_mutant_bundle_is_a_finding(self, capsys, tiny_desk):
+        cfg = tiny_desk / "configs/generated_config_stage1.yaml"
+        cfg.write_text(cfg.read_text().replace("batch_size: 64", "batch_size: 63"))
+        code, out = _cli(capsys, "validate", tiny_desk)
+        assert code == 1
+        assert "POWER_OF_TWO" in {f["code"] for f in json.loads(out.out)["findings"]}
+
+    @pytest.mark.parametrize("argv", [[], ["validate"], ["frobnicate"],
+                                      ["train", "--workflow", "w.yaml"]])
+    def test_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+
+    def test_runtime_failure(self, capsys, tmp_path):
+        code, out = _cli(capsys, "validate", tmp_path / "nope.yaml")
+        assert code == 3
+        assert "MISSING_FILE" in out.err
+
+
+class TestTrain:
+    def test_two_stages_chain_the_checkpoint(self, capsys, tiny_desk, tmp_path, monkeypatch):
+        loaded = []
+        real_load = trainer.load_checkpoint
+
+        def spy(path):
+            loaded.append(Path(path))
+            return real_load(path)
+
+        monkeypatch.setattr(trainer, "load_checkpoint", spy)
+        out = tmp_path / "out"
+        code, printed = _cli(capsys, "train", "--workflow", tiny_desk / "workflow.yaml",
+                             "--out", out)
+        assert code == 0, printed.err
+        records = json.loads(printed.out)["stages"]
+        assert [(r["stage"], r["env_steps"], r["promoted"]) for r in records] == \
+            [(1, TINY_STEPS, True), (2, TINY_STEPS, True)]
+        assert loaded == [out / "stage1" / "checkpoint.bin"]
+        for i in (1, 2):
+            assert (out / f"stage{i}" / "checkpoint.bin").is_file()
+            assert len((out / f"stage{i}" / "metrics.jsonl").read_text().splitlines()) == 1
+
+
+class TestScore:
+    def test_scores_a_written_trace(self, capsys, tmp_path):
+        env = DeskWalker(
+            {"command_lin_vel_x_range": [-0.5, 0.5], "command_lin_vel_y_range": [-0.3, 0.3],
+             "command_ang_vel_yaw_range": [-0.5, 0.5]}, seed=3)
+        env.reset()
+        act = np.random.default_rng(0)
+        steps = [env.step(act.uniform(-1, 1, ACTION_DIM))[0] for _ in range(40)]
+        path = tmp_path / "trace.jsonl"
+        write_trace(path, steps)
+        code, out = _cli(capsys, "score", "--trace", path, "--horizon", 50)
+        assert code == 0, out.err
+        got = json.loads(out.out)
+
+        def arr(b, key):
+            return np.asarray(b[key].tolist(), dtype=np.float64)
+
+        track = air = 0.0
+        for b in steps:
+            err = arr(b, "command")[:2] - arr(b, "local_vel")[:2]
+            track += np.exp(-(err @ err) / (2 * 0.1 ** 2))
+            at, contact = arr(b, "feet_air_time"), arr(b, "foot_contact")
+            i = int(np.argmax(at))
+            air += (float(arr(b, "command_norm")) > 0.05) * (at[i] - 0.2) * (1 - contact[i])
+        assert got["survival_score"] == pytest.approx(40 / 50)
+        assert got["lin_vel_tracking_score"] == pytest.approx(track / 50)
+        assert got["feet_air_time_score"] == pytest.approx(air / 40)
+
+
+class TestVdbAdd:
+    def test_add_then_get_run(self, capsys, tmp_path):
+        run_dir = _write_run_dir(tmp_path, stages=2)
+        code, out = _cli(capsys, "vdb", "add", run_dir, "--vdb", tmp_path / "vdb",
+                         "--evaluation", "steady gait")
+        assert code == 0, out.err
+        assert json.loads(out.out) == {"run_id": "run-0007", "files": 7}
+        art = VectorStore(tmp_path / "vdb").get_run("run-0007")
+        assert art.prompt == "walk forward"
+        assert art.evaluation == "steady gait"
+        assert art.scores == {"survival_score": 0.5}
+        assert art.files == {
+            rel: (run_dir / rel).read_text() for rel in
+            ["workflow.yaml"] + [f"stage{i}/{role}.yaml" for i in (1, 2)
+                                 for role in ("reward", "config", "randomize")]}
+        assert art.metrics_jsonl == '{"stage": 1}\n{"stage": 2}\n'
+
+    def test_metrics_follow_numeric_stage_order(self, capsys, tmp_path):
+        run_dir = _write_run_dir(tmp_path, stages=11)
+        code, out = _cli(capsys, "vdb", "add", run_dir, "--vdb", tmp_path / "vdb")
+        assert code == 0, out.err
+        art = VectorStore(tmp_path / "vdb").get_run("run-0007")
+        assert [json.loads(line)["stage"] for line in art.metrics_jsonl.splitlines()] == \
+            list(range(1, 12))
+
+
+class TestRunIdEscape:
+    def test_vdb_add_run_id_stays_in_the_store(self, capsys, tmp_path):
+        run_dir = _write_run_dir(tmp_path / "src", stages=1)
+        code, out = _cli(capsys, "vdb", "add", run_dir, "--vdb", tmp_path / "a" / "vdb",
+                         "--run-id", "../../x")
+        assert code == 3
+        assert "BAD_RUN_ID" in out.err
+        assert not (tmp_path / "a" / "x").exists()
+        assert not (tmp_path / "x").exists()
+        assert len(VectorStore(tmp_path / "a" / "vdb")) == 0
+
+    def test_run_run_id_stays_in_out(self, capsys, tmp_path):
+        (tmp_path / "prompt.txt").write_text("a task with no fixture\n")
+        code, out = _cli(capsys, "run", "--prompt", tmp_path / "prompt.txt",
+                         "--vdb", tmp_path / "vdb", "--out", tmp_path / "out",
+                         "--fixtures", DATA / "fixtures" / "walker2", "--run-id", "../x")
+        assert code == 3
+        assert "BAD_RUN_ID" in out.err
+        assert not (tmp_path / "x").exists()

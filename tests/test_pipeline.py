@@ -1,0 +1,179 @@
+"""End-to-end pipeline runs: the shipped ``walker2`` replay pinned byte for
+byte, and scripted agent responses for the paths the replay never takes
+(feedback revise and terminate, an invalid generated file, a bad run id)."""
+
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from stageflow import orchestrator
+from stageflow.agents import (GeneratedFileBlock, ReplayTransport,
+                              ScriptedTransport, serialize_file_blocks)
+from stageflow.errors import StoreError
+from stageflow.vdb import VectorStore
+
+from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts
+
+FIXTURES = DATA / "fixtures" / "walker2"
+
+# sha256 of the walker2 replay outputs (seed 7), recorded before the
+# orchestrator's duplicate paths were merged; a change here means the run
+# no longer produces the same bytes.
+WALKER2_SHA256 = {
+    "scores.json": "27d5e8792480a9bbdd0daf7a29c5d30c182f8b999503f26c4715501df368502d",
+    "agent_log.jsonl": "c30d7c486d0c723c725e5b1846a662899dcb5da6c4645cf71b223ac42c723c57",
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def walker2(tmp_path_factory):
+    root = tmp_path_factory.mktemp("walker2")
+    prompt = (FIXTURES / "prompt.txt").read_text().strip()
+    store = VectorStore(root / "vdb")
+    run = orchestrator.run_pipeline(prompt, store, ReplayTransport(FIXTURES),
+                                    root / "runs", seed=7)
+    return run, root
+
+
+class TestWalker2Replay:
+    def test_completes_both_stages(self, walker2):
+        run, _ = walker2
+        assert (run.status, run.failure_stage, run.failure_reason) == ("completed", "", "")
+        assert [r.stage_index for r in run.stage_results] == [1, 2]
+
+    @pytest.mark.parametrize("name", sorted(WALKER2_SHA256))
+    def test_outputs_match_recorded_bytes(self, walker2, name):
+        run, _ = walker2
+        assert _sha256(Path(run.run_dir) / name) == WALKER2_SHA256[name]
+
+    def test_every_prompt_digest_names_a_fixture(self, walker2):
+        run, _ = walker2
+        log = [json.loads(line) for line in
+               (Path(run.run_dir) / "agent_log.jsonl").read_text().splitlines()]
+        assert [e["role"] for e in log] == ["curriculum", "per_stage", "per_stage", "feedback"]
+        for entry in log:
+            assert (FIXTURES / f"{entry['prompt_digest']}.txt").is_file(), entry
+
+    def test_store_holds_the_run(self, walker2):
+        run, root = walker2
+        store = VectorStore(root / "vdb")
+        assert len(store) == 1
+        stored = store.get_run(run.run_id)
+        run_dir = Path(run.run_dir)
+        assert stored.scores == json.loads((run_dir / "scores.json").read_text())
+        assert sorted(stored.files) == [
+            "stage1/config.yaml", "stage1/randomize.yaml", "stage1/reward.yaml",
+            "stage2/config.yaml", "stage2/randomize.yaml", "stage2/reward.yaml",
+            "workflow.yaml"]
+        for rel, text in stored.files.items():
+            assert (run_dir / rel).read_text() == text, rel
+        assert stored.metrics_jsonl == "".join(
+            (run_dir / f"stage{i}" / "metrics.jsonl").read_text() for i in (1, 2))
+
+
+# -- scripted runs ---------------------------------------------------------------
+
+def _curriculum_response() -> str:
+    return serialize_file_blocks([
+        GeneratedFileBlock("generated_workflow.yaml", "../workflows/generated_workflow.yaml",
+                           (DESK / "workflow.yaml").read_text()),
+        GeneratedFileBlock("generated_stage1_details.txt", "../prompts/stage1.txt",
+                           "Stage 1: calm tracking.\n"),
+        GeneratedFileBlock("generated_stage2_details.txt", "../prompts/stage2.txt",
+                           "Stage 2: kicks and noise.\n"),
+    ])
+
+
+def _stage_response(x: int, texts: dict) -> str:
+    folders = {"reward": "rewards", "config": "configs", "randomize": "randomize"}
+    return serialize_file_blocks([
+        GeneratedFileBlock(f"generated_{role}_stage{x}.yaml",
+                           f"../{folders[role]}/generated_{role}_stage{x}.yaml", text)
+        for role, text in texts.items()])
+
+
+def _run(tmp_path, responses, **kwargs):
+    transport = ScriptedTransport(responses)
+    run = orchestrator.run_pipeline("walk on the desk", VectorStore(tmp_path / "vdb"),
+                                    transport, tmp_path / "runs", **kwargs)
+    return run, transport
+
+
+def _revised_config() -> str:
+    # names the randomize file by the workflow's name for it, as the check
+    # wants, but through a folder the run layout does not have
+    return (desk_stage_texts(2)["config"]
+            .replace(f"num_timesteps: {TINY_STEPS}", f"num_timesteps: {2 * TINY_STEPS}")
+            .replace('"../randomize/generated_randomize_stage2.yaml"',
+                     '"../randomize/randomize.yaml"'))
+
+
+REVISE = ("DECISION: revise\nRATIONALE: stage 2 needs a longer budget.\n\n"
+          + serialize_file_blocks([GeneratedFileBlock(
+              "generated_config_stage2.yaml", "../configs/generated_config_stage2.yaml",
+              _revised_config())]))
+
+
+class TestFeedback:
+    def test_revise_rewrites_config_paths_and_keeps_other_roles(self, tmp_path):
+        s1, s2 = desk_stage_texts(1), desk_stage_texts(2)
+        run, _ = _run(tmp_path, [_curriculum_response(), _stage_response(1, s1),
+                                 _stage_response(2, s2), REVISE])
+        assert run.status == "completed", run.failure_reason
+        stage2 = Path(run.run_dir) / "stage2"
+        assert (stage2 / "config.yaml").read_text() == (
+            _revised_config()
+            .replace('"../rewards/generated_reward_stage2.yaml"', '"reward.yaml"')
+            .replace('"../randomize/randomize.yaml"', '"randomize.yaml"'))
+        assert (stage2 / "reward.yaml").read_text() == s2["reward"]
+        assert (stage2 / "randomize.yaml").read_text() == s2["randomize"]
+        stage1 = Path(run.run_dir) / "stage1"
+        assert (stage1 / "reward.yaml").read_text() == s1["reward"]
+        assert (stage1 / "randomize.yaml").read_text() == s1["randomize"]
+
+    def test_revised_next_stage_trains_with_revised_files(self, tmp_path):
+        run, _ = _run(tmp_path, [_curriculum_response(), _stage_response(1, desk_stage_texts(1)),
+                                 _stage_response(2, desk_stage_texts(2)), REVISE])
+        assert run.status == "completed", run.failure_reason
+        assert [r.env_steps for r in run.stage_results] == [TINY_STEPS, 2 * TINY_STEPS]
+
+    def test_terminate_stops_after_the_stage_and_still_scores(self, tmp_path):
+        run, _ = _run(tmp_path, [
+            _curriculum_response(), _stage_response(1, desk_stage_texts(1)),
+            _stage_response(2, desk_stage_texts(2)),
+            "DECISION: terminate\nRATIONALE: good enough.\n"])
+        assert (run.status, run.failure_reason) == ("terminated_by_feedback", "good enough.")
+        assert [r.stage_index for r in run.stage_results] == [1]
+        assert (Path(run.run_dir) / "scores.json").is_file()
+        assert not (Path(run.run_dir) / "stage2" / "checkpoint.bin").exists()
+        assert len(VectorStore(tmp_path / "vdb")) == 1
+
+
+class TestStageValidation:
+    def test_invalid_yaml_block_gives_the_same_finding_every_time(self, tmp_path):
+        bad = dict(desk_stage_texts(1), reward="reward: [unclosed\n")
+        run, transport = _run(tmp_path, [_curriculum_response()]
+                              + [_stage_response(1, bad)] * 3)
+        assert (run.status, run.failure_stage) == ("failed", "generation")
+        retries = [prompt for role, prompt in transport.calls[2:]]
+        assert len(retries) == 2 and retries[0] == retries[1]
+        assert "- [PARSE_ERROR] generated_reward_stage1.yaml: invalid YAML at line 2, column 1" \
+            in retries[0]
+        assert tempfile.gettempdir() not in retries[0]
+
+
+class TestRunId:
+    @pytest.mark.parametrize("run_id", ["../x", "a/b", "..", "."])
+    def test_run_id_must_be_one_path_component(self, tmp_path, run_id):
+        with pytest.raises(StoreError) as e:
+            _run(tmp_path / "out", [], run_id=run_id)
+        assert e.value.code == "BAD_RUN_ID"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["vdb"]
