@@ -162,13 +162,34 @@ def parse_file_blocks(response: str) -> list:
     return blocks
 
 
+def _carried(content: str) -> bool:
+    """Whether a block carries ``content`` unchanged through
+    :func:`parse_file_blocks`, which takes the first non-blank line's indent
+    as the block's, reads whitespace-only lines as blank and drops trailing
+    blank lines."""
+    lines = content[:-1].split("\n")
+    first = next((line for line in lines if line), "")
+    return (content.endswith("\n") and bool(lines[-1])
+            and all(line.strip() for line in lines if line)
+            and not first.startswith((" ", "\t")))
+
+
 def serialize_file_blocks(blocks) -> str:
-    """Canonical text form; parse_file_blocks(serialize(x)) == x."""
+    """Canonical text form; parse_file_blocks(serialize(x)) == x.
+
+    Its domain: single-line, unpadded names and paths, and content that is
+    newline-terminated, ends in a non-blank line, has no whitespace-only
+    line and does not indent its first non-blank line. Other content raises
+    ``MALFORMED_BLOCK`` rather than coming back changed.
+    """
     parts = []
     for b in blocks:
-        body = b.content[:-1] if b.content.endswith("\n") else b.content
+        if not _carried(b.content):
+            raise AgentError(
+                "MALFORMED_BLOCK",
+                f"{b.file_name}: a file block cannot carry this content unchanged")
         indented = "\n".join(
-            _INDENT + line if line else "" for line in body.split("\n"))
+            _INDENT + line if line else "" for line in b.content[:-1].split("\n"))
         parts.append(
             f'file_name: "{b.file_name}"\n'
             f'file_path: "{b.file_path}"\n'

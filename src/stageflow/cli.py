@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mutate", help="emit the validator mutation corpus")
     sp.add_argument("--bundle", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", help="write mutant bundles under this directory")
     return p
 
 

@@ -300,14 +300,13 @@ class VecEnv:
 
     def __init__(self, env_config: dict, num_envs: int, base_seed: int = 0,
                  randomize_rules: dict | None = None,
-                 nominal: SceneParameters | None = None,
                  episode_length: int = 1000):
         self.cfg = cfg = env_config
         self.n = num_envs
         self.episode_length = episode_length
         self._rngs = [np.random.default_rng(base_seed * 100003 + i)
                       for i in range(num_envs)]
-        scenes = randomize.resample_per_env(randomize_rules or {}, nominal or desk_scene(),
+        scenes = randomize.resample_per_env(randomize_rules or {}, desk_scene(),
                                             base_seed, range(num_envs))
         fric_factor = np.mean(scenes["geom_friction"][:, :, 0], axis=1) / 0.8
         mass_factor = scenes["body_mass"].sum(axis=1) / 4.2

@@ -176,17 +176,25 @@ def _apply_overrides(config_doc: dict, overrides: dict) -> dict:
     return doc
 
 
+def _stage_texts(blocks) -> dict:
+    """Role -> text as a stage directory holds it: a config's
+    ``*_config_path`` lines point at the canonical stage layout."""
+    texts = {}
+    for role, block in _classify_blocks(blocks).items():
+        text = block.content
+        if role == "config":
+            for target in ("randomize", "reward"):
+                text = re.sub(rf"({target}_config_path:\s*).*",
+                              rf'\g<1>"{target}.yaml"', text, count=1)
+        texts[role] = text
+    return texts
+
+
 def _write_stage_files(stage_dir: Path, blocks) -> None:
     """Write each given role's block as ``stage_dir/<role>.yaml``; roles not
     given are left as they are."""
     stage_dir.mkdir(parents=True, exist_ok=True)
-    for role, block in _classify_blocks(blocks).items():
-        text = block.content
-        if role == "config":
-            # point the config at the canonical stage layout
-            for target in ("randomize", "reward"):
-                text = re.sub(rf"({target}_config_path:\s*).*",
-                              rf'\g<1>"{target}.yaml"', text, count=1)
+    for role, text in _stage_texts(blocks).items():
         (stage_dir / f"{role}.yaml").write_text(text)
 
 
@@ -348,11 +356,12 @@ def _feedback_step(transport, log, stage, next_stage, result,
 
 
 def _merged_stage_blocks(next_stage: StageBundle, revised) -> list:
+    """The next stage's files as they will be after the revision is written,
+    so the check sees exactly what trains."""
     texts = {"reward": next_stage.reward_text,
              "config": next_stage.config_text,
-             "randomize": next_stage.randomize_text}
-    for role, b in _classify_blocks(revised).items():
-        texts[role] = b.content
+             "randomize": next_stage.randomize_text,
+             **_stage_texts(revised)}
     return [GeneratedFileBlock(f"{role}.yaml", f"{role}.yaml", text)
             for role, text in texts.items()]
 

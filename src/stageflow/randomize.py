@@ -1,5 +1,9 @@
 """Sample per-stage domain-randomization rules over nominal scene parameters.
 
+This module owns the rule format. ``rule_findings`` is the one rule
+validator: ``schema.validate`` reports its findings against
+``desk_scene()`` before any training, and the sampler raises the first.
+
 Draws are keyed: each (seed, field, target, env_index) tuple derives its own
 generator, so editing or reordering unrelated rules never perturbs a draw.
 ``resample_per_env`` is the one sampler: it samples many env indices at once,
@@ -94,33 +98,85 @@ def _rng_for(seed: int, field_name: str, target, env_index: int) -> np.random.Ge
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def _select_rows(group: FieldGroup, target, field_name: str) -> list[int]:
-    n_rows = group.values.shape[0] if group.values.ndim > 1 else len(group.values)
-    if isinstance(target, str) and target == "ALL":
-        return list(range(n_rows))
+# operation -> how a drawn value combines with the row's current value
+OPERATIONS = {"add": np.add, "scale": np.multiply, "set": lambda current, drawn: drawn}
+
+
+def _rows(group: FieldGroup, target) -> tuple[list, list]:
+    """The row indices a rule's ``target`` names, and the names the group
+    lacks. ``ALL`` is every row."""
+    if target == "ALL":
+        return list(range(len(group.values))), []
     wanted = target if isinstance(target, list) else [target]
-    rows = []
-    for name in wanted:
-        if name not in group.names:
-            raise RandomizeError(
-                "UNKNOWN_FIELD",
-                f"field {field_name!r} has no target named {name!r}",
-            )
-        rows.append(group.names.index(name))
-    return rows
+    return ([group.names.index(t) for t in wanted if t in group.names],
+            [t for t in wanted if t not in group.names])
 
 
-def _bounds(minval, maxval, row_shape) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.asarray(minval, dtype=np.float64)
-    hi = np.asarray(maxval, dtype=np.float64)
-    if lo.shape != hi.shape:
-        raise RandomizeError("SHAPE_MISMATCH", "minval/maxval shapes differ")
-    if lo.ndim > 0 and lo.shape != row_shape:
-        raise RandomizeError(
-            "SHAPE_MISMATCH",
-            f"bounds of shape {lo.shape} against parameter rows of shape {row_shape}",
-        )
-    return lo, hi
+def _bound(x):
+    """A uniform bound as a float array; None when it is not a number or a
+    flat list of numbers."""
+    items = x if isinstance(x, list) else [x]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+        return None
+    return np.asarray(x, dtype=np.float64)
+
+
+def rule_findings(rules: dict, nominal: SceneParameters) -> list:
+    """Every problem with the rules under a ``randomization:`` key, checked
+    against ``nominal``, as ``(code, path, message)`` triples in file order.
+
+    This is the one check of the rule format: ``schema.validate`` reports
+    the triples, and ``resample_per_env`` raises the first. Rules on inert
+    groups are checked too.
+    """
+    out = []
+    for field_name, rule_list in rules.items():
+        at = f"randomization.{field_name}"
+        group = nominal.fields.get(field_name)
+        if group is None:
+            out.append(("UNKNOWN_FIELD", at, "unknown randomization field; expected one of "
+                        + ", ".join(nominal.fields)))
+            continue
+        if not isinstance(rule_list, list):
+            out.append(("TYPE_ERROR", at, "expected a list of rules"))
+            continue
+        for i, rule in enumerate(rule_list):
+            where = f"{at}[{i}]"
+            if not isinstance(rule, dict):
+                out.append(("TYPE_ERROR", where, "rule must be a mapping"))
+                continue
+            if "target" not in rule:
+                out.append(("MISSING_KEY", f"{where}.target", "rule must name a target"))
+            else:
+                out += [("UNKNOWN_FIELD", f"{where}.target",
+                         f"field {field_name!r} has no target named {name!r}")
+                        for name in _rows(group, rule["target"])[1]]
+            dist = rule.get("distribution")
+            uni = dist.get("uniform") if isinstance(dist, dict) else None
+            where_uni = f"{where}.distribution.uniform"
+            if not isinstance(uni, dict):
+                out.append(("MISSING_KEY", where_uni, "rule must carry a uniform distribution"))
+                continue
+            lo, hi = _bound(uni.get("minval")), _bound(uni.get("maxval"))
+            if lo is None or hi is None:
+                out.append(("TYPE_ERROR", where_uni,
+                            "minval/maxval must be numbers or number lists"))
+                continue
+            if lo.size != hi.size:
+                out.append(("SHAPE_MISMATCH", where_uni,
+                            f"minval has {lo.size} entries, maxval has {hi.size}"))
+                continue
+            shape, row_shape = lo.shape or hi.shape, group.values.shape[1:]
+            if shape and shape != row_shape:
+                out.append(("SHAPE_MISMATCH", where_uni, f"bounds of shape {shape} "
+                            f"against parameter rows of shape {row_shape}"))
+            if np.any(lo > hi):
+                out.append(("RANGE_INVERTED", where_uni, "minval must be <= maxval elementwise"))
+            op = rule.get("operation", "set")
+            if not (isinstance(op, str) and op in OPERATIONS):
+                out.append(("UNKNOWN_OPERATION", f"{where}.operation",
+                            f"operation must be one of {tuple(OPERATIONS)}, got {op!r}"))
+    return out
 
 
 def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
@@ -129,45 +185,38 @@ def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
     mapping under the ``randomization:`` top-level key.
 
     Returns ``field -> array`` of shape ``(len(env_indices),) + nominal shape``
-    for every field of ``nominal``, which is left untouched. Each rule is
-    validated once; then each env's generator for the rule fills all of the
-    rule's target rows in one call. A generator fills its output in order,
-    so row ``r`` gets the same doubles as a per-row draw would.
+    for every field of ``nominal``, which is left untouched. Raises the first
+    :func:`rule_findings` triple as a :class:`RandomizeError`; then each env's
+    generator for a rule fills all of the rule's target rows in one call. A
+    generator fills its output in order, so row ``r`` gets the same doubles
+    as a per-row draw would.
     """
+    problems = rule_findings(rules, nominal)
+    if problems:
+        code, path, message = problems[0]
+        raise RandomizeError(code, f"{path}: {message}")
     env_indices = list(env_indices)
     n = len(env_indices)
     out = {name: np.repeat(group.values[None], n, axis=0)
            for name, group in nominal.fields.items()}
     for field_name, rule_list in rules.items():
-        if field_name == "randomize" or field_name == "randomize_config_path":
-            continue
-        if field_name not in nominal.fields:
-            raise RandomizeError("UNKNOWN_FIELD", f"unknown parameter group {field_name!r}")
         group = nominal.fields[field_name]
+        if group.inert:
+            continue
         values = out[field_name]
-        row_shape = group.values.shape[1:]
         for rule in rule_list:
-            target = rule.get("target", "ALL")
+            target = rule["target"]
+            rows, _ = _rows(group, target)
             uni = rule["distribution"]["uniform"]
-            op = rule.get("operation", "set")
-            rows = _select_rows(group, target, field_name)
-            if not rows:
-                continue
-            lo, hi = _bounds(uni["minval"], uni["maxval"], row_shape)
-            if group.inert:
-                continue
-            u = np.empty((n, len(rows)) + row_shape)
+            lo, hi = _bound(uni["minval"]), _bound(uni["maxval"])
+            apply = OPERATIONS[rule.get("operation", "set")]
+            u = np.empty((n, len(rows)) + group.values.shape[1:])
             for k, env_index in enumerate(env_indices):
                 # random() yields the same doubles as uniform(0, 1), in place
                 _rng_for(base_seed, field_name, target, env_index).random(out=u[k])
             u = lo + u * (hi - lo)
             for j, r in enumerate(rows):  # in order, so a repeated target row compounds
-                if op == "add":
-                    values[:, r] = values[:, r] + u[:, j]
-                elif op == "scale":
-                    values[:, r] = values[:, r] * u[:, j]
-                else:  # set
-                    values[:, r] = u[:, j]
+                values[:, r] = apply(values[:, r], u[:, j])
     return out
 
 

@@ -17,25 +17,13 @@ from pathlib import Path
 import yaml
 
 from .errors import BundleError, RewardError
+from .randomize import desk_scene, rule_findings
 from .reward import compile_term
 
 ERROR = "error"
 WARNING = "warning"
 
 SCHEMA_VERSION = 1
-
-RANDOMIZATION_FIELDS = (
-    "geom_friction",
-    "actuator_kp_kd",
-    "actuator_gainprm",
-    "actuator_biasprm",
-    "body_ipos",
-    "geom_pos",
-    "body_mass",
-    "hfield_data",
-)
-
-RANDOMIZATION_OPERATIONS = ("add", "scale", "set")
 
 CONFIG_SECTIONS = ("environment", "trainer", "randomization", "artifact", "ppo_network")
 OPTIONAL_CONFIG_SECTIONS = ("render",)
@@ -185,12 +173,31 @@ def _stage_entries(wf_doc: dict, wf_path) -> list:
     entries = wf.get("stages")
     if not isinstance(entries, list) or not entries:
         raise BundleError("PARSE_ERROR", f"{wf_path}: workflow.stages must be a non-empty list")
-    for entry in entries:
+    for n, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise BundleError("PARSE_ERROR", f"{wf_path}: stage entry must be a mapping")
         for key in ("index",) + STAGE_ROLES:
             if key not in entry:
                 raise BundleError("PARSE_ERROR", f"{wf_path}: stage entry missing key {key!r}")
+        # what build_stage converts must convert
+        where = f"{wf_path}: workflow.stages[{n}]"
+        try:
+            int(entry["index"])
+        except (TypeError, ValueError):
+            raise BundleError(
+                "PARSE_ERROR", f"{where}.index: {entry['index']!r} is not an integer") from None
+        for role in STAGE_ROLES:
+            if not isinstance(entry[role], str):
+                raise BundleError(
+                    "PARSE_ERROR", f"{where}.{role}: {entry[role]!r} is not a file path")
+        promo = entry.get("promotion") or {}
+        if not isinstance(promo, dict):
+            raise BundleError("PARSE_ERROR", f"{where}.promotion: must be a mapping")
+        try:
+            float(promo.get("reward_threshold", 0.0))
+        except (TypeError, ValueError):
+            raise BundleError("PARSE_ERROR", f"{where}.promotion.reward_threshold: "
+                              f"{promo['reward_threshold']!r} is not a number") from None
     return entries
 
 
@@ -367,14 +374,6 @@ def _validate_reward(stage: StageBundle, out: list):
             out.append(Finding(ERROR, e.code, f, f"reward.{name}", e.message))
 
 
-def _numlist(x):
-    if _is_number(x):
-        return [float(x)]
-    if isinstance(x, list) and all(_is_number(v) for v in x):
-        return [float(v) for v in x]
-    return None
-
-
 def _validate_randomize(stage: StageBundle, out: list):
     doc = stage.randomize_doc
     f = stage.randomize_path
@@ -389,44 +388,8 @@ def _validate_randomize(stage: StageBundle, out: list):
     if not isinstance(body, dict):
         err("BAD_TOP_KEY", "randomization", "'randomization:' must be a mapping")
         return
-    for fname, rules in body.items():
-        if fname not in RANDOMIZATION_FIELDS:
-            err("UNKNOWN_FIELD", f"randomization.{fname}",
-                f"unknown randomization field; expected one of {', '.join(RANDOMIZATION_FIELDS)}")
-            continue
-        if not isinstance(rules, list):
-            err("TYPE_ERROR", f"randomization.{fname}", "expected a list of rules")
-            continue
-        for i, rule in enumerate(rules):
-            where = f"randomization.{fname}[{i}]"
-            if not isinstance(rule, dict):
-                err("TYPE_ERROR", where, "rule must be a mapping")
-                continue
-            if "target" not in rule:
-                err("MISSING_KEY", f"{where}.target", "rule must name a target")
-            dist = rule.get("distribution", {})
-            uni = dist.get("uniform") if isinstance(dist, dict) else None
-            if not isinstance(uni, dict):
-                err("MISSING_KEY", f"{where}.distribution.uniform",
-                    "rule must carry a uniform distribution")
-                continue
-            lo = _numlist(uni.get("minval"))
-            hi = _numlist(uni.get("maxval"))
-            if lo is None or hi is None:
-                err("TYPE_ERROR", f"{where}.distribution.uniform",
-                    "minval/maxval must be numbers or number lists")
-                continue
-            if len(lo) != len(hi):
-                err("SHAPE_MISMATCH", f"{where}.distribution.uniform",
-                    f"minval has {len(lo)} entries, maxval has {len(hi)}")
-                continue
-            if any(a > b for a, b in zip(lo, hi)):
-                err("RANGE_INVERTED", f"{where}.distribution.uniform",
-                    "minval must be <= maxval elementwise")
-            op = rule.get("operation", "set")
-            if op not in RANDOMIZATION_OPERATIONS:
-                err("UNKNOWN_OPERATION", f"{where}.operation",
-                    f"operation must be one of {RANDOMIZATION_OPERATIONS}, got {op!r}")
+    for code, path, message in rule_findings(body, desk_scene()):
+        err(code, path, message)
 
 
 def validate(bundle: CurriculumBundle) -> ValidationReport:

@@ -63,7 +63,8 @@ class TestExitCodes:
         assert "POWER_OF_TWO" in {f["code"] for f in json.loads(out.out)["findings"]}
 
     @pytest.mark.parametrize("argv", [[], ["validate"], ["frobnicate"],
-                                      ["train", "--workflow", "w.yaml"]])
+                                      ["train", "--workflow", "w.yaml"],
+                                      ["mutate", "--bundle", str(DESK), "--out", "x"]])
     def test_usage_error(self, capsys, argv):
         assert main(argv) == 2
 
@@ -71,6 +72,39 @@ class TestExitCodes:
         code, out = _cli(capsys, "validate", tmp_path / "nope.yaml")
         assert code == 3
         assert "MISSING_FILE" in out.err
+
+
+class TestValidate:
+    def test_randomization_rules_are_checked_against_the_scene(self, capsys, tiny_desk):
+        rnd = tiny_desk / "randomize/generated_randomize_stage2.yaml"
+        text = rnd.read_text()
+        rnd.write_text(text.replace("- target: ALL", "- target: left_shin", 1)
+                       .replace("[0.6, 0.0, 0.0]", "[0.6, 0.0]")
+                       .replace("[1.1, 0.0, 0.0]", "[1.1, 0.0]"))
+        code, out = _cli(capsys, "validate", tiny_desk)
+        assert code == 1
+        found = {(f["code"], f["path"]) for f in json.loads(out.out)["findings"]}
+        assert found == {
+            ("UNKNOWN_FIELD", "randomization.body_mass[0].target"),
+            ("SHAPE_MISMATCH", "randomization.geom_friction[0].distribution.uniform")}
+
+    @pytest.mark.parametrize("old,new", [
+        ("- index: 1", "- index: one"),
+        ("promotion:\n        mode: timesteps_exhausted",
+         "promotion: {reward_threshold: high}"),
+        ("promotion:\n        mode: timesteps_exhausted", "promotion: fast"),
+        ("reward: rewards/generated_reward_stage1.yaml", "reward: 5"),
+    ], ids=["index", "reward_threshold", "promotion", "file path"])
+    def test_bad_stage_entry_is_a_parse_error(self, capsys, tiny_desk, old, new):
+        wf = tiny_desk / "workflow.yaml"
+        text = wf.read_text()
+        assert old in text
+        wf.write_text(text.replace(old, new, 1))
+        code, out = _cli(capsys, "validate", tiny_desk)
+        assert code == 3
+        assert out.err.startswith("error PARSE_ERROR: ")
+        assert str(wf) in out.err
+        assert "Traceback" not in out.out + out.err
 
 
 class TestTrain:

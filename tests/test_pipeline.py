@@ -106,41 +106,46 @@ def _run(tmp_path, responses, **kwargs):
     return run, transport
 
 
-def _revised_config() -> str:
-    # names the randomize file by the workflow's name for it, as the check
-    # wants, but through a folder the run layout does not have
+# the revised config names the randomize file as the per_stage answer did,
+# and by the workflow's name for it through a folder the run layout lacks;
+# both must pass the check and be rewritten to the stage layout
+RANDOMIZE_PATHS = ["../randomize/generated_randomize_stage2.yaml", "../randomize/randomize.yaml"]
+
+
+def _revised_config(randomize_path: str) -> str:
     return (desk_stage_texts(2)["config"]
             .replace(f"num_timesteps: {TINY_STEPS}", f"num_timesteps: {2 * TINY_STEPS}")
-            .replace('"../randomize/generated_randomize_stage2.yaml"',
-                     '"../randomize/randomize.yaml"'))
+            .replace('"../randomize/generated_randomize_stage2.yaml"', f'"{randomize_path}"'))
 
 
-REVISE = ("DECISION: revise\nRATIONALE: stage 2 needs a longer budget.\n\n"
-          + serialize_file_blocks([GeneratedFileBlock(
-              "generated_config_stage2.yaml", "../configs/generated_config_stage2.yaml",
-              _revised_config())]))
+def _revise(randomize_path: str = RANDOMIZE_PATHS[0]) -> str:
+    return ("DECISION: revise\nRATIONALE: stage 2 needs a longer budget.\n\n"
+            + serialize_file_blocks([GeneratedFileBlock(
+                "generated_config_stage2.yaml", "../configs/generated_config_stage2.yaml",
+                _revised_config(randomize_path))]))
 
 
 class TestFeedback:
     def test_revise_rewrites_config_paths_and_keeps_other_roles(self, tmp_path):
         s1, s2 = desk_stage_texts(1), desk_stage_texts(2)
-        run, _ = _run(tmp_path, [_curriculum_response(), _stage_response(1, s1),
-                                 _stage_response(2, s2), REVISE])
-        assert run.status == "completed", run.failure_reason
-        stage2 = Path(run.run_dir) / "stage2"
-        assert (stage2 / "config.yaml").read_text() == (
-            _revised_config()
-            .replace('"../rewards/generated_reward_stage2.yaml"', '"reward.yaml"')
-            .replace('"../randomize/randomize.yaml"', '"randomize.yaml"'))
-        assert (stage2 / "reward.yaml").read_text() == s2["reward"]
-        assert (stage2 / "randomize.yaml").read_text() == s2["randomize"]
-        stage1 = Path(run.run_dir) / "stage1"
-        assert (stage1 / "reward.yaml").read_text() == s1["reward"]
-        assert (stage1 / "randomize.yaml").read_text() == s1["randomize"]
+        for k, randomize_path in enumerate(RANDOMIZE_PATHS):
+            run, _ = _run(tmp_path / str(k), [_curriculum_response(), _stage_response(1, s1),
+                                              _stage_response(2, s2), _revise(randomize_path)])
+            assert run.status == "completed", (randomize_path, run.failure_reason)
+            stage2 = Path(run.run_dir) / "stage2"
+            assert (stage2 / "config.yaml").read_text() == (
+                _revised_config(randomize_path)
+                .replace('"../rewards/generated_reward_stage2.yaml"', '"reward.yaml"')
+                .replace(f'"{randomize_path}"', '"randomize.yaml"'))
+            assert (stage2 / "reward.yaml").read_text() == s2["reward"]
+            assert (stage2 / "randomize.yaml").read_text() == s2["randomize"]
+            stage1 = Path(run.run_dir) / "stage1"
+            assert (stage1 / "reward.yaml").read_text() == s1["reward"]
+            assert (stage1 / "randomize.yaml").read_text() == s1["randomize"]
 
     def test_revised_next_stage_trains_with_revised_files(self, tmp_path):
         run, _ = _run(tmp_path, [_curriculum_response(), _stage_response(1, desk_stage_texts(1)),
-                                 _stage_response(2, desk_stage_texts(2)), REVISE])
+                                 _stage_response(2, desk_stage_texts(2)), _revise()])
         assert run.status == "completed", run.failure_reason
         assert [r.env_steps for r in run.stage_results] == [TINY_STEPS, 2 * TINY_STEPS]
 
@@ -167,6 +172,18 @@ class TestStageValidation:
         assert "- [PARSE_ERROR] generated_reward_stage1.yaml: invalid YAML at line 2, column 1" \
             in retries[0]
         assert tempfile.gettempdir() not in retries[0]
+
+    def test_unknown_randomization_target_is_retried_before_training(self, tmp_path):
+        s1 = desk_stage_texts(1)
+        bad = dict(s1, randomize=s1["randomize"].replace("target: ALL", "target: left_shin"))
+        run, transport = _run(tmp_path, [
+            _curriculum_response(), _stage_response(1, bad), _stage_response(1, s1),
+            _stage_response(2, desk_stage_texts(2)), "DECISION: proceed\nRATIONALE: fine.\n"])
+        assert run.status == "completed", (run.failure_stage, run.failure_reason)
+        assert [role for role, _ in transport.calls] == \
+            ["curriculum", "per_stage", "per_stage", "per_stage", "feedback"]
+        assert ("- [UNKNOWN_FIELD] randomization.body_mass[0].target: "
+                "field 'body_mass' has no target named 'left_shin'") in transport.calls[2][1]
 
 
 class TestRunId:

@@ -6,6 +6,8 @@ import pytest
 from stageflow.errors import RandomizeError
 from stageflow.randomize import _rng_for, desk_scene, resample_per_env, sample
 
+from test_schema import RANDOMIZE_CASES
+
 RULES = {
     "body_mass": [{
         "target": "ALL",
@@ -81,10 +83,26 @@ class TestSample:
                 draw()
             assert e.value.code == "SHAPE_MISMATCH"
 
+    def test_inert_group_is_not_drawn(self):
+        rules = {"hfield_data": [{"target": "ALL", "operation": "set",
+                                  "distribution": {"uniform": {"minval": 1.0, "maxval": 2.0}}}]}
+        drawn = resample_per_env(rules, desk_scene(), 0, range(3))
+        np.testing.assert_array_equal(drawn["hfield_data"], np.zeros((3, 16)))
+
     def test_unknown_field_rejected(self):
         with pytest.raises(RandomizeError) as e:
             sample({"warp_drive": RULES["body_mass"]}, desk_scene(), seed=0)
         assert e.value.code == "UNKNOWN_FIELD"
+
+
+class TestSamplerChecks:
+    @pytest.mark.parametrize("name", sorted(RANDOMIZE_CASES))
+    def test_raises_the_first_finding_validate_reports(self, name):
+        rules, findings = RANDOMIZE_CASES[name]
+        code, path, message = findings[0]
+        with pytest.raises(RandomizeError) as e:
+            sample(rules, desk_scene(), seed=0)
+        assert (e.value.code, e.value.message) == (code, f"{path}: {message}")
 
 
 class TestCorpusRandomize:

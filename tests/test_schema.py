@@ -76,3 +76,96 @@ class TestMutationCorpus:
         a = [m.label for m in mutate_corpus(bundle, seed=3)]
         b = [m.label for m in mutate_corpus(bundle, seed=3)]
         assert a == b
+
+
+U = {"uniform": {"minval": 0.9, "maxval": 1.1}}
+FIELDS = ("geom_friction, actuator_kp_kd, actuator_gainprm, actuator_biasprm, "
+          "body_ipos, geom_pos, body_mass, hfield_data")
+
+# (rules under ``randomization:``, the findings ``validate`` reports for them
+# as (code, path, message)); the first eleven are the randomize findings the
+# schema reported before the rule checks moved into randomize.rule_findings,
+# byte for byte
+RANDOMIZE_CASES = {
+    "unknown field": (
+        {"warp_drive": [{"target": "ALL", "distribution": U}]},
+        [("UNKNOWN_FIELD", "randomization.warp_drive",
+          f"unknown randomization field; expected one of {FIELDS}")]),
+    "config-only key": (
+        {"randomize": True, "body_mass": [{"target": "ALL", "distribution": U}]},
+        [("UNKNOWN_FIELD", "randomization.randomize",
+          f"unknown randomization field; expected one of {FIELDS}")]),
+    "rules not a list": (
+        {"body_mass": {"target": "ALL", "distribution": U}},
+        [("TYPE_ERROR", "randomization.body_mass", "expected a list of rules")]),
+    "rule not a mapping": (
+        {"body_mass": ["scale"]},
+        [("TYPE_ERROR", "randomization.body_mass[0]", "rule must be a mapping")]),
+    "missing target": (
+        {"body_mass": [{"distribution": U, "operation": "scale"}]},
+        [("MISSING_KEY", "randomization.body_mass[0].target", "rule must name a target")]),
+    "no uniform distribution": (
+        {"body_mass": [{"target": "ALL", "distribution": {"normal": {}}}]},
+        [("MISSING_KEY", "randomization.body_mass[0].distribution.uniform",
+          "rule must carry a uniform distribution")]),
+    "bounds not numbers": (
+        {"body_mass": [{"target": "ALL",
+                        "distribution": {"uniform": {"minval": "low", "maxval": 1.1}}}]},
+        [("TYPE_ERROR", "randomization.body_mass[0].distribution.uniform",
+          "minval/maxval must be numbers or number lists")]),
+    "bound lengths differ": (
+        {"geom_friction": [{"target": "ALL", "distribution": {
+            "uniform": {"minval": [0.0, 0.0], "maxval": [1.0, 1.0, 1.0]}}}]},
+        [("SHAPE_MISMATCH", "randomization.geom_friction[0].distribution.uniform",
+          "minval has 2 entries, maxval has 3")]),
+    "bounds inverted": (
+        {"body_mass": [{"target": "ALL", "operation": "scale",
+                        "distribution": {"uniform": {"minval": 1.1, "maxval": 0.9}}}]},
+        [("RANGE_INVERTED", "randomization.body_mass[0].distribution.uniform",
+          "minval must be <= maxval elementwise")]),
+    "unknown operation": (
+        {"body_mass": [{"target": "ALL", "distribution": U, "operation": "multiply"}]},
+        [("UNKNOWN_OPERATION", "randomization.body_mass[0].operation",
+          "operation must be one of ('add', 'scale', 'set'), got 'multiply'")]),
+    "operation not a name": (
+        {"body_mass": [{"target": "ALL", "distribution": U, "operation": ["add"]}]},
+        [("UNKNOWN_OPERATION", "randomization.body_mass[0].operation",
+          "operation must be one of ('add', 'scale', 'set'), got ['add']")]),
+    "unknown target": (
+        {"body_mass": [{"target": "ALL", "distribution": U},
+                       {"target": ["leg_l", "left_shin"], "distribution": U}]},
+        [("UNKNOWN_FIELD", "randomization.body_mass[1].target",
+          "field 'body_mass' has no target named 'left_shin'")]),
+    "bounds narrower than the rows": (
+        {"geom_friction": [{"target": "floor", "distribution": {
+            "uniform": {"minval": [0.5, 0.0], "maxval": [1.0, 0.0]}}}]},
+        [("SHAPE_MISMATCH", "randomization.geom_friction[0].distribution.uniform",
+          "bounds of shape (2,) against parameter rows of shape (3,)")]),
+    "row-shaped bounds on an inert group": (
+        {"hfield_data": [{"target": "ALL", "distribution": {
+            "uniform": {"minval": [0.0], "maxval": [1.0]}}}]},
+        [("SHAPE_MISMATCH", "randomization.hfield_data[0].distribution.uniform",
+          "bounds of shape (1,) against parameter rows of shape ()")]),
+    "every problem of a rule, in order": (
+        {"body_mass": [{"target": "head", "operation": "mul", "distribution": {
+            "uniform": {"minval": [2.0, 0.0], "maxval": [1.0, 1.0]}}}]},
+        [("UNKNOWN_FIELD", "randomization.body_mass[0].target",
+          "field 'body_mass' has no target named 'head'"),
+         ("SHAPE_MISMATCH", "randomization.body_mass[0].distribution.uniform",
+          "bounds of shape (2,) against parameter rows of shape ()"),
+         ("RANGE_INVERTED", "randomization.body_mass[0].distribution.uniform",
+          "minval must be <= maxval elementwise"),
+         ("UNKNOWN_OPERATION", "randomization.body_mass[0].operation",
+          "operation must be one of ('add', 'scale', 'set'), got 'mul'")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOMIZE_CASES))
+def test_randomize_findings(name):
+    rules, expected = RANDOMIZE_CASES[name]
+    bundle = parse_bundle(DATA / "bundles" / "desk")
+    stage = bundle.stages[0]
+    stage.randomize_doc = {"randomization": rules}
+    found = [(f.code, f.path, f.message) for f in validate(bundle).findings
+             if f.file == stage.randomize_path]
+    assert found == expected
