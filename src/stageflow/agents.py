@@ -1,4 +1,5 @@
-"""Prompt templating, chat transports, and strict parsers for agent output.
+"""Prompt templating, chat transports, strict parsers for agent output, and
+the one exchange path.
 
 Five agent roles cooperate in a pipeline: vdb_query (summarize the task into a
 retrieval query), selector (pick past-run files), curriculum (emit the
@@ -6,6 +7,11 @@ workflow plus stage descriptions), per_stage (emit one stage's three YAML
 files), and feedback (decide between stages). Templates live as data files
 with <INSERT_..._HERE> placeholders; transports are pluggable so the whole
 pipeline replays offline from fixtures.
+
+Every exchange, for every role, goes through :func:`invoke_with_retry`: it
+sends the prompt, parses and checks the answer, re-prompts with the findings,
+and writes one :class:`AgentLog` entry per attempt under the prompt that
+attempt actually sent, so each logged digest names a replayable request.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import os
 import posixpath
 import re
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import AgentError
@@ -104,9 +110,11 @@ def _check_sandbox(file_path: str) -> None:
 def parse_file_blocks(response: str) -> list:
     """Extract every file_name / file_path / content: | triple, in order.
 
-    Content is preserved byte-for-byte after removing the common block indent;
-    prose outside blocks is ignored (models sometimes add it despite the
-    instructions), but a started block must be complete.
+    Content is preserved byte-for-byte after removing the block indent, which
+    its first non-blank line sets; an unindented line ends the block. Prose
+    outside blocks is ignored (models sometimes add it despite the
+    instructions), but a started block must be complete, and a line indented
+    by anything but the block indent is refused rather than dropped.
     """
     lines = response.split("\n")
     blocks = []
@@ -147,6 +155,10 @@ def parse_file_blocks(response: str) -> list:
                     break
                 indent = m.group(0)
             if not cur.startswith(indent):
+                if cur[0] in " \t":
+                    raise AgentError(
+                        "MALFORMED_BLOCK",
+                        f"line {i + 1}: indented, but not by the block's indent {indent!r}")
                 break
             content_lines.append(cur[len(indent):])
             i += 1
@@ -235,6 +247,15 @@ def parse_selector_json(response: str, candidates) -> dict:
     return out
 
 
+def parse_query(response: str) -> str:
+    """The vdb_query agent's retrieval query: its answer's last non-blank
+    line."""
+    lines = response.strip().splitlines()
+    if not lines:
+        raise AgentError("NO_QUERY", "the answer holds no query line")
+    return lines[-1].strip()
+
+
 # -- transports ----------------------------------------------------------------
 
 def request_digest(role: str, prompt: str) -> str:
@@ -261,10 +282,8 @@ class ReplayTransport:
 
     def __init__(self, fixture_dir):
         self.fixture_dir = Path(fixture_dir)
-        self.calls = []
 
     def send(self, role: str, prompt: str) -> str:
-        self.calls.append((role, prompt))
         path = self.fixture_dir / f"{request_digest(role, prompt)}.txt"
         if not path.exists():
             raise AgentError(
@@ -291,9 +310,15 @@ class RecordingTransport:
         return response
 
 
+# seconds a live request may take, connecting and reading, before it fails
+LIVE_TIMEOUT_S = 120
+
+
 class LiveTransport:
     """Generic chat-completion HTTP endpoint; configuration via env vars
-    STAGEFLOW_LLM_ENDPOINT, STAGEFLOW_LLM_API_KEY, STAGEFLOW_LLM_MODEL."""
+    STAGEFLOW_LLM_ENDPOINT, STAGEFLOW_LLM_API_KEY, STAGEFLOW_LLM_MODEL.
+    A failed request or a reply without a message text raises
+    ``TRANSPORT_ERROR``."""
 
     def __init__(self, endpoint=None, api_key=None, model=None, temperature=0.2):
         self.endpoint = endpoint or os.environ.get("STAGEFLOW_LLM_ENDPOINT")
@@ -317,49 +342,79 @@ class LiveTransport:
             headers={"Content-Type": "application/json",
                      **({"Authorization": f"Bearer {self.api_key}"} if self.api_key else {})},
         )
-        with urllib.request.urlopen(req) as resp:
-            body = json.loads(resp.read())
-        return body["choices"][0]["message"]["content"]
+        try:
+            with urllib.request.urlopen(req, timeout=LIVE_TIMEOUT_S) as resp:
+                raw = resp.read()
+        except OSError as e:  # URLError, HTTPError and timeouts alike
+            raise AgentError("TRANSPORT_ERROR", f"{role!r} request failed: {e}") from None
+        try:
+            content = json.loads(raw)["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise AgentError(
+                "TRANSPORT_ERROR",
+                f"{role!r} reply has no choices[0].message.content text: {raw[:200]!r}")
+        return content
 
 
-# -- retry loop ----------------------------------------------------------------
+# -- the exchange --------------------------------------------------------------
 
-@dataclass
-class Attempt:
-    response: str
-    findings: list = field(default_factory=list)
+class AgentLog:
+    """Append-only jsonl of every agent exchange in a run."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+
+    def record(self, role: str, prompt: str, response: str, findings=()):
+        entry = {
+            "role": role,
+            "prompt_digest": request_digest(role, prompt),
+            "response_digest": hashlib.sha256(response.encode()).hexdigest(),
+            "findings": list(findings),
+        }
+        with open(self.path, "a") as f:
+            f.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def invoke_with_retry(transport, role: str, prompt: str, parse_fn,
-                      validate_fn=None, max_retries: int = 2):
-    """Call, parse, validate; on failure re-prompt with the consolidated
-    finding list appended to the original prompt. Returns (parsed, attempts)."""
-    attempts = []
-    current = prompt
-    for _ in range(max_retries + 1):
-        response = transport.send(role, current)
-        findings = []
-        parsed = None
+# re-prompts after the first attempt
+MAX_RETRIES = 2
+
+
+def invoke_with_retry(transport, log: AgentLog, role: str, prompt: str,
+                      parse_fn, validate_fn=None):
+    """Send, parse, check; on findings, re-prompt with them appended to the
+    original prompt, up to ``MAX_RETRIES`` times. Every attempt is logged
+    under the prompt it sent, before deciding whether to retry; an
+    ``AgentError`` from the transport is logged with an empty response and
+    raised. Returns the accepted answer's parsed form."""
+    sent = prompt
+    all_findings = []
+    for attempt in range(1, MAX_RETRIES + 2):
+        try:
+            response = transport.send(role, sent)
+        except AgentError as e:
+            log.record(role, sent, "", [f"[{e.code}] {e.message}"])
+            raise
         try:
             parsed = parse_fn(response)
         except AgentError as e:
-            findings.append(f"[{e.code}] {e.message}")
-        if parsed is not None and validate_fn is not None:
-            findings.extend(str(f) for f in validate_fn(parsed))
-        attempts.append(Attempt(response, findings))
+            findings = [f"[{e.code}] {e.message}"]
+        else:
+            findings = [str(f) for f in validate_fn(parsed)] if validate_fn else []
+        log.record(role, sent, response, findings)
         if not findings:
-            return parsed, attempts
+            return parsed
+        all_findings += findings
         bullet = "\n".join(f"- {f}" for f in findings)
-        current = (
+        sent = (
             f"{prompt}\n\n"
             f"Your previous response had the following problems; "
             f"fix all of them and answer again:\n{bullet}\n"
         )
-    all_findings = [f for a in attempts for f in a.findings]
     raise AgentError(
         "RETRIES_EXHAUSTED",
-        f"{role!r} agent failed after {len(attempts)} attempts: "
-        + "; ".join(all_findings),
-        attempts=len(attempts),
+        f"{role!r} agent failed after {attempt} attempts: " + "; ".join(all_findings),
+        attempts=attempt,
         findings=all_findings,
     )

@@ -4,13 +4,13 @@ scoring -> store.
 
 Every run owns an append-only directory: ``workflow.yaml``,
 ``stageN/{reward,config,randomize}.yaml``, ``stageN/metrics.jsonl``,
-``stageN/checkpoint.bin``, ``scores.json``, and ``agent_log.jsonl`` recording
-each agent exchange (prompt/response digests plus findings).
+``stageN/checkpoint.bin``, ``scores.json``, and ``agent_log.jsonl``. The log
+holds one entry per agent attempt, retries included: the digest of the prompt
+that attempt actually sent, the digest of its response and its findings.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -19,14 +19,15 @@ from pathlib import Path
 import yaml
 
 from . import scoring
-from .agents import (GeneratedFileBlock, invoke_with_retry, load_template,
-                     parse_file_blocks, parse_selector_json, render,
-                     request_digest)
+from .agents import (AgentLog, GeneratedFileBlock, invoke_with_retry,
+                     load_template, parse_file_blocks, parse_query,
+                     parse_selector_json, render)
 from .env import DeskWalker
-from .errors import AgentError, StageflowError
+from .errors import AgentError, BundleError, StageflowError
 from .randomize import desk_scene, sample
 from .schema import (STAGE_ROLES, CurriculumBundle, PromotionCriterion,
-                     StageBundle, build_stage, parse_bundle, validate)
+                     StageBundle, build_stage, parse_bundle, parse_workflow,
+                     validate)
 from .trainer import (Policy, RunningNorm, StageResult, load_checkpoint,
                       restore_policy, train_stage)
 from .vdb import RunArtifact, VectorStore, check_run_id, run_artifact
@@ -53,38 +54,6 @@ class CurriculumRun:
     status: str = "failed"
     failure_stage: str = ""
     failure_reason: str = ""
-
-
-class AgentLog:
-    """Append-only jsonl of every agent exchange in a run."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-
-    def record(self, role: str, prompt: str, response: str, findings=()):
-        entry = {
-            "role": role,
-            "prompt_digest": request_digest(role, prompt),
-            "response_digest": hashlib.sha256(response.encode()).hexdigest(),
-            "findings": list(findings),
-        }
-        with open(self.path, "a") as f:
-            f.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def _logged_invoke(log: AgentLog, transport, role, prompt, parse_fn,
-                   validate_fn=None, max_retries: int = 2):
-    calls_before = len(getattr(transport, "calls", []))
-    try:
-        parsed, attempts = invoke_with_retry(
-            transport, role, prompt, parse_fn, validate_fn, max_retries)
-    except AgentError:
-        for role_, sent in getattr(transport, "calls", [])[calls_before:]:
-            log.record(role_, sent, "", ["RETRIES_EXHAUSTED"])
-        raise
-    for attempt in attempts:
-        log.record(role, prompt, attempt.response, attempt.findings)
-    return parsed
 
 
 # -- promotion ----------------------------------------------------------------
@@ -201,8 +170,8 @@ def _write_stage_files(stage_dir: Path, blocks) -> None:
 def _write_workflow(run_dir: Path, wf_doc: dict) -> None:
     """Canonical run-root workflow pointing at the stageN/ file layout."""
     stages = []
-    for i, entry in enumerate(wf_doc["workflow"]["stages"], start=1):
-        idx = int(entry.get("index", i))
+    for entry in wf_doc["workflow"]["stages"]:
+        idx = int(entry["index"])
         stages.append({
             "index": idx,
             "reward": f"stage{idx}/reward.yaml",
@@ -351,8 +320,8 @@ def _feedback_step(transport, log, stage, next_stage, result,
         return _stage_findings(
             _merged_stage_blocks(next_stage, decision.revised_blocks))
 
-    return _logged_invoke(log, transport, "feedback", prompt,
-                          parse_feedback, check)
+    return invoke_with_retry(transport, log, "feedback", prompt,
+                             parse_feedback, check)
 
 
 def _merged_stage_blocks(next_stage: StageBundle, revised) -> list:
@@ -431,9 +400,7 @@ def _retrieve(task_prompt, vdb, transport, log, run) -> tuple[dict, str]:
         return seed_examples(), "(no prior runs available)"
     q_prompt = render(load_template("vdb_query"),
                       {"INSERT_TASK_PROMPT_HERE": task_prompt})
-    q_response = transport.send("vdb_query", q_prompt)
-    log.record("vdb_query", q_prompt, q_response)
-    query = q_response.strip().splitlines()[-1].strip()
+    query = invoke_with_retry(transport, log, "vdb_query", q_prompt, parse_query)
     top = vdb.query_topk(query, k=min(3, len(vdb)))
     artifacts = [vdb.get_run(rid) for rid, _ in top]
     evaluations = "\n---\n".join(
@@ -447,8 +414,8 @@ def _retrieve(task_prompt, vdb, transport, log, run) -> tuple[dict, str]:
         "INSERT_EVALUATIONS_HERE": evaluations,
         "INSERT_EXAMPLES_HERE": "\n".join(candidates),
     })
-    selection = _logged_invoke(
-        log, transport, "selector", sel_prompt,
+    selection = invoke_with_retry(
+        transport, log, "selector", sel_prompt,
         lambda resp: parse_selector_json(resp, candidates))
     run.retrieved = selection
     return _examples_from_artifact(artifacts[0], selection), evaluations
@@ -468,29 +435,23 @@ def _generate_curriculum(task_prompt, examples, evaluation, transport, log):
     })
 
     def check(blocks):
-        names = [b.file_name for b in blocks]
-        findings = []
         wf = next((b for b in blocks if "workflow" in b.file_name), None)
         if wf is None:
             return ["missing generated_workflow.yaml block"]
         try:
-            doc = yaml.safe_load(wf.content)
-        except yaml.YAMLError as e:
-            return [f"workflow block is not valid YAML: {e}"]
-        stages = (doc or {}).get("workflow", {}).get("stages")
-        if not isinstance(stages, list) or not stages:
-            return ["workflow block must define workflow.stages"]
-        detail = [n for n in names if re.match(r"generated_stage\d+_details", n)]
+            _, stages = parse_workflow(wf.content, wf.file_name)
+        except BundleError as e:
+            return [f"[{e.code}] {e.message}"]
+        detail = [b for b in blocks if re.match(r"generated_stage\d+_details", b.file_name)]
         if len(detail) != len(stages):
-            findings.append(
-                f"{len(stages)} stages in the workflow but "
-                f"{len(detail)} stage description files")
-        return findings
+            return [f"{len(stages)} stages in the workflow but "
+                    f"{len(detail)} stage description files"]
+        return []
 
-    blocks = _logged_invoke(log, transport, "curriculum", prompt,
-                            parse_file_blocks, check)
+    blocks = invoke_with_retry(transport, log, "curriculum", prompt,
+                               parse_file_blocks, check)
     wf_block = next(b for b in blocks if "workflow" in b.file_name)
-    wf_doc = yaml.safe_load(wf_block.content)
+    wf_doc, _ = parse_workflow(wf_block.content, wf_block.file_name)
     descriptions = {}
     for b in blocks:
         m = re.match(r"generated_stage(\d+)_details", b.file_name)
@@ -502,9 +463,8 @@ def _generate_curriculum(task_prompt, examples, evaluation, transport, log):
 def _generate_stages(task_prompt, wf_doc, descriptions, examples, transport,
                      log, run_dir: Path, config_overrides) -> None:
     template = load_template("per_stage")
-    entries = wf_doc["workflow"]["stages"]
-    for i, entry in enumerate(entries, start=1):
-        idx = int(entry.get("index", i))
+    for entry in wf_doc["workflow"]["stages"]:
+        idx = int(entry["index"])
         prompt = render(template, {
             "X": idx,
             "INSERT_TASK_PROMPT_HERE": task_prompt,
@@ -520,8 +480,8 @@ def _generate_stages(task_prompt, wf_doc, descriptions, examples, transport,
             "INSERT_REWARD_EXAMPLE_HERE":
                 (_DATA / "docs" / "reward_example.yaml").read_text(),
         })
-        blocks = _logged_invoke(
-            log, transport, "per_stage", prompt, parse_file_blocks,
+        blocks = invoke_with_retry(
+            transport, log, "per_stage", prompt, parse_file_blocks,
             _stage_findings)
         if config_overrides:
             roles = _classify_blocks(blocks)

@@ -41,12 +41,6 @@ class FieldGroup:
 class SceneParameters:
     fields: dict  # name -> FieldGroup
 
-    def copy(self) -> "SceneParameters":
-        return SceneParameters({
-            k: FieldGroup(v.values.copy(), list(v.names), v.inert)
-            for k, v in self.fields.items()
-        })
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self.fields[name].values
 

@@ -67,12 +67,6 @@ class RewardProgram:
     terms: tuple
     required_variables: frozenset[str] = field(default_factory=frozenset)
 
-    def term(self, name: str) -> RewardTerm:
-        for t in self.terms:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
 
 def _parse_param(value, where: str):
     """Parameters may be strings (expression text) or bare YAML numbers/bools."""

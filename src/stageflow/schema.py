@@ -166,7 +166,12 @@ def _parse_yaml(text: str, name) -> dict:
     return doc
 
 
-def _stage_entries(wf_doc: dict, wf_path) -> list:
+def parse_workflow(text: str, wf_path) -> tuple[dict, list]:
+    """A workflow file's document and its checked stage entries: each entry
+    is a mapping naming its three files, with an integer ``index`` and a
+    well-formed ``promotion``. Problems raise ``PARSE_ERROR`` naming
+    ``wf_path``."""
+    wf_doc = _parse_yaml(text, wf_path)
     wf = wf_doc.get("workflow")
     if not isinstance(wf, dict):
         raise BundleError("PARSE_ERROR", f"{wf_path}: top-level key must be 'workflow:'")
@@ -198,7 +203,7 @@ def _stage_entries(wf_doc: dict, wf_path) -> list:
         except (TypeError, ValueError):
             raise BundleError("PARSE_ERROR", f"{where}.promotion.reward_threshold: "
                               f"{promo['reward_threshold']!r} is not a number") from None
-    return entries
+    return wf_doc, entries
 
 
 def build_stage(entry: dict, texts: dict, root: Path = Path()) -> StageBundle:
@@ -238,10 +243,10 @@ def parse_bundle(workflow_path: str | Path) -> CurriculumBundle:
     if wf_path.is_dir():
         wf_path = wf_path / "workflow.yaml"
     wf_text = _read(wf_path)
-    wf_doc = _parse_yaml(wf_text, wf_path)
+    wf_doc, entries = parse_workflow(wf_text, wf_path)
     root = wf_path.parent
     stages = []
-    for entry in _stage_entries(wf_doc, wf_path):
+    for entry in entries:
         texts = {role: _read(root / entry[role]) for role in STAGE_ROLES}
         stages.append(build_stage(entry, texts, root))
     stages.sort(key=lambda s: s.index)

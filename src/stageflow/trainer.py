@@ -172,9 +172,6 @@ class Policy:
     def log_prob(self, obs: np.ndarray, raw: np.ndarray) -> np.ndarray:
         return self._logp(self.mean(obs), raw)
 
-    def entropy(self) -> float:
-        return float((self.params["log_std"] + 0.5 * (LOG2PI + 1.0)).sum())
-
 
 # -- PPO loss with analytic gradient ------------------------------------------
 

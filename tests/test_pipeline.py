@@ -11,9 +11,10 @@ import pytest
 
 from stageflow import orchestrator
 from stageflow.agents import (GeneratedFileBlock, ReplayTransport,
-                              ScriptedTransport, serialize_file_blocks)
+                              ScriptedTransport, request_digest,
+                              serialize_file_blocks)
 from stageflow.errors import StoreError
-from stageflow.vdb import VectorStore
+from stageflow.vdb import RunArtifact, VectorStore
 
 from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts
 
@@ -80,10 +81,10 @@ class TestWalker2Replay:
 
 # -- scripted runs ---------------------------------------------------------------
 
-def _curriculum_response() -> str:
+def _curriculum_response(workflow: str = (DESK / "workflow.yaml").read_text()) -> str:
     return serialize_file_blocks([
         GeneratedFileBlock("generated_workflow.yaml", "../workflows/generated_workflow.yaml",
-                           (DESK / "workflow.yaml").read_text()),
+                           workflow),
         GeneratedFileBlock("generated_stage1_details.txt", "../prompts/stage1.txt",
                            "Stage 1: calm tracking.\n"),
         GeneratedFileBlock("generated_stage2_details.txt", "../prompts/stage2.txt",
@@ -184,6 +185,80 @@ class TestStageValidation:
             ["curriculum", "per_stage", "per_stage", "per_stage", "feedback"]
         assert ("- [UNKNOWN_FIELD] randomization.body_mass[0].target: "
                 "field 'body_mass' has no target named 'left_shin'") in transport.calls[2][1]
+
+
+def _log(run) -> list:
+    return [json.loads(line) for line in
+            (Path(run.run_dir) / "agent_log.jsonl").read_text().splitlines()]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestAgentLog:
+    """``agent_log.jsonl`` holds one entry per attempt, under the prompt
+    actually sent."""
+
+    def test_a_retry_is_logged_under_the_prompt_it_sent(self, tmp_path):
+        bad = dict(desk_stage_texts(1), reward="reward: [unclosed\n")
+        run, transport = _run(tmp_path, [
+            _curriculum_response(), _stage_response(1, bad),
+            _stage_response(1, desk_stage_texts(1)), _stage_response(2, desk_stage_texts(2)),
+            "DECISION: proceed\nRATIONALE: fine.\n"])
+        assert run.status == "completed", (run.failure_stage, run.failure_reason)
+        assert [e["prompt_digest"] for e in _log(run)] == \
+            [request_digest(role, prompt) for role, prompt in transport.calls]
+        assert transport.calls[1][1] != transport.calls[2][1]
+
+    def test_exhausted_retries_log_every_attempt_with_its_findings(self, tmp_path):
+        bad = _stage_response(1, dict(desk_stage_texts(1), reward="reward: [unclosed\n"))
+        run, transport = _run(tmp_path, [_curriculum_response()] + [bad] * 3)
+        assert (run.status, run.failure_stage) == ("failed", "generation")
+        assert run.failure_reason.startswith("[RETRIES_EXHAUSTED]")
+        entries = [e for e in _log(run) if e["role"] == "per_stage"]
+        assert [e["prompt_digest"] for e in entries] == \
+            [request_digest(role, prompt) for role, prompt in transport.calls[1:]]
+        assert [e["response_digest"] for e in entries] == [_digest(bad)] * 3
+        assert [e["findings"] for e in entries] == [[
+            "[PARSE_ERROR] generated_reward_stage1.yaml: invalid YAML at line 2, column 1"]] * 3
+
+    def test_a_transport_error_is_logged_once_and_ends_the_run(self, tmp_path):
+        run, transport = _run(tmp_path, [])
+        assert (run.status, run.failure_stage) == ("failed", "generation")
+        (role, prompt), = transport.calls
+        assert _log(run) == [{
+            "role": "curriculum", "prompt_digest": request_digest(role, prompt),
+            "response_digest": _digest(""),
+            "findings": ["[RETRIES_EXHAUSTED] scripted transport ran out of responses"]}]
+
+
+class TestRetrieval:
+    def test_blank_query_answers_fail_the_run_in_generation(self, tmp_path):
+        store = VectorStore(tmp_path / "vdb")
+        store.add_run(RunArtifact("run-0001", "walk on the desk",
+                                  {"workflow.yaml": (DESK / "workflow.yaml").read_text()}))
+        run, transport = _run(tmp_path, ["", "\n  \n", "   "])
+        assert (run.status, run.failure_stage) == ("failed", "generation")
+        assert run.failure_reason.startswith("[RETRIES_EXHAUSTED]")
+        assert [role for role, _ in transport.calls] == ["vdb_query"] * 3
+        log = _log(run)
+        assert [e["prompt_digest"] for e in log] == \
+            [request_digest(role, prompt) for role, prompt in transport.calls]
+        assert all(e["findings"] and e["findings"][0].startswith("[NO_QUERY]") for e in log)
+
+
+class TestCurriculumCheck:
+    @pytest.mark.parametrize("workflow", [
+        (DESK / "workflow.yaml").read_text().replace("index: 1", "index: one"),
+        "workflow:\n  - index: 1\n",
+        "a plain sentence\n",
+    ], ids=["index not an integer", "workflow a list", "document a string"])
+    def test_bad_workflow_is_retried_with_a_parse_error(self, tmp_path, workflow):
+        run, transport = _run(tmp_path, [_curriculum_response(workflow), _curriculum_response()])
+        assert (run.status, run.failure_stage) == ("failed", "generation")
+        assert [role for role, _ in transport.calls] == ["curriculum", "curriculum", "per_stage"]
+        assert "- [PARSE_ERROR] generated_workflow.yaml" in transport.calls[1][1]
 
 
 class TestRunId:

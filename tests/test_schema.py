@@ -59,7 +59,7 @@ class TestValidate:
 
 
 class TestMutationCorpus:
-    @pytest.mark.parametrize("name", ["tune", "desk"])
+    @pytest.mark.parametrize("name", BUNDLES)
     def test_every_mutant_rejected_with_labeled_code(self, name):
         bundle = parse_bundle(DATA / "bundles" / name)
         mutants = mutate_corpus(bundle, seed=0)

@@ -110,10 +110,8 @@ class AuthorTransport:
 
     def __init__(self, responses: dict):
         self.responses = {role: list(items) for role, items in responses.items()}
-        self.calls = []
 
     def send(self, role: str, prompt: str) -> str:
-        self.calls.append((role, prompt))
         return self.responses[role].pop(0)
 
 
