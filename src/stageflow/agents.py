@@ -316,9 +316,9 @@ LIVE_TIMEOUT_S = 120
 
 class LiveTransport:
     """Generic chat-completion HTTP endpoint; configuration via env vars
-    STAGEFLOW_LLM_ENDPOINT, STAGEFLOW_LLM_API_KEY, STAGEFLOW_LLM_MODEL.
-    A failed request or a reply without a message text raises
-    ``TRANSPORT_ERROR``."""
+    STAGEFLOW_LLM_ENDPOINT, STAGEFLOW_LLM_API_KEY, STAGEFLOW_LLM_MODEL; with
+    no endpoint or model it raises ``MISSING_CONFIG``. A failed request or a
+    reply without a message text raises ``TRANSPORT_ERROR``."""
 
     def __init__(self, endpoint=None, api_key=None, model=None, temperature=0.2):
         self.endpoint = endpoint or os.environ.get("STAGEFLOW_LLM_ENDPOINT")
@@ -327,7 +327,7 @@ class LiveTransport:
         self.temperature = temperature
         if not self.endpoint or not self.model:
             raise AgentError(
-                "RETRIES_EXHAUSTED",
+                "MISSING_CONFIG",
                 "live transport needs STAGEFLOW_LLM_ENDPOINT and STAGEFLOW_LLM_MODEL",
             )
 

@@ -5,9 +5,20 @@ feet follow a gait oscillator, and kicks inject velocity impulses on a fixed
 schedule. The point of the environment is to emit, every step, the complete
 binding map the reward programs consume; it is not a physics simulator.
 
-``write_trace``/``read_trace`` store a run of binding maps as JSON-lines (one
-binding map per step, tensors as flat arrays with explicit shape) for
-``stageflow score``.
+``VecEnv`` steps N walkers at once and is what training runs. ``DeskWalker``
+is the one-env reference: the tests pin ``VecEnv`` to it draw for draw, final
+scoring runs it, and the benchmark's per-layer trace times its ``step``, so it
+stays until final scoring runs on ``VecEnv``. Its bindings are unbatched
+:class:`~stageflow.reward.BatchValue`.
+
+``write_trace``/``read_trace`` store a run of binding maps as JSON-lines, one
+step per line::
+
+    {"step": 0, "bindings": {"<key>": {"shape": [3], "kind": "numeric",
+                                       "data": [0.1, 0.2, 0.0]}, ...}}
+
+``data`` is the value flattened in C order, ``kind`` is ``numeric`` or
+``boolean`` (data 0 or 1), and a value has at most ``MAX_RANK`` axes.
 """
 
 from __future__ import annotations
@@ -17,10 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EnvError
 from . import randomize
+from .errors import EnvError
 from .randomize import SceneParameters, desk_scene
-from .tensor import Tensor
+from .reward import MAX_RANK, BatchValue
 
 DT = 0.02          # 50 Hz control
 NUM_JOINTS = 8
@@ -173,40 +184,37 @@ class DeskWalker:
         xd_vel = np.array([[self.vel[0], self.vel[1], 0.0]])
         xd_ang = np.array([[0.2 * self.tilt[1], -0.2 * self.tilt[0], self.yaw_rate]])
 
-        b = {
-            "command": Tensor(self.command),
-            "local_vel": Tensor([self.vel[0], self.vel[1], 0.0]),
-            "base_ang_vel": Tensor.scalar(self.yaw_rate),
-            "xd.vel": Tensor(xd_vel),
-            "xd.ang": Tensor(xd_ang),
-            "rot_up": Tensor(rot_up),
-            "qfrc_actuator": Tensor(torque),
-            "action": Tensor(self.action),
-            "last_act": Tensor(self.last_act),
-            "feet_air_time": Tensor(self.air_time),
-            "first_foot_contact": Tensor.boolean(first_contact),
-            "command_norm": Tensor.scalar(cmd_norm),
-            "commands_norm": Tensor.scalar(cmd_norm),
-            "joint_angles": Tensor(self.joints),
-            "default_pose": Tensor(self.default_pose),
-            "done": Tensor.boolean(1.0 if self.done else 0.0),
-            "step": Tensor.scalar(float(self.t)),
-            "foot_contact": Tensor.boolean(contact),
-            "first_site_contact": Tensor.boolean(contact),
-            "feet_pos": Tensor(feet_pos),
-            "feet_site_pos": Tensor(feet_pos),
-            "feet_site_linvel": Tensor(feet_linvel),
-            "feet_site_angvel": Tensor(feet_angvel),
-            "rz": Tensor(self._reference_heights()),
-            "swing_peak": Tensor(self.swing_peak),
-            "max_foot_height": Tensor.scalar(self.max_foot_height),
+        num = lambda a: BatchValue(a, batched=False)
+        boo = lambda a: BatchValue(np.asarray(a, dtype=bool).astype(np.float64),
+                                   kind="boolean", batched=False)
+        return {
+            "command": num(self.command),
+            "local_vel": num([self.vel[0], self.vel[1], 0.0]),
+            "base_ang_vel": num(self.yaw_rate),
+            "xd.vel": num(xd_vel),
+            "xd.ang": num(xd_ang),
+            "rot_up": num(rot_up),
+            "qfrc_actuator": num(torque),
+            "action": num(self.action),
+            "last_act": num(self.last_act),
+            "feet_air_time": num(self.air_time),
+            "first_foot_contact": boo(first_contact),
+            "command_norm": num(cmd_norm),
+            "commands_norm": num(cmd_norm),
+            "joint_angles": num(self.joints),
+            "default_pose": num(self.default_pose),
+            "done": boo(self.done),
+            "step": num(float(self.t)),
+            "foot_contact": boo(contact),
+            "first_site_contact": boo(contact),
+            "feet_pos": num(feet_pos),
+            "feet_site_pos": num(feet_pos),
+            "feet_site_linvel": num(feet_linvel),
+            "feet_site_angvel": num(feet_angvel),
+            "rz": num(foot_z),  # the reference is the oscillator's nominal height
+            "swing_peak": num(self.swing_peak),
+            "max_foot_height": num(self.max_foot_height),
         }
-        return b
-
-    def _reference_heights(self) -> np.ndarray:
-        # reference trajectory equals the oscillator's nominal foot height
-        s = np.sin(self.phase)
-        return self.foot_h * np.maximum(0.0, np.array([s, -s]))
 
     def observe(self) -> np.ndarray:
         obs = np.concatenate([
@@ -236,41 +244,58 @@ BINDING_KEYS = (
 
 # -- trace record / replay ----------------------------------------------------
 
-def _tensor_to_json(t: Tensor) -> dict:
-    return {
-        "shape": list(t.shape),
-        "kind": t.kind,
-        "data": np.ravel(t.to_numpy()).tolist(),
-    }
+def _value_to_json(v: BatchValue) -> dict:
+    return {"shape": list(v.arr.shape), "kind": v.kind, "data": v.arr.ravel().tolist()}
 
 
-def _tensor_from_json(obj) -> Tensor:
-    arr = np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
-    return Tensor(arr, kind=obj.get("kind", "numeric"))
+def _value_from_json(obj, where: str) -> BatchValue:
+    try:
+        arr = np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
+        kind = obj.get("kind", "numeric")
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise EnvError("TRACE_FORMAT_ERROR", f"{where}: malformed value")
+    if arr.ndim > MAX_RANK:
+        raise EnvError("TRACE_FORMAT_ERROR", f"{where}: rank {arr.ndim} exceeds {MAX_RANK}")
+    if kind == "boolean":
+        if ((arr != 0.0) & (arr != 1.0)).any():
+            raise EnvError("TRACE_FORMAT_ERROR", f"{where}: boolean data outside {{0, 1}}")
+    elif kind != "numeric":
+        raise EnvError("TRACE_FORMAT_ERROR", f"{where}: unknown kind {kind!r}")
+    return BatchValue(arr, kind, batched=False)
 
 
 def write_trace(path, binding_steps) -> None:
-    """Write one binding map per line."""
+    """Write one unbatched binding map per line."""
     with open(path, "w") as f:
         for step, bindings in enumerate(binding_steps):
             rec = {"step": step,
-                   "bindings": {k: _tensor_to_json(v) for k, v in bindings.items()}}
+                   "bindings": {k: _value_to_json(v) for k, v in bindings.items()}}
             f.write(json.dumps(rec) + "\n")
 
 
-def read_trace(path) -> list[dict]:
-    steps = []
+def read_trace(path, required=None) -> list[dict]:
+    """One name -> unbatched BatchValue map per step. ``required`` maps the
+    keys every step must hold to their shape. A defect anywhere raises
+    ``TRACE_FORMAT_ERROR`` naming the file and line."""
     path = Path(path)
     if not path.is_file():
         raise EnvError("TRACE_FORMAT_ERROR", f"no such trace file: {path}")
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    steps = []
+    # undecodable bytes fail the record's JSON parse, naming its line
+    for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
-            rec = json.loads(line)
-            bindings = {k: _tensor_from_json(v) for k, v in rec["bindings"].items()}
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            raise EnvError("TRACE_FORMAT_ERROR", f"{path}:{lineno}: malformed trace record")
+            items = json.loads(line)["bindings"].items()
+        except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
+            raise EnvError("TRACE_FORMAT_ERROR", f"{where}: malformed trace record")
+        bindings = {k: _value_from_json(v, f"{where}: binding {k!r}") for k, v in items}
+        for key, shape in (required or {}).items():
+            found = bindings[key].arr.shape if key in bindings else "none"
+            if found != shape:
+                raise EnvError("TRACE_FORMAT_ERROR", f"{where}: binding {key!r}: "
+                                                     f"expected shape {shape}, found {found}")
         steps.append(bindings)
     return steps
 
@@ -464,8 +489,6 @@ class VecEnv:
         return self.observe(), bindings, finished
 
     def _bindings(self, foot_z, contact, first_contact) -> dict:
-        from .reward import BatchValue
-
         n = self.n
         cmd_norm = np.linalg.norm(self.command[:, :2], axis=1)
         feet_pos = np.zeros((n, 2, 3))
@@ -483,8 +506,6 @@ class VecEnv:
         xd_ang = np.stack(
             [0.2 * self.tilt[:, 1], -0.2 * self.tilt[:, 0], self.yaw_rate], axis=1
         )[:, None, :]
-        rz = self.foot_h[:, None] * np.maximum(
-            0.0, np.stack([np.sin(self.phase), -np.sin(self.phase)], axis=1))
 
         num = lambda a: BatchValue(a)
         boo = lambda a: BatchValue(np.asarray(a, dtype=bool).astype(np.float64), kind="boolean")
@@ -512,7 +533,7 @@ class VecEnv:
             "feet_site_pos": num(feet_pos.copy()),
             "feet_site_linvel": num(feet_linvel),
             "feet_site_angvel": num(feet_angvel),
-            "rz": num(rz),
+            "rz": num(foot_z),
             "swing_peak": num(self.swing_peak.copy()),
             "max_foot_height": num(self.max_foot_height.copy()),
         }

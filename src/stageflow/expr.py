@@ -1,4 +1,6 @@
-"""Expression language used inside reward YAML files.
+"""Expression language used inside reward YAML files: the tokenizer, the
+parser to an AST, and the free variables of an AST. Evaluation lives in
+:mod:`stageflow.reward`.
 
 Grammar (low to high precedence)::
 
@@ -22,9 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from . import tensor as tz
 from .errors import ExpressionError
-from .tensor import Tensor
 
 _TOKEN_RE = re.compile(
     r"""
@@ -270,29 +270,3 @@ def free_variables(node) -> set[str]:
         return free_variables(node.base)
     return set()
 
-
-def evaluate(node, scope: dict[str, Tensor]) -> Tensor:
-    """Evaluate an AST against a name -> Tensor scope."""
-    if isinstance(node, Num):
-        return Tensor.scalar(node.value)
-    if isinstance(node, BoolLit):
-        return Tensor.boolean(1.0 if node.value else 0.0)
-    if isinstance(node, Var):
-        try:
-            return scope[node.name]
-        except KeyError:
-            raise ExpressionError("UNBOUND_VARIABLE", f"unbound variable {node.name!r}")
-    if isinstance(node, Unary):
-        return tz.negate(evaluate(node.operand, scope))
-    if isinstance(node, Bin):
-        left = evaluate(node.left, scope)
-        right = evaluate(node.right, scope)
-        return tz.elementwise(node.op, left, right)
-    if isinstance(node, Index):
-        base = evaluate(node.base, scope)
-        spec = tuple(
-            slice(it.start, it.stop) if isinstance(it, SliceItem) else it
-            for it in node.items
-        )
-        return tz.index(base, spec)
-    raise ExpressionError("SYNTAX_ERROR", f"unknown AST node {node!r}")

@@ -30,7 +30,8 @@ from .schema import (STAGE_ROLES, CurriculumBundle, PromotionCriterion,
                      validate)
 from .trainer import (Policy, RunningNorm, StageResult, load_checkpoint,
                       restore_policy, train_stage)
-from .vdb import RunArtifact, VectorStore, check_run_id, run_artifact
+from .vdb import (RunArtifact, VectorStore, check_run_id, run_artifact,
+                  tokenize)
 
 _DATA = Path(__file__).parent / "data"
 
@@ -393,6 +394,13 @@ def run_pipeline(task_prompt: str, vdb: VectorStore, transport, out_dir,
         return run
 
 
+def _query_findings(query: str) -> list[str]:
+    """The store searches by the query's tokens, so it needs at least one."""
+    if tokenize(query):
+        return []
+    return [f"[EMPTY_TEXT] query {query!r} has no ASCII letter or digit to search by"]
+
+
 def _retrieve(task_prompt, vdb, transport, log, run) -> tuple[dict, str]:
     """RAG step; bypassed on an empty store (cold start) in favor of the
     built-in seed examples."""
@@ -400,7 +408,8 @@ def _retrieve(task_prompt, vdb, transport, log, run) -> tuple[dict, str]:
         return seed_examples(), "(no prior runs available)"
     q_prompt = render(load_template("vdb_query"),
                       {"INSERT_TASK_PROMPT_HERE": task_prompt})
-    query = invoke_with_retry(transport, log, "vdb_query", q_prompt, parse_query)
+    query = invoke_with_retry(transport, log, "vdb_query", q_prompt, parse_query,
+                              _query_findings)
     top = vdb.query_topk(query, k=min(3, len(vdb)))
     artifacts = [vdb.get_run(rid) for rid, _ in top]
     evaluations = "\n---\n".join(

@@ -10,6 +10,15 @@ A reward document maps term names to::
 
 Evaluation primitives and their parameter signatures are fixed; anything else
 is rejected at compile time.
+
+Every value of the language is a :class:`BatchValue`: a float64 array of at
+most ``MAX_RANK`` axes per env, tagged numeric or boolean (booleans are 0.0 or
+1.0, so masks multiply directly), with a leading env axis when ``batched``.
+VecEnv's bindings are batched; literals, DeskWalker's bindings and trace
+steps are not. Operations broadcast over the per-env axes, aligned from the
+last one, and never across envs. Slices clip like Python's; an integer index
+out of range, division by zero and a result above ``MAX_RANK`` axes are
+errors. A term reduces to one float per env.
 """
 
 from __future__ import annotations
@@ -17,10 +26,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import expr as ex
-from . import tensor as tz
-from .errors import RewardError
-from .tensor import Tensor
+from .errors import ExpressionError, RewardError, TensorError
+
+MAX_RANK = 3
+
+_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply}
+_COMPARE = {"<": np.less, ">": np.greater, "<=": np.less_equal,
+            ">=": np.greater_equal, "==": np.equal, "!=": np.not_equal}
 
 # type -> exact parameter-name set
 EVALUATION_SIGNATURES: dict[str, frozenset[str]] = {
@@ -202,83 +217,6 @@ def compile_program(reward_doc: dict) -> RewardProgram:
 
 # -- evaluation ---------------------------------------------------------------
 
-def eval_step(step: EvaluationStep, scope: dict[str, Tensor]) -> Tensor:
-    p = {name: ex.evaluate(ast, scope) for name, ast in step.parameters.items()}
-    t = step.type
-    if t == "sum_square":
-        return tz.reduce(p["vector"], "sum_of_squares")
-    if t == "exponential_decay":
-        sigma = p["sigma"].item()
-        if sigma <= 0.0:
-            raise RewardError("NEGATIVE_SIGMA", f"sigma must be positive, got {sigma}")
-        err = p["error"].to_numpy()
-        import numpy as np
-        return Tensor(np.exp(-err / (2.0 * sigma * sigma)))
-    if t == "norm_L2":
-        return tz.reduce(p["vector"], "l2_last_axis")
-    if t == "norm_L1":
-        return tz.reduce(p["vector"], "l1_last_axis")
-    if t == "quadratic":
-        return tz.elementwise("*", p["weight"], tz.elementwise("*", p["value"], p["value"]))
-    if t == "weighted_sum":
-        prod = tz.elementwise("*", p["values"], p["weights"])
-        return tz.reduce(prod, "sum")
-    if t == "binary":
-        return tz.select(p["condition"], p["reward_value"], p["else_value"])
-    if t == "absolute_difference":
-        return tz.reduce(tz.elementwise("-", p["value1"], p["value2"]), "abs")
-    raise RewardError("UNKNOWN_EVALUATION", f"unknown type {t!r}")
-
-
-def eval_term(term: RewardTerm, bindings: dict[str, Tensor]) -> float:
-    """Scalar contribution of one term. Missing required bindings trigger the
-    unscaled default_reward; numeric errors propagate loudly."""
-    missing = term.required_variables - bindings.keys()
-    if missing:
-        return term.default_reward
-
-    scope = {name: ex.evaluate(ast, bindings) for name, ast in term.inputs.items()}
-
-    step_values = []
-    for step in term.evaluations:
-        value = eval_step(step, scope)
-        if step.output:
-            scope[step.output] = value
-        step_values.append(value)
-
-    comb = term.combination
-    if comb.type == "last":
-        combined = tz.total_sum(step_values[-1])
-    elif comb.type == "sum":
-        combined = sum(tz.total_sum(v) for v in step_values)
-    else:  # weighted_sum
-        combined = sum(
-            w * tz.total_sum(ex.evaluate(vec, scope))
-            for vec, w in zip(comb.vectors, comb.weights)
-        )
-    return combined * term.scale
-
-
-def eval_total(program: RewardProgram, bindings: dict[str, Tensor]) -> dict:
-    """Total reward plus the per-term breakdown (metrics keys `eval/<term>`)."""
-    per_term = {t.name: eval_term(t, bindings) for t in program.terms}
-    return {"total": sum(per_term.values()), "per_term": per_term}
-
-
-# -- batched evaluation --------------------------------------------------------
-#
-# The training loop evaluates the same program for every environment at every
-# step; doing that through the Tensor interpreter one env at a time dominates
-# wall-clock. The batched evaluator below carries a leading environment axis
-# through plain numpy arrays and must agree with eval_total on every env
-# (property-tested). Semantics here mirror tensor.py exactly: trailing-axis
-# broadcasting, Python-clipped slices, division by zero as an error.
-
-import numpy as np
-
-from .errors import TensorError
-
-
 class BatchValue:
     """Array with an optional leading env axis plus the numeric/boolean tag."""
 
@@ -294,45 +232,59 @@ class BatchValue:
         return self.arr.shape[1:] if self.batched else self.arr.shape
 
 
-def _b_align(a: BatchValue, b: BatchValue):
+def broadcast_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Broadcast two shapes; a size-1 axis stretches, missing leading axes are
+    prepended as size 1. Raises SHAPE_MISMATCH when axes differ and neither is
+    1, or when the result has more than ``MAX_RANK`` axes."""
+    out = []
+    for x, y in zip(a[::-1], b[::-1]):
+        if x == y or y == 1:
+            out.append(x)
+        elif x == 1:
+            out.append(y)
+        else:
+            raise TensorError("SHAPE_MISMATCH", f"cannot broadcast {a} with {b}")
+    longer = a if len(a) >= len(b) else b
+    out.extend(longer[: len(longer) - len(out)][::-1])
+    if len(out) > MAX_RANK:
+        raise TensorError("SHAPE_MISMATCH", f"broadcast rank {len(out)} exceeds {MAX_RANK}")
+    return tuple(out[::-1])
+
+
+def _expand(v: BatchValue, rank: int) -> np.ndarray:
+    """The array of ``v`` with 1s inserted before its per-env axes up to ``rank``."""
+    pad = rank - len(v.env_shape)
+    arr = v.arr
+    if v.batched:
+        return arr.reshape(arr.shape[:1] + (1,) * pad + arr.shape[1:])
+    return arr.reshape((1,) * pad + arr.shape) if pad else arr
+
+
+def _align(a: BatchValue, b: BatchValue):
     """Broadcast two values over their per-env shapes, keeping env axes apart."""
-    shape = tz.broadcast_shape(a.env_shape, b.env_shape)
-    if len(shape) > tz.MAX_RANK:
-        raise TensorError("SHAPE_MISMATCH", f"broadcast rank {len(shape)} exceeds {tz.MAX_RANK}")
-
-    def expand(v: BatchValue):
-        pad = len(shape) - len(v.env_shape)
-        arr = v.arr
-        if v.batched:
-            arr = arr.reshape(arr.shape[:1] + (1,) * pad + arr.shape[1:])
-        elif pad:
-            arr = arr.reshape((1,) * pad + arr.shape)
-        return arr
-
-    return expand(a), expand(b), a.batched or b.batched
+    rank = len(broadcast_shape(a.env_shape, b.env_shape))
+    return _expand(a, rank), _expand(b, rank), a.batched or b.batched
 
 
-def _b_elementwise(op: str, a: BatchValue, b: BatchValue) -> BatchValue:
-    x, y, batched = _b_align(a, b)
+def _elementwise(op: str, a: BatchValue, b: BatchValue) -> BatchValue:
+    x, y, batched = _align(a, b)
     if op == "/":
         if (np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape)) == 0.0).any():
             raise TensorError("DIVISION_BY_ZERO", "division by zero in elementwise /")
         return BatchValue(x / y, batched=batched)
-    if op in ("+", "-", "*"):
-        fn = {"+": np.add, "-": np.subtract, "*": np.multiply}[op]
-        return BatchValue(fn(x, y), batched=batched)
-    if op in tz._CMP_OPS:
-        fn = {"<": np.less, ">": np.greater, "<=": np.less_equal,
-              ">=": np.greater_equal, "==": np.equal, "!=": np.not_equal}[op]
-        return BatchValue(fn(x, y).astype(np.float64), kind="boolean", batched=batched)
-    if op in tz._BOOL_OPS:
+    if op in _ARITH:
+        return BatchValue(_ARITH[op](x, y), batched=batched)
+    if op in _COMPARE:
+        return BatchValue(_COMPARE[op](x, y).astype(np.float64), kind="boolean",
+                          batched=batched)
+    if op in ("&", "|"):
         xa, ya = x != 0.0, y != 0.0
         out = xa & ya if op == "&" else xa | ya
         return BatchValue(out.astype(np.float64), kind="boolean", batched=batched)
     raise TensorError("SHAPE_MISMATCH", f"unknown elementwise op {op!r}")
 
 
-def _b_index(v: BatchValue, items) -> BatchValue:
+def _index(v: BatchValue, items) -> BatchValue:
     items = list(items)
     n_ell = sum(1 for it in items if it is Ellipsis)
     if n_ell > 1:
@@ -362,7 +314,8 @@ def _b_index(v: BatchValue, items) -> BatchValue:
     return BatchValue(v.arr[tuple(key)], kind=v.kind, batched=v.batched)
 
 
-def _b_evaluate(node, scope: dict) -> BatchValue:
+def evaluate(node, scope: dict) -> BatchValue:
+    """Evaluate an expression AST against a name -> BatchValue scope."""
     if isinstance(node, ex.Num):
         return BatchValue(node.value, batched=False)
     if isinstance(node, ex.BoolLit):
@@ -371,46 +324,40 @@ def _b_evaluate(node, scope: dict) -> BatchValue:
         try:
             return scope[node.name]
         except KeyError:
-            from .errors import ExpressionError
             raise ExpressionError("UNBOUND_VARIABLE", f"unbound variable {node.name!r}")
     if isinstance(node, ex.Unary):
-        v = _b_evaluate(node.operand, scope)
+        v = evaluate(node.operand, scope)
         return BatchValue(-v.arr, batched=v.batched)
     if isinstance(node, ex.Bin):
-        return _b_elementwise(
-            node.op, _b_evaluate(node.left, scope), _b_evaluate(node.right, scope))
+        return _elementwise(
+            node.op, evaluate(node.left, scope), evaluate(node.right, scope))
     if isinstance(node, ex.Index):
-        base = _b_evaluate(node.base, scope)
+        base = evaluate(node.base, scope)
         items = [slice(it.start, it.stop) if isinstance(it, ex.SliceItem) else it
                  for it in node.items]
-        return _b_index(base, items)
-    from .errors import ExpressionError
+        return _index(base, items)
     raise ExpressionError("SYNTAX_ERROR", f"unknown AST node {node!r}")
 
 
-def _b_env_axes(v: BatchValue):
-    """Axes that make up the per-env part of the array."""
-    start = 1 if v.batched else 0
-    return tuple(range(start, v.arr.ndim))
+def _env_sum(arr: np.ndarray, batched: bool) -> np.ndarray:
+    """Each env's part of ``arr`` summed to a scalar."""
+    axes = tuple(range(1 if batched else 0, arr.ndim))
+    return arr.sum(axis=axes) if axes else arr
 
 
-def _b_total(v: BatchValue, n: int) -> np.ndarray:
-    """total_sum per env -> (n,)."""
-    axes = _b_env_axes(v)
-    s = v.arr.sum(axis=axes) if axes else v.arr
-    if not v.batched:
-        s = np.full(n, float(s))
-    return np.asarray(s, dtype=np.float64)
+def _total(v: BatchValue, n: int) -> np.ndarray:
+    """Each env's value summed -> (n,)."""
+    s = _env_sum(v.arr, v.batched)
+    return s if v.batched else np.full(n, float(s))
 
 
-def _b_eval_step(step: EvaluationStep, scope: dict) -> BatchValue:
-    p = {name: _b_evaluate(ast, scope) for name, ast in step.parameters.items()}
+def eval_step_batch(step: EvaluationStep, scope: dict) -> BatchValue:
+    """The value of one evaluation primitive over a name -> BatchValue scope."""
+    p = {name: evaluate(ast, scope) for name, ast in step.parameters.items()}
     t = step.type
     if t == "sum_square":
         v = p["vector"]
-        axes = _b_env_axes(v)
-        out = (v.arr * v.arr).sum(axis=axes) if axes else v.arr * v.arr
-        return BatchValue(out, batched=v.batched)
+        return BatchValue(_env_sum(v.arr * v.arr, v.batched), batched=v.batched)
     if t == "exponential_decay":
         sigma = p["sigma"]
         if len(sigma.env_shape) != 0:
@@ -418,7 +365,7 @@ def _b_eval_step(step: EvaluationStep, scope: dict) -> BatchValue:
         if (sigma.arr <= 0.0).any():
             raise RewardError("NEGATIVE_SIGMA", "sigma must be positive")
         denom = BatchValue(2.0 * sigma.arr * sigma.arr, batched=sigma.batched)
-        x, y, batched = _b_align(p["error"], denom)
+        x, y, batched = _align(p["error"], denom)
         return BatchValue(np.exp(-x / y), batched=batched)
     if t == "norm_L2":
         v = p["vector"]
@@ -431,67 +378,53 @@ def _b_eval_step(step: EvaluationStep, scope: dict) -> BatchValue:
             return BatchValue(np.abs(v.arr), batched=v.batched)
         return BatchValue(np.abs(v.arr).sum(axis=-1), batched=v.batched)
     if t == "quadratic":
-        sq = _b_elementwise("*", p["value"], p["value"])
-        return _b_elementwise("*", p["weight"], sq)
+        sq = _elementwise("*", p["value"], p["value"])
+        return _elementwise("*", p["weight"], sq)
     if t == "weighted_sum":
-        prod = _b_elementwise("*", p["values"], p["weights"])
-        axes = _b_env_axes(prod)
-        out = prod.arr.sum(axis=axes) if axes else prod.arr
-        return BatchValue(out, batched=prod.batched)
+        prod = _elementwise("*", p["values"], p["weights"])
+        return BatchValue(_env_sum(prod.arr, prod.batched), batched=prod.batched)
     if t == "binary":
         c, rv, ev = p["condition"], p["reward_value"], p["else_value"]
-        shape = tz.broadcast_shape(
-            tz.broadcast_shape(c.env_shape, rv.env_shape), ev.env_shape)
-        if len(shape) > tz.MAX_RANK:
-            raise TensorError("SHAPE_MISMATCH", f"broadcast rank {len(shape)} exceeds {tz.MAX_RANK}")
-
-        def pad(v: BatchValue):
-            k = len(shape) - len(v.env_shape)
-            arr = v.arr
-            if v.batched:
-                return arr.reshape(arr.shape[:1] + (1,) * k + arr.shape[1:])
-            return arr.reshape((1,) * k + arr.shape)
-
-        batched = c.batched or rv.batched or ev.batched
-        return BatchValue(np.where(pad(c) != 0.0, pad(rv), pad(ev)), batched=batched)
+        rank = len(broadcast_shape(broadcast_shape(c.env_shape, rv.env_shape), ev.env_shape))
+        return BatchValue(np.where(_expand(c, rank) != 0.0, _expand(rv, rank), _expand(ev, rank)),
+                          batched=c.batched or rv.batched or ev.batched)
     if t == "absolute_difference":
-        d = _b_elementwise("-", p["value1"], p["value2"])
+        d = _elementwise("-", p["value1"], p["value2"])
         return BatchValue(np.abs(d.arr), kind=d.kind, batched=d.batched)
     raise RewardError("UNKNOWN_EVALUATION", f"unknown type {t!r}")
 
 
 def eval_term_batch(term: RewardTerm, bindings: dict, n: int) -> np.ndarray:
-    """(n,) contribution of one term over stacked bindings."""
+    """(n,) contribution of one term. Missing required bindings give the
+    unscaled default_reward; numeric errors propagate loudly."""
     missing = term.required_variables - bindings.keys()
     if missing:
         return np.full(n, term.default_reward)
 
-    scope = {name: _b_evaluate(ast, bindings) for name, ast in term.inputs.items()}
+    scope = {name: evaluate(ast, bindings) for name, ast in term.inputs.items()}
     step_values = []
     for step in term.evaluations:
-        value = _b_eval_step(step, scope)
+        value = eval_step_batch(step, scope)
         if step.output:
             scope[step.output] = value
         step_values.append(value)
 
     comb = term.combination
     if comb.type == "last":
-        combined = _b_total(step_values[-1], n)
+        combined = _total(step_values[-1], n)
     elif comb.type == "sum":
-        combined = sum(_b_total(v, n) for v in step_values)
+        combined = sum(_total(v, n) for v in step_values)
     else:  # weighted_sum
         combined = sum(
-            w * _b_total(_b_evaluate(vec, scope), n)
+            w * _total(evaluate(vec, scope), n)
             for vec, w in zip(comb.vectors, comb.weights)
         )
     return combined * term.scale
 
 
 def eval_total_batch(program: RewardProgram, bindings: dict, n: int) -> dict:
-    """Vectorized eval_total: bindings map names to BatchValue with a leading
-    env axis of length ``n``. Returns arrays of shape (n,)."""
+    """Total reward plus the per-term breakdown (metrics keys `eval/<term>`):
+    bindings map names to BatchValue, batched with a leading env axis of
+    length ``n`` or unbatched with ``n`` 1. Returns arrays of shape (n,)."""
     per_term = {t.name: eval_term_batch(t, bindings, n) for t in program.terms}
-    total = np.zeros(n)
-    for v in per_term.values():
-        total = total + v
-    return {"total": total, "per_term": per_term}
+    return {"total": sum(per_term.values(), np.zeros(n)), "per_term": per_term}

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .env import read_trace
 from .errors import ScoreError
 
 
@@ -95,22 +96,23 @@ def score_triple(batch: EvalBatch, sigma: float = 0.1, lift_thresh: float = 0.2,
     )
 
 
+# what episode_from_bindings reads of each step, with its per-step shape
+SCORED_BINDINGS = {"command": (3,), "local_vel": (3,), "feet_air_time": (2,),
+                   "foot_contact": (2,), "command_norm": ()}
+
+
 def episode_from_bindings(steps) -> Episode:
-    """One episode from its per-step binding maps, in step order, using the
-    command / local_vel / feet_air_time / foot_contact / command_norm
-    bindings. Every step counts as survived."""
+    """One episode from its per-step unbatched binding maps, in step order,
+    using the ``SCORED_BINDINGS``. Every step counts as survived."""
     cmd, loc, air, swing, cnorm = [], [], [], [], []
     for bindings in steps:
-        c = np.asarray(bindings["command"].tolist())
-        v = np.asarray(bindings["local_vel"].tolist())
-        cmd.append(c[:2])
-        loc.append(v[:2])
-        at = np.asarray(bindings["feet_air_time"].tolist())
-        contact = np.asarray(bindings["foot_contact"].tolist())
+        cmd.append(bindings["command"].arr[:2])
+        loc.append(bindings["local_vel"].arr[:2])
+        at = bindings["feet_air_time"].arr
         i = int(np.argmax(at))  # the swing foot is the one accumulating air time
         air.append(at[i])
-        swing.append(1.0 - contact[i])
-        cnorm.append(float(bindings["command_norm"].tolist()))
+        swing.append(1.0 - bindings["foot_contact"].arr[i])
+        cnorm.append(float(bindings["command_norm"].arr))
     return Episode(
         survived=len(steps),
         command_vel=np.array(cmd),
@@ -125,9 +127,7 @@ def episode_from_bindings(steps) -> Episode:
 
 def batch_from_trace(path, horizon: int | None = None) -> EvalBatch:
     """Build an EvalBatch from a binding-trace JSON-lines file (one episode)."""
-    from .env import read_trace
-
-    steps = read_trace(path)
+    steps = read_trace(path, required=SCORED_BINDINGS)
     if not steps:
         raise ScoreError("BAD_EPISODE", f"empty trace {path}")
     return EvalBatch(episodes=[episode_from_bindings(steps)], horizon=horizon or len(steps))

@@ -26,10 +26,16 @@ EMBED_DIM = 256
 _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 
+def tokenize(text: str) -> list[str]:
+    """The runs of ASCII letters and digits in lower-cased ``text``: all that
+    :func:`embed` sees of it."""
+    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+
+
 def embed(text: str, dim: int = EMBED_DIM) -> np.ndarray:
     """Hashed token-count embedding, L2-normalized. Empty-after-tokenization
     text is an error (the zero vector would break the normalization invariant)."""
-    tokens = [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    tokens = tokenize(text)
     if not tokens:
         raise StoreError("EMPTY_TEXT", "nothing to embed after tokenization")
     v = np.zeros(dim)

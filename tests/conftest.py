@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stageflow.tensor import Tensor
+from stageflow.reward import BatchValue, compile_term, eval_step_batch
 
 DATA = __import__("pathlib").Path(__file__).resolve().parents[1] / "src/stageflow/data"
 
@@ -11,12 +11,24 @@ def rng():
     return np.random.default_rng(0)
 
 
-def random_tensor(rng, max_rank=3, max_dim=4, kind="numeric"):
-    rank = int(rng.integers(0, max_rank + 1))
-    shape = tuple(int(rng.integers(1, max_dim + 1)) for _ in range(rank))
-    if kind == "boolean":
-        return Tensor.boolean(rng.integers(0, 2, size=shape))
-    return Tensor(rng.standard_normal(shape))
+def env_value(data, kind="numeric") -> BatchValue:
+    """One env's value, without an env axis, as DeskWalker steps and traces
+    carry it."""
+    return BatchValue(data, kind, batched=False)
+
+
+def term_for_step(etype, params):
+    """A one-step term whose inputs are the names its parameters use."""
+    names = sorted({v for v in params.values() if isinstance(v, str)})
+    return compile_term("t", {
+        "inputs": {n: n for n in names},
+        "evaluations": [{"type": etype, "parameters": params}],
+    })
+
+
+def step_value(etype, params, scope) -> BatchValue:
+    """The value of one evaluation primitive over ``scope``."""
+    return eval_step_batch(term_for_step(etype, params).evaluations[0], scope)
 
 
 DESK = DATA / "bundles" / "desk"

@@ -206,3 +206,13 @@ class TestLiveTransport:
         with pytest.raises(AgentError) as e:
             transport.send("vdb_query", "P")
         assert e.value.code == "TRANSPORT_ERROR"
+
+    @pytest.mark.parametrize("unset", ["STAGEFLOW_LLM_ENDPOINT", "STAGEFLOW_LLM_MODEL"])
+    def test_missing_configuration_is_named(self, monkeypatch, unset):
+        monkeypatch.setenv("STAGEFLOW_LLM_ENDPOINT", "http://localhost:1/v1")
+        monkeypatch.setenv("STAGEFLOW_LLM_MODEL", "m")
+        monkeypatch.delenv(unset)
+        with pytest.raises(AgentError) as e:
+            LiveTransport()
+        assert e.value.code == "MISSING_CONFIG"
+        assert unset in e.value.message

@@ -73,6 +73,16 @@ class TestExitCodes:
         assert code == 3
         assert "MISSING_FILE" in out.err
 
+    def test_live_transport_without_configuration(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("STAGEFLOW_LLM_ENDPOINT", raising=False)
+        monkeypatch.delenv("STAGEFLOW_LLM_MODEL", raising=False)
+        (tmp_path / "prompt.txt").write_text("walk forward\n")
+        code, out = _cli(capsys, "run", "--prompt", tmp_path / "prompt.txt",
+                         "--vdb", tmp_path / "vdb", "--out", tmp_path / "out",
+                         "--transport", "live")
+        assert code == 3
+        assert out.err.startswith("error MISSING_CONFIG: ")
+
 
 class TestValidate:
     def test_randomization_rules_are_checked_against_the_scene(self, capsys, tiny_desk):
@@ -130,6 +140,22 @@ class TestTrain:
             assert len((out / f"stage{i}" / "metrics.jsonl").read_text().splitlines()) == 1
 
 
+def _binding(value, kind="numeric"):
+    arr = np.asarray(value, dtype=np.float64)
+    return {"shape": list(arr.shape), "kind": kind, "data": arr.ravel().tolist()}
+
+
+# what ``stageflow score`` reads of each trace step
+SCORED = {"command": [0.3, 0.1, 0.0], "local_vel": [0.2, 0.1, 0.0],
+          "feet_air_time": [0.0, 0.1], "foot_contact": [1.0, 0.0], "command_norm": 0.32}
+
+
+def _record():
+    return {"step": 0, "bindings": {
+        k: _binding(v, "boolean" if k == "foot_contact" else "numeric")
+        for k, v in SCORED.items()}}
+
+
 class TestScore:
     def test_scores_a_written_trace(self, capsys, tmp_path):
         env = DeskWalker(
@@ -145,7 +171,7 @@ class TestScore:
         got = json.loads(out.out)
 
         def arr(b, key):
-            return np.asarray(b[key].tolist(), dtype=np.float64)
+            return b[key].arr
 
         track = air = 0.0
         for b in steps:
@@ -157,6 +183,29 @@ class TestScore:
         assert got["survival_score"] == pytest.approx(40 / 50)
         assert got["lin_vel_tracking_score"] == pytest.approx(track / 50)
         assert got["feet_air_time_score"] == pytest.approx(air / 40)
+
+
+    @pytest.mark.parametrize("change,key", [
+        (lambda b: b.pop("local_vel"), "local_vel"),
+        (lambda b: b.update({k: _binding([0.5]) for k in SCORED}), "command"),
+        (lambda b: b.update(extra=_binding(np.zeros((1, 1, 1, 1)))), "extra"),
+        (lambda b: b.update(foot_contact=_binding([1.0, 0.5], "boolean")), "foot_contact"),
+    ], ids=["binding missing", "bindings 1-wide", "rank above 3", "boolean not 0 or 1"])
+    def test_a_malformed_record_is_a_format_error(self, capsys, tmp_path, change, key):
+        bad = _record()
+        change(bad["bindings"])
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in (_record(), bad, _record())))
+        code, out = _cli(capsys, "score", "--trace", path)
+        assert code == 3
+        assert out.err.startswith(f"error TRACE_FORMAT_ERROR: {path}:2: binding {key!r}")
+
+    def test_undecodable_bytes_are_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(json.dumps(_record()).encode() + b"\n\xff\xfe\n")
+        code, out = _cli(capsys, "score", "--trace", path)
+        assert code == 3
+        assert out.err.startswith(f"error TRACE_FORMAT_ERROR: {path}:2: ")
 
 
 class TestVdbAdd:

@@ -35,7 +35,7 @@ class TestDeskWalker:
             out = []
             for _ in range(30):
                 b, done = env.step(np.full(ACTION_DIM, 0.1))
-                out.append(b["local_vel"].tolist())
+                out.append(b["local_vel"].arr.tolist())
             return out
         assert run(3) == run(3)
         assert run(3) != run(4)
@@ -103,8 +103,7 @@ class TestVecEnv:
                 if finished[i]:
                     r.reset()
                 for k in BINDING_KEYS:
-                    assert np.array_equal(bindings[k].arr[i],
-                                          np.asarray(br[k].to_numpy())), (t, i, k)
+                    assert np.array_equal(bindings[k].arr[i], br[k].arr), (t, i, k)
             np.testing.assert_array_equal(
                 obs, np.stack([r.observe() for r in refs]))
 
@@ -143,4 +142,5 @@ class TestTrace:
         for a, b in zip(steps, back):
             assert set(a) == set(b)
             for k in a:
-                assert a[k] == b[k], k
+                assert (a[k].kind, a[k].batched) == (b[k].kind, b[k].batched), k
+                assert np.array_equal(a[k].arr, b[k].arr), k

@@ -4,9 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stageflow.errors import ExpressionError
-from stageflow.expr import (Bin, Index, Num, SliceItem, Var, evaluate,
-                            free_variables, parse_expression, tokenize)
-from stageflow.tensor import Tensor
+from stageflow.expr import (Bin, Index, Num, SliceItem, free_variables,
+                            parse_expression, tokenize)
+from stageflow.reward import BatchValue, evaluate
+
+from conftest import env_value
 
 
 class TestTokenizer:
@@ -82,21 +84,25 @@ class TestFreeVariables:
 class TestEvaluate:
     def scope(self):
         return {
-            "a": Tensor([1.0, 2.0, 3.0]),
-            "b": Tensor.scalar(2.0),
-            "m": Tensor(np.arange(6, dtype=float).reshape(2, 3)),
+            "a": env_value([1.0, 2.0, 3.0]),
+            "b": env_value(2.0),
+            "m": env_value(np.arange(6, dtype=float).reshape(2, 3)),
         }
 
     def test_arith_and_index(self):
         out = evaluate(parse_expression("(a - b)[0:2]"), self.scope())
-        assert out.tolist() == [-1.0, 0.0]
+        assert out.arr.tolist() == [-1.0, 0.0]
+        # stacked rows: the slice applies to each env's value
+        rows = {"a": BatchValue([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), "b": env_value(2.0)}
+        out = evaluate(parse_expression("(a - b)[0:2]"), rows)
+        assert out.arr.tolist() == [[-1.0, 0.0], [2.0, 3.0]]
 
     def test_matrix_ellipsis(self):
         out = evaluate(parse_expression("m[..., 1]"), self.scope())
-        assert out.tolist() == [1.0, 4.0]
+        assert out.arr.tolist() == [1.0, 4.0]
 
     def test_unary_minus(self):
-        assert evaluate(parse_expression("-b"), self.scope()).item() == -2.0
+        assert float(evaluate(parse_expression("-b"), self.scope()).arr) == -2.0
 
     def test_unbound_variable(self):
         with pytest.raises(ExpressionError) as e:
@@ -105,10 +111,10 @@ class TestEvaluate:
 
     def test_comparison_chain_with_bool(self):
         out = evaluate(parse_expression("a > 1.5 & a < 2.5"), self.scope())
-        assert out.tolist() == [0.0, 1.0, 0.0]
+        assert out.arr.tolist() == [0.0, 1.0, 0.0]
 
     @given(st.floats(-10, 10), st.floats(-10, 10))
     def test_matches_python_arithmetic(self, x, y):
-        scope = {"x": Tensor.scalar(x), "y": Tensor.scalar(y)}
+        scope = {"x": env_value(x), "y": env_value(y)}
         out = evaluate(parse_expression("x * y + x - y"), scope)
-        assert out.item() == pytest.approx(x * y + x - y, rel=1e-12, abs=1e-12)
+        assert float(out.arr) == pytest.approx(x * y + x - y, rel=1e-12, abs=1e-12)

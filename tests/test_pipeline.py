@@ -247,6 +247,17 @@ class TestRetrieval:
             [request_digest(role, prompt) for role, prompt in transport.calls]
         assert all(e["findings"] and e["findings"][0].startswith("[NO_QUERY]") for e in log)
 
+    def test_a_query_with_no_word_is_retried(self, tmp_path):
+        # the store embeds only alphanumeric tokens, so '???' cannot be searched by
+        store = VectorStore(tmp_path / "vdb")
+        store.add_run(RunArtifact("run-0001", "walk on the desk",
+                                  {"workflow.yaml": (DESK / "workflow.yaml").read_text()}))
+        run, transport = _run(tmp_path, ["???", "walk"])
+        assert [role for role, _ in transport.calls] == ["vdb_query", "vdb_query", "selector"]
+        assert "- [EMPTY_TEXT]" in transport.calls[1][1]
+        assert [e["findings"] for e in _log(run)][:2] == [
+            ["[EMPTY_TEXT] query '???' has no ASCII letter or digit to search by"], []]
+
 
 class TestCurriculumCheck:
     @pytest.mark.parametrize("workflow", [

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -8,11 +10,9 @@ from hypothesis import strategies as st
 
 from stageflow.errors import RewardError
 from stageflow.reward import (BatchValue, compile_program, compile_term,
-                              eval_step, eval_term, eval_term_batch,
-                              eval_total, eval_total_batch)
-from stageflow.tensor import Tensor
+                              eval_term_batch, eval_total_batch)
 
-from conftest import DATA
+from conftest import DATA, env_value, step_value
 
 
 def term(spec_yaml: str, name="t"):
@@ -95,19 +95,6 @@ class TestCompile:
 
 # -- primitive oracles ---------------------------------------------------------
 
-def step_value(etype, params, scope):
-    t = term_for_step(etype, params)
-    return eval_step(t.evaluations[0], {k: v for k, v in scope.items()})
-
-
-def term_for_step(etype, params):
-    names = sorted({v for v in params.values() if isinstance(v, str)})
-    return compile_term("t", {
-        "inputs": {n: n for n in names},
-        "evaluations": [{"type": etype, "parameters": params}],
-    })
-
-
 class TestPrimitiveOracles:
     """Each primitive against an independent scalar-loop oracle, 1000 cases."""
 
@@ -122,50 +109,43 @@ class TestPrimitiveOracles:
 
     def test_sum_square(self):
         for rng, x in self.cases():
-            got = eval_step(term_for_step("sum_square", {"vector": "x"}).evaluations[0],
-                            {"x": Tensor(x)})
+            got = step_value("sum_square", {"vector": "x"}, {"x": env_value(x)})
             oracle = 0.0
             for v in np.atleast_1d(x).ravel():
                 oracle += v * v
-            assert got.item() == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+            assert float(got.arr) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     def test_exponential_decay(self):
         for rng, x in self.cases():
             sigma = float(rng.uniform(0.05, 2.0))
-            got = eval_step(
-                term_for_step("exponential_decay",
-                              {"error": "x", "sigma": sigma}).evaluations[0],
-                {"x": Tensor(x)})
+            got = step_value("exponential_decay", {"error": "x", "sigma": sigma},
+                             {"x": env_value(x)})
             oracle = np.vectorize(lambda e: math.exp(-e / (2 * sigma * sigma)))(
                 np.atleast_1d(x))
-            np.testing.assert_allclose(np.atleast_1d(got.to_numpy()), oracle,
+            np.testing.assert_allclose(np.atleast_1d(got.arr), oracle,
                                        rtol=1e-12)
 
     def test_norms(self):
         for rng, x in self.cases():
-            l2 = eval_step(term_for_step("norm_L2", {"vector": "x"}).evaluations[0],
-                           {"x": Tensor(x)})
-            l1 = eval_step(term_for_step("norm_L1", {"vector": "x"}).evaluations[0],
-                           {"x": Tensor(x)})
+            l2 = step_value("norm_L2", {"vector": "x"}, {"x": env_value(x)})
+            l1 = step_value("norm_L1", {"vector": "x"}, {"x": env_value(x)})
             if x.ndim == 0:
-                assert l2.item() == pytest.approx(abs(float(x)), rel=1e-12)
-                assert l1.item() == pytest.approx(abs(float(x)), rel=1e-12)
+                assert float(l2.arr) == pytest.approx(abs(float(x)), rel=1e-12)
+                assert float(l1.arr) == pytest.approx(abs(float(x)), rel=1e-12)
             else:
                 rows = x.reshape(-1, x.shape[-1])
                 o2 = np.array([math.sqrt(sum(v * v for v in row)) for row in rows]
                               ).reshape(x.shape[:-1])
                 o1 = np.array([sum(abs(v) for v in row) for row in rows]
                               ).reshape(x.shape[:-1])
-                np.testing.assert_allclose(l2.to_numpy(), o2, rtol=1e-12)
-                np.testing.assert_allclose(l1.to_numpy(), o1, rtol=1e-12)
+                np.testing.assert_allclose(l2.arr, o2, rtol=1e-12)
+                np.testing.assert_allclose(l1.arr, o1, rtol=1e-12)
 
     def test_quadratic(self):
         for rng, x in self.cases():
             w = float(rng.uniform(-2, 2))
-            got = eval_step(
-                term_for_step("quadratic", {"value": "x", "weight": w}).evaluations[0],
-                {"x": Tensor(x)})
-            np.testing.assert_allclose(np.atleast_1d(got.to_numpy()),
+            got = step_value("quadratic", {"value": "x", "weight": w}, {"x": env_value(x)})
+            np.testing.assert_allclose(np.atleast_1d(got.arr),
                                        np.atleast_1d(w * x * x), rtol=1e-12)
 
     def test_weighted_sum(self):
@@ -173,12 +153,10 @@ class TestPrimitiveOracles:
         for _ in range(self.N_CASES):
             n = int(rng.integers(1, 5))
             x, w = rng.standard_normal(n), rng.standard_normal(n)
-            got = eval_step(
-                term_for_step("weighted_sum", {"values": "x", "weights": "w"}
-                              ).evaluations[0],
-                {"x": Tensor(x), "w": Tensor(w)})
+            got = step_value("weighted_sum", {"values": "x", "weights": "w"},
+                             {"x": env_value(x), "w": env_value(w)})
             oracle = sum(a * b for a, b in zip(x, w))
-            assert got.item() == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+            assert float(got.arr) == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
     def test_binary(self):
         rng = np.random.default_rng(4)
@@ -186,29 +164,24 @@ class TestPrimitiveOracles:
             n = int(rng.integers(1, 5))
             c = rng.integers(0, 2, n).astype(float)
             a, b = rng.standard_normal(n), rng.standard_normal(n)
-            got = eval_step(
-                term_for_step("binary", {"condition": "c", "reward_value": "a",
-                                         "else_value": "b"}).evaluations[0],
-                {"c": Tensor(c), "a": Tensor(a), "b": Tensor(b)})
+            got = step_value("binary", {"condition": "c", "reward_value": "a",
+                                        "else_value": "b"},
+                             {"c": env_value(c), "a": env_value(a), "b": env_value(b)})
             oracle = [a[i] if c[i] else b[i] for i in range(n)]
-            np.testing.assert_allclose(got.to_numpy(), oracle, rtol=1e-12)
+            np.testing.assert_allclose(got.arr, oracle, rtol=1e-12)
 
     def test_absolute_difference(self):
         for rng, x in self.cases():
             y = rng.standard_normal(x.shape)
-            got = eval_step(
-                term_for_step("absolute_difference",
-                              {"value1": "x", "value2": "y"}).evaluations[0],
-                {"x": Tensor(x), "y": Tensor(y)})
-            np.testing.assert_allclose(np.atleast_1d(got.to_numpy()),
+            got = step_value("absolute_difference", {"value1": "x", "value2": "y"},
+                             {"x": env_value(x), "y": env_value(y)})
+            np.testing.assert_allclose(np.atleast_1d(got.arr),
                                        np.atleast_1d(abs(x - y)), rtol=1e-12)
 
     def test_negative_sigma(self):
         with pytest.raises(RewardError) as e:
-            eval_step(
-                term_for_step("exponential_decay",
-                              {"error": "x", "sigma": -0.1}).evaluations[0],
-                {"x": Tensor.scalar(1.0)})
+            step_value("exponential_decay", {"error": "x", "sigma": -0.1},
+                       {"x": env_value(1.0)})
         assert e.value.code == "NEGATIVE_SIGMA"
 
 
@@ -223,7 +196,7 @@ class TestTermSemantics:
         scale: 10.0
         default_reward: 0.7
         """)
-        assert eval_term(t, {}) == 0.7  # scale NOT applied
+        assert eval_term_batch(t, {}, 1).tolist() == [0.7]  # scale NOT applied
 
     def test_combination_sum_vs_last(self):
         spec = """
@@ -233,9 +206,9 @@ class TestTermSemantics:
           - {type: norm_L1, parameters: {vector: "a"}}
         combination: {type: %s}
         """
-        b = {"command": Tensor([1.0, 2.0])}
-        last = eval_term(term(spec % "last"), b)
-        total = eval_term(term(spec % "sum"), b)
+        b = {"command": env_value([1.0, 2.0])}
+        last = eval_term_batch(term(spec % "last"), b, 1)[0]
+        total = eval_term_batch(term(spec % "sum"), b, 1)[0]
         assert last == pytest.approx(3.0)
         assert total == pytest.approx(5.0 + 3.0)
 
@@ -251,8 +224,8 @@ class TestTermSemantics:
             vectors: ["s", "l"]
             weights: [2.0, -1.0]
         """)
-        assert eval_term(t, {"command": Tensor([1.0, 2.0])}) == pytest.approx(
-            2.0 * 5.0 - 3.0)
+        assert eval_term_batch(t, {"command": env_value([1.0, 2.0])}, 1)[0] == \
+            pytest.approx(2.0 * 5.0 - 3.0)
 
     def test_scale_applied_to_total_sum(self):
         t = term("""
@@ -261,7 +234,8 @@ class TestTermSemantics:
           - {type: quadratic, parameters: {value: "a", weight: 1.0}}
         scale: -0.5
         """)
-        assert eval_term(t, {"command": Tensor([1.0, 2.0])}) == pytest.approx(-2.5)
+        assert eval_term_batch(t, {"command": env_value([1.0, 2.0])}, 1)[0] == \
+            pytest.approx(-2.5)
 
 
 # -- full corpus programs -------------------------------------------------------
@@ -296,13 +270,13 @@ class TestCorpusPrograms:
         assert len(prog.terms) == 13
         rng = np.random.default_rng(11)
         for bindings in synthetic_bindings(rng):
-            got = eval_total(prog, bindings)
+            got = eval_total_batch(prog, bindings, 1)
             oracle_total = 0.0
             for t in prog.terms:
-                v = eval_term(t, bindings)
-                assert got["per_term"][t.name] == pytest.approx(v, rel=1e-9, abs=1e-12)
+                v = eval_term_batch(t, bindings, 1)[0]
+                assert got["per_term"][t.name][0] == pytest.approx(v, rel=1e-9, abs=1e-12)
                 oracle_total += v
-            assert got["total"] == pytest.approx(oracle_total, rel=1e-9, abs=1e-12)
+            assert got["total"][0] == pytest.approx(oracle_total, rel=1e-9, abs=1e-12)
 
     def test_blind_program_compiles(self):
         # the transcribed program targets a robot with more joints than the
@@ -317,22 +291,30 @@ class TestCorpusPrograms:
 class TestBatchEquivalence:
     @pytest.mark.parametrize("bundle", ["desk", "tune"])
     def test_batch_matches_scalar_loop(self, bundle):
+        """Rows are independent: every env of a stacked 64-env step gets the
+        same bytes as that env's bindings evaluated alone, without an env axis."""
+        from reward_golden import NUM_ENVS, rollout_bindings
         prog = load_program(bundle)
-        rng = np.random.default_rng(5)
-        steps = synthetic_bindings(rng)[:50]
-        n = len(steps)
-        batched = {}
-        for key in steps[0]:
-            batched[key] = BatchValue(
-                np.stack([s[key].to_numpy() for s in steps]),
-                kind=steps[0][key].kind)
-        got = eval_total_batch(prog, batched, n)
-        for i, s in enumerate(steps):
-            ref = eval_total(prog, s)
-            assert got["total"][i] == pytest.approx(ref["total"], rel=1e-12, abs=1e-12)
-            for t in prog.terms:
-                assert got["per_term"][t.name][i] == pytest.approx(
-                    ref["per_term"][t.name], rel=1e-12, abs=1e-12)
+        for bindings in itertools.islice(rollout_bindings(), 0, 200, 20):
+            got = eval_total_batch(prog, bindings, NUM_ENVS)
+            for i in range(NUM_ENVS):
+                alone = eval_total_batch(
+                    prog, {k: env_value(v.arr[i], v.kind) for k, v in bindings.items()}, 1)
+                assert got["total"][i:i + 1].tobytes() == alone["total"].tobytes()
+                for name, value in alone["per_term"].items():
+                    assert got["per_term"][name][i:i + 1].tobytes() == value.tobytes(), name
+
+    def test_golden_reward_digest(self):
+        """Every term and total of the desk stage-1/2 and tune stage-1
+        programs over a 64-env rollout matches the digest recorded before the
+        scalar evaluator was deleted (it agreed with it bit for bit)."""
+        from reward_golden import GOLDEN, reward_digest
+        expected = json.loads(GOLDEN.read_text())
+        got = reward_digest()
+        assert got["config"] == expected["config"]
+        for key, digest in expected["digests"].items():
+            assert got["digests"].get(key) == digest, key
+        assert set(got["digests"]) == set(expected["digests"])
 
     def test_batch_default_reward(self):
         prog = compile_program({"t": {
