@@ -5,11 +5,11 @@ feet follow a gait oscillator, and kicks inject velocity impulses on a fixed
 schedule. The point of the environment is to emit, every step, the complete
 binding map the reward programs consume; it is not a physics simulator.
 
-``VecEnv`` steps N walkers at once and is what training runs. ``DeskWalker``
-is the one-env reference: the tests pin ``VecEnv`` to it draw for draw, final
-scoring runs it, and the benchmark's per-layer trace times its ``step``, so it
-stays until final scoring runs on ``VecEnv``. Its bindings are unbatched
-:class:`~stageflow.reward.BatchValue`.
+``VecEnv`` holds the physics: N walkers stepped along one env axis, as
+training, periodic evaluation and final scoring run them. ``DeskWalker`` is
+row 0 of a one-env ``VecEnv`` with unbatched bindings, the view final scoring
+steps. It has no dynamics of its own and stays only because the benchmark's
+per-layer trace times ``DeskWalker.step`` as its own layer.
 
 ``write_trace``/``read_trace`` store a run of binding maps as JSON-lines, one
 step per line::
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import randomize
 from .errors import EnvError
-from .randomize import SceneParameters, desk_scene
+from .randomize import desk_scene
 from .reward import MAX_RANK, BatchValue
 
 DT = 0.02          # 50 Hz control
@@ -42,194 +42,6 @@ TILT_LIMIT = 0.7
 SPEED_LIMIT = 3.0
 
 DEFAULT_POSE = np.array([0.0, 0.0, -0.3, 0.6, -0.3, 0.6, 0.0, 0.0])
-
-
-class DeskWalker:
-    """Single environment instance. Not thread-shared; one RNG per instance."""
-
-    def __init__(self, env_config: dict, scene: SceneParameters | None = None,
-                 seed: int = 0):
-        self.cfg = env_config
-        self.scene = scene or desk_scene()
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
-
-        fric = self.scene["geom_friction"]
-        mass = self.scene["body_mass"]
-        # lag gain: heavier bodies respond slower, more friction grips better
-        fric_factor = float(np.mean(fric[:, 0])) / 0.8
-        mass_factor = float(mass.sum()) / 4.2
-        self.gain = float(np.clip(0.25 * fric_factor / mass_factor, 0.02, 0.9))
-        self.joint_gain = 0.35
-
-        self.reset()
-
-    # -- lifecycle ------------------------------------------------------------
-    def reset(self) -> np.ndarray:
-        cfg = self.cfg
-        self.t = 0
-        self.vel = np.zeros(2)
-        self.yaw_rate = 0.0
-        self.tilt = np.zeros(2)
-        self.default_pose = DEFAULT_POSE.copy()
-        self.joints = self.default_pose.copy()
-        self.action = np.zeros(ACTION_DIM)
-        self.last_act = np.zeros(ACTION_DIM)
-        self.done = False
-
-        lo, hi = cfg.get("gait_frequency", [2.0, 2.0])
-        self.gait_freq = float(self._rng.uniform(lo, hi))
-        lo, hi = cfg.get("foot_height_range", [0.03, 0.05])
-        self.foot_h = float(self._rng.uniform(lo, hi))
-        self.max_foot_height = float(cfg.get("max_foot_height", hi))
-
-        if cfg.get("init_rand", False):
-            self.joints = self.default_pose + self._rng.uniform(-0.1, 0.1, NUM_JOINTS)
-            self.phase = float(self._rng.uniform(0.0, 2.0 * np.pi))
-        else:
-            self.phase = 0.0
-
-        self.command = self._sample_command()
-        self.air_time = np.zeros(2)
-        self.swing_peak = np.zeros(2)
-        self.prev_contact = self._foot_heights() <= 1e-12
-        return self.observe()
-
-    def _sample_command(self) -> np.ndarray:
-        cfg = self.cfg
-        if self._rng.uniform() < float(cfg.get("command_stand_prob", 0.0)):
-            return np.zeros(3)
-        ranges = [
-            cfg.get("command_lin_vel_x_range", [0.0, 0.0]),
-            cfg.get("command_lin_vel_y_range", [0.0, 0.0]),
-            cfg.get("command_ang_vel_yaw_range", [0.0, 0.0]),
-        ]
-        return np.array([self._rng.uniform(lo, hi) for lo, hi in ranges])
-
-    # -- internals ------------------------------------------------------------
-    def _foot_heights(self) -> np.ndarray:
-        s = np.sin(self.phase)
-        return self.foot_h * np.maximum(0.0, np.array([s, -s]))
-
-    def _kick(self, key: str) -> None:
-        cfg = self.cfg
-        interval = int(cfg.get(f"{key}_kick_interval", 0) or 0)
-        if interval >= 1 and self.t % interval == 0:
-            lo = float(cfg.get(f"{key}_min_kick_vel", 0.0))
-            hi = float(cfg.get(f"{key}_max_kick_vel", 0.0))
-            mag = float(self._rng.uniform(lo, hi))
-            theta = float(self._rng.uniform(0.0, 2.0 * np.pi))
-            impulse = mag * np.array([np.cos(theta), np.sin(theta)])
-            self.vel = self.vel + impulse
-            self.tilt = self.tilt + 0.5 * impulse
-
-    # -- stepping -------------------------------------------------------------
-    def step(self, action) -> tuple[dict, bool]:
-        """Advance one control step. Returns (bindings, done)."""
-        action = np.asarray(action, dtype=np.float64)
-        if action.shape != (ACTION_DIM,):
-            raise EnvError(
-                "ACTION_DIM_MISMATCH",
-                f"expected action of shape ({ACTION_DIM},), got {action.shape}",
-            )
-        action = np.clip(action, -1.0, 1.0)
-        self.last_act = self.action
-        self.action = action
-        self.t += 1
-
-        target_vel = 0.6 * action[:2]
-        target_yaw = 1.0 * action[2]
-        self.vel = self.vel + self.gain * (target_vel - self.vel)
-        self.yaw_rate = self.yaw_rate + self.gain * (target_yaw - self.yaw_rate)
-
-        self._kick("big")
-        self._kick("small")
-
-        joint_target = self.default_pose + 0.4 * action
-        self.joints = self.joints + self.joint_gain * (joint_target - self.joints)
-
-        self.phase = (self.phase + 2.0 * np.pi * self.gait_freq * DT) % (2.0 * np.pi)
-        foot_z = self._foot_heights()
-        contact = foot_z <= 1e-12
-        first_contact = contact & ~self.prev_contact
-
-        airborne = ~contact
-        self.air_time = self.air_time + DT * airborne
-        self.swing_peak = np.maximum(self.swing_peak, foot_z)
-
-        self.tilt = self.tilt + 0.3 * (0.25 * self.vel - self.tilt)
-        speed = float(np.linalg.norm(self.vel))
-        self.done = bool(np.linalg.norm(self.tilt) > TILT_LIMIT or speed > SPEED_LIMIT)
-
-        bindings = self._bindings(foot_z, contact, first_contact)
-
-        # air time / swing peak reset on touchdown, after export
-        self.air_time = np.where(first_contact, 0.0, self.air_time)
-        self.swing_peak = np.where(first_contact, 0.0, self.swing_peak)
-        self.prev_contact = contact
-        return bindings, self.done
-
-    def _bindings(self, foot_z, contact, first_contact) -> dict:
-        cmd_norm = float(np.linalg.norm(self.command[:2]))
-        feet_pos = np.zeros((2, 3))
-        feet_pos[:, 2] = foot_z
-        # swing feet move with the body, grounded feet are planted
-        feet_linvel = np.zeros((2, 3))
-        feet_linvel[~contact, 0:2] = self.vel
-        feet_angvel = np.zeros((2, 3))
-        feet_angvel[~contact, 2] = self.yaw_rate
-        rot_up = np.array([self.tilt[0], self.tilt[1],
-                           np.sqrt(max(0.0, 1.0 - float(self.tilt @ self.tilt)))])
-        torque = 80.0 * (0.4 * self.action - (self.joints - self.default_pose))
-        xd_vel = np.array([[self.vel[0], self.vel[1], 0.0]])
-        xd_ang = np.array([[0.2 * self.tilt[1], -0.2 * self.tilt[0], self.yaw_rate]])
-
-        num = lambda a: BatchValue(a, batched=False)
-        boo = lambda a: BatchValue(np.asarray(a, dtype=bool).astype(np.float64),
-                                   kind="boolean", batched=False)
-        return {
-            "command": num(self.command),
-            "local_vel": num([self.vel[0], self.vel[1], 0.0]),
-            "base_ang_vel": num(self.yaw_rate),
-            "xd.vel": num(xd_vel),
-            "xd.ang": num(xd_ang),
-            "rot_up": num(rot_up),
-            "qfrc_actuator": num(torque),
-            "action": num(self.action),
-            "last_act": num(self.last_act),
-            "feet_air_time": num(self.air_time),
-            "first_foot_contact": boo(first_contact),
-            "command_norm": num(cmd_norm),
-            "commands_norm": num(cmd_norm),
-            "joint_angles": num(self.joints),
-            "default_pose": num(self.default_pose),
-            "done": boo(self.done),
-            "step": num(float(self.t)),
-            "foot_contact": boo(contact),
-            "first_site_contact": boo(contact),
-            "feet_pos": num(feet_pos),
-            "feet_site_pos": num(feet_pos),
-            "feet_site_linvel": num(feet_linvel),
-            "feet_site_angvel": num(feet_angvel),
-            "rz": num(foot_z),  # the reference is the oscillator's nominal height
-            "swing_peak": num(self.swing_peak),
-            "max_foot_height": num(self.max_foot_height),
-        }
-
-    def observe(self) -> np.ndarray:
-        obs = np.concatenate([
-            self.vel,
-            [self.yaw_rate],
-            self.command,
-            [np.sin(self.phase), np.cos(self.phase)],
-            self.joints - self.default_pose,
-            self.last_act,
-            self.tilt,
-        ])
-        noise = float(self.cfg.get("obs_noise", 0.0))
-        if noise > 0.0:
-            obs = obs + noise * self._rng.standard_normal(obs.shape)
-        return obs.astype(np.float64)
 
 
 BINDING_KEYS = (
@@ -308,19 +120,25 @@ def _scaled(lo, hi, u: np.ndarray) -> np.ndarray:
 
 
 class VecEnv:
-    """N walkers, each with its own randomized scene, stepped in lockstep by
-    the training loop. Environments auto-reset on done or truncation.
+    """N walkers, each with its own randomized scene, stepped in lockstep.
+    Environments auto-reset on done or truncation.
 
     All physics state carries a leading env axis and steps in a handful of
     numpy ops; bindings come back as stacked BatchValue arrays for the batched
     reward evaluator. Scenes come from one ``resample_per_env`` call over all
-    env indices. Per-env RNG draws (resets, kicks, obs noise) keep one
-    Generator per env and DeskWalker's draw order: each env's generator fills
-    a whole row of raw doubles in one call, and scaling, state writes and
-    impulses happen once across the env axis (see ``_scaled``). A VecEnv and
-    a loop of DeskWalkers therefore agree draw for draw; the tests pin that
-    equivalence and a golden digest of a noisy, kicked 64-env rollout
-    (``tests/data/vecenv_golden.json``).
+    env indices, env i at key ``(base_seed, i)``.
+
+    Env i draws from its own Generator, seeded ``base_seed * 100003 + i``, in
+    this order. A reset takes one double each for gait frequency, foot
+    height, [the 8 joint offsets and the phase, under ``init_rand``,] and the
+    stand coin, then 3 command doubles unless the env stands. A step takes
+    (magnitude, direction) for the big kick, then the small kick, on the
+    steps where each is due, then resets the rows that finished. Each
+    ``observe`` call with ``obs_noise`` on takes ``OBS_DIM`` standard normals
+    per env; ``step`` ends with one. Each generator fills a whole row of raw
+    doubles in one call, and scaling, state writes and impulses happen once
+    across the env axis (see ``_scaled``). ``tests/data/vecenv_golden.json``
+    pins a noisy, kicked 64-env rollout byte for byte.
     """
 
     def __init__(self, env_config: dict, num_envs: int, base_seed: int = 0,
@@ -333,14 +151,15 @@ class VecEnv:
                       for i in range(num_envs)]
         scenes = randomize.resample_per_env(randomize_rules or {}, desk_scene(),
                                             base_seed, range(num_envs))
+        # lag gain: heavier bodies respond slower, more friction grips better
         fric_factor = np.mean(scenes["geom_friction"][:, :, 0], axis=1) / 0.8
         mass_factor = scenes["body_mass"].sum(axis=1) / 4.2
         self.gain = np.clip(0.25 * fric_factor / mass_factor, 0.02, 0.9)
         self.joint_gain = 0.35
 
-        # Reset draws in DeskWalker order, one double each: gait frequency,
-        # foot height, [joint offsets, phase,] stand coin; then the command
-        # unless the env stands.
+        # Reset draws, one double each: gait frequency, foot height,
+        # [joint offsets, phase,] stand coin; then the command unless the
+        # env stands.
         gait = cfg.get("gait_frequency", [2.0, 2.0])
         foot = cfg.get("foot_height_range", [0.03, 0.05])
         self._init_rand = bool(cfg.get("init_rand", False))
@@ -554,3 +373,37 @@ class VecEnv:
                 rng.standard_normal(out=row)
             obs += noise * self._noise
         return obs
+
+
+class DeskWalker:
+    """Final scoring's one walker: row 0 of a one-env :class:`VecEnv`, with
+    the scene at key ``(seed, 0)``, draws from ``default_rng(seed)`` and no
+    truncation. ``step`` returns the row's unbatched bindings and ``done``;
+    a done row auto-resets inside the VecEnv, so callers stop there.
+    ``observe`` returns the observation the last ``reset``/``step`` made: its
+    noise is drawn already, and drawing again would shift the stream."""
+
+    def __init__(self, env_config: dict, rules: dict | None = None, seed: int = 0):
+        self._env = VecEnv(env_config, 1, base_seed=seed, randomize_rules=rules,
+                           episode_length=np.iinfo(np.int64).max)
+        self._env._rngs[0] = np.random.default_rng(seed)
+        self.reset()
+
+    def reset(self) -> np.ndarray:
+        self._env._reset_rows(np.zeros(1, dtype=int))
+        self._obs = self._env.observe()[0]
+        return self._obs
+
+    def observe(self) -> np.ndarray:
+        return self._obs
+
+    def step(self, action) -> tuple[dict, bool]:
+        """Advance one control step. Returns (bindings, done)."""
+        obs, bindings, done = self._env.step(np.asarray(action, dtype=np.float64)[None])
+        self._obs = obs[0]
+        row = {k: BatchValue(v.arr[0], v.kind, batched=False) for k, v in bindings.items()}
+        # A one-vector dot can round the last bit differently from VecEnv's
+        # row sum; final scoring's rot_up height is the dot's (the golden pins it).
+        up = row["rot_up"].arr
+        up[2] = np.sqrt(max(0.0, 1.0 - float(up[:2] @ up[:2])))
+        return row, bool(done[0])

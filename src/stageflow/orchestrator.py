@@ -24,7 +24,6 @@ from .agents import (AgentLog, GeneratedFileBlock, invoke_with_retry,
                      parse_selector_json, render)
 from .env import DeskWalker
 from .errors import AgentError, BundleError, StageflowError
-from .randomize import desk_scene, sample
 from .schema import (STAGE_ROLES, CurriculumBundle, PromotionCriterion,
                      StageBundle, build_stage, parse_bundle, parse_workflow,
                      validate)
@@ -241,8 +240,7 @@ def final_scores(checkpoint_path, stage: StageBundle, seed: int = 7,
     rules = stage.randomize_doc.get("randomization") or {}
     eps = []
     for e in range(episodes):
-        scene = sample(rules, desk_scene(), seed=seed + 100 * e)
-        env = DeskWalker(env_cfg, scene=scene, seed=seed + 100 * e)
+        env = DeskWalker(env_cfg, rules, seed=seed + 100 * e)
         obs = env.reset()
         steps = []
         for _ in range(horizon):

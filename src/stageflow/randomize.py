@@ -8,10 +8,9 @@ Draws are keyed: each (seed, field, target, env_index) tuple derives its own
 generator, so editing or reordering unrelated rules never perturbs a draw.
 ``resample_per_env`` is the one sampler: it samples many env indices at once,
 with one generator call per (rule, env) that draws the rule's whole target
-rows, and applies the operations across the env axis. ``sample`` is its
-single-index case. Operations: add, scale, set (the default when a rule omits
-it). ``tests/data/vecenv_golden.json`` pins the resulting scenes through a
-VecEnv rollout.
+rows, and applies the operations across the env axis. Operations: add,
+scale, set (the default when a rule omits it). ``tests/data/vecenv_golden.json``
+pins the resulting scenes through a VecEnv rollout.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ class FieldGroup:
 @dataclass
 class SceneParameters:
     fields: dict  # name -> FieldGroup
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.fields[name].values
 
 
 def desk_scene() -> SceneParameters:
@@ -213,12 +209,3 @@ def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
                 values[:, r] = apply(values[:, r], u[:, j])
     return out
 
-
-def sample(rules: dict, nominal: SceneParameters, seed: int, env_index: int = 0) -> SceneParameters:
-    """One environment's draw: ``resample_per_env`` for the single index
-    ``env_index``, as a copy of ``nominal``."""
-    drawn = resample_per_env(rules, nominal, seed, [env_index])
-    return SceneParameters({
-        name: FieldGroup(drawn[name][0], list(group.names), group.inert)
-        for name, group in nominal.fields.items()
-    })

@@ -361,7 +361,8 @@ def eval_step_batch(step: EvaluationStep, scope: dict) -> BatchValue:
     if t == "exponential_decay":
         sigma = p["sigma"]
         if len(sigma.env_shape) != 0:
-            raise RewardError("NEGATIVE_SIGMA", "sigma must be a per-env scalar")
+            raise RewardError("SHAPE_MISMATCH", f"sigma must be a per-env scalar, "
+                                                f"got shape {sigma.env_shape}")
         if (sigma.arr <= 0.0).any():
             raise RewardError("NEGATIVE_SIGMA", "sigma must be positive")
         denom = BatchValue(2.0 * sigma.arr * sigma.arr, batched=sigma.batched)

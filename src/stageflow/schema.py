@@ -23,8 +23,6 @@ from .reward import compile_term
 ERROR = "error"
 WARNING = "warning"
 
-SCHEMA_VERSION = 1
-
 CONFIG_SECTIONS = ("environment", "trainer", "randomization", "artifact", "ppo_network")
 OPTIONAL_CONFIG_SECTIONS = ("render",)
 
@@ -302,6 +300,9 @@ def _validate_config(stage: StageBundle, out: list):
                 err("TYPE_ERROR", f"environment.{key}", "expected a [lo, hi] pair")
             elif rng[0] > rng[1]:
                 err("RANGE_INVERTED", f"environment.{key}", f"lo {rng[0]} > hi {rng[1]}")
+        noise = env.get("obs_noise")
+        if noise is not None and not (_is_number(noise) and noise >= 0):
+            err("POSITIVE_REQUIRED", "environment.obs_noise", f"obs_noise must be >= 0, got {noise!r}")
         prob = env.get("command_stand_prob")
         if prob is not None and (not _is_number(prob) or not 0.0 <= prob <= 1.0):
             err("PROB_RANGE", "environment.command_stand_prob",
@@ -342,6 +343,10 @@ def _validate_config(stage: StageBundle, out: list):
             v = tr.get(key)
             if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
                 err("TYPE_ERROR", f"trainer.{key}", f"{key} must be an integer >= 1, got {v!r}")
+        mb, n, u = (tr.get(k) for k in ("num_minibatches", "num_envs", "unroll_length"))
+        if all(_is_number(v) and v >= 1 for v in (mb, n, u)) and mb > n * u:  # empty minibatches
+            err("TOO_MANY_MINIBATCHES", "trainer.num_minibatches", f"num_minibatches {mb} "
+                f"exceeds the {n * u} rollout rows (num_envs x unroll_length)")
 
     net = doc.get("ppo_network")
     if isinstance(net, dict):
@@ -497,6 +502,10 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
            lambda b: tr(b).update(learning_rate=-1.0e-4))
     mutant("zero clipping epsilon", "POSITIVE_REQUIRED",
            lambda b: tr(b).update(clipping_epsilon=0))
+    mutant("negative observation noise", "POSITIVE_REQUIRED",
+           lambda b: env(b).update(obs_noise=-1))
+    mutant("more minibatches than rollout rows", "TOO_MANY_MINIBATCHES",
+           lambda b: tr(b).update(num_minibatches=1_000_000))
     mutant("num_timesteps dropped", "MISSING_KEY",
            lambda b: tr(b).pop("num_timesteps"))
     mutant("environment section dropped", "MISSING_KEY",

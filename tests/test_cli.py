@@ -98,6 +98,24 @@ class TestValidate:
             ("UNKNOWN_FIELD", "randomization.body_mass[0].target"),
             ("SHAPE_MISMATCH", "randomization.geom_friction[0].distribution.uniform")}
 
+    @pytest.mark.parametrize("old,new,code,path", [
+        ("obs_noise: 0.0", "obs_noise: -1", "POSITIVE_REQUIRED", "environment.obs_noise"),
+        ("obs_noise: 0.0", "obs_noise: loud", "POSITIVE_REQUIRED", "environment.obs_noise"),
+        ("num_minibatches: 4", "num_minibatches: 1000000", "TOO_MANY_MINIBATCHES",
+         "trainer.num_minibatches"),
+    ], ids=["negative obs_noise", "non-numeric obs_noise", "more minibatches than rows"])
+    def test_config_value_the_trainer_cannot_use(self, capsys, tiny_desk, tmp_path,
+                                                 old, new, code, path):
+        cfg = tiny_desk / "configs/generated_config_stage1.yaml"
+        assert old in cfg.read_text()
+        cfg.write_text(cfg.read_text().replace(old, new, 1))
+        found, out = _cli(capsys, "validate", tiny_desk)
+        assert found == 1
+        assert {(f["code"], f["path"]) for f in json.loads(out.out)["findings"]} == {(code, path)}
+        found, out = _cli(capsys, "train", "--workflow", tiny_desk / "workflow.yaml",
+                          "--out", tmp_path / "out", "--paper-scale")
+        assert found == 1 and not (tmp_path / "out").exists()  # refused before training
+
     @pytest.mark.parametrize("old,new", [
         ("- index: 1", "- index: one"),
         ("promotion:\n        mode: timesteps_exhausted",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stageflow.errors import RandomizeError
-from stageflow.randomize import _rng_for, desk_scene, resample_per_env, sample
+from stageflow.randomize import _rng_for, desk_scene, resample_per_env
 
 from test_schema import RANDOMIZE_CASES
 
@@ -23,19 +23,30 @@ RULES = {
 }
 
 
+def one_env(rules, seed, env_index=0, nominal=None):
+    """One env's scene: ``resample_per_env`` for the single index, without
+    the env axis."""
+    drawn = resample_per_env(rules, nominal or desk_scene(), seed, [env_index])
+    return {name: values[0] for name, values in drawn.items()}
+
+
+def nominal_values(nominal, name):
+    return nominal.fields[name].values
+
+
 class TestSample:
     def test_draws_stay_inside_bounds_10k(self):
         nominal = desk_scene()
         lo, hi = 0.9, 1.1
         for i in range(10_000):
-            scene = sample({"body_mass": RULES["body_mass"]}, nominal, seed=i)
-            ratio = scene["body_mass"] / nominal["body_mass"]
+            scene = one_env({"body_mass": RULES["body_mass"]}, i, nominal=nominal)
+            ratio = scene["body_mass"] / nominal_values(nominal, "body_mass")
             assert np.all(ratio >= lo - 1e-12) and np.all(ratio <= hi + 1e-12)
 
     def test_set_operation_bounds_10k(self):
         nominal = desk_scene()
         for i in range(10_000):
-            scene = sample({"geom_friction": RULES["geom_friction"]}, nominal, seed=i)
+            scene = one_env({"geom_friction": RULES["geom_friction"]}, i, nominal=nominal)
             f = scene["geom_friction"]
             assert np.all(f[:, 0] >= 0.6) and np.all(f[:, 0] <= 1.1)
             assert np.all(f[:, 1:] == 0.0)
@@ -47,29 +58,31 @@ class TestSample:
             "operation": "scale",
         }]}
         nominal = desk_scene()
-        scene = sample(rules, nominal, seed=123)
+        scene = one_env(rules, 123, nominal=nominal)
         np.testing.assert_array_equal(scene["body_mass"],
-                                      nominal["body_mass"] * 1.25)
+                                      nominal_values(nominal, "body_mass") * 1.25)
 
     def test_deterministic_under_seed_and_env_index(self):
         nominal = desk_scene()
-        a = sample(RULES, nominal, seed=7, env_index=3)
-        b = sample(RULES, nominal, seed=7, env_index=3)
-        c = sample(RULES, nominal, seed=7, env_index=4)
+        a = one_env(RULES, 7, env_index=3, nominal=nominal)
+        b = one_env(RULES, 7, env_index=3, nominal=nominal)
+        c = one_env(RULES, 7, env_index=4, nominal=nominal)
         np.testing.assert_array_equal(a["body_mass"], b["body_mass"])
         assert not np.array_equal(a["body_mass"], c["body_mass"])
 
     def test_nominal_untouched(self):
         nominal = desk_scene()
-        before = nominal["body_mass"].copy()
-        sample(RULES, nominal, seed=0)
-        np.testing.assert_array_equal(nominal["body_mass"], before)
+        before = nominal_values(nominal, "body_mass").copy()
+        resample_per_env(RULES, nominal, 0, range(3))
+        np.testing.assert_array_equal(nominal_values(nominal, "body_mass"), before)
 
     def test_resample_per_env_matches_sample(self):
+        """A one-index draw is that index's row of a wider draw."""
         nominal = desk_scene()
-        a = resample_per_env(RULES, nominal, base_seed=5, env_indices=[2])
-        b = sample(RULES, nominal, seed=5, env_index=2)
-        np.testing.assert_array_equal(a["body_mass"][0], b["body_mass"])
+        a = resample_per_env(RULES, nominal, base_seed=5, env_indices=range(4))
+        b = one_env(RULES, 5, env_index=2, nominal=nominal)
+        for f in a:
+            np.testing.assert_array_equal(a[f][2], b[f])
 
     def test_inert_rule_still_validated(self):
         bad = {"hfield_data": [{
@@ -77,7 +90,7 @@ class TestSample:
             "distribution": {"uniform": {"minval": [0.0, 0.0], "maxval": [1.0, 1.0]}},
             "operation": "scale",
         }]}
-        for draw in (lambda: sample(bad, desk_scene(), seed=0),
+        for draw in (lambda: one_env(bad, 0),
                      lambda: resample_per_env(bad, desk_scene(), 0, range(4))):
             with pytest.raises(RandomizeError) as e:
                 draw()
@@ -91,7 +104,7 @@ class TestSample:
 
     def test_unknown_field_rejected(self):
         with pytest.raises(RandomizeError) as e:
-            sample({"warp_drive": RULES["body_mass"]}, desk_scene(), seed=0)
+            one_env({"warp_drive": RULES["body_mass"]}, 0)
         assert e.value.code == "UNKNOWN_FIELD"
 
 
@@ -101,7 +114,7 @@ class TestSamplerChecks:
         rules, findings = RANDOMIZE_CASES[name]
         code, path, message = findings[0]
         with pytest.raises(RandomizeError) as e:
-            sample(rules, desk_scene(), seed=0)
+            one_env(rules, 0)
         assert (e.value.code, e.value.message) == (code, f"{path}: {message}")
 
 
@@ -112,7 +125,7 @@ class TestCorpusRandomize:
         bundle = parse_bundle(DATA / "bundles" / "desk")
         for stage in bundle.stages:
             rules = stage.randomize_doc.get("randomization") or {}
-            scene = sample(rules, desk_scene(), seed=1)
+            scene = one_env(rules, 1)
             assert np.all(scene["body_mass"] > 0)
 
 
@@ -161,10 +174,10 @@ class TestBatchedSampler:
         batched = resample_per_env(rules, nominal, seed, range(6))
         assert set(batched) == set(nominal.fields)
         for i in range(6):
-            one = sample(rules, nominal, seed, env_index=i)
+            one = one_env(rules, seed, env_index=i, nominal=nominal)
             ref = per_row_reference(rules, nominal, seed, i)
             for f in nominal.fields:
-                assert batched[f].shape == (6,) + nominal[f].shape
+                assert batched[f].shape == (6,) + nominal_values(nominal, f).shape
                 assert batched[f][i].tobytes() == one[f].tobytes(), (f, i)
                 assert batched[f][i].tobytes() == ref[f].tobytes(), (f, i)
 
@@ -172,7 +185,7 @@ class TestBatchedSampler:
         rules = SHIPPED["tune/stage1"]
         batched = resample_per_env(rules, desk_scene(), 4, [9, 3])
         for k, i in enumerate([9, 3]):
-            one = sample(rules, desk_scene(), 4, env_index=i)
+            one = one_env(rules, 4, env_index=i)
             for f in batched:
                 np.testing.assert_array_equal(batched[f][k], one[f])
 
@@ -193,7 +206,7 @@ class TestBatchedSampler:
         touched = (set(range(len(group.values))) if target == "ALL"
                    else {group.names.index(t) for t in wanted})
         for f in nominal.fields:
-            for r in range(len(nominal[f])):
+            for r in range(len(nominal_values(nominal, f))):
                 if f == field_name and r in touched:
                     continue
                 assert before[f][:, r].tobytes() == after[f][:, r].tobytes(), (f, r)

@@ -184,6 +184,13 @@ class TestPrimitiveOracles:
                        {"x": env_value(1.0)})
         assert e.value.code == "NEGATIVE_SIGMA"
 
+    def test_non_scalar_sigma_is_a_shape_error(self):
+        with pytest.raises(RewardError) as e:
+            step_value("exponential_decay", {"error": "x", "sigma": "s"},
+                       {"x": env_value(1.0), "s": env_value([0.5, 0.5])})
+        assert e.value.code == "SHAPE_MISMATCH"
+        assert "(2,)" in e.value.message
+
 
 # -- term semantics ------------------------------------------------------------
 
