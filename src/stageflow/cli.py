@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default="runs", help="directory for run output")
     sp.add_argument("--transport", choices=("live", "replay"), default="replay")
     sp.add_argument("--fixtures", help="fixture directory for --transport replay")
-    sp.add_argument("--run-id", help="run id (default: next sequential)")
+    sp.add_argument("--run-id", help="run id, a directory under --out that must not "
+                    "exist yet (default: the next free run-NNNN)")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--paper-scale", action="store_true",
                     help="honor full configured sizes instead of the desk profile")

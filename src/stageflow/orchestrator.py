@@ -11,6 +11,7 @@ that attempt actually sent, the digest of its response and its findings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from .agents import (AgentLog, GeneratedFileBlock, invoke_with_retry,
                      load_template, parse_file_blocks, parse_query,
                      parse_selector_json, render)
 from .env import DeskWalker
-from .errors import AgentError, BundleError, StageflowError
+from .errors import AgentError, BundleError, StageflowError, StoreError
 from .schema import (STAGE_ROLES, CurriculumBundle, PromotionCriterion,
                      StageBundle, build_stage, parse_bundle, parse_workflow,
                      validate)
@@ -336,17 +337,31 @@ def _merged_stage_blocks(next_stage: StageBundle, revised) -> list:
 
 # -- the pipeline --------------------------------------------------------------
 
-def _next_run_id(vdb: VectorStore) -> str:
-    return f"run-{len(vdb) + 1:04d}"
+def _claim_run_dir(out_dir, vdb: VectorStore, run_id: str | None) -> tuple[str, Path]:
+    """Create the run's directory, which no earlier run may own. Without an
+    explicit id, take the first ``run-NNNN`` from the store's size on whose
+    directory is free: a failed run is not stored but keeps its directory."""
+    if run_id is not None:
+        check_run_id(run_id)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for k in itertools.count(len(vdb) + 1):
+        rid = run_id if run_id is not None else f"run-{k:04d}"
+        try:
+            (out_dir / rid).mkdir()
+        except FileExistsError:
+            if run_id is not None:
+                raise StoreError("RUN_EXISTS",
+                                 f"{out_dir / rid} already exists; choose another run id")
+            continue
+        return rid, out_dir / rid
 
 
 def run_pipeline(task_prompt: str, vdb: VectorStore, transport, out_dir,
                  run_id: str | None = None, seed: int = 7,
                  paper_scale: bool = False,
                  config_overrides: dict | None = None) -> CurriculumRun:
-    run_id = check_run_id(run_id or _next_run_id(vdb))
-    run_dir = Path(out_dir) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_id, run_dir = _claim_run_dir(out_dir, vdb, run_id)
     log = AgentLog(run_dir / "agent_log.jsonl")
     run = CurriculumRun(run_id=run_id, task_prompt=task_prompt,
                         run_dir=str(run_dir))

@@ -4,6 +4,19 @@ Everything is plain numpy: MLP forward/backward, the PPO loss and its analytic
 gradient, Adam, and GAE. Gradients are hand-derived and pinned against
 finite differences in the tests. Single process, CPU, deterministic under a
 fixed seed.
+
+The minibatch update allocates nothing in steady state. ``train_stage`` owns
+one :class:`Workspace` and passes it through ``ppo_update`` to ``ppo_loss``,
+``mlp_forward`` and ``mlp_backward``, which write every row-sized
+intermediate (minibatch gather, activations, SiLU factors, log-prob terms)
+into its buffers in place, in the rounding order of the plain expressions
+their comments give. A workspace serves one caller at a time: an array taken
+from it is valid only until the same name is taken again, and
+``mlp_backward`` consumes the forward's cache, writing the gradient flowing
+into each hidden activation over that activation. What leaves the update is
+fresh: ``ppo_loss`` returns new gradient arrays and plain floats, and
+``Policy.mean``/``value``/``act`` run on a throwaway workspace. ``Adam.step``
+updates its moments in place and scales clipped gradients in place.
 """
 
 from __future__ import annotations
@@ -70,9 +83,23 @@ def clipped_surrogate(ratio, advantages, clip_eps):
 
 # -- MLPs with hand-rolled backprop -------------------------------------------
 
-def _silu(z):
-    s = 1.0 / (1.0 + np.exp(-z))
-    return z * s, s
+class Workspace:
+    """Named scratch arrays reused across calls.
+
+    ``take(name, shape)`` returns a C-contiguous array of that shape backed by
+    the name's one buffer, which only grows: a smaller request reuses a
+    prefix, a larger one replaces the buffer, so a change of minibatch rows or
+    layer width never keeps a second set."""
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._bufs[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
 def init_mlp(rng: np.random.Generator, sizes: list, prefix: str,
@@ -91,40 +118,61 @@ def init_mlp(rng: np.random.Generator, sizes: list, prefix: str,
 
 
 def _mlp_layers(params: dict, prefix: str) -> int:
-    return sum(1 for k in params if k.startswith(f"{prefix}/W"))
+    n = 0
+    while f"{prefix}/W{n}" in params:
+        n += 1
+    return n
 
 
-def mlp_forward(params: dict, prefix: str, x: np.ndarray):
-    """SiLU between layers, linear output. Returns (y, cache for backward)."""
+def mlp_forward(params: dict, prefix: str, x: np.ndarray,
+                workspace: Workspace | None = None):
+    """SiLU between layers, linear output. Returns (y, cache for backward).
+
+    y and the cache live in ``workspace`` (a throwaway one when none is given)
+    under names of ``prefix``."""
+    ws = Workspace() if workspace is None else workspace
     n = _mlp_layers(params, prefix)
     cache = []
     h = x
     for i in range(n):
-        z = h @ params[f"{prefix}/W{i}"] + params[f"{prefix}/b{i}"]
-        if i < n - 1:
-            a, s = _silu(z)
-            cache.append((h, z, s))
-            h = a
-        else:
+        w = params[f"{prefix}/W{i}"]
+        z = np.matmul(h, w, out=ws.take(f"{prefix}/z{i}", (*h.shape[:-1], w.shape[1])))
+        z += params[f"{prefix}/b{i}"]
+        if i == n - 1:
             cache.append((h, z, None))
-            h = z
-    return h, cache
+            return z, cache
+        # SiLU: s = 1 / (1 + exp(-z)), a = z * s
+        s = np.negative(z, out=ws.take(f"{prefix}/s{i}", z.shape))
+        np.exp(s, out=s)
+        s += 1.0
+        np.divide(1.0, s, out=s)
+        cache.append((h, z, s))
+        h = np.multiply(z, s, out=ws.take(f"{prefix}/a{i}", z.shape))
 
 
-def mlp_backward(params: dict, prefix: str, cache: list, dy: np.ndarray) -> dict:
+def mlp_backward(params: dict, prefix: str, cache: list, dy: np.ndarray,
+                 workspace: Workspace | None = None) -> dict:
     """Gradient of a scalar loss w.r.t. each layer's W/b, given dL/dy.
-    The SiLU factor for layer i-1's output is applied when the loop reaches it."""
-    n = len(cache)
+
+    The SiLU factor for layer i-1's output is applied when the loop reaches
+    it. Consumes ``cache``: once layer i has taken its weight gradient, the
+    gradient flowing into its input activation is written over that
+    activation. The returned gradients are fresh arrays."""
+    ws = Workspace() if workspace is None else workspace
     grads = {}
     grad = dy
-    for i in range(n - 1, -1, -1):
+    for i in range(len(cache) - 1, -1, -1):
         h, z, s = cache[i]
-        if s is not None:  # SiLU derivative: s * (1 + z * (1 - s))
-            grad = grad * (s * (1.0 + z * (1.0 - s)))
+        if s is not None:  # grad * (s * (1 + z * (1 - s))), the SiLU derivative
+            factor = np.subtract(1.0, s, out=ws.take("silu_grad", s.shape))
+            factor *= z
+            factor += 1.0
+            factor *= s
+            grad *= factor
         grads[f"{prefix}/W{i}"] = h.T @ grad
         grads[f"{prefix}/b{i}"] = grad.sum(axis=0)
         if i > 0:
-            grad = grad @ params[f"{prefix}/W{i}"].T
+            grad = np.matmul(grad, params[f"{prefix}/W{i}"].T, out=h)
     return grads
 
 
@@ -177,38 +225,57 @@ class Policy:
 
 def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
              value_coef: float = VALUE_LOSS_COEF, entropy_cost: float = 0.0,
-             with_grads: bool = True):
+             with_grads: bool = True, workspace: Workspace | None = None):
     """loss = -L_clip + c_v * value_loss - entropy_cost * entropy.
 
     ``batch``: obs, raw_actions, old_logp, advantages, returns (numpy arrays).
     Returns (loss, grads, parts); grads is None when with_grads=False.
+    Intermediates live in ``workspace`` (a throwaway one when none is given).
     """
     if clip_eps <= 0:
         raise TrainerError("NON_FINITE_LOSS", f"clipping epsilon must be > 0, got {clip_eps}")
+    ws = Workspace() if workspace is None else workspace
     params = policy.params
     obs = batch["obs"]
     raw = batch["raw_actions"]
     adv = batch["advantages"]
     n = obs.shape[0]
 
-    mean, p_cache = mlp_forward(params, "policy", obs)
+    mean, p_cache = mlp_forward(params, "policy", obs, ws)
     log_std = params["log_std"]
     var = np.exp(2.0 * log_std)
-    d = raw - mean
-    gauss = -0.5 * ((d * d) / var + 2.0 * log_std + LOG2PI).sum(-1)
-    correction = np.log(1.0 - np.tanh(raw) ** 2 + LOGP_EPS).sum(-1)
-    new_logp = gauss - correction
+    # new_logp = gauss - correction, with d = raw - mean,
+    #   gauss = -0.5 * ((d * d) / var + 2.0 * log_std + LOG2PI).sum(-1)
+    #   correction = np.log(1.0 - np.tanh(raw) ** 2 + LOGP_EPS).sum(-1)
+    d = np.subtract(raw, mean, out=ws.take("d", raw.shape))
+    term = np.multiply(d, d, out=ws.take("term", raw.shape))
+    term /= var
+    term += 2.0 * log_std
+    term += LOG2PI
+    new_logp = np.sum(term, axis=-1, out=ws.take("new_logp", (n,)))
+    new_logp *= -0.5
+    np.tanh(raw, out=term)
+    np.square(term, out=term)
+    np.subtract(1.0, term, out=term)
+    term += LOGP_EPS
+    np.log(term, out=term)
+    new_logp -= np.sum(term, axis=-1, out=ws.take("correction", (n,)))
 
-    ratio = np.exp(new_logp - batch["old_logp"])
-    t_unclipped = ratio * adv
-    t_clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * adv
-    unclipped_active = t_unclipped <= t_clipped
-    surrogate = float(np.minimum(t_unclipped, t_clipped).mean())
+    # ratio = exp(new_logp - old_logp); the surrogate is the mean of
+    # min(ratio * adv, clip(ratio, 1 - eps, 1 + eps) * adv)
+    ratio = np.subtract(new_logp, batch["old_logp"], out=new_logp)
+    np.exp(ratio, out=ratio)
+    t_unclipped = np.multiply(ratio, adv, out=ws.take("t_unclipped", (n,)))
+    t_clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps,
+                        out=ws.take("t_clipped", (n,)))
+    t_clipped *= adv
+    unclipped_active = np.less_equal(t_unclipped, t_clipped,
+                                     out=ws.take("unclipped_active", (n,), bool))
+    surrogate = float(np.minimum(t_unclipped, t_clipped, out=t_clipped).mean())
 
-    v_out, v_cache = mlp_forward(params, "value", obs)
-    v = v_out[..., 0]
-    value_err = v - batch["returns"]
-    value_loss = float((value_err * value_err).mean())
+    v_out, v_cache = mlp_forward(params, "value", obs, ws)
+    value_err = np.subtract(v_out[..., 0], batch["returns"], out=ws.take("value_err", (n,)))
+    value_loss = float(np.multiply(value_err, value_err, out=t_clipped).mean())
 
     entropy = float((log_std + 0.5 * (LOG2PI + 1.0)).sum())
     loss = -surrogate + value_coef * value_loss - entropy_cost * entropy
@@ -222,15 +289,26 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     if not with_grads:
         return loss, None, parts
 
-    # dL/dlogp_i = -(1/n) * r_i * A_i where the unclipped branch is active
-    dlogp = np.where(unclipped_active, -(ratio * adv) / n, 0.0)
-    dmean = dlogp[:, None] * (d / var)          # dlogp/dmean = (raw - mean)/var
-    grads = mlp_backward(params, "policy", p_cache, dmean)
-    # dlogp/dlog_std_j = d_j^2/var_j - 1 ; entropy adds a constant -c_e per axis
-    grads["log_std"] = (dlogp[:, None] * ((d * d) / var - 1.0)).sum(axis=0) \
-        - entropy_cost * np.ones_like(log_std)
-    dv = value_coef * 2.0 * value_err / n
-    grads.update(mlp_backward(params, "value", v_cache, dv[:, None]))
+    # dL/dlogp_i = -(1/n) * r_i * A_i where the unclipped branch is active,
+    # else 0.0: np.where(unclipped_active, -(ratio * adv) / n, 0.0)
+    dlogp = np.negative(t_unclipped, out=t_unclipped)
+    dlogp /= n
+    np.copyto(dlogp, 0.0, where=np.logical_not(unclipped_active, out=unclipped_active))
+    # dlogp/dmean = (raw - mean)/var: dmean = dlogp[:, None] * (d / var)
+    dmean = np.divide(d, var, out=term)
+    dmean *= dlogp[:, None]
+    grads = mlp_backward(params, "policy", p_cache, dmean, ws)
+    # dlogp/dlog_std_j = d_j^2/var_j - 1 ; entropy adds a constant -c_e per axis:
+    # (dlogp[:, None] * ((d * d) / var - 1.0)).sum(axis=0)
+    np.multiply(d, d, out=d)
+    d /= var
+    d -= 1.0
+    d *= dlogp[:, None]
+    grads["log_std"] = d.sum(axis=0) - entropy_cost * np.ones_like(log_std)
+    # dv = value_coef * 2.0 * value_err / n
+    dv = np.multiply(value_err, value_coef * 2.0, out=value_err)
+    dv /= n
+    grads.update(mlp_backward(params, "value", v_cache, dv[:, None], ws))
     return loss, grads, parts
 
 
@@ -243,19 +321,24 @@ class Adam:
         self.t = 0
 
     def step(self, params: dict, grads: dict, max_grad_norm: float = 1.0):
+        """One update of ``params``. The moments are updated in place, and a
+        global-norm clip scales the arrays of ``grads`` in place."""
         if max_grad_norm is not None:
             total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
             if total > max_grad_norm:
                 scale = max_grad_norm / (total + 1e-12)
-                grads = {k: g * scale for k, g in grads.items()}
+                for g in grads.values():
+                    g *= scale
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            params[k] = params[k] - self.lr * (self.m[k] / b1c) / (
-                np.sqrt(self.v[k] / b2c) + self.eps)
+            m, v = self.m[k], self.v[k]
+            m *= self.beta1                     # m = beta1 * m + (1 - beta1) * g
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2                     # v = beta2 * v + (1 - beta2) * g^2
+            v += (1.0 - self.beta2) * (g * g)
+            params[k] = params[k] - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 class RunningNorm:
@@ -462,6 +545,7 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
         restore_policy(load_checkpoint(checkpoint_in), policy, obs_norm)
 
     optimizer = Adam(policy.params, lr=lr)
+    workspace = Workspace()
 
     steps_per_iter = num_envs * unroll
     iters = max(1, math.ceil(num_timesteps / steps_per_iter))
@@ -498,18 +582,9 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
             "advantages": advantages.reshape(-1),
             "returns": returns.reshape(-1),
         }
-        n = flat["obs"].shape[0]
-        for _ in range(num_updates):
-            perm = rng.permutation(n)
-            for chunk in np.array_split(perm, num_minibatches):
-                mb = {k: v[chunk] for k, v in flat.items()}
-                a = mb["advantages"]
-                mb["advantages"] = (a - a.mean()) / (a.std() + 1e-8)
-                loss, grads, parts = ppo_loss(
-                    policy, mb, clip_eps, VALUE_LOSS_COEF, entropy_cost)
-                optimizer.step(policy.params, grads)
-                last_losses = {k: parts[k] for k in
-                               ("loss/policy", "loss/value", "loss/entropy")}
+        last_losses = ppo_update(policy, optimizer, flat, rng, num_updates,
+                                 num_minibatches, clip_eps, entropy_cost,
+                                 workspace) or last_losses
     if iters in eval_at:
         run_eval()
     while len(metrics) < num_evals:  # guard against rounding collisions
@@ -528,6 +603,33 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
         env_steps=env_steps,
         budget_exhausted=env_steps >= num_timesteps,
     )
+
+
+def ppo_update(policy: Policy, optimizer: Adam, batch: dict, rng: np.random.Generator,
+               num_updates: int, num_minibatches: int, clip_eps: float,
+               entropy_cost: float, workspace: Workspace) -> dict:
+    """``num_updates`` epochs over one rollout ``batch``: a fresh permutation
+    each, split into ``num_minibatches`` minibatches, each gathered into
+    ``workspace``, its advantages normalized, then one ``ppo_loss`` and one
+    Adam step. Returns the last minibatch's loss parts."""
+    n = batch["obs"].shape[0]
+    parts = {}
+    for _ in range(num_updates):
+        perm = rng.permutation(n)
+        for chunk in np.array_split(perm, num_minibatches):
+            # mode="clip" gathers straight into the buffer ("raise" would
+            # buffer a copy); a permutation's indices are all in range
+            mb = {k: np.take(v, chunk, axis=0, mode="clip",
+                             out=workspace.take(f"batch/{k}", (len(chunk), *v.shape[1:])))
+                  for k, v in batch.items()}
+            a = mb["advantages"]             # (a - a.mean()) / (a.std() + 1e-8)
+            a_mean, a_std = a.mean(), a.std()
+            a -= a_mean
+            a /= a_std + 1e-8
+            _, grads, parts = ppo_loss(policy, mb, clip_eps, VALUE_LOSS_COEF,
+                                       entropy_cost, workspace=workspace)
+            optimizer.step(policy.params, grads)
+    return parts
 
 
 def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,

@@ -271,3 +271,13 @@ class TestRunIdEscape:
         assert code == 3
         assert "BAD_RUN_ID" in out.err
         assert not (tmp_path / "x").exists()
+
+    def test_run_run_id_that_exists_is_refused(self, capsys, tmp_path):
+        (tmp_path / "prompt.txt").write_text("a task with no fixture\n")
+        (tmp_path / "out" / "taken").mkdir(parents=True)
+        code, out = _cli(capsys, "run", "--prompt", tmp_path / "prompt.txt",
+                         "--vdb", tmp_path / "vdb", "--out", tmp_path / "out",
+                         "--fixtures", DATA / "fixtures" / "walker2", "--run-id", "taken")
+        assert code == 3
+        assert "RUN_EXISTS" in out.err
+        assert list((tmp_path / "out" / "taken").iterdir()) == []

@@ -280,3 +280,21 @@ class TestRunId:
         assert e.value.code == "BAD_RUN_ID"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["vdb"]
+
+    def test_a_failed_run_does_not_hand_its_id_to_the_next(self, tmp_path):
+        # a failed run is not stored, so the store's size alone names the
+        # same id again; the next run must not append to the failed run's log
+        first, _ = _run(tmp_path, [])
+        first_log = (Path(first.run_dir) / "agent_log.jsonl").read_text()
+        second, _ = _run(tmp_path, [])
+        assert (first.status, second.status) == ("failed", "failed")
+        assert (first.run_id, second.run_id) == ("run-0001", "run-0002")
+        assert (Path(first.run_dir) / "agent_log.jsonl").read_text() == first_log
+        assert (Path(second.run_dir) / "agent_log.jsonl").read_text() == first_log
+
+    def test_an_explicit_run_id_that_exists_is_refused(self, tmp_path):
+        (tmp_path / "runs" / "mine").mkdir(parents=True)
+        with pytest.raises(StoreError) as e:
+            _run(tmp_path, [], run_id="mine")
+        assert e.value.code == "RUN_EXISTS"
+        assert list((tmp_path / "runs" / "mine").iterdir()) == []

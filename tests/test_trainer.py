@@ -1,11 +1,13 @@
+import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stageflow.errors import TrainerError
 from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Policy,
-                               RunningNorm, clipped_surrogate,
+                               RunningNorm, Workspace, clipped_surrogate,
                                gae, load_checkpoint, ppo_loss,
                                restore_policy, save_checkpoint)
 
@@ -144,6 +146,57 @@ class TestPpoLoss:
         batch = small_batch(policy, rng)
         _, _, parts = ppo_loss(policy, batch, 0.2)
         assert set(parts) == {"loss/policy", "loss/value", "loss/entropy"}
+
+
+class TestPpoUpdate:
+    def test_golden_update_digest(self):
+        """Every parameter, Adam moment and the last loss parts after 2 epochs
+        of 4 minibatches, at 1,283 rows (321/321/321/320) and at 1,280, match
+        the digest recorded before the update reused a workspace, byte for
+        byte."""
+        from ppo_update_golden import GOLDEN, golden
+        expected = json.loads(GOLDEN.read_text())
+        got = golden()
+        assert got["cases"]["1283"]["minibatch_rows"][:4] == [321, 321, 321, 320]
+        for rows, case in expected["cases"].items():
+            for key, digest in case["digests"].items():
+                assert got["cases"][rows]["digests"].get(key) == digest, (rows, key)
+        assert got == expected
+
+    def test_a_warm_update_allocates_less_than_one_hidden_activation(self):
+        """Once the workspace is sized, ppo_loss and Adam.step allocate only
+        parameter-sized arrays; every row-sized intermediate is reused."""
+        rows, hidden = 5_120, 64
+        policy = Policy([hidden, hidden], [hidden, hidden], seed=0)
+        batch = small_batch(policy, np.random.default_rng(1), n=rows)
+        optimizer = Adam(policy.params, lr=1e-4)
+        workspace = Workspace()
+
+        def update():
+            _, grads, _ = ppo_loss(policy, batch, 0.2, entropy_cost=1e-3,
+                                   workspace=workspace)
+            optimizer.step(policy.params, grads)
+
+        update()  # warm-up sizes the workspace
+        tracemalloc.start()
+        try:
+            update()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * hidden * 8, peak
+
+    def test_grads_of_calls_without_a_workspace_do_not_alias(self, rng):
+        policy = small_policy()
+        batch = small_batch(policy, rng)
+        _, first, _ = ppo_loss(policy, batch, 0.2)
+        kept = {k: g.copy() for k, g in first.items()}
+        batch["returns"] = batch["returns"] + 1.0
+        _, second, _ = ppo_loss(policy, batch, 0.2)
+        for k, g in first.items():
+            assert not np.shares_memory(g, second[k]), k
+            np.testing.assert_array_equal(g, kept[k])
+        assert any(not np.array_equal(first[k], second[k]) for k in first)
 
 
 class TestAdamAndNorm:
