@@ -85,17 +85,30 @@ def seed_examples() -> dict:
     }
 
 
-def _examples_from_artifact(artifact: RunArtifact, selection: dict) -> dict:
-    base = seed_examples()
+def _examples_from_artifacts(artifacts: list[RunArtifact], selection: dict) -> dict:
+    """The seed examples, with each role replaced by the selector's file.
+
+    Per role, the selection with the lowest stage index counts (``workflow``
+    has none). Its file comes from the highest-ranked of ``artifacts`` that
+    holds it: by that path, in the selection's stage directory (a pipeline
+    run names every stage's files alike), or by file name anywhere."""
+    chosen = {}  # role -> (stage index, file name)
     for key, fname in selection.items():
-        role = ("workflow" if key == "workflow"
-                else re.match(r"([a-z]+)_stage", key).group(1))
-        for rel, text in artifact.files.items():
-            if Path(rel).name == fname or rel == fname:
-                if role == "workflow" or f"stage1" in key or key.endswith("_stage1"):
-                    base[role] = text
+        m = re.fullmatch(r"([a-z]+)_stage(\d+)", key)
+        role, stage = (m.group(1), int(m.group(2))) if m else (key, 0)
+        if role not in chosen or stage < chosen[role][0]:
+            chosen[role] = (stage, fname)
+    examples = seed_examples()
+    for role, (stage, fname) in chosen.items():
+        for artifact in artifacts:
+            files = artifact.files
+            text = files.get(fname, files.get(f"stage{stage}/{fname}"))
+            if text is None:
+                text = next((t for rel, t in files.items() if Path(rel).name == fname), None)
+            if text is not None:
+                examples[role] = text
                 break
-    return base
+    return examples
 
 
 # -- generated-file handling ---------------------------------------------------
@@ -440,7 +453,7 @@ def _retrieve(task_prompt, vdb, transport, log, run) -> tuple[dict, str]:
         transport, log, "selector", sel_prompt,
         lambda resp: parse_selector_json(resp, candidates))
     run.retrieved = selection
-    return _examples_from_artifact(artifacts[0], selection), evaluations
+    return _examples_from_artifacts(artifacts, selection), evaluations
 
 
 def _generate_curriculum(task_prompt, examples, evaluation, transport, log):

@@ -6,6 +6,9 @@ validator: ``schema.validate`` reports its findings against
 
 Draws are keyed: each (seed, field, target, env_index) tuple derives its own
 generator, so editing or reordering unrelated rules never perturbs a draw.
+The second and later rules of one field on the same target also key by
+their occurrence (1, 2, ...), so they draw their own numbers; a first
+occurrence keeps the plain key.
 ``resample_per_env`` is the one sampler: it samples many env indices at once,
 with one generator call per (rule, env) that draws the rule's whole target
 rows, and applies the operations across the env axis. Operations: add,
@@ -82,9 +85,12 @@ def _target_key(target) -> str:
     return str(target)
 
 
-def _rng_for(seed: int, field_name: str, target, env_index: int) -> np.random.Generator:
-    key = f"{seed}:{field_name}:{_target_key(target)}:{env_index}".encode()
-    digest = hashlib.sha256(key).digest()
+def _rng_for(seed: int, field_name: str, target, env_index: int,
+             occurrence: int = 0) -> np.random.Generator:
+    key = f"{seed}:{field_name}:{_target_key(target)}:{env_index}"
+    if occurrence:  # a later rule on the same (field, target)
+        key += f":{occurrence}"
+    digest = hashlib.sha256(key.encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
@@ -194,8 +200,11 @@ def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
         if group.inert:
             continue
         values = out[field_name]
+        seen: dict[str, int] = {}  # target key -> rules on it so far
         for rule in rule_list:
             target = rule["target"]
+            occurrence = seen.get(_target_key(target), 0)
+            seen[_target_key(target)] = occurrence + 1
             rows, _ = _rows(group, target)
             uni = rule["distribution"]["uniform"]
             lo, hi = _bound(uni["minval"]), _bound(uni["maxval"])
@@ -203,7 +212,8 @@ def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
             u = np.empty((n, len(rows)) + group.values.shape[1:])
             for k, env_index in enumerate(env_indices):
                 # random() yields the same doubles as uniform(0, 1), in place
-                _rng_for(base_seed, field_name, target, env_index).random(out=u[k])
+                _rng_for(base_seed, field_name, target, env_index,
+                         occurrence).random(out=u[k])
             u = lo + u * (hi - lo)
             for j, r in enumerate(rows):  # in order, so a repeated target row compounds
                 values[:, r] = apply(values[:, r], u[:, j])

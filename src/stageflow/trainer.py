@@ -17,10 +17,38 @@ into each hidden activation over that activation. What leaves the update is
 fresh: ``ppo_loss`` returns new gradient arrays and plain floats, and
 ``Policy.mean``/``value``/``act`` run on a throwaway workspace. ``Adam.step``
 updates its moments in place and scales clipped gradients in place.
+
+BLAS thread policy. ``train_stage`` picks its BLAS thread count once, from
+the multiply-accumulate count of one minibatch: its rows
+(``num_envs * unroll_length / num_minibatches`` after ``desk_profile``) times
+the sum of fan_in * fan_out over the policy and value nets. Below
+``ONE_THREAD_MACS`` the stage runs on one BLAS thread; at or above it BLAS
+is left as found. A second OpenBLAS thread on a small minibatch GEMM buys
+almost no wall time but spins, doubling the CPU time a stage costs. One
+``ppo_loss`` + ``Adam.step``, best of two runs on a 2-vCPU VM
+(``tools/blas_crossover.py`` re-measures this):
+
+    nets             rows     1 thread   2 threads
+    [64, 64]          320      2.35 ms     2.27 ms   (3.9 M MACs)
+    [64, 64]          640      4.62 ms     4.01 ms
+    [64, 64]       20,480       192 ms      158 ms
+    [512, 256, 128]   320      36.6 ms     29.1 ms
+
+so desk-width stages (64 envs) train on one thread, and 4096-env or
+paper-width stages keep every thread. The count is process-global: for the
+stage's duration it applies to every BLAS call in the process, and the
+caller's count is restored when the stage returns or raises. The OpenBLAS
+numpy loaded is looked up once, when the first stage that wants one thread
+starts (never at import); with any other BLAS (MKL, Accelerate) the policy
+does nothing. Thread count does not
+change the bytes of any result.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import io
 import json
 import math
@@ -42,6 +70,10 @@ GAE_LAMBDA = 0.95       # conventional default
 VALUE_LOSS_COEF = 0.5   # c_v default
 LOGP_EPS = 1e-6
 LOG2PI = math.log(2.0 * math.pi)
+
+# minibatch multiply-accumulates below which a stage trains on one BLAS
+# thread, measured with tools/blas_crossover.py
+ONE_THREAD_MACS = 1 << 22
 
 
 # -- generalized advantage estimation -----------------------------------------
@@ -463,6 +495,68 @@ def restore_policy(ckpt: Checkpoint, policy: Policy, obs_norm: RunningNorm) -> N
     obs_norm.count = float(ckpt.arrays["obs_norm/count"][0])
 
 
+# -- BLAS thread policy -------------------------------------------------------
+
+# (get, set) thread-count entry points: the numpy wheel's scipy-openblas,
+# then a plain OpenBLAS
+_OPENBLAS_THREAD_FNS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the OpenBLAS numpy's own extension links, or None;
+    looked up once, on first use.
+
+    A symbol lookup through the extension's handle also searches the
+    libraries it was linked against, which is where a wheel's OpenBLAS
+    lives."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_FNS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _minibatch_macs(rows: int, nets) -> int:
+    """Multiply-accumulates of ``rows`` rows through the dense layers of each
+    layer-size list in ``nets``."""
+    return rows * sum(a * b for sizes in nets for a, b in zip(sizes, sizes[1:]))
+
+
+def _stage_blas_threads(rows: int, nets) -> int | None:
+    """1 when a minibatch does fewer than ``ONE_THREAD_MACS``
+    multiply-accumulates; None (leave BLAS as found) otherwise."""
+    return 1 if _minibatch_macs(rows, nets) < ONE_THREAD_MACS else None
+
+
+@contextlib.contextmanager
+def _blas_threads(threads: int | None):
+    """Run the block on ``threads`` BLAS threads, then restore the caller's
+    count, also when the block raises. A no-op for None or when no OpenBLAS
+    can be driven."""
+    fns = None if threads is None else _openblas()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    before = get()
+    set_(threads)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 # -- stage training -----------------------------------------------------------
 
 @dataclass
@@ -565,30 +659,35 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
         rec.update(last_losses)
         metrics.append(rec)
 
-    obs = envs.observe()
-    for it in range(iters):
-        if it in eval_at:
-            run_eval()
-        rollout, obs = _collect(envs, policy, obs_norm if normalize_obs else None,
-                                obs, program, reward_scaling, unroll, rng)
-        env_steps += steps_per_iter
+    # one BLAS thread for a small minibatch (module docstring); the largest
+    # of array_split's minibatches has ceil(steps / minibatches) rows
+    rows = math.ceil(steps_per_iter / num_minibatches)
+    threads = _stage_blas_threads(rows, (policy.policy_sizes, policy.value_sizes))
+    with _blas_threads(threads):
+        obs = envs.observe()
+        for it in range(iters):
+            if it in eval_at:
+                run_eval()
+            rollout, obs = _collect(envs, policy, obs_norm if normalize_obs else None,
+                                    obs, program, reward_scaling, unroll, rng)
+            env_steps += steps_per_iter
 
-        advantages, returns = gae(
-            rollout["rewards"], rollout["values"], rollout["dones"], gamma, GAE_LAMBDA)
-        flat = {
-            "obs": rollout["obs"].reshape(-1, OBS_DIM),
-            "raw_actions": rollout["raw_actions"].reshape(-1, ACTION_DIM),
-            "old_logp": rollout["logp"].reshape(-1),
-            "advantages": advantages.reshape(-1),
-            "returns": returns.reshape(-1),
-        }
-        last_losses = ppo_update(policy, optimizer, flat, rng, num_updates,
-                                 num_minibatches, clip_eps, entropy_cost,
-                                 workspace) or last_losses
-    if iters in eval_at:
-        run_eval()
-    while len(metrics) < num_evals:  # guard against rounding collisions
-        run_eval()
+            advantages, returns = gae(
+                rollout["rewards"], rollout["values"], rollout["dones"], gamma, GAE_LAMBDA)
+            flat = {
+                "obs": rollout["obs"].reshape(-1, OBS_DIM),
+                "raw_actions": rollout["raw_actions"].reshape(-1, ACTION_DIM),
+                "old_logp": rollout["logp"].reshape(-1),
+                "advantages": advantages.reshape(-1),
+                "returns": returns.reshape(-1),
+            }
+            last_losses = ppo_update(policy, optimizer, flat, rng, num_updates,
+                                     num_minibatches, clip_eps, entropy_cost,
+                                     workspace) or last_losses
+        if iters in eval_at:
+            run_eval()
+        while len(metrics) < num_evals:  # guard against rounding collisions
+            run_eval()
 
     ckpt_path = out_dir / "checkpoint.bin"
     save_checkpoint(ckpt_path, policy, obs_norm, env_steps, rng.bit_generator.state)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from stageflow import orchestrator
-from stageflow.agents import (GeneratedFileBlock, ReplayTransport,
+from stageflow.agents import (AgentLog, GeneratedFileBlock, ReplayTransport,
                               ScriptedTransport, request_digest,
                               serialize_file_blocks)
 from stageflow.errors import StoreError
@@ -257,6 +257,56 @@ class TestRetrieval:
         assert "- [EMPTY_TEXT]" in transport.calls[1][1]
         assert [e["findings"] for e in _log(run)][:2] == [
             ["[EMPTY_TEXT] query '???' has no ASCII letter or digit to search by"], []]
+
+
+    def test_examples_come_from_every_retrieved_run(self, tmp_path):
+        """Each selected file comes from the highest-ranked run that holds
+        it, and per role the selection with the lowest stage index counts
+        (stage 2 before stage 10)."""
+        store = VectorStore(tmp_path / "vdb")
+        store.add_run(RunArtifact("run-a", "walk on the desk", {
+            "a_workflow.yaml": "workflow: a\n",
+            "a_reward_stage1.yaml": "reward: a1\n",
+            "shared_config.yaml": "config: a\n",
+        }))
+        store.add_run(RunArtifact("run-b", "swim across the pond", {
+            "b_workflow.yaml": "workflow: b\n",
+            "b_reward_stage2.yaml": "reward: b2\n",
+            "b_reward_stage10.yaml": "reward: b10\n",
+            "shared_config.yaml": "config: b\n",
+            "b_randomize_stage2.yaml": "randomize: b2\n",
+        }))
+        selection = {"workflow": "b_workflow.yaml",
+                     "reward_stage10": "b_reward_stage10.yaml",
+                     "reward_stage2": "b_reward_stage2.yaml",
+                     "config_stage3": "shared_config.yaml",
+                     "randomize_stage2": "b_randomize_stage2.yaml"}
+        transport = ScriptedTransport(["walk on the desk",
+                                       f"```json\n{json.dumps(selection)}\n```"])
+        run = orchestrator.CurriculumRun("run-c", "walk on the desk", str(tmp_path))
+        examples, evaluations = orchestrator._retrieve(
+            "walk on the desk", store, transport, AgentLog(tmp_path / "log.jsonl"), run)
+        assert evaluations.index("run run-a") < evaluations.index("run run-b")
+        assert run.retrieved == selection
+        assert examples == {"workflow": "workflow: b\n", "reward": "reward: b2\n",
+                            "config": "config: a\n", "randomize": "randomize: b2\n"}
+
+    def test_a_stage_selection_takes_that_stage_of_a_pipeline_run(self, tmp_path):
+        """Runs the pipeline stores name every stage's files alike
+        (``stage2/reward.yaml``), so the selection's stage picks the file."""
+        store = VectorStore(tmp_path / "vdb")
+        store.add_run(RunArtifact("run-a", "walk on the desk", {
+            "workflow.yaml": "workflow: a\n",
+            **{f"stage{i}/{role}.yaml": f"{role}: a{i}\n"
+               for i in (1, 2, 10) for role in ("reward", "config", "randomize")}}))
+        selection = {"reward_stage2": "reward.yaml", "config_stage10": "config.yaml",
+                     "randomize_stage1": "randomize.yaml"}
+        transport = ScriptedTransport(["walk", f"```json\n{json.dumps(selection)}\n```"])
+        run = orchestrator.CurriculumRun("run-b", "walk", str(tmp_path))
+        examples, _ = orchestrator._retrieve(
+            "walk", store, transport, AgentLog(tmp_path / "log.jsonl"), run)
+        assert examples == {**orchestrator.seed_examples(), "reward": "reward: a2\n",
+                            "config": "config: a10\n", "randomize": "randomize: a1\n"}
 
 
 class TestCurriculumCheck:

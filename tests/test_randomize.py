@@ -102,6 +102,31 @@ class TestSample:
         drawn = resample_per_env(rules, desk_scene(), 0, range(3))
         np.testing.assert_array_equal(drawn["hfield_data"], np.zeros((3, 16)))
 
+    def test_two_rules_on_one_target_draw_independently(self):
+        """``set U(0,1)`` then ``add U(0,1)`` on the same rows must not add
+        the same numbers twice; the first rule keeps its own stream."""
+        uniform = {"uniform": {"minval": 0.0, "maxval": 1.0}}
+        first = {"target": "ALL", "operation": "set", "distribution": uniform}
+        second = {"target": "ALL", "operation": "add", "distribution": uniform}
+        u = resample_per_env({"body_mass": [first]}, desk_scene(), 3, range(4))["body_mass"]
+        both = resample_per_env({"body_mass": [first, second]}, desk_scene(), 3,
+                                range(4))["body_mass"]
+        for k in range(4):
+            expected = np.empty(4)
+            _rng_for(3, "body_mass", "ALL", k).random(out=expected)
+            assert u[k].tobytes() == expected.tobytes()
+        added = both - u
+        assert not np.allclose(added, u)
+        assert np.all((added >= 0.0) & (added <= 1.0))
+
+    def test_a_repeat_in_another_field_keeps_the_first_key(self):
+        rule = {"target": "ALL", "operation": "scale",
+                "distribution": {"uniform": {"minval": 0.5, "maxval": 1.5}}}
+        alone = resample_per_env({"body_mass": [rule]}, desk_scene(), 8, range(3))
+        with_other = resample_per_env({"geom_friction": [rule], "body_mass": [rule]},
+                                      desk_scene(), 8, range(3))
+        assert alone["body_mass"].tobytes() == with_other["body_mass"].tobytes()
+
     def test_unknown_field_rejected(self):
         with pytest.raises(RandomizeError) as e:
             one_env({"warp_drive": RULES["body_mass"]}, 0)

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -5,11 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stageflow import trainer
 from stageflow.errors import TrainerError
+from stageflow.schema import parse_bundle
 from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Policy,
                                RunningNorm, Workspace, clipped_surrogate,
                                gae, load_checkpoint, ppo_loss,
-                               restore_policy, save_checkpoint)
+                               restore_policy, save_checkpoint, train_stage)
+
+from conftest import DESK, TINY_STEPS
 
 
 def small_policy(seed=0, obs_dim=5, act_dim=3):
@@ -311,3 +317,93 @@ class TestCheckpoint:
             restore_policy(load_checkpoint(path), other,
                            RunningNorm(policy.obs_dim))
         assert e.value.code == "CHECKPOINT_SHAPE_MISMATCH"
+
+
+# -- BLAS thread policy -----------------------------------------------------------
+
+def tiny_stage(**trainer_keys):
+    """Desk stage 1 at one PPO iteration (64 envs x 20 steps, 4 minibatches
+    of 320 rows under the desk profile) and one evaluation."""
+    stage = parse_bundle(DESK).stages[0]
+    config = copy.deepcopy(stage.config_doc)
+    config["trainer"].update(num_timesteps=TINY_STEPS, num_evals=1, **trainer_keys)
+    return dataclasses.replace(stage, config_doc=config)
+
+
+def train_tiny(out_dir, **trainer_keys):
+    return train_stage(tiny_stage(**trainer_keys), out_dir,
+                       eval_episodes=2, eval_max_steps=10)
+
+
+@pytest.fixture
+def blas_threads():
+    """The BLAS thread-count getter, with the caller's count set to 2 for
+    the test and put back after it."""
+    fns = trainer._openblas()
+    if fns is None:
+        pytest.skip("numpy's BLAS thread count cannot be set here")
+    get, set_ = fns
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestBlasThreadPolicy:
+    @pytest.mark.parametrize("rows,hidden,threads", [
+        (320, [64, 64], 1),                # desk width: 64 envs x 20 / 4
+        (20_480, [64, 64], None),          # 4096 envs under the desk profile
+        (5_120, [512, 256, 128], None),    # the shipped paper-scale tune stage
+    ])
+    def test_selection(self, rows, hidden, threads):
+        policy = Policy(hidden, hidden, seed=0)
+        nets = (policy.policy_sizes, policy.value_sizes)
+        assert trainer._stage_blas_threads(rows, nets) == threads
+
+    def test_a_desk_stage_trains_on_one_thread_and_restores_the_callers(
+            self, tmp_path, monkeypatch, blas_threads):
+        seen = []
+        real_update = trainer.ppo_update
+
+        def update(*args, **kwargs):
+            seen.append(blas_threads())
+            return real_update(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "ppo_update", update)
+        train_tiny(tmp_path)
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_a_raising_stage_restores_the_callers_count(self, tmp_path, blas_threads):
+        # the first Adam step blows the weights up; the next loss is not finite
+        with np.errstate(all="ignore"), pytest.raises(TrainerError) as e:
+            train_tiny(tmp_path, learning_rate=1e12)
+        assert e.value.code == "NON_FINITE_LOSS"
+        assert blas_threads() == 2
+
+    def test_the_lookup_finds_the_wheels_openblas(self):
+        """numpy wheels link scipy-openblas; if the lookup stops finding it,
+        every stage silently keeps the caller's thread count."""
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("name")
+        if name != "scipy-openblas":
+            pytest.skip(f"numpy is built against {name!r}")
+        get, set_ = trainer._openblas()
+        before = get()
+        set_(1)
+        try:
+            assert get() == 1
+        finally:
+            set_(before)
+
+    @pytest.mark.parametrize("mode", ["policy off", "no BLAS found"])
+    def test_outputs_are_byte_identical_with_the_policy_engaged_or_not(
+            self, tmp_path, monkeypatch, mode):
+        train_tiny(tmp_path / "engaged")
+        if mode == "policy off":
+            monkeypatch.setattr(trainer, "_stage_blas_threads", lambda rows, nets: None)
+        else:
+            monkeypatch.setattr(trainer, "_openblas", lambda: None)
+        train_tiny(tmp_path / "off")
+        for name in ("metrics.jsonl", "checkpoint.bin"):
+            assert ((tmp_path / "engaged" / name).read_bytes()
+                    == (tmp_path / "off" / name).read_bytes()), name
