@@ -90,8 +90,9 @@ def _examples_from_artifacts(artifacts: list[RunArtifact], selection: dict) -> d
 
     Per role, the selection with the lowest stage index counts (``workflow``
     has none). Its file comes from the highest-ranked of ``artifacts`` that
-    holds it: by that path, in the selection's stage directory (a pipeline
-    run names every stage's files alike), or by file name anywhere."""
+    holds it by that path or in the selection's stage directory (a pipeline
+    run names every stage's files alike); only when no run does, from the
+    highest-ranked run holding that file name anywhere."""
     chosen = {}  # role -> (stage index, file name)
     for key, fname in selection.items():
         m = re.fullmatch(r"([a-z]+)_stage(\d+)", key)
@@ -100,14 +101,16 @@ def _examples_from_artifacts(artifacts: list[RunArtifact], selection: dict) -> d
             chosen[role] = (stage, fname)
     examples = seed_examples()
     for role, (stage, fname) in chosen.items():
-        for artifact in artifacts:
-            files = artifact.files
-            text = files.get(fname, files.get(f"stage{stage}/{fname}"))
-            if text is None:
-                text = next((t for rel, t in files.items() if Path(rel).name == fname), None)
-            if text is not None:
-                examples[role] = text
-                break
+        texts = (t for a in artifacts
+                 for t in (a.files.get(fname), a.files.get(f"stage{stage}/{fname}"))
+                 if t is not None)
+        by_name = (t for a in artifacts for rel, t in a.files.items()
+                   if Path(rel).name == fname)
+        text = next(texts, None)
+        if text is None:
+            text = next(by_name, None)
+        if text is not None:
+            examples[role] = text
     return examples
 
 

@@ -24,24 +24,25 @@ the multiply-accumulate count of one minibatch: its rows
 the sum of fan_in * fan_out over the policy and value nets. Below
 ``ONE_THREAD_MACS`` the stage runs on one BLAS thread; at or above it BLAS
 is left as found. A second OpenBLAS thread on a small minibatch GEMM buys
-almost no wall time but spins, doubling the CPU time a stage costs. One
-``ppo_loss`` + ``Adam.step``, best of two runs on a 2-vCPU VM
-(``tools/blas_crossover.py`` re-measures this):
+little wall time but spins, doubling the CPU time a stage costs. One
+``ppo_loss`` + ``Adam.step``, best of two runs on a 2-vCPU VM:
 
     nets             rows     1 thread   2 threads
     [64, 64]          320      2.35 ms     2.27 ms   (3.9 M MACs)
-    [64, 64]          640      4.62 ms     4.01 ms
-    [64, 64]       20,480       192 ms      158 ms
-    [512, 256, 128]   320      36.6 ms     29.1 ms
+    [64, 64]          640      4.62 ms     4.01 ms   (7.7 M)
+    [64, 64]       20,480       192 ms      158 ms   (248 M)
+    [512, 256, 128]   320      36.6 ms     29.1 ms   (114 M)
 
-so desk-width stages (64 envs) train on one thread, and 4096-env or
-paper-width stages keep every thread. The count is process-global: for the
-stage's duration it applies to every BLAS call in the process, and the
-caller's count is restored when the stage returns or raises. The OpenBLAS
-numpy loaded is looked up once, when the first stage that wants one thread
-starts (never at import); with any other BLAS (MKL, Accelerate) the policy
-does nothing. Thread count does not
-change the bytes of any result.
+Below about 9 M MACs such gains are run-to-run noise: in three
+``tools/blas_crossover.py`` runs the 640-row update gained -10%, +6% and
++7%, and the 512-row one -48%, -0.3% and +10%. So desk-width stages
+(64 envs) train on one thread, and 4096-env or paper-width stages keep
+every thread. The count is process-global: for the stage's duration it
+applies to every BLAS call in the process, and the caller's count is
+restored when the stage returns or raises. The OpenBLAS numpy loaded is
+looked up once, when the first stage that wants one thread starts (never at
+import); with any other BLAS (MKL, Accelerate) the policy does nothing.
+Thread count does not change the bytes of any result.
 """
 
 from __future__ import annotations
@@ -72,8 +73,10 @@ LOGP_EPS = 1e-6
 LOG2PI = math.log(2.0 * math.pi)
 
 # minibatch multiply-accumulates below which a stage trains on one BLAS
-# thread, measured with tools/blas_crossover.py
-ONE_THREAD_MACS = 1 << 22
+# thread (8.4 M). In three tools/blas_crossover.py runs on a 2-vCPU VM
+# (BENCH_10.json) a second thread doubled CPU time from 1.5 M up, while its
+# wall gain below 9 M changed sign from run to run (-48% to +11%).
+ONE_THREAD_MACS = 1 << 23
 
 
 # -- generalized advantage estimation -----------------------------------------

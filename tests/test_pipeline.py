@@ -293,20 +293,26 @@ class TestRetrieval:
 
     def test_a_stage_selection_takes_that_stage_of_a_pipeline_run(self, tmp_path):
         """Runs the pipeline stores name every stage's files alike
-        (``stage2/reward.yaml``), so the selection's stage picks the file."""
+        (``stage2/reward.yaml``), so the selection's stage picks the file,
+        from a lower-ranked run when the top run lacks that stage; a bare
+        file-name match counts only when no run holds the stage."""
         store = VectorStore(tmp_path / "vdb")
         store.add_run(RunArtifact("run-a", "walk on the desk", {
             "workflow.yaml": "workflow: a\n",
             **{f"stage{i}/{role}.yaml": f"{role}: a{i}\n"
                for i in (1, 2, 10) for role in ("reward", "config", "randomize")}}))
-        selection = {"reward_stage2": "reward.yaml", "config_stage10": "config.yaml",
-                     "randomize_stage1": "randomize.yaml"}
+        store.add_run(RunArtifact("run-b", "swim across the pond", {
+            f"stage{i}/{role}.yaml": f"{role}: b{i}\n"
+            for i in (3, 4) for role in ("reward", "config", "randomize")}))
+        selection = {"reward_stage2": "reward.yaml", "config_stage3": "config.yaml",
+                     "randomize_stage5": "randomize.yaml"}
         transport = ScriptedTransport(["walk", f"```json\n{json.dumps(selection)}\n```"])
-        run = orchestrator.CurriculumRun("run-b", "walk", str(tmp_path))
-        examples, _ = orchestrator._retrieve(
+        run = orchestrator.CurriculumRun("run-c", "walk", str(tmp_path))
+        examples, evaluations = orchestrator._retrieve(
             "walk", store, transport, AgentLog(tmp_path / "log.jsonl"), run)
+        assert evaluations.index("run run-a") < evaluations.index("run run-b")
         assert examples == {**orchestrator.seed_examples(), "reward": "reward: a2\n",
-                            "config": "config: a10\n", "randomize": "randomize: a1\n"}
+                            "config": "config: b3\n", "randomize": "randomize: a1\n"}
 
 
 class TestCurriculumCheck:

@@ -119,14 +119,6 @@ class TestSample:
         assert not np.allclose(added, u)
         assert np.all((added >= 0.0) & (added <= 1.0))
 
-    def test_a_repeat_in_another_field_keeps_the_first_key(self):
-        rule = {"target": "ALL", "operation": "scale",
-                "distribution": {"uniform": {"minval": 0.5, "maxval": 1.5}}}
-        alone = resample_per_env({"body_mass": [rule]}, desk_scene(), 8, range(3))
-        with_other = resample_per_env({"geom_friction": [rule], "body_mass": [rule]},
-                                      desk_scene(), 8, range(3))
-        assert alone["body_mass"].tobytes() == with_other["body_mass"].tobytes()
-
     def test_unknown_field_rejected(self):
         with pytest.raises(RandomizeError) as e:
             one_env({"warp_drive": RULES["body_mass"]}, 0)
@@ -165,23 +157,44 @@ def _shipped_rule_sets():
 SHIPPED = dict(_shipped_rule_sets())
 
 
+def _uniform_rule(target, operation, lo, hi):
+    return {"target": target, "operation": operation,
+            "distribution": {"uniform": {"minval": lo, "maxval": hi}}}
+
+
+# rules that repeat a (field, target), which no shipped bundle does
+REPEATED = {
+    "body_mass": [_uniform_rule("ALL", "set", 0.0, 1.0),
+                  _uniform_rule(["torso", "leg_l"], "scale", 0.5, 1.5),
+                  _uniform_rule("ALL", "add", 0.0, 1.0),
+                  _uniform_rule(["torso", "leg_l"], "scale", 0.5, 1.5),
+                  _uniform_rule("ALL", "add", 0.0, 1.0)],
+    "geom_friction": [_uniform_rule("ALL", "set", [0.6, 0.0, 0.0], [1.1, 0.0, 0.0]),
+                      _uniform_rule("ALL", "scale", [0.5, 1.0, 1.0], [1.5, 1.0, 1.0])],
+}
+
+
 def per_row_reference(rules, nominal, seed, env_index):
     """The per-row loop the batched sampler replaced: one generator per
-    (seed, field, target, env) and one ``uniform(size=row_shape)`` call per
-    target row, applied row by row to one env's copy of the scene."""
+    (seed, field, target, env, occurrence of that target in the field) and
+    one ``uniform(size=row_shape)`` call per target row, applied row by row
+    to one env's copy of the scene."""
     out = {name: group.values.copy() for name, group in nominal.fields.items()}
     for field_name, rule_list in rules.items():
         if field_name in ("randomize", "randomize_config_path"):
             continue
         group = nominal.fields[field_name]
+        earlier = []  # targets of this field's rules so far
         for rule in rule_list:
             target = rule.get("target", "ALL")
+            occurrence = earlier.count(target)
+            earlier.append(target)
             wanted = target if isinstance(target, list) else [target]
             rows = (range(len(group.values)) if target == "ALL"
                     else [group.names.index(t) for t in wanted])
             lo = np.asarray(rule["distribution"]["uniform"]["minval"], dtype=np.float64)
             hi = np.asarray(rule["distribution"]["uniform"]["maxval"], dtype=np.float64)
-            rng = _rng_for(seed, field_name, target, env_index)
+            rng = _rng_for(seed, field_name, target, env_index, occurrence)
             op = rule.get("operation", "set")
             for r in rows:
                 u = lo + rng.uniform(size=group.values.shape[1:]) * (hi - lo)
@@ -193,9 +206,9 @@ def per_row_reference(rules, nominal, seed, env_index):
 
 
 class TestBatchedSampler:
-    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    @pytest.mark.parametrize("name", sorted(SHIPPED) + ["repeated targets"])
     def test_rows_match_sample_and_per_row_loop(self, name):
-        rules, nominal, seed = SHIPPED[name], desk_scene(), 11
+        rules, nominal, seed = SHIPPED.get(name, REPEATED), desk_scene(), 11
         batched = resample_per_env(rules, nominal, seed, range(6))
         assert set(batched) == set(nominal.fields)
         for i in range(6):

@@ -352,6 +352,8 @@ def blas_threads():
 class TestBlasThreadPolicy:
     @pytest.mark.parametrize("rows,hidden,threads", [
         (320, [64, 64], 1),                # desk width: 64 envs x 20 / 4
+        (640, [64, 64], 1),                # 7.7 M MACs, just under the constant
+        (64, [256, 256], None),            # 9.4 M MACs, just over it
         (20_480, [64, 64], None),          # 4096 envs under the desk profile
         (5_120, [512, 256, 128], None),    # the shipped paper-scale tune stage
     ])

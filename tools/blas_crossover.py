@@ -6,17 +6,20 @@ fan_in * fan_out over the policy and value nets). This tool is how that
 constant was set, and how it is re-measured on another machine. For each net
 width and row count it times one ``ppo_loss`` + ``Adam.step`` (the update
 ``ppo_update`` runs per minibatch, on a warm workspace) on one BLAS thread
-and on the count BLAS starts with, alternating the two, and prints per
-update the best wall milliseconds and the median CPU milliseconds of each,
-the wall gain of the extra threads, and what the current rule picks. Run
-from the repository root:
+and on the count BLAS starts with, alternating the two over ``REPEATS``
+batches of ``SECONDS`` each, and prints per update the best wall
+milliseconds and the median CPU milliseconds of each, the wall gain of the
+extra threads, and what the current rule picks. Run from the repository
+root:
 
-    PYTHONPATH=src python3 tools/blas_crossover.py [--min-gain 0.10]
+    PYTHONPATH=src python3 tools/blas_crossover.py
     PYTHONPATH=src python3 tools/blas_crossover.py --tiny   # a quick pass
 
 The last line names the smallest measured MAC count at which the extra
-threads save at least ``--min-gain`` of the one-thread wall time; the
-constant belongs between it and the largest count below it that saves less.
+threads save at least ``MIN_GAIN`` of the one-thread wall time. Below it
+the gain is noise or small while the CPU time doubles, so the constant
+belongs under it; run the tool more than once, as the crossover moves
+between runs.
 Exits 1 when numpy's BLAS is not an OpenBLAS whose thread count can be set,
 or when it already runs on one thread (nothing to compare).
 """
@@ -44,6 +47,9 @@ FULL = (
     ([512, 256, 128], (32, 64, 320, 5120)),
 )
 TINY = (([64, 64], (64, 320)),)
+REPEATS = 5       # alternating timed batches per setting
+SECONDS = 0.2     # wall time of one timed batch
+MIN_GAIN = 0.10   # share of the one-thread wall time the extra threads must save
 SETTLE_S = 0.2
 
 
@@ -105,12 +111,6 @@ def measure(grid, repeats: int, budget_s: float) -> list[dict]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=5,
-                    help="alternating timed batches per setting (default 5)")
-    ap.add_argument("--seconds", type=float, default=0.2,
-                    help="wall time of one timed batch (default 0.2)")
-    ap.add_argument("--min-gain", type=float, default=0.10,
-                    help="wall-time share the extra threads must save to pay (default 0.10)")
     ap.add_argument("--tiny", action="store_true",
                     help="two sizes, one short batch each: checks the tool runs")
     args = ap.parse_args(argv)
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     if default < 2:
         print(f"BLAS runs on {default} thread; nothing to compare")
         return 1
-    grid, repeats, seconds = (TINY, 1, 0.01) if args.tiny else (FULL, args.repeats, args.seconds)
+    grid, repeats, seconds = (TINY, 1, 0.01) if args.tiny else (FULL, REPEATS, SECONDS)
     results = measure(grid, repeats, seconds)
 
     print(f"BLAS threads: 1 vs {default}; ONE_THREAD_MACS = {trainer.ONE_THREAD_MACS:,}")
@@ -135,11 +135,11 @@ def main(argv=None) -> int:
               f"{r['one_cpu'] * 1e3:>7.3f}ms {r['many_cpu'] * 1e3:>7.3f}ms  "
               f"{'1 thread' if r['rule'] == 1 else 'as found'}")
     paying = [r["macs"] for r in results
-              if 1.0 - r["many_wall"] / r["one_wall"] >= args.min_gain]
+              if 1.0 - r["many_wall"] / r["one_wall"] >= MIN_GAIN]
     if paying:
-        print(f"extra threads save >= {args.min_gain:.0%} from {min(paying):,} MACs")
+        print(f"extra threads save >= {MIN_GAIN:.0%} from {min(paying):,} MACs")
     else:
-        print(f"extra threads save < {args.min_gain:.0%} at every measured size")
+        print(f"extra threads save < {MIN_GAIN:.0%} at every measured size")
     return 0
 
 
