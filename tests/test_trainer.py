@@ -205,6 +205,23 @@ class TestPpoUpdate:
         assert any(not np.array_equal(first[k], second[k]) for k in first)
 
 
+class TestRollouts:
+    def test_golden_collect_and_evaluate(self):
+        """``_collect`` at 64, 100 and 300 envs (reward blocks of 4 + 3,
+        2 + 2 + 2 + 1 and 1 step) and ``_evaluate`` at 16 envs whose episodes
+        end on different steps, stopping early, match the record taken when
+        each step's reward was evaluated on its own, byte for byte."""
+        from rollout_golden import EVAL_MAX_STEPS, GOLDEN, golden
+        expected = json.loads(GOLDEN.read_text())
+        ends = expected["evaluate"]["first_finish"]
+        assert len(set(ends)) > 2 and max(ends) == expected["evaluate"]["steps"] < EVAL_MAX_STEPS
+        got = golden()
+        for envs, digests in expected["collect"].items():
+            for key, digest in digests.items():
+                assert got["collect"][envs].get(key) == digest, (envs, key)
+        assert got == expected
+
+
 class TestAdamAndNorm:
     def test_adam_descends_quadratic(self):
         params = {"x": np.array([5.0, -3.0])}
