@@ -138,10 +138,6 @@ class CurriculumBundle:
     workflow_text: str
     stages: list
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.stages)
-
 
 STAGE_ROLES = ("reward", "config", "randomize")
 
@@ -276,6 +272,17 @@ def _validate_config(stage: StageBundle, out: list):
     def warn(code, path, msg):
         out.append(Finding(WARNING, code, f, path, msg))
 
+    def number(section, key):
+        """The number at ``section.key``: None when absent, and None after a
+        TYPE_ERROR when not a number. PyYAML reads ``1.0e12`` (no exponent
+        sign) and quoted numbers as strings."""
+        v = doc[section].get(key)
+        if v is None or _is_number(v):
+            return v
+        err("TYPE_ERROR", f"{section}.{key}", f"{key} must be a number, got {v!r}; "
+            "write it unquoted, an exponent with its sign and a decimal point, as in 1.0e+12")
+        return None
+
     for section in CONFIG_SECTIONS:
         if section not in doc or not isinstance(doc[section], dict):
             err("MISSING_KEY", section, f"config must contain a '{section}:' mapping")
@@ -300,11 +307,11 @@ def _validate_config(stage: StageBundle, out: list):
                 err("TYPE_ERROR", f"environment.{key}", "expected a [lo, hi] pair")
             elif rng[0] > rng[1]:
                 err("RANGE_INVERTED", f"environment.{key}", f"lo {rng[0]} > hi {rng[1]}")
-        noise = env.get("obs_noise")
-        if noise is not None and not (_is_number(noise) and noise >= 0):
+        noise = number("environment", "obs_noise")
+        if noise is not None and noise < 0:
             err("POSITIVE_REQUIRED", "environment.obs_noise", f"obs_noise must be >= 0, got {noise!r}")
-        prob = env.get("command_stand_prob")
-        if prob is not None and (not _is_number(prob) or not 0.0 <= prob <= 1.0):
+        prob = number("environment", "command_stand_prob")
+        if prob is not None and not 0.0 <= prob <= 1.0:
             err("PROB_RANGE", "environment.command_stand_prob",
                 f"probability must lie in [0, 1], got {prob!r}")
         for lo_key, hi_key in (("big_min_kick_vel", "big_max_kick_vel"),
@@ -329,15 +336,16 @@ def _validate_config(stage: StageBundle, out: list):
             v = tr.get(key)
             if v is not None and not _is_power_of_two(v):
                 err("POWER_OF_TWO", f"trainer.{key}", f"{key} must be a power of 2, got {v!r}")
-        g = tr.get("discounting")
-        if g is not None and (not _is_number(g) or not 0.0 < g < 1.0):
+        g = number("trainer", "discounting")
+        if g is not None and not 0.0 < g < 1.0:
             err("GAMMA_RANGE", "trainer.discounting", f"discounting must be in (0, 1), got {g!r}")
-        for key in ("learning_rate", "clipping_epsilon", "entropy_cost"):
-            v = tr.get(key)
-            if v is not None and (not _is_number(v) or v <= 0) and key != "entropy_cost":
+        for key in ("learning_rate", "clipping_epsilon"):
+            v = number("trainer", key)
+            if v is not None and v <= 0:
                 err("POSITIVE_REQUIRED", f"trainer.{key}", f"{key} must be > 0, got {v!r}")
-            elif key == "entropy_cost" and v is not None and (not _is_number(v) or v < 0):
-                err("POSITIVE_REQUIRED", f"trainer.{key}", f"{key} must be >= 0, got {v!r}")
+        v = number("trainer", "entropy_cost")
+        if v is not None and v < 0:
+            err("POSITIVE_REQUIRED", "trainer.entropy_cost", f"entropy_cost must be >= 0, got {v!r}")
         for key in ("num_timesteps", "num_evals", "episode_length", "unroll_length",
                     "num_minibatches", "num_updates_per_batch"):
             v = tr.get(key)
@@ -504,6 +512,8 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
            lambda b: tr(b).update(clipping_epsilon=0))
     mutant("negative observation noise", "POSITIVE_REQUIRED",
            lambda b: env(b).update(obs_noise=-1))
+    mutant("learning rate read as a string", "TYPE_ERROR",
+           lambda b: tr(b).update(learning_rate="1.0e12"))
     mutant("more minibatches than rollout rows", "TOO_MANY_MINIBATCHES",
            lambda b: tr(b).update(num_minibatches=1_000_000))
     mutant("num_timesteps dropped", "MISSING_KEY",

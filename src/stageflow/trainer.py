@@ -61,7 +61,7 @@ import numpy as np
 
 from .env import ACTION_DIM, OBS_DIM, VecEnv
 from .errors import TrainerError
-from .reward import RewardProgram, compile_program, eval_total_batch
+from .reward import BatchValue, RewardProgram, compile_program, eval_total_batch
 from .schema import StageBundle
 
 CHECKPOINT_MAGIC = b"SFCP"
@@ -77,6 +77,10 @@ LOG2PI = math.log(2.0 * math.pi)
 # (BENCH_10.json) a second thread doubled CPU time from 1.5 M up, while its
 # wall gain below 9 M changed sign from run to run (-48% to +11%).
 ONE_THREAD_MACS = 1 << 23
+
+# (step, env) rows one reward evaluation covers at most: a rollout block is
+# as many whole steps as fit, and at least one (module docstring)
+REWARD_ROWS = 256
 
 
 # -- generalized advantage estimation -----------------------------------------
@@ -107,13 +111,6 @@ def gae(rewards, values, dones, gamma: float, lam: float = GAE_LAMBDA):
         advantages[t] = acc
     returns = advantages + values[:-1]
     return advantages, returns
-
-
-def clipped_surrogate(ratio, advantages, clip_eps):
-    """Per-sample clipped surrogate min(r*A, clip(r)*A), for fixtures."""
-    r = np.asarray(ratio, dtype=np.float64)
-    a = np.asarray(advantages, dtype=np.float64)
-    return np.minimum(r * a, np.clip(r, 1.0 - clip_eps, 1.0 + clip_eps) * a)
 
 
 # -- MLPs with hand-rolled backprop -------------------------------------------
@@ -252,9 +249,6 @@ class Policy:
         correction = np.log(1.0 - np.tanh(raw) ** 2 + LOGP_EPS).sum(-1)
         return gauss - correction
 
-    def log_prob(self, obs: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        return self._logp(self.mean(obs), raw)
-
 
 # -- PPO loss with analytic gradient ------------------------------------------
 
@@ -348,32 +342,62 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
 
 
 class Adam:
+    """Adam over flat buffers: the parameters, both moments and the gradient
+    each live in one float64 array, laid out in the order of the ``params``
+    dict given at construction, and the values of that dict, ``m`` and ``v``
+    are reshaped views into them. ``step`` updates in place through the
+    views, so it must be given that same dict."""
+
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._spans = {}
+        start = 0
+        for k, p in params.items():
+            self._spans[k] = (start, start + p.size, p.shape)
+            start += p.size
+        self._p = np.concatenate([np.ravel(p) for p in params.values()]).astype(np.float64)
+        self._m, self._v = np.zeros(start), np.zeros(start)
+        self._g, self._tmp, self._den = np.empty(start), np.empty(start), np.empty(start)
+        params.update(self._views(self._p))
+        self.m, self.v = self._views(self._m), self._views(self._v)
         self.t = 0
 
+    def _views(self, flat: np.ndarray) -> dict:
+        return {k: flat[a:b].reshape(shape) for k, (a, b, shape) in self._spans.items()}
+
     def step(self, params: dict, grads: dict, max_grad_norm: float = 1.0):
-        """One update of ``params``. The moments are updated in place, and a
-        global-norm clip scales the arrays of ``grads`` in place."""
+        """One update of ``params`` from ``grads``, which must hold every
+        parameter; the caller's gradient arrays are left as they are. The
+        global-norm clip sums each array's squares, then those sums in the
+        order of ``grads``."""
+        g, tmp, den = self._g, self._tmp, self._den
+        for k, (a, b, _) in self._spans.items():
+            g[a:b] = grads[k].ravel()
         if max_grad_norm is not None:
-            total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            sq = np.multiply(g, g, out=tmp)
+            total = math.sqrt(sum(float(sq[self._spans[k][0]:self._spans[k][1]].sum())
+                                  for k in grads))
             if total > max_grad_norm:
-                scale = max_grad_norm / (total + 1e-12)
-                for g in grads.values():
-                    g *= scale
+                g *= max_grad_norm / (total + 1e-12)
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for k, g in grads.items():
-            m, v = self.m[k], self.v[k]
-            m *= self.beta1                     # m = beta1 * m + (1 - beta1) * g
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2                     # v = beta2 * v + (1 - beta2) * g^2
-            v += (1.0 - self.beta2) * (g * g)
-            params[k] = params[k] - self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1                         # m = beta1 * m + (1 - beta1) * g
+        m += np.multiply(g, 1.0 - self.beta1, out=tmp)
+        v *= self.beta2                         # v = beta2 * v + (1 - beta2) * (g * g)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        # p = p - lr * (m / b1c) / (sqrt(v / b2c) + eps)
+        np.divide(v, b2c, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, b1c, out=tmp)
+        tmp *= self.lr
+        tmp /= den
+        self._p -= tmp
 
 
 class RunningNorm:
@@ -666,7 +690,10 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
     # of array_split's minibatches has ceil(steps / minibatches) rows
     rows = math.ceil(steps_per_iter / num_minibatches)
     threads = _stage_blas_threads(rows, (policy.policy_sizes, policy.value_sizes))
-    with _blas_threads(threads):
+    # a blow-up (say, from a huge learning rate) surfaces as NON_FINITE_LOSS
+    # from ppo_loss, not as numpy warnings on the way there
+    with _blas_threads(threads), np.errstate(over="ignore", invalid="ignore",
+                                             divide="ignore"):
         obs = envs.observe()
         for it in range(iters):
             if it in eval_at:
@@ -734,6 +761,16 @@ def ppo_update(policy: Policy, optimizer: Adam, batch: dict, rng: np.random.Gene
     return parts
 
 
+def _stack_bindings(steps: list) -> dict:
+    """Several steps' batched bindings as one map, each key's arrays joined
+    along the env axis in step order: row ``j * n + i`` is env i at the
+    block's step j."""
+    if len(steps) == 1:
+        return steps[0]
+    return {k: BatchValue(np.concatenate([b[k].arr for b in steps]), v.kind)
+            for k, v in steps[0].items()}
+
+
 def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
              program: RewardProgram, reward_scaling: float, unroll: int,
              rng: np.random.Generator):
@@ -746,6 +783,8 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
         "dones": np.zeros((T, N)),
         "values": np.zeros((T + 1, N)),
     }
+    block = max(1, REWARD_ROWS // N)
+    pending = []
     for t in range(T):
         norm_obs = obs_norm.normalize(obs) if obs_norm is not None else obs
         raw, squashed, logp = policy.act(norm_obs, rng)
@@ -754,8 +793,13 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
         out["logp"][t] = logp
         out["values"][t] = policy.value(norm_obs)
         obs, bindings, dones = envs.step(squashed)
-        out["rewards"][t] = eval_total_batch(program, bindings, N)["total"] * reward_scaling
         out["dones"][t] = dones.astype(np.float64)
+        pending.append(bindings)
+        if len(pending) == block or t == T - 1:
+            k = len(pending)
+            total = eval_total_batch(program, _stack_bindings(pending), k * N)["total"]
+            out["rewards"][t + 1 - k:t + 1] = (total * reward_scaling).reshape(k, N)
+            pending.clear()
     if obs_norm is not None:
         obs_norm.update(out["obs"].reshape(-1, OBS_DIM))
         final_norm = obs_norm.normalize(obs)
@@ -768,25 +812,38 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
 def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program,
               seed: int, episodes: int, max_steps: int) -> dict:
     """Deterministic-policy rollouts, one env per episode slot; per-term
-    metrics are mean episode sums of each term's contribution."""
+    metrics are mean episode sums of each term's contribution. Each step's
+    alive mask is kept until its reward block is evaluated, and contributions
+    are added in step order."""
     envs = VecEnv(env_cfg, episodes, base_seed=seed + 7777,
                   randomize_rules=rules, episode_length=max_steps)
     alive = np.ones(episodes, dtype=bool)
     totals = np.zeros(episodes)
     lengths = np.zeros(episodes)
     term_sums = {t.name: np.zeros(episodes) for t in program.terms}
+    block = max(1, REWARD_ROWS // episodes)
+    pending, masks = [], []
     obs = envs.observe()
-    for _ in range(max_steps):
+    for step in range(max_steps):
         norm_obs = obs_norm.normalize(obs) if obs_norm is not None else obs
         action = policy.act_deterministic(norm_obs)
         obs, bindings, finished = envs.step(action)
-        result = eval_total_batch(program, bindings, episodes)
-        totals += alive * result["total"]
-        lengths += alive
-        for name, v in result["per_term"].items():
-            term_sums[name] += alive * v
-        alive &= ~finished
-        if not alive.any():
+        pending.append(bindings)
+        masks.append(alive)
+        alive = alive & ~finished
+        done = not alive.any() or step == max_steps - 1
+        if len(pending) == block or done:
+            result = eval_total_batch(program, _stack_bindings(pending),
+                                      len(pending) * episodes)
+            for j, mask in enumerate(masks):
+                rows = slice(j * episodes, (j + 1) * episodes)
+                totals += mask * result["total"][rows]
+                lengths += mask
+                for name, v in result["per_term"].items():
+                    term_sums[name] += mask * v[rows]
+            pending.clear()
+            masks.clear()
+        if done:
             break
     rec = {
         "eval/episode_reward": float(totals.mean()),

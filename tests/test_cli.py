@@ -100,10 +100,15 @@ class TestValidate:
 
     @pytest.mark.parametrize("old,new,code,path", [
         ("obs_noise: 0.0", "obs_noise: -1", "POSITIVE_REQUIRED", "environment.obs_noise"),
-        ("obs_noise: 0.0", "obs_noise: loud", "POSITIVE_REQUIRED", "environment.obs_noise"),
+        ("obs_noise: 0.0", "obs_noise: loud", "TYPE_ERROR", "environment.obs_noise"),
         ("num_minibatches: 4", "num_minibatches: 1000000", "TOO_MANY_MINIBATCHES",
          "trainer.num_minibatches"),
-    ], ids=["negative obs_noise", "non-numeric obs_noise", "more minibatches than rows"])
+        # YAML 1.1 reads an exponent without its sign as a string
+        ("learning_rate: 3.0e-4", "learning_rate: 1.0e12", "TYPE_ERROR",
+         "trainer.learning_rate"),
+        ("discounting: 0.97", "discounting: '0.97 '", "TYPE_ERROR", "trainer.discounting"),
+    ], ids=["negative obs_noise", "non-numeric obs_noise", "more minibatches than rows",
+            "learning_rate read as a string", "quoted discounting"])
     def test_config_value_the_trainer_cannot_use(self, capsys, tiny_desk, tmp_path,
                                                  old, new, code, path):
         cfg = tiny_desk / "configs/generated_config_stage1.yaml"
@@ -111,7 +116,10 @@ class TestValidate:
         cfg.write_text(cfg.read_text().replace(old, new, 1))
         found, out = _cli(capsys, "validate", tiny_desk)
         assert found == 1
-        assert {(f["code"], f["path"]) for f in json.loads(out.out)["findings"]} == {(code, path)}
+        findings = json.loads(out.out)["findings"]
+        assert {(f["code"], f["path"]) for f in findings} == {(code, path)}
+        if code == "TYPE_ERROR":  # the message says how to write a number
+            assert "1.0e+12" in findings[0]["message"]
         found, out = _cli(capsys, "train", "--workflow", tiny_desk / "workflow.yaml",
                           "--out", tmp_path / "out", "--paper-scale")
         assert found == 1 and not (tmp_path / "out").exists()  # refused before training

@@ -14,8 +14,8 @@ class TestParse:
     @pytest.mark.parametrize("name", BUNDLES)
     def test_parses(self, name):
         b = parse_bundle(DATA / "bundles" / name)
-        assert b.num_stages >= 1
-        assert [s.index for s in b.stages] == list(range(1, b.num_stages + 1))
+        assert b.stages
+        assert [s.index for s in b.stages] == list(range(1, len(b.stages) + 1))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(BundleError) as e:

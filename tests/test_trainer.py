@@ -11,7 +11,7 @@ from stageflow import trainer
 from stageflow.errors import TrainerError
 from stageflow.schema import parse_bundle
 from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Policy,
-                               RunningNorm, Workspace, clipped_surrogate,
+                               RunningNorm, Workspace,
                                gae, load_checkpoint, ppo_loss,
                                restore_policy, save_checkpoint, train_stage)
 
@@ -76,21 +76,33 @@ class TestGae:
         assert adv[0] == pytest.approx(1.0)
 
 
+def surrogate_loss(ratio, advantages, clip_eps):
+    """``ppo_loss``'s ``loss/policy`` on a batch whose old log-probs are set
+    so that each row's probability ratio is ``ratio``."""
+    policy = small_policy()
+    obs = np.random.default_rng(1).standard_normal((len(ratio), policy.obs_dim))
+    raw, _, logp = policy.act(obs, np.random.default_rng(2))
+    batch = {"obs": obs, "raw_actions": raw, "old_logp": logp - np.log(ratio),
+             "advantages": np.asarray(advantages, dtype=np.float64),
+             "returns": np.zeros(len(ratio))}
+    _, _, parts = ppo_loss(policy, batch, clip_eps, with_grads=False)
+    return parts["loss/policy"]
+
+
 class TestClippedSurrogate:
     def test_fixture_ratio_above_clip(self):
         # r=1.3, A=1, eps=0.2 -> min(1.3, 1.2) = 1.2
-        assert clipped_surrogate(np.array([1.3]), np.array([1.0]), 0.2)[0] \
-            == pytest.approx(1.2)
+        assert surrogate_loss(np.array([1.3]), np.array([1.0]), 0.2) \
+            == pytest.approx(-1.2, rel=1e-12)
 
     def test_fixture_negative_advantage(self):
         # r=0.5, A=-1, eps=0.2 -> min(-0.5, 0.8*(-1)) = -0.8
-        assert clipped_surrogate(np.array([0.5]), np.array([-1.0]), 0.2)[0] \
-            == pytest.approx(-0.8)
+        assert surrogate_loss(np.array([0.5]), np.array([-1.0]), 0.2) \
+            == pytest.approx(0.8, rel=1e-12)
 
     def test_identity_ratio_is_advantage(self, rng):
         a = rng.standard_normal(10)
-        np.testing.assert_allclose(
-            clipped_surrogate(np.ones(10), a, 0.2), a, rtol=1e-15)
+        assert surrogate_loss(np.ones(10), a, 0.2) == pytest.approx(-a.mean(), rel=1e-12)
 
     def test_clipped_term_bounded(self, rng):
         r = rng.uniform(0.1, 3.0, 100)
@@ -98,8 +110,9 @@ class TestClippedSurrogate:
         clipped_term = np.clip(r, 0.8, 1.2) * a
         assert np.all(np.abs(clipped_term) <= 1.2 * np.abs(a) + 1e-12)
         # the surrogate never exceeds the clipped term (pessimistic bound)
-        s = clipped_surrogate(r, a, 0.2)
-        assert np.all(s <= clipped_term + 1e-12)
+        surrogate = -surrogate_loss(r, a, 0.2)
+        assert surrogate == pytest.approx(np.minimum(r * a, clipped_term).mean(), rel=1e-10)
+        assert surrogate <= clipped_term.mean() + 1e-12
 
 
 class TestPpoLoss:
@@ -129,12 +142,15 @@ class TestPpoLoss:
 
     def test_infinite_clip_equals_unclipped_surrogate(self, rng):
         policy = small_policy()
-        batch = small_batch(policy, rng)
+        obs = rng.standard_normal((16, policy.obs_dim))
+        raw, _, logp = policy.act(obs, rng)  # logp is the new log-prob of raw
+        batch = {"obs": obs, "raw_actions": raw,
+                 "old_logp": logp + 0.1 * rng.standard_normal(16),
+                 "advantages": rng.standard_normal(16), "returns": rng.standard_normal(16)}
         loss_inf, _, parts = ppo_loss(policy, batch, clip_eps=1e12,
                                       value_coef=0.0, entropy_cost=0.0,
                                       with_grads=False)
-        ratio = np.exp(policy.log_prob(batch["obs"], batch["raw_actions"])
-                       - batch["old_logp"])
+        ratio = np.exp(logp - batch["old_logp"])
         # advantage normalization happens per minibatch in train_stage,
         # not inside the loss, so compare against the raw advantages
         unclipped = -(ratio * batch["advantages"]).mean()
@@ -395,7 +411,7 @@ class TestBlasThreadPolicy:
 
     def test_a_raising_stage_restores_the_callers_count(self, tmp_path, blas_threads):
         # the first Adam step blows the weights up; the next loss is not finite
-        with np.errstate(all="ignore"), pytest.raises(TrainerError) as e:
+        with pytest.raises(TrainerError) as e:
             train_tiny(tmp_path, learning_rate=1e12)
         assert e.value.code == "NON_FINITE_LOSS"
         assert blas_threads() == 2
