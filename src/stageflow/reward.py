@@ -19,6 +19,11 @@ steps are not. Operations broadcast over the per-env axes, aligned from the
 last one, and never across envs. Slices clip like Python's; an integer index
 out of range, division by zero and a result above ``MAX_RANK`` axes are
 errors. A term reduces to one float per env.
+
+Since no operation combines rows, a row need not be one env at one step:
+the trainer's rollouts join several steps' bindings along the env axis and
+evaluate them in one call, one row per (step, env) pair, with the same bytes
+per row as step by step (``trainer`` docstring).
 """
 
 from __future__ import annotations

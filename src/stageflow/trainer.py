@@ -15,8 +15,37 @@ from it is valid only until the same name is taken again, and
 ``mlp_backward`` consumes the forward's cache, writing the gradient flowing
 into each hidden activation over that activation. What leaves the update is
 fresh: ``ppo_loss`` returns new gradient arrays and plain floats, and
-``Policy.mean``/``value``/``act`` run on a throwaway workspace. ``Adam.step``
-updates its moments in place and scales clipped gradients in place.
+``Policy.mean``/``value``/``act`` run on a throwaway workspace.
+
+Flat-buffer Adam. ``Adam`` keeps the parameters, both moments and the
+gradient in one float64 buffer each, laid out in the order of the params
+dict it is built with; that dict's values and ``Adam.m``/``Adam.v`` become
+reshaped views into those buffers, so the dict API, checkpoints and the
+update golden are unchanged. ``step`` copies the gradient arrays in, then
+runs each of its ~14 update ops once over the whole buffer instead of once
+per parameter array (13 arrays at the desk nets), in the rounding order of
+the per-array expressions its comments give. The global-norm clip still
+sums each array's squares on its own, then adds those sums in the order of
+the gradient dict. A parameter array rebound after construction (say, by a
+restore) is no longer updated; ``train_stage`` restores before it builds
+the optimizer.
+
+Reward blocks. ``_collect`` and ``_evaluate`` do not evaluate the reward on
+every step: they keep each step's bindings and call ``eval_total_batch``
+once per block of consecutive steps, on those bindings joined along the env
+axis, so that a row is a (step, env) pair. A block is as many whole steps as
+fit in ``REWARD_ROWS`` (256) rows, and at least one: 4 steps at 64 envs, 16
+at the 16 evaluation envs, one at 4096 envs. This is exact, because a
+reward program never combines rows (``reward`` docstring) and nothing in a
+rollout reads a step's reward before its block is evaluated. What stays per
+step: the action, the env step and ``done``; ``_evaluate`` also keeps each
+step's alive mask, stops stepping once every episode has ended, and adds
+each step's contributions in step order. Per-node dispatch costs the same
+at 64 rows as at 256, so at desk width a block cuts reward calls about
+fourfold (1,090 to 190 in a ``tune_desk64`` stage); 1,024-row blocks
+measured a further peak-RSS rise of 1.4-1.6 MB (up to +3.8%) for little
+more time saved, so the cap is 256. ``tests/data/rollout_golden.json`` pins
+both rollouts byte for byte, recorded before rewards were blocked.
 
 BLAS thread policy. ``train_stage`` picks its BLAS thread count once, from
 the multiply-accumulate count of one minibatch: its rows
@@ -356,9 +385,9 @@ class Adam:
         for k, p in params.items():
             self._spans[k] = (start, start + p.size, p.shape)
             start += p.size
-        self._p = np.concatenate([np.ravel(p) for p in params.values()]).astype(np.float64)
+        self._p = np.concatenate([np.ravel(p) for p in params.values()], dtype=np.float64)
         self._m, self._v = np.zeros(start), np.zeros(start)
-        self._g, self._tmp, self._den = np.empty(start), np.empty(start), np.empty(start)
+        self._g, self._tmp = np.empty(start), np.empty(start)
         params.update(self._views(self._p))
         self.m, self.v = self._views(self._m), self._views(self._v)
         self.t = 0
@@ -371,7 +400,7 @@ class Adam:
         parameter; the caller's gradient arrays are left as they are. The
         global-norm clip sums each array's squares, then those sums in the
         order of ``grads``."""
-        g, tmp, den = self._g, self._tmp, self._den
+        g, tmp = self._g, self._tmp
         for k, (a, b, _) in self._spans.items():
             g[a:b] = grads[k].ravel()
         if max_grad_norm is not None:
@@ -390,8 +419,9 @@ class Adam:
         np.multiply(g, g, out=tmp)
         tmp *= 1.0 - self.beta2
         v += tmp
-        # p = p - lr * (m / b1c) / (sqrt(v / b2c) + eps)
-        np.divide(v, b2c, out=den)
+        # p = p - lr * (m / b1c) / (sqrt(v / b2c) + eps); g is spent, and
+        # holds the denominator
+        den = np.divide(v, b2c, out=g)
         np.sqrt(den, out=den)
         den += self.eps
         np.divide(m, b1c, out=tmp)
