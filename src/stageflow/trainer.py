@@ -40,12 +40,14 @@ reward program never combines rows (``reward`` docstring) and nothing in a
 rollout reads a step's reward before its block is evaluated. What stays per
 step: the action, the env step and ``done``; ``_evaluate`` also keeps each
 step's alive mask, stops stepping once every episode has ended, and adds
-each step's contributions in step order. Per-node dispatch costs the same
-at 64 rows as at 256, so at desk width a block cuts reward calls about
-fourfold (1,090 to 190 in a ``tune_desk64`` stage); 1,024-row blocks
-measured a further peak-RSS rise of 1.4-1.6 MB (up to +3.8%) for little
-more time saved, so the cap is 256. ``tests/data/rollout_golden.json`` pins
-both rollouts byte for byte, recorded before rewards were blocked.
+each step's contributions in step order. The reward interpreter pays per
+expression node, not per row: in a traced ``tune_desk64`` run a call took
+0.93 ms on 64 rows and 1.08 ms on 256, so 4-step blocks cut that stage's
+reward calls from 1,090 to 190 and their time fivefold. The cap bounds what
+a block holds: on the same workload 1,024-row blocks raised peak RSS by
+about 1.3 MB (+3%) over 256-row ones for no clear wall-time gain (a 2-vCPU
+VM, four samples each). ``tests/data/rollout_golden.json`` pins both
+rollouts byte for byte, recorded before rewards were blocked.
 
 BLAS thread policy. ``train_stage`` picks its BLAS thread count once, from
 the multiply-accumulate count of one minibatch: its rows
@@ -371,11 +373,9 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
 
 
 class Adam:
-    """Adam over flat buffers: the parameters, both moments and the gradient
-    each live in one float64 array, laid out in the order of the ``params``
-    dict given at construction, and the values of that dict, ``m`` and ``v``
-    are reshaped views into them. ``step`` updates in place through the
-    views, so it must be given that same dict."""
+    """Adam on flat buffers (module docstring). Construction makes the
+    values of ``params`` views into the parameter buffer, which ``step``
+    updates in place."""
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -395,8 +395,8 @@ class Adam:
     def _views(self, flat: np.ndarray) -> dict:
         return {k: flat[a:b].reshape(shape) for k, (a, b, shape) in self._spans.items()}
 
-    def step(self, params: dict, grads: dict, max_grad_norm: float = 1.0):
-        """One update of ``params`` from ``grads``, which must hold every
+    def step(self, grads: dict, max_grad_norm: float = 1.0):
+        """One update of the parameters from ``grads``, which must hold every
         parameter; the caller's gradient arrays are left as they are. The
         global-norm clip sums each array's squares, then those sums in the
         order of ``grads``."""
@@ -787,7 +787,7 @@ def ppo_update(policy: Policy, optimizer: Adam, batch: dict, rng: np.random.Gene
             a /= a_std + 1e-8
             _, grads, parts = ppo_loss(policy, mb, clip_eps, VALUE_LOSS_COEF,
                                        entropy_cost, workspace=workspace)
-            optimizer.step(policy.params, grads)
+            optimizer.step(grads)
     return parts
 
 

@@ -197,7 +197,7 @@ class TestPpoUpdate:
         def update():
             _, grads, _ = ppo_loss(policy, batch, 0.2, entropy_cost=1e-3,
                                    workspace=workspace)
-            optimizer.step(policy.params, grads)
+            optimizer.step(grads)
 
         update()  # warm-up sizes the workspace
         tracemalloc.start()
@@ -243,14 +243,14 @@ class TestAdamAndNorm:
         params = {"x": np.array([5.0, -3.0])}
         opt = Adam(params, lr=0.1)
         for _ in range(500):
-            opt.step(params, {"x": 2 * params["x"]})
+            opt.step({"x": 2 * params["x"]})
         np.testing.assert_allclose(params["x"], 0.0, atol=1e-3)
 
     def test_grad_clipping_bounds_norm(self):
         params = {"x": np.zeros(3)}
         opt = Adam(params, lr=1.0)
         before = params["x"].copy()
-        opt.step(params, {"x": np.full(3, 1e9)}, max_grad_norm=1.0)
+        opt.step({"x": np.full(3, 1e9)}, max_grad_norm=1.0)
         assert np.isfinite(params["x"]).all()
         assert np.linalg.norm(params["x"] - before) < 2.0
 

@@ -68,7 +68,7 @@ def _update_fn(hidden: list, rows: int):
     def update():
         _, grads, _ = trainer.ppo_loss(policy, batch, 0.2, entropy_cost=1e-3,
                                        workspace=workspace)
-        optimizer.step(policy.params, grads)
+        optimizer.step(grads)
 
     update()  # sizes the workspace
     return update, (policy.policy_sizes, policy.value_sizes)
