@@ -2,14 +2,14 @@
 
 Velocities follow first-order lag dynamics toward action-projected targets,
 feet follow a gait oscillator, and kicks inject velocity impulses on a fixed
-schedule. The point of the environment is to emit, every step, the complete
-binding map the reward programs consume; it is not a physics simulator.
+schedule. The point of the environment is to emit, every step, the binding
+maps the reward programs consume; it is not a physics simulator.
 
 ``VecEnv`` holds the physics: N walkers stepped along one env axis, as
-training, periodic evaluation and final scoring run them. ``DeskWalker`` is
-row 0 of a one-env ``VecEnv`` with unbatched bindings, the view final scoring
-steps. It has no dynamics of its own and stays only because the benchmark's
-per-layer trace times ``DeskWalker.step`` as its own layer.
+training, periodic evaluation and final scoring run them. Each step builds
+only the binding keys its caller asked for. ``DeskWalker`` is the ``VecEnv``
+final scoring steps, one row per episode, each row seeded as if it ran
+alone; it has no dynamics of its own.
 
 ``write_trace``/``read_trace`` store a run of binding maps as JSON-lines, one
 step per line::
@@ -24,6 +24,7 @@ step per line::
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +45,70 @@ SPEED_LIMIT = 3.0
 DEFAULT_POSE = np.array([0.0, 0.0, -0.3, 0.6, -0.3, 0.6, 0.0, 0.0])
 
 
-BINDING_KEYS = (
-    "command", "local_vel", "base_ang_vel", "xd.vel", "xd.ang", "rot_up",
-    "qfrc_actuator", "action", "last_act", "feet_air_time",
-    "first_foot_contact", "command_norm", "commands_norm", "joint_angles",
-    "default_pose", "done", "step", "foot_contact", "first_site_contact",
-    "feet_pos", "feet_site_pos", "feet_site_linvel", "feet_site_angvel",
-    "rz", "swing_peak", "max_foot_height",
-)
+class _Step:
+    """What one step's bindings read: the walker ``w`` after the step, the
+    step's foot heights ``z``, contacts ``c`` and first contacts ``fc``, and
+    the arrays that several keys share, each built on first use."""
+
+    def __init__(self, w, z, c, fc):
+        self.w, self.z, self.c, self.fc = w, z, c, fc
+
+    @cached_property
+    def local_vel(self) -> np.ndarray:
+        return np.concatenate([self.w.vel, np.zeros((self.w.n, 1))], axis=1)
+
+    @cached_property
+    def cmd_norm(self) -> np.ndarray:
+        return np.linalg.norm(self.w.command[:, :2], axis=1)
+
+    @cached_property
+    def feet_pos(self) -> np.ndarray:
+        return self.feet(2, self.z)
+
+    def feet(self, axes, value) -> np.ndarray:
+        """(N, 2 feet, 3) zeros with ``value`` written at ``axes``."""
+        out = np.zeros((self.w.n, 2, 3))
+        out[:, :, axes] = value
+        return out
+
+
+# binding key -> (kind, its array built from the step); a boolean key's
+# array is bool, which BatchValue stores as 0.0/1.0
+_BINDINGS = {
+    "command": ("numeric", lambda s: s.w.command.copy()),
+    "local_vel": ("numeric", lambda s: s.local_vel),
+    "base_ang_vel": ("numeric", lambda s: s.w.yaw_rate.copy()),
+    "xd.vel": ("numeric", lambda s: s.local_vel[:, None, :]),
+    "xd.ang": ("numeric", lambda s: np.stack(
+        [0.2 * s.w.tilt[:, 1], -0.2 * s.w.tilt[:, 0], s.w.yaw_rate], axis=1)[:, None, :]),
+    "rot_up": ("numeric", lambda s: np.concatenate(
+        [s.w.tilt, np.sqrt(np.maximum(0.0, 1.0 - (s.w.tilt * s.w.tilt).sum(axis=1)))[:, None]],
+        axis=1)),
+    "qfrc_actuator": ("numeric", lambda s:
+                      80.0 * (0.4 * s.w.action - (s.w.joints - s.w.default_pose))),
+    "action": ("numeric", lambda s: s.w.action.copy()),
+    "last_act": ("numeric", lambda s: s.w.last_act.copy()),
+    "feet_air_time": ("numeric", lambda s: s.w.air_time.copy()),
+    "first_foot_contact": ("boolean", lambda s: s.fc),
+    "command_norm": ("numeric", lambda s: s.cmd_norm),
+    "commands_norm": ("numeric", lambda s: s.cmd_norm),
+    "joint_angles": ("numeric", lambda s: s.w.joints.copy()),
+    "default_pose": ("numeric", lambda s: s.w.default_pose.copy()),
+    "done": ("boolean", lambda s: s.w.done),
+    "step": ("numeric", lambda s: s.w.t.astype(np.float64)),
+    "foot_contact": ("boolean", lambda s: s.c),
+    "first_site_contact": ("boolean", lambda s: s.c),
+    "feet_pos": ("numeric", lambda s: s.feet_pos),
+    "feet_site_pos": ("numeric", lambda s: s.feet_pos.copy()),
+    "feet_site_linvel": ("numeric", lambda s: s.feet(
+        slice(0, 2), np.where(s.c[:, :, None], 0.0, s.w.vel[:, None, :]))),
+    "feet_site_angvel": ("numeric", lambda s: s.feet(
+        2, np.where(s.c, 0.0, s.w.yaw_rate[:, None]))),
+    "rz": ("numeric", lambda s: s.z),
+    "swing_peak": ("numeric", lambda s: s.w.swing_peak.copy()),
+    "max_foot_height": ("numeric", lambda s: s.w.max_foot_height.copy()),
+}
+BINDING_KEYS = tuple(_BINDINGS)
 
 
 # -- trace record / replay ----------------------------------------------------
@@ -125,8 +182,10 @@ class VecEnv:
 
     All physics state carries a leading env axis and steps in a handful of
     numpy ops; bindings come back as stacked BatchValue arrays for the batched
-    reward evaluator. Scenes come from one ``resample_per_env`` call over all
-    env indices, env i at key ``(base_seed, i)``.
+    reward evaluator, for the keys of ``binding_keys`` that are in
+    ``BINDING_KEYS`` (a term that reads any other key gets its
+    ``default_reward``). Scenes come from one ``resample_per_env`` call over
+    all rows, env i at key ``(base_seed, i)``.
 
     Env i draws from its own Generator, seeded ``base_seed * 100003 + i``, in
     this order. A reset takes one double each for gait frequency, foot
@@ -143,14 +202,15 @@ class VecEnv:
 
     def __init__(self, env_config: dict, num_envs: int, base_seed: int = 0,
                  randomize_rules: dict | None = None,
-                 episode_length: int = 1000):
+                 episode_length: int = 1000, binding_keys=BINDING_KEYS):
         self.cfg = cfg = env_config
         self.n = num_envs
         self.episode_length = episode_length
-        self._rngs = [np.random.default_rng(base_seed * 100003 + i)
-                      for i in range(num_envs)]
-        scenes = randomize.resample_per_env(randomize_rules or {}, desk_scene(),
-                                            base_seed, range(num_envs))
+        wanted = set(binding_keys)
+        self._builders = [(k, *_BINDINGS[k]) for k in BINDING_KEYS if k in wanted]
+        seeds, scene_keys = self._row_keys(base_seed)
+        self._rngs = [np.random.default_rng(s) for s in seeds]
+        scenes = randomize.resample_per_env(randomize_rules or {}, desk_scene(), scene_keys)
         # lag gain: heavier bodies respond slower, more friction grips better
         fric_factor = np.mean(scenes["geom_friction"][:, :, 0], axis=1) / 0.8
         mass_factor = scenes["body_mass"].sum(axis=1) / 4.2
@@ -202,6 +262,11 @@ class VecEnv:
     @property
     def num_envs(self):
         return self.n
+
+    def _row_keys(self, base_seed: int) -> tuple[list, list]:
+        """Each row's generator seed and scene key."""
+        return ([base_seed * 100003 + i for i in range(self.n)],
+                [(base_seed, i) for i in range(self.n)])
 
     def _reset_rows(self, rows: np.ndarray) -> None:
         u = np.empty((len(rows), len(self._reset_bounds[0])))
@@ -308,54 +373,8 @@ class VecEnv:
         return self.observe(), bindings, finished
 
     def _bindings(self, foot_z, contact, first_contact) -> dict:
-        n = self.n
-        cmd_norm = np.linalg.norm(self.command[:, :2], axis=1)
-        feet_pos = np.zeros((n, 2, 3))
-        feet_pos[:, :, 2] = foot_z
-        feet_linvel = np.zeros((n, 2, 3))
-        feet_linvel[:, :, 0:2] = np.where(contact[:, :, None], 0.0, self.vel[:, None, :])
-        feet_angvel = np.zeros((n, 2, 3))
-        feet_angvel[:, :, 2] = np.where(contact, 0.0, self.yaw_rate[:, None])
-        tilt_sq = (self.tilt * self.tilt).sum(axis=1)
-        rot_up = np.concatenate(
-            [self.tilt, np.sqrt(np.maximum(0.0, 1.0 - tilt_sq))[:, None]], axis=1)
-        torque = 80.0 * (0.4 * self.action - (self.joints - self.default_pose))
-        local_vel = np.concatenate([self.vel, np.zeros((n, 1))], axis=1)
-        xd_vel = local_vel[:, None, :]
-        xd_ang = np.stack(
-            [0.2 * self.tilt[:, 1], -0.2 * self.tilt[:, 0], self.yaw_rate], axis=1
-        )[:, None, :]
-
-        num = lambda a: BatchValue(a)
-        boo = lambda a: BatchValue(np.asarray(a, dtype=bool).astype(np.float64), kind="boolean")
-        return {
-            "command": num(self.command.copy()),
-            "local_vel": num(local_vel),
-            "base_ang_vel": num(self.yaw_rate.copy()),
-            "xd.vel": num(xd_vel),
-            "xd.ang": num(xd_ang),
-            "rot_up": num(rot_up),
-            "qfrc_actuator": num(torque),
-            "action": num(self.action.copy()),
-            "last_act": num(self.last_act.copy()),
-            "feet_air_time": num(self.air_time.copy()),
-            "first_foot_contact": boo(first_contact),
-            "command_norm": num(cmd_norm),
-            "commands_norm": num(cmd_norm),
-            "joint_angles": num(self.joints.copy()),
-            "default_pose": num(self.default_pose.copy()),
-            "done": boo(self.done),
-            "step": num(self.t.astype(np.float64)),
-            "foot_contact": boo(contact),
-            "first_site_contact": boo(contact),
-            "feet_pos": num(feet_pos),
-            "feet_site_pos": num(feet_pos.copy()),
-            "feet_site_linvel": num(feet_linvel),
-            "feet_site_angvel": num(feet_angvel),
-            "rz": num(foot_z),
-            "swing_peak": num(self.swing_peak.copy()),
-            "max_foot_height": num(self.max_foot_height.copy()),
-        }
+        step = _Step(self, foot_z, contact, first_contact)
+        return {key: BatchValue(build(step), kind) for key, kind, build in self._builders}
 
     def observe(self) -> np.ndarray:
         obs = np.concatenate([
@@ -375,35 +394,29 @@ class VecEnv:
         return obs
 
 
-class DeskWalker:
-    """Final scoring's one walker: row 0 of a one-env :class:`VecEnv`, with
-    the scene at key ``(seed, 0)``, draws from ``default_rng(seed)`` and no
-    truncation. ``step`` returns the row's unbatched bindings and ``done``;
-    a done row auto-resets inside the VecEnv, so callers stop there.
-    ``observe`` returns the observation the last ``reset``/``step`` made: its
-    noise is drawn already, and drawing again would shift the stream."""
+class DeskWalker(VecEnv):
+    """Final scoring's walker: one row per episode, stepped in lockstep.
 
-    def __init__(self, env_config: dict, rules: dict | None = None, seed: int = 0):
-        self._env = VecEnv(env_config, 1, base_seed=seed, randomize_rules=rules,
-                           episode_length=np.iinfo(np.int64).max)
-        self._env._rngs[0] = np.random.default_rng(seed)
-        self.reset()
+    Row e draws from ``default_rng(seed + 100 e)`` and takes its scene from
+    key ``(seed + 100 e, 0)``, so each episode runs as it would alone. Rows
+    are never truncated; a done row resets in place and steps on, so callers
+    stop reading it there. Construction resets every row, draws one
+    observation and resets again, and the caller's first ``observe`` draws
+    the next: the draw sequence that the recorded ``scores.json`` pins.
+    ``step`` is defined again here only so that the benchmark's trace can
+    time final scoring's steps as their own layer, ``env.desk_walker_step``.
+    """
 
-    def reset(self) -> np.ndarray:
-        self._env._reset_rows(np.zeros(1, dtype=int))
-        self._obs = self._env.observe()[0]
-        return self._obs
+    def __init__(self, env_config: dict, rules: dict | None = None, seed: int = 0,
+                 episodes: int = 1, binding_keys=BINDING_KEYS):
+        super().__init__(env_config, episodes, base_seed=seed, randomize_rules=rules,
+                         episode_length=np.iinfo(np.int64).max, binding_keys=binding_keys)
+        self.observe()
+        self._reset_rows(np.arange(episodes))
 
-    def observe(self) -> np.ndarray:
-        return self._obs
+    def _row_keys(self, seed: int) -> tuple[list, list]:
+        seeds = [seed + 100 * e for e in range(self.n)]
+        return seeds, [(s, 0) for s in seeds]
 
-    def step(self, action) -> tuple[dict, bool]:
-        """Advance one control step. Returns (bindings, done)."""
-        obs, bindings, done = self._env.step(np.asarray(action, dtype=np.float64)[None])
-        self._obs = obs[0]
-        row = {k: BatchValue(v.arr[0], v.kind, batched=False) for k, v in bindings.items()}
-        # A one-vector dot can round the last bit differently from VecEnv's
-        # row sum; final scoring's rot_up height is the dot's (the golden pins it).
-        up = row["rot_up"].arr
-        up[2] = np.sqrt(max(0.0, 1.0 - float(up[:2] @ up[:2])))
-        return row, bool(done[0])
+    def step(self, actions: np.ndarray):
+        return super().step(actions)

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from . import scoring
@@ -25,6 +26,7 @@ from .agents import (AgentLog, GeneratedFileBlock, invoke_with_retry,
                      parse_selector_json, render)
 from .env import DeskWalker
 from .errors import AgentError, BundleError, StageflowError, StoreError
+from .reward import BatchValue
 from .schema import (STAGE_ROLES, CurriculumBundle, PromotionCriterion,
                      StageBundle, build_stage, parse_bundle, parse_workflow,
                      validate)
@@ -250,24 +252,29 @@ def policy_from_checkpoint(path):
 
 def final_scores(checkpoint_path, stage: StageBundle, seed: int = 7,
                  episodes: int = 8, horizon: int = 150) -> scoring.ScoreTriple:
-    """Deployment-style evaluation of the final policy: deterministic rollout
-    per episode, scored with the survival / tracking / air-time formulas."""
+    """Deployment-style evaluation of the final policy: ``episodes``
+    deterministic rollouts stepped together as the rows of one
+    :class:`DeskWalker`, each row read up to its first ``done`` and scored
+    with the survival / tracking / air-time formulas. The policy acts on
+    (episodes, 1, OBS_DIM): a stack of one-row products rounds each row as
+    a lone observation's product does, and an (episodes, OBS_DIM) product
+    would not."""
     policy, obs_norm = policy_from_checkpoint(checkpoint_path)
-    env_cfg = stage.config_doc.get("environment", {})
-    rules = stage.randomize_doc.get("randomization") or {}
-    eps = []
-    for e in range(episodes):
-        env = DeskWalker(env_cfg, rules, seed=seed + 100 * e)
-        obs = env.reset()
-        steps = []
-        for _ in range(horizon):
-            bindings, done = env.step(
-                policy.act_deterministic(obs_norm.normalize(obs)))
-            steps.append(bindings)
-            if done:
-                break
-            obs = env.observe()
-        eps.append(scoring.episode_from_bindings(steps))
+    env = DeskWalker(stage.config_doc.get("environment", {}),
+                     stage.randomize_doc.get("randomization") or {}, seed=seed,
+                     episodes=episodes, binding_keys=scoring.SCORED_BINDINGS)
+    obs = env.observe()
+    steps, lengths = [], np.zeros(episodes, dtype=int)
+    alive = np.ones(episodes, dtype=bool)
+    while alive.any() and len(steps) < horizon:
+        action = policy.act_deterministic(obs_norm.normalize(obs)[:, None])[:, 0]
+        obs, bindings, done = env.step(action)
+        steps.append(bindings)
+        lengths += alive
+        alive &= ~done
+    eps = [scoring.episode_from_bindings(
+        [{k: BatchValue(v.arr[e], v.kind, batched=False) for k, v in b.items()}
+         for b in steps[:n]]) for e, n in enumerate(lengths)]
     return scoring.score_triple(scoring.EvalBatch(episodes=eps, horizon=horizon))
 
 

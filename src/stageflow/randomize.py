@@ -9,11 +9,12 @@ generator, so editing or reordering unrelated rules never perturbs a draw.
 The second and later rules of one field on the same target also key by
 their occurrence (1, 2, ...), so they draw their own numbers; a first
 occurrence keeps the plain key.
-``resample_per_env`` is the one sampler: it samples many env indices at once,
-with one generator call per (rule, env) that draws the rule's whole target
-rows, and applies the operations across the env axis. Operations: add,
-scale, set (the default when a rule omits it). ``tests/data/vecenv_golden.json``
-pins the resulting scenes through a VecEnv rollout.
+``resample_per_env`` is the one sampler: it samples many (seed, env_index)
+keys at once, with one generator call per (rule, env) that draws the rule's
+whole target rows, and applies the operations across the env axis.
+Operations: add, scale, set (the default when a rule omits it).
+``tests/data/vecenv_golden.json`` pins the resulting scenes through a VecEnv
+rollout.
 """
 
 from __future__ import annotations
@@ -175,12 +176,12 @@ def rule_findings(rules: dict, nominal: SceneParameters) -> list:
     return out
 
 
-def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
-                     env_indices) -> dict:
-    """Apply every rule for each index in ``env_indices``. ``rules`` is the
-    mapping under the ``randomization:`` top-level key.
+def resample_per_env(rules: dict, nominal: SceneParameters, keys) -> dict:
+    """Apply every rule for each ``(seed, env_index)`` pair in ``keys``, one
+    row per pair. ``rules`` is the mapping under the ``randomization:``
+    top-level key.
 
-    Returns ``field -> array`` of shape ``(len(env_indices),) + nominal shape``
+    Returns ``field -> array`` of shape ``(len(keys),) + nominal shape``
     for every field of ``nominal``, which is left untouched. Raises the first
     :func:`rule_findings` triple as a :class:`RandomizeError`; then each env's
     generator for a rule fills all of the rule's target rows in one call. A
@@ -191,8 +192,8 @@ def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
     if problems:
         code, path, message = problems[0]
         raise RandomizeError(code, f"{path}: {message}")
-    env_indices = list(env_indices)
-    n = len(env_indices)
+    keys = list(keys)
+    n = len(keys)
     out = {name: np.repeat(group.values[None], n, axis=0)
            for name, group in nominal.fields.items()}
     for field_name, rule_list in rules.items():
@@ -210,10 +211,9 @@ def resample_per_env(rules: dict, nominal: SceneParameters, base_seed: int,
             lo, hi = _bound(uni["minval"]), _bound(uni["maxval"])
             apply = OPERATIONS[rule.get("operation", "set")]
             u = np.empty((n, len(rows)) + group.values.shape[1:])
-            for k, env_index in enumerate(env_indices):
+            for k, (seed, env_index) in enumerate(keys):
                 # random() yields the same doubles as uniform(0, 1), in place
-                _rng_for(base_seed, field_name, target, env_index,
-                         occurrence).random(out=u[k])
+                _rng_for(seed, field_name, target, env_index, occurrence).random(out=u[k])
             u = lo + u * (hi - lo)
             for j, r in enumerate(rows):  # in order, so a repeated target row compounds
                 values[:, r] = apply(values[:, r], u[:, j])

@@ -14,7 +14,7 @@ is rejected at compile time.
 Every value of the language is a :class:`BatchValue`: a float64 array of at
 most ``MAX_RANK`` axes per env, tagged numeric or boolean (booleans are 0.0 or
 1.0, so masks multiply directly), with a leading env axis when ``batched``.
-VecEnv's bindings are batched; literals, DeskWalker's bindings and trace
+Env bindings (``VecEnv``, ``DeskWalker``) are batched; literals and trace
 steps are not. Operations broadcast over the per-env axes, aligned from the
 last one, and never across envs. Slices clip like Python's; an integer index
 out of range, division by zero and a result above ``MAX_RANK`` axes are

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -274,12 +275,13 @@ def _validate_config(stage: StageBundle, out: list):
 
     def number(section, key):
         """The number at ``section.key``: None when absent, and None after a
-        TYPE_ERROR when not a number. PyYAML reads ``1.0e12`` (no exponent
-        sign) and quoted numbers as strings."""
+        TYPE_ERROR when not a finite number. PyYAML reads ``1.0e12`` (no
+        exponent sign) and quoted numbers as strings, and ``.nan``/``.inf``
+        as floats that no range check rejects."""
         v = doc[section].get(key)
-        if v is None or _is_number(v):
+        if v is None or _is_number(v) and math.isfinite(v):
             return v
-        err("TYPE_ERROR", f"{section}.{key}", f"{key} must be a number, got {v!r}; "
+        err("TYPE_ERROR", f"{section}.{key}", f"{key} must be a finite number, got {v!r}; "
             "write it unquoted, an exponent with its sign and a decimal point, as in 1.0e+12")
         return None
 
@@ -514,6 +516,10 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
            lambda b: env(b).update(obs_noise=-1))
     mutant("learning rate read as a string", "TYPE_ERROR",
            lambda b: tr(b).update(learning_rate="1.0e12"))
+    mutant("learning rate NaN", "TYPE_ERROR",
+           lambda b: tr(b).update(learning_rate=float("nan")))
+    mutant("infinite clipping epsilon", "TYPE_ERROR",
+           lambda b: tr(b).update(clipping_epsilon=float("inf")))
     mutant("more minibatches than rollout rows", "TOO_MANY_MINIBATCHES",
            lambda b: tr(b).update(num_minibatches=1_000_000))
     mutant("num_timesteps dropped", "MISSING_KEY",

@@ -687,7 +687,8 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
     normalize_obs = bool(tr.get("normalize_observations", True))
 
     envs = VecEnv(env_cfg, num_envs, base_seed=seed, randomize_rules=rules,
-                  episode_length=int(tr["episode_length"]))
+                  episode_length=int(tr["episode_length"]),
+                  binding_keys=program.required_variables)
 
     policy = Policy(net_cfg["policy_hidden_layer_sizes"],
                     net_cfg["value_hidden_layer_sizes"], seed=seed)
@@ -845,8 +846,8 @@ def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program,
     metrics are mean episode sums of each term's contribution. Each step's
     alive mask is kept until its reward block is evaluated, and contributions
     are added in step order."""
-    envs = VecEnv(env_cfg, episodes, base_seed=seed + 7777,
-                  randomize_rules=rules, episode_length=max_steps)
+    envs = VecEnv(env_cfg, episodes, base_seed=seed + 7777, randomize_rules=rules,
+                  episode_length=max_steps, binding_keys=program.required_variables)
     alive = np.ones(episodes, dtype=bool)
     totals = np.zeros(episodes)
     lengths = np.zeros(episodes)

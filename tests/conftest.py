@@ -12,9 +12,14 @@ def rng():
 
 
 def env_value(data, kind="numeric") -> BatchValue:
-    """One env's value, without an env axis, as DeskWalker steps and traces
-    carry it."""
+    """One env's value, without an env axis, as trace steps carry it."""
     return BatchValue(data, kind, batched=False)
+
+
+def walker_row(bindings: dict, row: int = 0) -> dict:
+    """One row of a step's batched bindings, unbatched, as a one-env trace
+    step carries it."""
+    return {k: env_value(v.arr[row], v.kind) for k, v in bindings.items()}
 
 
 def term_for_step(etype, params):

@@ -13,7 +13,7 @@ from stageflow.cli import main
 from stageflow.env import ACTION_DIM, DeskWalker, write_trace
 from stageflow.vdb import VectorStore
 
-from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts
+from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts, walker_row
 
 
 def _cli(capsys, *argv):
@@ -107,8 +107,15 @@ class TestValidate:
         ("learning_rate: 3.0e-4", "learning_rate: 1.0e12", "TYPE_ERROR",
          "trainer.learning_rate"),
         ("discounting: 0.97", "discounting: '0.97 '", "TYPE_ERROR", "trainer.discounting"),
+        # YAML reads .nan and .inf as floats that no comparison rejects
+        ("learning_rate: 3.0e-4", "learning_rate: .nan", "TYPE_ERROR", "trainer.learning_rate"),
+        ("learning_rate: 3.0e-4", "learning_rate: .inf", "TYPE_ERROR", "trainer.learning_rate"),
+        ("clipping_epsilon: 0.2", "clipping_epsilon: .inf", "TYPE_ERROR",
+         "trainer.clipping_epsilon"),
+        ("obs_noise: 0.0", "obs_noise: .inf", "TYPE_ERROR", "environment.obs_noise"),
     ], ids=["negative obs_noise", "non-numeric obs_noise", "more minibatches than rows",
-            "learning_rate read as a string", "quoted discounting"])
+            "learning_rate read as a string", "quoted discounting", "NaN learning_rate",
+            "infinite learning_rate", "infinite clipping_epsilon", "infinite obs_noise"])
     def test_config_value_the_trainer_cannot_use(self, capsys, tiny_desk, tmp_path,
                                                  old, new, code, path):
         cfg = tiny_desk / "configs/generated_config_stage1.yaml"
@@ -119,6 +126,7 @@ class TestValidate:
         findings = json.loads(out.out)["findings"]
         assert {(f["code"], f["path"]) for f in findings} == {(code, path)}
         if code == "TYPE_ERROR":  # the message says how to write a number
+            assert "must be a finite number" in findings[0]["message"]
             assert "1.0e+12" in findings[0]["message"]
         found, out = _cli(capsys, "train", "--workflow", tiny_desk / "workflow.yaml",
                           "--out", tmp_path / "out", "--paper-scale")
@@ -187,9 +195,9 @@ class TestScore:
         env = DeskWalker(
             {"command_lin_vel_x_range": [-0.5, 0.5], "command_lin_vel_y_range": [-0.3, 0.3],
              "command_ang_vel_yaw_range": [-0.5, 0.5]}, seed=3)
-        env.reset()
         act = np.random.default_rng(0)
-        steps = [env.step(act.uniform(-1, 1, ACTION_DIM))[0] for _ in range(40)]
+        steps = [walker_row(env.step(act.uniform(-1, 1, (1, ACTION_DIM)))[1])
+                 for _ in range(40)]
         path = tmp_path / "trace.jsonl"
         write_trace(path, steps)
         code, out = _cli(capsys, "score", "--trace", path, "--horizon", 50)

@@ -23,10 +23,15 @@ RULES = {
 }
 
 
+def keys(seed, n):
+    """The scene keys of envs 0..n-1 at one seed, as VecEnv draws them."""
+    return [(seed, i) for i in range(n)]
+
+
 def one_env(rules, seed, env_index=0, nominal=None):
-    """One env's scene: ``resample_per_env`` for the single index, without
+    """One env's scene: ``resample_per_env`` for the single key, without
     the env axis."""
-    drawn = resample_per_env(rules, nominal or desk_scene(), seed, [env_index])
+    drawn = resample_per_env(rules, nominal or desk_scene(), [(seed, env_index)])
     return {name: values[0] for name, values in drawn.items()}
 
 
@@ -73,13 +78,13 @@ class TestSample:
     def test_nominal_untouched(self):
         nominal = desk_scene()
         before = nominal_values(nominal, "body_mass").copy()
-        resample_per_env(RULES, nominal, 0, range(3))
+        resample_per_env(RULES, nominal, keys(0, 3))
         np.testing.assert_array_equal(nominal_values(nominal, "body_mass"), before)
 
     def test_resample_per_env_matches_sample(self):
         """A one-index draw is that index's row of a wider draw."""
         nominal = desk_scene()
-        a = resample_per_env(RULES, nominal, base_seed=5, env_indices=range(4))
+        a = resample_per_env(RULES, nominal, keys(5, 4))
         b = one_env(RULES, 5, env_index=2, nominal=nominal)
         for f in a:
             np.testing.assert_array_equal(a[f][2], b[f])
@@ -91,7 +96,7 @@ class TestSample:
             "operation": "scale",
         }]}
         for draw in (lambda: one_env(bad, 0),
-                     lambda: resample_per_env(bad, desk_scene(), 0, range(4))):
+                     lambda: resample_per_env(bad, desk_scene(), keys(0, 4))):
             with pytest.raises(RandomizeError) as e:
                 draw()
             assert e.value.code == "SHAPE_MISMATCH"
@@ -99,7 +104,7 @@ class TestSample:
     def test_inert_group_is_not_drawn(self):
         rules = {"hfield_data": [{"target": "ALL", "operation": "set",
                                   "distribution": {"uniform": {"minval": 1.0, "maxval": 2.0}}}]}
-        drawn = resample_per_env(rules, desk_scene(), 0, range(3))
+        drawn = resample_per_env(rules, desk_scene(), keys(0, 3))
         np.testing.assert_array_equal(drawn["hfield_data"], np.zeros((3, 16)))
 
     def test_two_rules_on_one_target_draw_independently(self):
@@ -108,9 +113,9 @@ class TestSample:
         uniform = {"uniform": {"minval": 0.0, "maxval": 1.0}}
         first = {"target": "ALL", "operation": "set", "distribution": uniform}
         second = {"target": "ALL", "operation": "add", "distribution": uniform}
-        u = resample_per_env({"body_mass": [first]}, desk_scene(), 3, range(4))["body_mass"]
-        both = resample_per_env({"body_mass": [first, second]}, desk_scene(), 3,
-                                range(4))["body_mass"]
+        u = resample_per_env({"body_mass": [first]}, desk_scene(), keys(3, 4))["body_mass"]
+        both = resample_per_env({"body_mass": [first, second]}, desk_scene(),
+                                keys(3, 4))["body_mass"]
         for k in range(4):
             expected = np.empty(4)
             _rng_for(3, "body_mass", "ALL", k).random(out=expected)
@@ -209,7 +214,7 @@ class TestBatchedSampler:
     @pytest.mark.parametrize("name", sorted(SHIPPED) + ["repeated targets"])
     def test_rows_match_sample_and_per_row_loop(self, name):
         rules, nominal, seed = SHIPPED.get(name, REPEATED), desk_scene(), 11
-        batched = resample_per_env(rules, nominal, seed, range(6))
+        batched = resample_per_env(rules, nominal, keys(seed, 6))
         assert set(batched) == set(nominal.fields)
         for i in range(6):
             one = one_env(rules, seed, env_index=i, nominal=nominal)
@@ -220,10 +225,12 @@ class TestBatchedSampler:
                 assert batched[f][i].tobytes() == ref[f].tobytes(), (f, i)
 
     def test_env_indices_need_not_start_at_zero(self):
+        """Nor need the rows share a seed, as final scoring's rows do not."""
         rules = SHIPPED["tune/stage1"]
-        batched = resample_per_env(rules, desk_scene(), 4, [9, 3])
-        for k, i in enumerate([9, 3]):
-            one = one_env(rules, 4, env_index=i)
+        pairs = [(4, 9), (4, 3), (107, 0)]
+        batched = resample_per_env(rules, desk_scene(), pairs)
+        for k, (seed, i) in enumerate(pairs):
+            one = one_env(rules, seed, env_index=i)
             for f in batched:
                 np.testing.assert_array_equal(batched[f][k], one[f])
 
@@ -236,8 +243,8 @@ class TestBatchedSampler:
         edited = copy.deepcopy(rules)
         uni = edited[field_name][rule_index]["distribution"]["uniform"]
         uni["maxval"] = (np.asarray(uni["maxval"], dtype=np.float64) + 0.5).tolist()
-        before = resample_per_env(rules, nominal, 2, range(8))
-        after = resample_per_env(edited, nominal, 2, range(8))
+        before = resample_per_env(rules, nominal, keys(2, 8))
+        after = resample_per_env(edited, nominal, keys(2, 8))
         group = nominal.fields[field_name]
         target = rules[field_name][rule_index].get("target", "ALL")
         wanted = target if isinstance(target, list) else [target]
@@ -254,7 +261,7 @@ class TestBatchedSampler:
     def test_field_order_does_not_matter(self):
         rules = SHIPPED["tune/stage1"]
         flipped = dict(reversed(list(rules.items())))
-        a = resample_per_env(rules, desk_scene(), 5, range(4))
-        b = resample_per_env(flipped, desk_scene(), 5, range(4))
+        a = resample_per_env(rules, desk_scene(), keys(5, 4))
+        b = resample_per_env(flipped, desk_scene(), keys(5, 4))
         for f in a:
             assert a[f].tobytes() == b[f].tobytes(), f

@@ -12,7 +12,7 @@ from stageflow.errors import RewardError
 from stageflow.reward import (BatchValue, compile_program, compile_term,
                               eval_term_batch, eval_total_batch)
 
-from conftest import DATA, env_value, step_value
+from conftest import DATA, env_value, step_value, walker_row
 
 
 def term(spec_yaml: str, name="t"):
@@ -259,14 +259,7 @@ def synthetic_bindings(rng):
                       "command_lin_vel_y_range": [-1, 1],
                       "command_ang_vel_yaw_range": [-1, 1]},
                      seed=int(rng.integers(1 << 30)))
-    env.reset()
-    out = []
-    for _ in range(100):
-        bindings, done = env.step(rng.uniform(-1, 1, 8))
-        out.append(bindings)
-        if done:
-            env.reset()
-    return out
+    return [walker_row(env.step(rng.uniform(-1, 1, (1, 8)))[1]) for _ in range(100)]
 
 
 class TestCorpusPrograms:

@@ -15,6 +15,8 @@ from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Polic
                                gae, load_checkpoint, ppo_loss,
                                restore_policy, save_checkpoint, train_stage)
 
+from stageflow.env import OBS_DIM
+
 from conftest import DESK, TINY_STEPS
 
 
@@ -236,6 +238,18 @@ class TestRollouts:
             for key, digest in digests.items():
                 assert got["collect"][envs].get(key) == digest, (envs, key)
         assert got == expected
+
+    @pytest.mark.parametrize("hidden", [[64, 64], [512, 256, 128]])
+    def test_stacked_one_row_forward_is_the_lone_forward(self, hidden):
+        """Final scoring steps its episodes as the rows of one walker, and its
+        recorded scores came from one episode at a time: the policy must act
+        on each row as on a lone observation. A stack of one-row products,
+        (E, 1, OBS_DIM), does so bit for bit; an (E, OBS_DIM) product need
+        not, as BLAS may round a matrix product differently."""
+        policy = Policy(hidden, hidden, seed=3)
+        obs = np.random.default_rng(5).standard_normal((8, OBS_DIM))
+        lone = np.stack([policy.act_deterministic(o) for o in obs])
+        assert policy.act_deterministic(obs[:, None])[:, 0].tobytes() == lone.tobytes()
 
 
 class TestAdamAndNorm:
