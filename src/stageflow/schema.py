@@ -260,7 +260,8 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 def _is_range(x) -> bool:
-    return isinstance(x, list) and len(x) == 2 and all(_is_number(v) for v in x)
+    return (isinstance(x, list) and len(x) == 2
+            and all(_is_number(v) and math.isfinite(v) for v in x))
 
 
 def _validate_config(stage: StageBundle, out: list):
@@ -306,7 +307,7 @@ def _validate_config(stage: StageBundle, out: list):
             if rng is None:
                 continue
             if not _is_range(rng):
-                err("TYPE_ERROR", f"environment.{key}", "expected a [lo, hi] pair")
+                err("TYPE_ERROR", f"environment.{key}", "expected a finite [lo, hi] pair")
             elif rng[0] > rng[1]:
                 err("RANGE_INVERTED", f"environment.{key}", f"lo {rng[0]} > hi {rng[1]}")
         noise = number("environment", "obs_noise")
@@ -316,10 +317,11 @@ def _validate_config(stage: StageBundle, out: list):
         if prob is not None and not 0.0 <= prob <= 1.0:
             err("PROB_RANGE", "environment.command_stand_prob",
                 f"probability must lie in [0, 1], got {prob!r}")
+        number("environment", "max_foot_height")
         for lo_key, hi_key in (("big_min_kick_vel", "big_max_kick_vel"),
                                ("small_min_kick_vel", "small_max_kick_vel")):
-            lo, hi = env.get(lo_key), env.get(hi_key)
-            if _is_number(lo) and _is_number(hi) and lo > hi:
+            lo, hi = number("environment", lo_key), number("environment", hi_key)
+            if lo is not None and hi is not None and lo > hi:
                 err("RANGE_INVERTED", f"environment.{lo_key}", f"{lo_key} {lo} > {hi_key} {hi}")
         for key in ("big_kick_interval", "small_kick_interval"):
             v = env.get(key)
@@ -345,6 +347,10 @@ def _validate_config(stage: StageBundle, out: list):
             v = number("trainer", key)
             if v is not None and v <= 0:
                 err("POSITIVE_REQUIRED", f"trainer.{key}", f"{key} must be > 0, got {v!r}")
+        number("trainer", "reward_scaling")
+        v = tr.get("seed")
+        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
+            err("TYPE_ERROR", "trainer.seed", f"seed must be an integer >= 0, got {v!r}")
         v = number("trainer", "entropy_cost")
         if v is not None and v < 0:
             err("POSITIVE_REQUIRED", "trainer.entropy_cost", f"entropy_cost must be >= 0, got {v!r}")
@@ -520,6 +526,18 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
            lambda b: tr(b).update(learning_rate=float("nan")))
     mutant("infinite clipping epsilon", "TYPE_ERROR",
            lambda b: tr(b).update(clipping_epsilon=float("inf")))
+    inf, nan = float("inf"), float("nan")
+    for label, section, key, value in (
+            ("big kick velocity infinite", env, "big_max_kick_vel", inf),
+            ("small kick velocity read as a string", env, "small_min_kick_vel", "fast"),
+            ("gait_frequency bound NaN", env, "gait_frequency", [nan, 2.0]),
+            ("x velocity command bound infinite", env, "command_lin_vel_x_range", [-inf, 1.0]),
+            ("max_foot_height NaN", env, "max_foot_height", nan),
+            ("max_foot_height read as a string", env, "max_foot_height", "high"),
+            ("reward_scaling infinite", tr, "reward_scaling", inf),
+            ("reward_scaling read as a string", tr, "reward_scaling", "big"),
+            ("negative seed", tr, "seed", -1)):
+        mutant(label, "TYPE_ERROR", lambda b, s=section, k=key, v=value: s(b).update({k: v}))
     mutant("more minibatches than rollout rows", "TOO_MANY_MINIBATCHES",
            lambda b: tr(b).update(num_minibatches=1_000_000))
     mutant("num_timesteps dropped", "MISSING_KEY",

@@ -5,17 +5,20 @@ gradient, Adam, and GAE. Gradients are hand-derived and pinned against
 finite differences in the tests. Single process, CPU, deterministic under a
 fixed seed.
 
-The minibatch update allocates nothing in steady state. ``train_stage`` owns
-one :class:`Workspace` and passes it through ``ppo_update`` to ``ppo_loss``,
-``mlp_forward`` and ``mlp_backward``, which write every row-sized
-intermediate (minibatch gather, activations, SiLU factors, log-prob terms)
-into its buffers in place, in the rounding order of the plain expressions
-their comments give. A workspace serves one caller at a time: an array taken
-from it is valid only until the same name is taken again, and
-``mlp_backward`` consumes the forward's cache, writing the gradient flowing
-into each hidden activation over that activation. What leaves the update is
-fresh: ``ppo_loss`` returns new gradient arrays and plain floats, and
-``Policy.mean``/``value``/``act`` run on a throwaway workspace.
+One buffer set per stage. ``train_stage`` owns one :class:`Workspace` and
+passes it through ``ppo_update`` to ``ppo_loss``, ``mlp_forward`` and
+``mlp_backward``, which write every row-sized intermediate (minibatch
+gather, activations, SiLU factors, log-prob terms) into its buffers in
+place, in the rounding order of the plain expressions their comments give.
+``mlp_forward`` names buffers by layer alone (``z0``, ``s0``, ``a0``, ...):
+``ppo_loss`` runs the policy net's forward and backward and the ``log_std``
+gradient, then the value net's over the same buffers, and ``_collect`` and
+``_evaluate`` run ``Policy`` inference on them too, in prefixes the update
+has sized. An array taken from a workspace is valid until its name is taken
+again: ``Policy.mean``/``value`` return views valid until the next forward
+(a throwaway workspace when none is given), and ``mlp_backward`` writes the
+gradient flowing into each hidden activation over it. ``ppo_loss`` returns
+fresh gradient arrays, in the order policy, ``log_std``, value.
 
 Flat-buffer Adam. ``Adam`` keeps the parameters, both moments and the
 gradient in one float64 buffer each, laid out in the order of the params
@@ -192,25 +195,25 @@ def mlp_forward(params: dict, prefix: str, x: np.ndarray,
     """SiLU between layers, linear output. Returns (y, cache for backward).
 
     y and the cache live in ``workspace`` (a throwaway one when none is given)
-    under names of ``prefix``."""
+    under names of the layer alone: a forward overwrites the last one's."""
     ws = Workspace() if workspace is None else workspace
     n = _mlp_layers(params, prefix)
     cache = []
     h = x
     for i in range(n):
         w = params[f"{prefix}/W{i}"]
-        z = np.matmul(h, w, out=ws.take(f"{prefix}/z{i}", (*h.shape[:-1], w.shape[1])))
+        z = np.matmul(h, w, out=ws.take(f"z{i}", (*h.shape[:-1], w.shape[1])))
         z += params[f"{prefix}/b{i}"]
         if i == n - 1:
             cache.append((h, z, None))
             return z, cache
         # SiLU: s = 1 / (1 + exp(-z)), a = z * s
-        s = np.negative(z, out=ws.take(f"{prefix}/s{i}", z.shape))
+        s = np.negative(z, out=ws.take(f"s{i}", z.shape))
         np.exp(s, out=s)
         s += 1.0
         np.divide(1.0, s, out=s)
         cache.append((h, z, s))
-        h = np.multiply(z, s, out=ws.take(f"{prefix}/a{i}", z.shape))
+        h = np.multiply(z, s, out=ws.take(f"a{i}", z.shape))
 
 
 def mlp_backward(params: dict, prefix: str, cache: list, dy: np.ndarray,
@@ -255,23 +258,24 @@ class Policy:
         self.params.update(init_mlp(rng, self.value_sizes, "value"))
         self.params["log_std"] = np.full(act_dim, -0.5)
 
-    def mean(self, obs: np.ndarray) -> np.ndarray:
-        y, _ = mlp_forward(self.params, "policy", obs)
+    def mean(self, obs: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+        y, _ = mlp_forward(self.params, "policy", obs, workspace)
         return y
 
-    def value(self, obs: np.ndarray) -> np.ndarray:
-        y, _ = mlp_forward(self.params, "value", obs)
+    def value(self, obs: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+        y, _ = mlp_forward(self.params, "value", obs, workspace)
         return y[..., 0]
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator):
+    def act(self, obs: np.ndarray, rng: np.random.Generator, workspace: Workspace | None = None):
         """Sample raw (pre-squash) actions: (raw, squashed, logp)."""
-        mean = self.mean(obs)
+        mean = self.mean(obs, workspace)
         std = np.exp(self.params["log_std"])
         raw = mean + std * rng.standard_normal(mean.shape)
         return raw, np.tanh(raw), self._logp(mean, raw)
 
-    def act_deterministic(self, obs: np.ndarray) -> np.ndarray:
-        return np.tanh(self.mean(obs))
+    def act_deterministic(self, obs: np.ndarray,
+                          workspace: Workspace | None = None) -> np.ndarray:
+        return np.tanh(self.mean(obs, workspace))
 
     def _logp(self, mean: np.ndarray, raw: np.ndarray) -> np.ndarray:
         log_std = self.params["log_std"]
@@ -290,7 +294,8 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
 
     ``batch``: obs, raw_actions, old_logp, advantages, returns (numpy arrays).
     Returns (loss, grads, parts); grads is None when with_grads=False.
-    Intermediates live in ``workspace`` (a throwaway one when none is given).
+    Intermediates live in ``workspace`` (a throwaway one when none is given);
+    the value net runs after the policy net, over the same activations.
     """
     if clip_eps <= 0:
         raise TrainerError("NON_FINITE_LOSS", f"clipping epsilon must be > 0, got {clip_eps}")
@@ -332,12 +337,32 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     unclipped_active = np.less_equal(t_unclipped, t_clipped,
                                      out=ws.take("unclipped_active", (n,), bool))
     surrogate = float(np.minimum(t_unclipped, t_clipped, out=t_clipped).mean())
+    entropy = float((log_std + 0.5 * (LOG2PI + 1.0)).sum())
 
+    grads = None
+    if with_grads:
+        # dL/dlogp_i = -(1/n) * r_i * A_i where the unclipped branch is active,
+        # else 0.0: np.where(unclipped_active, -(ratio * adv) / n, 0.0)
+        dlogp = np.negative(t_unclipped, out=t_unclipped)
+        dlogp /= n
+        np.copyto(dlogp, 0.0, where=np.logical_not(unclipped_active, out=unclipped_active))
+        # dlogp/dmean = (raw - mean)/var: dmean = dlogp[:, None] * (d / var)
+        dmean = np.divide(d, var, out=term)
+        dmean *= dlogp[:, None]
+        grads = mlp_backward(params, "policy", p_cache, dmean, ws)
+        # dlogp/dlog_std_j = d_j^2/var_j - 1 ; entropy adds a constant -c_e per axis:
+        # (dlogp[:, None] * ((d * d) / var - 1.0)).sum(axis=0)
+        np.multiply(d, d, out=d)
+        d /= var
+        d -= 1.0
+        d *= dlogp[:, None]
+        grads["log_std"] = d.sum(axis=0) - entropy_cost * np.ones_like(log_std)
+
+    # the policy net is done with the activations; the value net overwrites them
     v_out, v_cache = mlp_forward(params, "value", obs, ws)
     value_err = np.subtract(v_out[..., 0], batch["returns"], out=ws.take("value_err", (n,)))
     value_loss = float(np.multiply(value_err, value_err, out=t_clipped).mean())
 
-    entropy = float((log_std + 0.5 * (LOG2PI + 1.0)).sum())
     loss = -surrogate + value_coef * value_loss - entropy_cost * entropy
     if not math.isfinite(loss):
         raise TrainerError("NON_FINITE_LOSS", "PPO loss is not finite")
@@ -349,22 +374,6 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     if not with_grads:
         return loss, None, parts
 
-    # dL/dlogp_i = -(1/n) * r_i * A_i where the unclipped branch is active,
-    # else 0.0: np.where(unclipped_active, -(ratio * adv) / n, 0.0)
-    dlogp = np.negative(t_unclipped, out=t_unclipped)
-    dlogp /= n
-    np.copyto(dlogp, 0.0, where=np.logical_not(unclipped_active, out=unclipped_active))
-    # dlogp/dmean = (raw - mean)/var: dmean = dlogp[:, None] * (d / var)
-    dmean = np.divide(d, var, out=term)
-    dmean *= dlogp[:, None]
-    grads = mlp_backward(params, "policy", p_cache, dmean, ws)
-    # dlogp/dlog_std_j = d_j^2/var_j - 1 ; entropy adds a constant -c_e per axis:
-    # (dlogp[:, None] * ((d * d) / var - 1.0)).sum(axis=0)
-    np.multiply(d, d, out=d)
-    d /= var
-    d -= 1.0
-    d *= dlogp[:, None]
-    grads["log_std"] = d.sum(axis=0) - entropy_cost * np.ones_like(log_std)
     # dv = value_coef * 2.0 * value_err / n
     dv = np.multiply(value_err, value_coef * 2.0, out=value_err)
     dv /= n
@@ -712,7 +721,7 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
 
     def run_eval():
         rec = _evaluate(policy, obs_norm if normalize_obs else None, env_cfg,
-                        rules, program, seed, eval_episodes, eval_max_steps)
+                        rules, program, seed, eval_episodes, eval_max_steps, workspace)
         rec["step"] = env_steps
         rec.update(last_losses)
         metrics.append(rec)
@@ -730,7 +739,7 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
             if it in eval_at:
                 run_eval()
             rollout, obs = _collect(envs, policy, obs_norm if normalize_obs else None,
-                                    obs, program, reward_scaling, unroll, rng)
+                                    obs, program, reward_scaling, unroll, rng, workspace)
             env_steps += steps_per_iter
 
             advantages, returns = gae(
@@ -804,7 +813,7 @@ def _stack_bindings(steps: list) -> dict:
 
 def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
              program: RewardProgram, reward_scaling: float, unroll: int,
-             rng: np.random.Generator):
+             rng: np.random.Generator, workspace: Workspace | None = None):
     T, N = unroll, envs.num_envs
     out = {
         "obs": np.zeros((T, N, OBS_DIM)),
@@ -818,11 +827,11 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
     pending = []
     for t in range(T):
         norm_obs = obs_norm.normalize(obs) if obs_norm is not None else obs
-        raw, squashed, logp = policy.act(norm_obs, rng)
+        raw, squashed, logp = policy.act(norm_obs, rng, workspace)
         out["obs"][t] = norm_obs
         out["raw_actions"][t] = raw
         out["logp"][t] = logp
-        out["values"][t] = policy.value(norm_obs)
+        out["values"][t] = policy.value(norm_obs, workspace)
         obs, bindings, dones = envs.step(squashed)
         out["dones"][t] = dones.astype(np.float64)
         pending.append(bindings)
@@ -836,12 +845,13 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
         final_norm = obs_norm.normalize(obs)
     else:
         final_norm = obs
-    out["values"][T] = policy.value(final_norm)
+    out["values"][T] = policy.value(final_norm, workspace)
     return out, obs
 
 
 def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program,
-              seed: int, episodes: int, max_steps: int) -> dict:
+              seed: int, episodes: int, max_steps: int,
+              workspace: Workspace | None = None) -> dict:
     """Deterministic-policy rollouts, one env per episode slot; per-term
     metrics are mean episode sums of each term's contribution. Each step's
     alive mask is kept until its reward block is evaluated, and contributions
@@ -857,7 +867,7 @@ def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program,
     obs = envs.observe()
     for step in range(max_steps):
         norm_obs = obs_norm.normalize(obs) if obs_norm is not None else obs
-        action = policy.act_deterministic(norm_obs)
+        action = policy.act_deterministic(norm_obs, workspace)
         obs, bindings, finished = envs.step(action)
         pending.append(bindings)
         masks.append(alive)

@@ -1,9 +1,15 @@
+import copy
+import dataclasses
+import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stageflow.errors import BundleError
-from stageflow.schema import mutate_corpus, parse_bundle, validate
+from stageflow.errors import BundleError, StageflowError
+from stageflow.schema import ERROR, mutate_corpus, parse_bundle, validate
+from stageflow.trainer import train_stage
 
 from conftest import DATA
 
@@ -71,11 +77,90 @@ class TestMutationCorpus:
                 f"mutant {m.label!r}: expected {m.expected_code}, "
                 f"got {sorted(report.codes())}")
 
+    def test_each_number_mutant_is_one_type_error_on_its_field(self):
+        """The numbers ``validate`` once let through (non-finite, or strings
+        ``train_stage`` fails to convert) each make one TYPE_ERROR, at the
+        path of the field mutated."""
+        bundle = parse_bundle(DATA / "bundles" / "desk")
+        cases = {m.label: m for m in mutate_corpus(bundle)}
+        for label, path in NUMBER_MUTANTS.items():
+            errors = validate(cases[label].bundle).errors
+            assert [(f.code, f.path) for f in errors] == [("TYPE_ERROR", path)], label
+
     def test_deterministic_under_seed(self):
         bundle = parse_bundle(DATA / "bundles" / "tune")
         a = [m.label for m in mutate_corpus(bundle, seed=3)]
         b = [m.label for m in mutate_corpus(bundle, seed=3)]
         assert a == b
+
+
+# corpus labels of the number mutants, with the path each finding names
+NUMBER_MUTANTS = {
+    "big kick velocity infinite": "environment.big_max_kick_vel",
+    "small kick velocity read as a string": "environment.small_min_kick_vel",
+    "gait_frequency bound NaN": "environment.gait_frequency",
+    "x velocity command bound infinite": "environment.command_lin_vel_x_range",
+    "max_foot_height NaN": "environment.max_foot_height",
+    "max_foot_height read as a string": "environment.max_foot_height",
+    "reward_scaling infinite": "trainer.reward_scaling",
+    "reward_scaling read as a string": "trainer.reward_scaling",
+    "negative seed": "trainer.seed",
+}
+
+
+def _numeric_fields(doc, path=()):
+    """(path, index) of every number in a config document, with index the
+    position in a list of numbers (None for a scalar)."""
+    for key, v in doc.items():
+        if isinstance(v, dict):
+            yield from _numeric_fields(v, path + (key,))
+        elif isinstance(v, list):
+            yield from ((path + (key,), i) for i, x in enumerate(v)
+                        if isinstance(x, (int, float)) and not isinstance(x, bool))
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield path + (key,), None
+
+
+def _kicked_stage():
+    """Desk stage 2 (kicks, observation noise) as a first stage, trimmed to
+    one PPO iteration of 4 envs and one evaluation."""
+    stage = parse_bundle(DATA / "bundles" / "desk").stages[1]
+    config = copy.deepcopy(stage.config_doc)
+    config["trainer"].update(num_envs=4, num_timesteps=80, num_evals=1)
+    return dataclasses.replace(stage, config_doc=config, resume_from_checkpoint=False)
+
+
+KICKED = _kicked_stage()
+NUMERIC_FIELDS = sorted(_numeric_fields(KICKED.config_doc), key=str)
+ODD_NUMBERS = [math.nan, math.inf, -math.inf, "0.5", "1.0e12", "fast", "", True, False,
+               0, 0.0, -1, -0.25, -3.0]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(field=st.sampled_from(NUMERIC_FIELDS), value=st.sampled_from(ODD_NUMBERS))
+def test_a_mutated_number_is_reported_or_trains(field, value, tmp_path_factory):
+    """Differential property: with one number of the config replaced, either
+    ``validate`` names that field in an error, or a one-iteration 4-env
+    ``train_stage`` raises nothing or a StageflowError."""
+    (*parents, key), index = field
+    config = copy.deepcopy(KICKED.config_doc)
+    holder = config
+    for name in parents:
+        holder = holder[name]
+    if index is None:
+        holder[key] = value
+    else:
+        holder[key][index] = value
+    stage = dataclasses.replace(KICKED, config_doc=config)
+    bundle = parse_bundle(DATA / "bundles" / "desk")
+    bundle.stages = [dataclasses.replace(stage, index=1)]
+    path = ".".join((*parents, key))
+    if any(f.severity == ERROR and f.path == path for f in validate(bundle).findings):
+        return
+    try:
+        train_stage(stage, tmp_path_factory.mktemp("stage"), eval_episodes=2, eval_max_steps=10)
+    except StageflowError:
+        pass
 
 
 U = {"uniform": {"minval": 0.9, "maxval": 1.1}}

@@ -15,7 +15,7 @@ from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Polic
                                gae, load_checkpoint, ppo_loss,
                                restore_policy, save_checkpoint, train_stage)
 
-from stageflow.env import OBS_DIM
+from stageflow.env import ACTION_DIM, OBS_DIM
 
 from conftest import DESK, TINY_STEPS
 
@@ -210,6 +210,38 @@ class TestPpoUpdate:
             tracemalloc.stop()
         assert peak < rows * hidden * 8, peak
 
+    def test_an_update_holds_one_activation_set(self):
+        """The value net's forward and backward run after the policy net's,
+        over the same buffers: after one update the workspace holds one
+        activation set at the wider net's widths, plus the minibatch and the
+        log-prob scratch."""
+        rows = 640
+        policy = Policy([64, 64], [64, 64], seed=0)
+        batch = small_batch(policy, np.random.default_rng(1), n=rows)
+        workspace = Workspace()
+        trainer.ppo_update(policy, Adam(policy.params, lr=1e-4), batch,
+                           np.random.default_rng(2), 1, 1, 0.2, 1e-3, workspace)
+        widths = [max(p, v) for p, v in zip(policy.policy_sizes[1:], policy.value_sizes[1:])]
+        hidden, out = widths[:-1], widths[-1]
+        # z, s and a per hidden layer, the output z, the SiLU derivative
+        activations = 3 * sum(hidden) + out + max(hidden)
+        minibatch = OBS_DIM + ACTION_DIM + 3      # obs, raw_actions, old_logp, advantages, returns
+        logp = 2 * ACTION_DIM + 5                 # d, term and five per-row vectors
+        bound = rows * 8 * (activations + minibatch + logp) + rows  # + the bool mask
+        total = sum(b.nbytes for b in workspace._bufs.values())
+        assert total <= bound, (total, bound)
+
+    def test_loss_without_grads_is_the_loss_with_them(self, rng):
+        policy = Policy([64, 64], [64, 64], seed=0)
+        batch = small_batch(policy, rng, n=300)
+        workspace = Workspace()
+        with_grads = ppo_loss(policy, batch, 0.2, entropy_cost=1e-3, workspace=workspace)
+        without = ppo_loss(policy, batch, 0.2, entropy_cost=1e-3, with_grads=False,
+                           workspace=workspace)
+        assert without[0] == with_grads[0]
+        assert without[1] is None
+        assert without[2] == with_grads[2]
+
     def test_grads_of_calls_without_a_workspace_do_not_alias(self, rng):
         policy = small_policy()
         batch = small_batch(policy, rng)
@@ -238,6 +270,47 @@ class TestRollouts:
             for key, digest in digests.items():
                 assert got["collect"][envs].get(key) == digest, (envs, key)
         assert got == expected
+
+    def test_inference_on_a_grown_workspace_is_inference_on_a_throwaway_one(self):
+        """Rollouts run act/value/act_deterministic on the stage's workspace,
+        after an update has grown it to more rows: each forward writes into
+        prefixes of the buffers it already has, and every result holds byte
+        for byte."""
+        policy = Policy([64, 64], [64, 64], seed=0)
+        workspace = Workspace()
+        ppo_loss(policy, small_batch(policy, np.random.default_rng(1), n=640), 0.2,
+                 entropy_cost=1e-3, workspace=workspace)
+        bufs = dict(workspace._bufs)
+        obs = np.random.default_rng(3).standard_normal((100, OBS_DIM))
+        shared = policy.act(obs, np.random.default_rng(4), workspace)
+        alone = policy.act(obs, np.random.default_rng(4))
+        for got, want in zip(shared, alone):
+            assert got.tobytes() == want.tobytes()
+        assert policy.value(obs, workspace).tobytes() == policy.value(obs).tobytes()
+        assert (policy.act_deterministic(obs, workspace).tobytes()
+                == policy.act_deterministic(obs).tobytes())
+        assert workspace._bufs.keys() == bufs.keys()
+        assert all(workspace._bufs[k] is b for k, b in bufs.items())
+
+    def test_warm_inference_allocates_less_than_one_hidden_activation(self):
+        rows, hidden = 5_120, 64
+        policy = Policy([hidden, hidden], [hidden, hidden], seed=0)
+        obs = np.random.default_rng(1).standard_normal((rows, OBS_DIM))
+        rng = np.random.default_rng(2)
+        workspace = Workspace()
+
+        def infer():
+            policy.act(obs, rng, workspace)
+            policy.value(obs, workspace)
+
+        infer()  # warm-up sizes the workspace
+        tracemalloc.start()
+        try:
+            infer()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * hidden * 8, peak
 
     @pytest.mark.parametrize("hidden", [[64, 64], [512, 256, 128]])
     def test_stacked_one_row_forward_is_the_lone_forward(self, hidden):
