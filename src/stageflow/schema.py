@@ -469,6 +469,7 @@ class Mutant:
     label: str
     expected_code: str
     bundle: CurriculumBundle
+    expected_path: str | None = None  # set where the code is the only error, on this path
 
 
 def _clone(bundle: CurriculumBundle) -> CurriculumBundle:
@@ -487,10 +488,10 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
 
     mutants: list[Mutant] = []
 
-    def mutant(label, code, fn):
+    def mutant(label, code, fn, path=None):
         b = _clone(bundle)
         fn(b)
-        mutants.append(Mutant(label, code, b))
+        mutants.append(Mutant(label, code, b, path))
 
     def tr(b):
         return b.stages[0].config_doc["trainer"]
@@ -528,16 +529,18 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
            lambda b: tr(b).update(clipping_epsilon=float("inf")))
     inf, nan = float("inf"), float("nan")
     for label, section, key, value in (
-            ("big kick velocity infinite", env, "big_max_kick_vel", inf),
-            ("small kick velocity read as a string", env, "small_min_kick_vel", "fast"),
-            ("gait_frequency bound NaN", env, "gait_frequency", [nan, 2.0]),
-            ("x velocity command bound infinite", env, "command_lin_vel_x_range", [-inf, 1.0]),
-            ("max_foot_height NaN", env, "max_foot_height", nan),
-            ("max_foot_height read as a string", env, "max_foot_height", "high"),
-            ("reward_scaling infinite", tr, "reward_scaling", inf),
-            ("reward_scaling read as a string", tr, "reward_scaling", "big"),
-            ("negative seed", tr, "seed", -1)):
-        mutant(label, "TYPE_ERROR", lambda b, s=section, k=key, v=value: s(b).update({k: v}))
+            ("big kick velocity infinite", "environment", "big_max_kick_vel", inf),
+            ("small kick velocity read as a string", "environment", "small_min_kick_vel", "fast"),
+            ("gait_frequency bound NaN", "environment", "gait_frequency", [nan, 2.0]),
+            ("x velocity command bound infinite", "environment", "command_lin_vel_x_range", [-inf, 1.0]),
+            ("max_foot_height NaN", "environment", "max_foot_height", nan),
+            ("max_foot_height read as a string", "environment", "max_foot_height", "high"),
+            ("reward_scaling infinite", "trainer", "reward_scaling", inf),
+            ("reward_scaling read as a string", "trainer", "reward_scaling", "big"),
+            ("negative seed", "trainer", "seed", -1)):
+        mutant(label, "TYPE_ERROR",
+               lambda b, s=section, k=key, v=value: b.stages[0].config_doc[s].update({k: v}),
+               f"{section}.{key}")
     mutant("more minibatches than rollout rows", "TOO_MANY_MINIBATCHES",
            lambda b: tr(b).update(num_minibatches=1_000_000))
     mutant("num_timesteps dropped", "MISSING_KEY",

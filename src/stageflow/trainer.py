@@ -813,7 +813,7 @@ def _stack_bindings(steps: list) -> dict:
 
 def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
              program: RewardProgram, reward_scaling: float, unroll: int,
-             rng: np.random.Generator, workspace: Workspace | None = None):
+             rng: np.random.Generator, workspace: Workspace):
     T, N = unroll, envs.num_envs
     out = {
         "obs": np.zeros((T, N, OBS_DIM)),
@@ -850,8 +850,7 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
 
 
 def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program,
-              seed: int, episodes: int, max_steps: int,
-              workspace: Workspace | None = None) -> dict:
+              seed: int, episodes: int, max_steps: int, workspace: Workspace) -> dict:
     """Deterministic-policy rollouts, one env per episode slot; per-term
     metrics are mean episode sums of each term's contribution. Each step's
     alive mask is kept until its reward block is evaluated, and contributions

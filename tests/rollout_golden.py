@@ -17,7 +17,8 @@ stops before ``max_steps``. Its record is kept as exact float hex strings,
 beside the step on which each env first finished and the number of steps
 taken.
 
-Both were recorded from the rollouts as they were when each step's reward
+Both run their forwards on a ``trainer.Workspace``, as ``train_stage`` does;
+the two ``_collect`` calls share one. Both were recorded from the rollouts as they were when each step's reward
 was evaluated on its own.
 
 Regenerate (only after a deliberate change of numerics) from the repo root:
@@ -77,11 +78,12 @@ def collect_digest(num_envs: int) -> dict:
     envs = VecEnv(env_cfg, num_envs, base_seed=ENV_SEED, randomize_rules=rules,
                   episode_length=EPISODE_LENGTH)
     rng = np.random.default_rng(ACT_SEED)
+    workspace = trainer.Workspace()
     hashes: dict = {}
     obs = envs.observe()
     for _ in range(CALLS):
         rollout, obs = trainer._collect(envs, policy, obs_norm, obs, program,
-                                        REWARD_SCALING, UNROLL, rng)
+                                        REWARD_SCALING, UNROLL, rng, workspace)
         for key, arr in rollout.items():
             _feed(hashes.setdefault(key, hashlib.sha256()), arr)
         for key, arr in (("next_obs", obs), ("obs_norm", obs_norm.mean),
@@ -113,7 +115,7 @@ def evaluate_record() -> dict:
     masks: list = []
     with _recording_envs(masks):
         rec = trainer._evaluate(policy, obs_norm, env_cfg, rules, program,
-                                ENV_SEED, EVAL_EPISODES, EVAL_MAX_STEPS)
+                                ENV_SEED, EVAL_EPISODES, EVAL_MAX_STEPS, trainer.Workspace())
     finished = np.array(masks)
     return {
         "steps": len(masks),

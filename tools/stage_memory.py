@@ -2,7 +2,7 @@
 
 Trains stage 1 of the shipped ``tune`` bundle once, for one PPO iteration
 (``num_envs * unroll_length`` env steps) with two evaluations, in this
-process, and prints:
+process at the config's seed, and prints:
 
 - peak RSS: the process's high-water resident set (``ru_maxrss``), which
   includes the interpreter and its imports;
@@ -65,7 +65,6 @@ def main(argv=None) -> int:
                       help="the configured sizes, one epoch")
     size.add_argument("--tiny", action="store_true",
                       help=f"{TINY_ENVS} envs: checks the tool runs")
-    ap.add_argument("--seed", type=int, default=5)
     args = ap.parse_args(argv)
     envs = TINY_ENVS if args.tiny else args.envs
 
@@ -75,14 +74,14 @@ def main(argv=None) -> int:
         w0 = time.perf_counter()
         # the config is already sized; train_stage's desk profile would cap
         # num_envs at 64
-        result = trainer.train_stage(stage, tmp, seed=args.seed, paper_scale=True)
+        result = trainer.train_stage(stage, tmp, paper_scale=True)
         wall = time.perf_counter() - w0
         r1 = resource.getrusage(resource.RUSAGE_SELF)
 
     record = {
         "num_envs": int(tr["num_envs"]),
         "paper_scale": args.paper_scale,
-        "seed": args.seed,
+        "seed": int(tr.get("seed", 0)),  # the config's, as train_stage takes it
         "env_steps": result.env_steps,
         "peak_rss_mb": round(r1.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
         "minor_faults": r1.ru_minflt - r0.ru_minflt,
@@ -92,7 +91,7 @@ def main(argv=None) -> int:
         "eval_reward": result.last_eval["eval/episode_reward"],
     }
     print(f"tune stage 1, {record['num_envs']} envs, "
-          f"{'paper scale' if args.paper_scale else 'desk nets'}, seed {args.seed}: "
+          f"{'paper scale' if args.paper_scale else 'desk nets'}, seed {record['seed']}: "
           f"{record['env_steps']:,} env steps")
     print(f"peak RSS {record['peak_rss_mb']} MB, {record['minor_faults']:,} minor faults, "
           f"wall {record['wall_s']} s, CPU {record['cpu_s']} s (system {record['sys_s']} s)")
