@@ -274,12 +274,21 @@ def _validate_config(stage: StageBundle, out: list):
     def warn(code, path, msg):
         out.append(Finding(WARNING, code, f, path, msg))
 
-    def number(section, key):
-        """The number at ``section.key``: None when absent, and None after a
-        TYPE_ERROR when not a finite number. PyYAML reads ``1.0e12`` (no
-        exponent sign) and quoted numbers as strings, and ``.nan``/``.inf``
-        as floats that no range check rejects."""
+    def get(section, key):
+        """The value at ``section.key``: None when absent, and None after a
+        TYPE_ERROR when present with no value (``key:`` reads as null, which
+        the trainer cannot take for a default)."""
         v = doc[section].get(key)
+        if v is None and key in doc[section]:
+            err("TYPE_ERROR", f"{section}.{key}", f"{key} has no value; give it one or remove the key")
+        return v
+
+    def number(section, key):
+        """The number at ``section.key``: None when absent or null (``get``),
+        and None after a TYPE_ERROR when not a finite number. PyYAML reads
+        ``1.0e12`` (no exponent sign) and quoted numbers as strings, and
+        ``.nan``/``.inf`` as floats that no range check rejects."""
+        v = get(section, key)
         if v is None or _is_number(v) and math.isfinite(v):
             return v
         err("TYPE_ERROR", f"{section}.{key}", f"{key} must be a finite number, got {v!r}; "
@@ -303,7 +312,7 @@ def _validate_config(stage: StageBundle, out: list):
                 warn("UNKNOWN_KEY", f"environment.{key}", "unknown environment key")
         for key in ("command_lin_vel_x_range", "command_lin_vel_y_range",
                     "command_ang_vel_yaw_range", "gait_frequency", "foot_height_range"):
-            rng = env.get(key)
+            rng = get("environment", key)
             if rng is None:
                 continue
             if not _is_range(rng):
@@ -324,7 +333,7 @@ def _validate_config(stage: StageBundle, out: list):
             if lo is not None and hi is not None and lo > hi:
                 err("RANGE_INVERTED", f"environment.{lo_key}", f"{lo_key} {lo} > {hi_key} {hi}")
         for key in ("big_kick_interval", "small_kick_interval"):
-            v = env.get(key)
+            v = get("environment", key)
             if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
                 err("TYPE_ERROR", f"environment.{key}", "interval must be an integer >= 1")
 
@@ -337,7 +346,7 @@ def _validate_config(stage: StageBundle, out: list):
             if key not in KNOWN_TRAINER_KEYS:
                 warn("UNKNOWN_KEY", f"trainer.{key}", "unknown trainer key")
         for key in ("batch_size", "num_envs"):
-            v = tr.get(key)
+            v = get("trainer", key)
             if v is not None and not _is_power_of_two(v):
                 err("POWER_OF_TWO", f"trainer.{key}", f"{key} must be a power of 2, got {v!r}")
         g = number("trainer", "discounting")
@@ -348,7 +357,7 @@ def _validate_config(stage: StageBundle, out: list):
             if v is not None and v <= 0:
                 err("POSITIVE_REQUIRED", f"trainer.{key}", f"{key} must be > 0, got {v!r}")
         number("trainer", "reward_scaling")
-        v = tr.get("seed")
+        v = get("trainer", "seed")
         if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
             err("TYPE_ERROR", "trainer.seed", f"seed must be an integer >= 0, got {v!r}")
         v = number("trainer", "entropy_cost")
@@ -356,7 +365,7 @@ def _validate_config(stage: StageBundle, out: list):
             err("POSITIVE_REQUIRED", "trainer.entropy_cost", f"entropy_cost must be >= 0, got {v!r}")
         for key in ("num_timesteps", "num_evals", "episode_length", "unroll_length",
                     "num_minibatches", "num_updates_per_batch"):
-            v = tr.get(key)
+            v = get("trainer", key)
             if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
                 err("TYPE_ERROR", f"trainer.{key}", f"{key} must be an integer >= 1, got {v!r}")
         mb, n, u = (tr.get(k) for k in ("num_minibatches", "num_envs", "unroll_length"))
@@ -370,7 +379,7 @@ def _validate_config(stage: StageBundle, out: list):
             if key not in net:
                 err("MISSING_KEY", f"ppo_network.{key}", "required network key missing")
         for key in ("policy_hidden_layer_sizes", "value_hidden_layer_sizes"):
-            sizes = net.get(key)
+            sizes = get("ppo_network", key)
             if sizes is not None and (
                 not isinstance(sizes, list) or not sizes
                 or not all(isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in sizes)
@@ -537,7 +546,11 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
             ("max_foot_height read as a string", "environment", "max_foot_height", "high"),
             ("reward_scaling infinite", "trainer", "reward_scaling", inf),
             ("reward_scaling read as a string", "trainer", "reward_scaling", "big"),
-            ("negative seed", "trainer", "seed", -1)):
+            ("negative seed", "trainer", "seed", -1),
+            ("learning rate left empty", "trainer", "learning_rate", None),
+            ("num_envs left empty", "trainer", "num_envs", None),
+            ("observation noise left empty", "environment", "obs_noise", None),
+            ("gait_frequency left empty", "environment", "gait_frequency", None)):
         mutant(label, "TYPE_ERROR",
                lambda b, s=section, k=key, v=value: b.stages[0].config_doc[s].update({k: v}),
                f"{section}.{key}")

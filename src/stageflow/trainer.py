@@ -6,19 +6,39 @@ finite differences in the tests. Single process, CPU, deterministic under a
 fixed seed.
 
 One buffer set per stage. ``train_stage`` owns one :class:`Workspace` and
-passes it through ``ppo_update`` to ``ppo_loss``, ``mlp_forward`` and
-``mlp_backward``, which write every row-sized intermediate (minibatch
-gather, activations, SiLU factors, log-prob terms) into its buffers in
-place, in the rounding order of the plain expressions their comments give.
-``mlp_forward`` names buffers by layer alone (``z0``, ``s0``, ``a0``, ...):
-``ppo_loss`` runs the policy net's forward and backward and the ``log_std``
-gradient, then the value net's over the same buffers, and ``_collect`` and
-``_evaluate`` run ``Policy`` inference on them too, in prefixes the update
-has sized. An array taken from a workspace is valid until its name is taken
-again: ``Policy.mean``/``value`` return views valid until the next forward
-(a throwaway workspace when none is given), and ``mlp_backward`` writes the
+passes it through ``ppo_update`` to ``ppo_loss`` and ``mlp_forward``, which
+write every row-sized intermediate (minibatch gather, activations, SiLU
+derivatives, log-prob terms) into its buffers in place, in the rounding
+order of the plain expressions their comments give. ``mlp_forward`` names
+buffers by layer alone (``z0``, ``a0``, ...): ``ppo_loss`` runs the policy
+net's forward and backward and the ``log_std`` gradient, then the value
+net's over the same buffers, and ``_collect`` and ``_evaluate`` run
+``Policy`` inference on them too, in prefixes the update has sized. An array
+taken from a workspace is valid until its name is taken again:
+``Policy.mean``/``value`` return views valid until the next forward (a
+throwaway workspace when none is given), and ``mlp_backward`` writes the
 gradient flowing into each hidden activation over it. ``ppo_loss`` returns
 fresh gradient arrays, in the order policy, ``log_std``, value.
+
+SiLU blocks. The backward reads, per hidden layer, only the layer's input
+and its SiLU derivative, so that is all a forward keeps: two row-sized
+arrays per hidden layer, the activation ``a{i}`` and, over the
+pre-activation ``z{i}``, the derivative ``s * (1 + z * (1 - s))`` (only
+under ``grad``, which ``ppo_loss(with_grads=True)`` alone sets; inference
+skips it). The sigmoid ``s`` and ``1 - s`` live in two scratch arrays of one
+block of ``SILU_ROWS`` (512) rows, shared by every layer: each block writes
+``a = z * s``, then the derivative over its rows of z, and ``mlp_backward``
+only multiplies the gradient by it. A layer whose rows fit in one block works
+on whole arrays. Before, a hidden layer kept three row-sized arrays (z, s,
+a) and the backward one more for the derivative. Block size barely moves
+time but sets the scratch: the SiLU with its derivative over 20,480 x 64
+rows took 5.3-5.7 ms in 512-row blocks, 5.7-5.8 in 1,024-row, 6.5-8.1 in
+2,048-row and 8.3-11.8 ms as whole arrays, and over 5,120 x 512 rows 17-21
+ms in 512-row blocks against 20-23 in 1,024-row (best of 7, two runs each,
+a 2-vCPU VM). Each of these rounds every element as the whole-array
+expression does, so
+``tests/data/silu_blocks_golden.json``, recorded before the SiLU ran in
+blocks, pins an update and inference across several blocks byte for byte.
 
 Flat-buffer Adam. ``Adam`` keeps the parameters, both moments and the
 gradient in one float64 buffer each, laid out in the order of the params
@@ -76,7 +96,11 @@ applies to every BLAS call in the process, and the caller's count is
 restored when the stage returns or raises. The OpenBLAS numpy loaded is
 looked up once, when the first stage that wants one thread starts (never at
 import); with any other BLAS (MKL, Accelerate) the policy does nothing.
-Thread count does not change the bytes of any result.
+Thread count does not change the bytes of the results the digest tests pin
+on both counts. It can change others: the weight gradient ``h.T @ grad``, a
+product over a minibatch's rows, rounds differently on one OpenBLAS thread
+than on two at 1,283, 4,500 and 10,001 rows (not at 320, 4,096, 5,120 or
+20,480), which is why ``tests/silu_blocks_golden.py`` pins one thread.
 """
 
 from __future__ import annotations
@@ -115,6 +139,10 @@ ONE_THREAD_MACS = 1 << 23
 # (step, env) rows one reward evaluation covers at most: a rollout block is
 # as many whole steps as fit, and at least one (module docstring)
 REWARD_ROWS = 256
+
+# rows of a hidden layer whose SiLU one block computes: the sigmoid and
+# ``1 - s`` live in block-sized scratch (module docstring)
+SILU_ROWS = 512
 
 
 # -- generalized advantage estimation -----------------------------------------
@@ -191,11 +219,15 @@ def _mlp_layers(params: dict, prefix: str) -> int:
 
 
 def mlp_forward(params: dict, prefix: str, x: np.ndarray,
-                workspace: Workspace | None = None):
-    """SiLU between layers, linear output. Returns (y, cache for backward).
+                workspace: Workspace | None = None, grad: bool = False):
+    """SiLU between layers, linear output. Returns (y, cache), the cache None
+    unless ``grad``.
 
     y and the cache live in ``workspace`` (a throwaway one when none is given)
-    under names of the layer alone: a forward overwrites the last one's."""
+    under names of the layer alone: a forward overwrites the last one's. The
+    cache holds, per layer, its input and, for a hidden layer under ``grad``,
+    its SiLU derivative, written over the layer's pre-activation: what
+    ``mlp_backward`` reads, and nothing more (module docstring)."""
     ws = Workspace() if workspace is None else workspace
     n = _mlp_layers(params, prefix)
     cache = []
@@ -205,36 +237,51 @@ def mlp_forward(params: dict, prefix: str, x: np.ndarray,
         z = np.matmul(h, w, out=ws.take(f"z{i}", (*h.shape[:-1], w.shape[1])))
         z += params[f"{prefix}/b{i}"]
         if i == n - 1:
-            cache.append((h, z, None))
-            return z, cache
-        # SiLU: s = 1 / (1 + exp(-z)), a = z * s
-        s = np.negative(z, out=ws.take(f"s{i}", z.shape))
+            cache.append((h, None))
+            return z, cache if grad else None
+        a = ws.take(f"a{i}", z.shape)
+        _silu(z, a, ws, grad)
+        cache.append((h, z))
+        h = a
+
+
+def _silu(z: np.ndarray, a: np.ndarray, ws: Workspace, grad: bool) -> None:
+    """a = z * s with s = 1 / (1 + exp(-z)), one block of ``SILU_ROWS`` rows
+    at a time, s in block scratch; under ``grad`` each block's z is then
+    overwritten by the SiLU derivative s * (1 + z * (1 - s))."""
+    rows = z.size // z.shape[-1]
+    if rows <= SILU_ROWS:
+        blocks = ((z, a),)
+    else:
+        z2, a2 = z.reshape(rows, -1), a.reshape(rows, -1)
+        blocks = ((z2[r:r + SILU_ROWS], a2[r:r + SILU_ROWS])
+                  for r in range(0, rows, SILU_ROWS))
+    for zb, ab in blocks:
+        s = np.negative(zb, out=ws.take("silu/s", zb.shape))
         np.exp(s, out=s)
         s += 1.0
         np.divide(1.0, s, out=s)
-        cache.append((h, z, s))
-        h = np.multiply(z, s, out=ws.take(f"a{i}", z.shape))
+        np.multiply(zb, s, out=ab)
+        if grad:  # z * (1 - s) rounds as (1 - s) * z does
+            zb *= np.subtract(1.0, s, out=ws.take("silu/1-s", zb.shape))
+            zb += 1.0
+            zb *= s
 
 
-def mlp_backward(params: dict, prefix: str, cache: list, dy: np.ndarray,
-                 workspace: Workspace | None = None) -> dict:
-    """Gradient of a scalar loss w.r.t. each layer's W/b, given dL/dy.
+def mlp_backward(params: dict, prefix: str, cache: list, dy: np.ndarray) -> dict:
+    """Gradient of a scalar loss w.r.t. each layer's W/b, given dL/dy and the
+    cache of a ``grad`` forward.
 
-    The SiLU factor for layer i-1's output is applied when the loop reaches
-    it. Consumes ``cache``: once layer i has taken its weight gradient, the
-    gradient flowing into its input activation is written over that
-    activation. The returned gradients are fresh arrays."""
-    ws = Workspace() if workspace is None else workspace
+    The SiLU derivative of layer i-1's output is applied when the loop
+    reaches it. Consumes ``cache``: once layer i has taken its weight
+    gradient, the gradient flowing into its input activation is written over
+    that activation. The returned gradients are fresh arrays."""
     grads = {}
     grad = dy
     for i in range(len(cache) - 1, -1, -1):
-        h, z, s = cache[i]
-        if s is not None:  # grad * (s * (1 + z * (1 - s))), the SiLU derivative
-            factor = np.subtract(1.0, s, out=ws.take("silu_grad", s.shape))
-            factor *= z
-            factor += 1.0
-            factor *= s
-            grad *= factor
+        h, silu_derivative = cache[i]
+        if silu_derivative is not None:
+            grad *= silu_derivative
         grads[f"{prefix}/W{i}"] = h.T @ grad
         grads[f"{prefix}/b{i}"] = grad.sum(axis=0)
         if i > 0:
@@ -306,7 +353,7 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     adv = batch["advantages"]
     n = obs.shape[0]
 
-    mean, p_cache = mlp_forward(params, "policy", obs, ws)
+    mean, p_cache = mlp_forward(params, "policy", obs, ws, grad=with_grads)
     log_std = params["log_std"]
     var = np.exp(2.0 * log_std)
     # new_logp = gauss - correction, with d = raw - mean,
@@ -349,7 +396,7 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
         # dlogp/dmean = (raw - mean)/var: dmean = dlogp[:, None] * (d / var)
         dmean = np.divide(d, var, out=term)
         dmean *= dlogp[:, None]
-        grads = mlp_backward(params, "policy", p_cache, dmean, ws)
+        grads = mlp_backward(params, "policy", p_cache, dmean)
         # dlogp/dlog_std_j = d_j^2/var_j - 1 ; entropy adds a constant -c_e per axis:
         # (dlogp[:, None] * ((d * d) / var - 1.0)).sum(axis=0)
         np.multiply(d, d, out=d)
@@ -359,7 +406,7 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
         grads["log_std"] = d.sum(axis=0) - entropy_cost * np.ones_like(log_std)
 
     # the policy net is done with the activations; the value net overwrites them
-    v_out, v_cache = mlp_forward(params, "value", obs, ws)
+    v_out, v_cache = mlp_forward(params, "value", obs, ws, grad=with_grads)
     value_err = np.subtract(v_out[..., 0], batch["returns"], out=ws.take("value_err", (n,)))
     value_loss = float(np.multiply(value_err, value_err, out=t_clipped).mean())
 
@@ -377,7 +424,7 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     # dv = value_coef * 2.0 * value_err / n
     dv = np.multiply(value_err, value_coef * 2.0, out=value_err)
     dv /= n
-    grads.update(mlp_backward(params, "value", v_cache, dv[:, None], ws))
+    grads.update(mlp_backward(params, "value", v_cache, dv[:, None]))
     return loss, grads, parts
 
 

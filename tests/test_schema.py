@@ -112,7 +112,10 @@ def _kicked_stage():
 KICKED = _kicked_stage()
 NUMERIC_FIELDS = sorted(_numeric_fields(KICKED.config_doc), key=str)
 ODD_NUMBERS = [math.nan, math.inf, -math.inf, "0.5", "1.0e12", "fast", "", True, False,
-               0, 0.0, -1, -0.25, -3.0]
+               0, 0.0, -1, -0.25, -3.0, None]
+# numbers of the config that validate does not check; training ignores them
+UNCHECKED = {"artifact.checkpoint.folder_index", "artifact.master_path.folder_index",
+             "trainer.action_repeat"}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -140,6 +143,23 @@ def test_a_mutated_number_is_reported_or_trains(field, value, tmp_path_factory):
         train_stage(stage, tmp_path_factory.mktemp("stage"), eval_episodes=2, eval_max_steps=10)
     except StageflowError:
         pass
+
+
+@pytest.mark.parametrize("path", sorted({".".join(p) for p, _ in NUMERIC_FIELDS}))
+def test_a_null_number_is_one_type_error_on_its_path(path):
+    """A key written with no value (``learning_rate:``) reads as None: on a
+    key validate checks it is one TYPE_ERROR on that key's path, not taken
+    for an absent key."""
+    *parents, key = path.split(".")
+    config = copy.deepcopy(KICKED.config_doc)
+    holder = config
+    for name in parents:
+        holder = holder[name]
+    holder[key] = None
+    bundle = parse_bundle(DATA / "bundles" / "desk")
+    bundle.stages = [dataclasses.replace(KICKED, config_doc=config, index=1)]
+    errors = [(f.code, f.path) for f in validate(bundle).errors]
+    assert errors == ([] if path in UNCHECKED else [("TYPE_ERROR", path)])
 
 
 U = {"uniform": {"minval": 0.9, "maxval": 1.1}}

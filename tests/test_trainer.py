@@ -187,6 +187,23 @@ class TestPpoUpdate:
                 assert got["cases"][rows]["digests"].get(key) == digest, (rows, key)
         assert got == expected
 
+    def test_golden_multi_block_update_and_inference(self):
+        """Minibatches of 4,501 and 4,500 rows and inference on 4,500 and
+        4,096 rows run the SiLU over several row blocks, most ending in a
+        short one, at the desk nets and at uneven ones; every result matches
+        the digest recorded before the SiLU ran in blocks, byte for byte."""
+        from silu_blocks_golden import GOLDEN, INFERENCE_ROWS, UPDATE_ROWS, golden
+        for rows in (UPDATE_ROWS // 2, *INFERENCE_ROWS):
+            assert rows >= 2 * trainer.SILU_ROWS
+        assert (UPDATE_ROWS // 2) % trainer.SILU_ROWS and INFERENCE_ROWS[0] % trainer.SILU_ROWS
+        expected = json.loads(GOLDEN.read_text())
+        got = golden()
+        for section in ("update", "inference"):
+            for case, digests in expected[section].items():
+                for key, digest in digests.items():
+                    assert got[section][case].get(key) == digest, (section, case, key)
+        assert got == expected
+
     def test_a_warm_update_allocates_less_than_one_hidden_activation(self):
         """Once the workspace is sized, ppo_loss and Adam.step allocate only
         parameter-sized arrays; every row-sized intermediate is reused."""
@@ -214,7 +231,8 @@ class TestPpoUpdate:
         """The value net's forward and backward run after the policy net's,
         over the same buffers: after one update the workspace holds one
         activation set at the wider net's widths, plus the minibatch and the
-        log-prob scratch."""
+        log-prob scratch. A hidden layer keeps two arrays, its activation and
+        its SiLU derivative; the sigmoid and ``1 - s`` are block scratch."""
         rows = 640
         policy = Policy([64, 64], [64, 64], seed=0)
         batch = small_batch(policy, np.random.default_rng(1), n=rows)
@@ -223,11 +241,12 @@ class TestPpoUpdate:
                            np.random.default_rng(2), 1, 1, 0.2, 1e-3, workspace)
         widths = [max(p, v) for p, v in zip(policy.policy_sizes[1:], policy.value_sizes[1:])]
         hidden, out = widths[:-1], widths[-1]
-        # z, s and a per hidden layer, the output z, the SiLU derivative
-        activations = 3 * sum(hidden) + out + max(hidden)
+        # the derivative over z and a per hidden layer, the output z
+        activations = 2 * sum(hidden) + out
         minibatch = OBS_DIM + ACTION_DIM + 3      # obs, raw_actions, old_logp, advantages, returns
         logp = 2 * ACTION_DIM + 5                 # d, term and five per-row vectors
-        bound = rows * 8 * (activations + minibatch + logp) + rows  # + the bool mask
+        scratch = 2 * min(rows, trainer.SILU_ROWS) * max(hidden) * 8  # s and 1 - s
+        bound = rows * 8 * (activations + minibatch + logp) + scratch + rows  # + the bool mask
         total = sum(b.nbytes for b in workspace._bufs.values())
         assert total <= bound, (total, bound)
 
