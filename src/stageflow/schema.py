@@ -142,6 +142,11 @@ class CurriculumBundle:
 
 STAGE_ROLES = ("reward", "config", "randomize")
 
+# libyaml's parser when PyYAML was built with it: it loads every shipped file
+# to the document the pure-Python one does, and reports a malformed one at
+# the same line and column, about six times faster
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def _read(path: Path) -> str:
     if not path.is_file():
@@ -151,7 +156,7 @@ def _read(path: Path) -> str:
 
 def _parse_yaml(text: str, name) -> dict:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -26,19 +26,14 @@ arrays per hidden layer, the activation ``a{i}`` and, over the
 pre-activation ``z{i}``, the derivative ``s * (1 + z * (1 - s))`` (only
 under ``grad``, which ``ppo_loss(with_grads=True)`` alone sets; inference
 skips it). The sigmoid ``s`` and ``1 - s`` live in two scratch arrays of one
-block of ``SILU_ROWS`` (512) rows, shared by every layer: each block writes
+block of ``SILU_ROWS`` rows, shared by every layer: each block writes
 ``a = z * s``, then the derivative over its rows of z, and ``mlp_backward``
 only multiplies the gradient by it. A layer whose rows fit in one block works
-on whole arrays. Before, a hidden layer kept three row-sized arrays (z, s,
-a) and the backward one more for the derivative. Block size barely moves
-time but sets the scratch: the SiLU with its derivative over 20,480 x 64
-rows took 5.3-5.7 ms in 512-row blocks, 5.7-5.8 in 1,024-row, 6.5-8.1 in
-2,048-row and 8.3-11.8 ms as whole arrays, and over 5,120 x 512 rows 17-21
-ms in 512-row blocks against 20-23 in 1,024-row (best of 7, two runs each,
-a 2-vCPU VM). Each of these rounds every element as the whole-array
-expression does, so
-``tests/data/silu_blocks_golden.json``, recorded before the SiLU ran in
-blocks, pins an update and inference across several blocks byte for byte.
+on whole arrays. Block size barely moves time but sets the scratch, so the
+block is the smallest size measured (the ``BENCH_15.json`` entry of
+CHANGES.md). Each block rounds every element as the whole-array expression
+does: ``tests/data/silu_blocks_golden.json``, recorded before the SiLU ran
+in blocks, pins an update and inference across several blocks byte for byte.
 
 Flat-buffer Adam. ``Adam`` keeps the parameters, both moments and the
 gradient in one float64 buffer each, laid out in the order of the params
@@ -64,43 +59,44 @@ rollout reads a step's reward before its block is evaluated. What stays per
 step: the action, the env step and ``done``; ``_evaluate`` also keeps each
 step's alive mask, stops stepping once every episode has ended, and adds
 each step's contributions in step order. The reward interpreter pays per
-expression node, not per row: in a traced ``tune_desk64`` run a call took
-0.93 ms on 64 rows and 1.08 ms on 256, so 4-step blocks cut that stage's
-reward calls from 1,090 to 190 and their time fivefold. The cap bounds what
-a block holds: on the same workload 1,024-row blocks raised peak RSS by
-about 1.3 MB (+3%) over 256-row ones for no clear wall-time gain (a 2-vCPU
-VM, four samples each). ``tests/data/rollout_golden.json`` pins both
-rollouts byte for byte, recorded before rewards were blocked.
+expression node, not per row, so a block costs about what one step did; the
+cap bounds what a block holds, as larger blocks raised peak RSS for no clear
+wall-time gain (``BENCH_11.json`` and its probes).
+``tests/data/rollout_golden.json`` pins both rollouts byte for byte,
+recorded before rewards were blocked.
 
-BLAS thread policy. ``train_stage`` picks its BLAS thread count once, from
-the multiply-accumulate count of one minibatch: its rows
+BLAS threads. ``train_stage`` picks its BLAS thread count once, from the
+multiply-accumulate count of one minibatch: its rows
 (``num_envs * unroll_length / num_minibatches`` after ``desk_profile``) times
 the sum of fan_in * fan_out over the policy and value nets. Below
-``ONE_THREAD_MACS`` the stage runs on one BLAS thread; at or above it BLAS
-is left as found. A second OpenBLAS thread on a small minibatch GEMM buys
-little wall time but spins, doubling the CPU time a stage costs. One
-``ppo_loss`` + ``Adam.step``, best of two runs on a 2-vCPU VM:
+``ONE_THREAD_MACS`` the stage runs on one BLAS thread: there a second thread
+saved wall time within run-to-run noise at up to twice the CPU time
+(``BENCH_10.json``; re-run in ``BENCH_15.json`` and ``BENCH_16.json``).
+At or above it the count is left as found, so 4096-env and paper-width
+stages keep every thread, and while that is more than one the stage's
+parallel BLAS calls run on :mod:`stageflow.blaspool`'s job pool, whose
+workers sleep between calls where OpenBLAS's own spin: less CPU time for a
+worker wake-up per call (``BENCH_16.json``). The pool's contract:
 
-    nets             rows     1 thread   2 threads
-    [64, 64]          320      2.35 ms     2.27 ms   (3.9 M MACs)
-    [64, 64]          640      4.62 ms     4.01 ms   (7.7 M)
-    [64, 64]       20,480       192 ms      158 ms   (248 M)
-    [512, 256, 128]   320      36.6 ms     29.1 ms   (114 M)
+- Scope: it is installed when the stage starts and removed when the stage
+  returns or raises.
+- All jobs at once: each call's jobs run concurrently, job 0 on the caller;
+  OpenBLAS's partition and kernels are its own, so every byte is kept.
+- Fork: a forked child starts its own workers on its first parallel call.
+- Interrupt: a SIGINT that lands inside a call (stage in the main thread)
+  waits for every job and is raised once the call has returned.
+- Fallback: a one-thread stage, or a BLAS without OpenBLAS's thread
+  callback, runs with BLAS as found.
 
-Below about 9 M MACs such gains are run-to-run noise: in three
-``tools/blas_crossover.py`` runs the 640-row update gained -10%, +6% and
-+7%, and the 512-row one -48%, -0.3% and +10%. So desk-width stages
-(64 envs) train on one thread, and 4096-env or paper-width stages keep
-every thread. The count is process-global: for the stage's duration it
-applies to every BLAS call in the process, and the caller's count is
-restored when the stage returns or raises. The OpenBLAS numpy loaded is
-looked up once, when the first stage that wants one thread starts (never at
-import); with any other BLAS (MKL, Accelerate) the policy does nothing.
-Thread count does not change the bytes of the results the digest tests pin
-on both counts. It can change others: the weight gradient ``h.T @ grad``, a
-product over a minibatch's rows, rounds differently on one OpenBLAS thread
-than on two at 1,283, 4,500 and 10,001 rows (not at 320, 4,096, 5,120 or
-20,480), which is why ``tests/silu_blocks_golden.py`` pins one thread.
+The thread count and the pool are process-global for the stage's duration,
+and the caller's count is restored when the stage returns or raises. The
+OpenBLAS numpy loaded is looked up once, on first use; with any other BLAS
+(MKL, Accelerate) the policy does nothing. Thread count does not change the
+bytes of the results the digest tests pin on both counts. It can change
+others: the weight gradient ``h.T @ grad``, a product over a minibatch's
+rows, rounds differently on one OpenBLAS thread than on two at 1,283, 4,500
+and 10,001 rows (not at 320, 4,096, 5,120 or 20,480), which is why
+``tests/silu_blocks_golden.py`` pins one thread.
 """
 
 from __future__ import annotations
@@ -117,6 +113,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blaspool
 from .env import ACTION_DIM, OBS_DIM, VecEnv
 from .errors import TrainerError
 from .reward import BatchValue, RewardProgram, compile_program, eval_total_batch
@@ -131,9 +128,9 @@ LOGP_EPS = 1e-6
 LOG2PI = math.log(2.0 * math.pi)
 
 # minibatch multiply-accumulates below which a stage trains on one BLAS
-# thread (8.4 M). In three tools/blas_crossover.py runs on a 2-vCPU VM
-# (BENCH_10.json) a second thread doubled CPU time from 1.5 M up, while its
-# wall gain below 9 M changed sign from run to run (-48% to +11%).
+# thread (8.4 M): below it a second thread's wall gain changed sign from run
+# to run (BENCH_10.json, BENCH_15.json); on the job pool it saved no wall
+# time below about 60 M either (BENCH_16.json)
 ONE_THREAD_MACS = 1 << 23
 
 # (step, env) rows one reward evaluation covers at most: a rollout block is
@@ -621,15 +618,9 @@ _OPENBLAS_THREAD_FNS = (
 @functools.cache
 def _openblas():
     """(get, set) of the OpenBLAS numpy's own extension links, or None;
-    looked up once, on first use.
-
-    A symbol lookup through the extension's handle also searches the
-    libraries it was linked against, which is where a wheel's OpenBLAS
-    lives."""
-    try:
-        from numpy._core import _multiarray_umath
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except (ImportError, OSError):
+    looked up once, on first use."""
+    lib = blaspool.numpy_lib()
+    if lib is None:
         return None
     for get_name, set_name in _OPENBLAS_THREAD_FNS:
         if hasattr(lib, get_name) and hasattr(lib, set_name):
@@ -655,13 +646,18 @@ def _stage_blas_threads(rows: int, nets) -> int | None:
 @contextlib.contextmanager
 def _blas_threads(threads: int | None):
     """Run the block on ``threads`` BLAS threads, then restore the caller's
-    count, also when the block raises. A no-op for None or when no OpenBLAS
-    can be driven."""
-    fns = None if threads is None else _openblas()
+    count, also when the block raises. For None the count is left as found,
+    and when it is above one the block's parallel calls run on
+    ``blaspool.jobs_on_pool``. A no-op when no OpenBLAS can be driven."""
+    fns = _openblas()
     if fns is None:
         yield
         return
     get, set_ = fns
+    if threads is None:
+        with blaspool.jobs_on_pool() if get() > 1 else contextlib.nullcontext():
+            yield
+        return
     before = get()
     set_(threads)
     try:

@@ -4,9 +4,11 @@ import math
 import time
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stageflow import schema
 from stageflow.errors import BundleError, StageflowError
 from stageflow.schema import ERROR, mutate_corpus, parse_bundle, validate
 from stageflow.trainer import train_stage
@@ -253,3 +255,37 @@ def test_randomize_findings(name):
     found = [(f.code, f.path, f.message) for f in validate(bundle).findings
              if f.file == stage.randomize_path]
     assert found == expected
+
+
+class TestYamlLoader:
+    """``schema`` parses through libyaml when PyYAML has it; both loaders
+    must agree on everything ``_parse_yaml`` reports."""
+
+    @pytest.fixture
+    def loaders(self):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        return yaml.SafeLoader, yaml.CSafeLoader
+
+    def test_every_shipped_file_loads_equal(self, loaders):
+        files = sorted(DATA.rglob("*.yaml"))
+        assert len(files) >= 16
+        for path in files:
+            text = path.read_text()
+            assert (yaml.load(text, Loader=loaders[0])
+                    == yaml.load(text, Loader=loaders[1])), path
+
+    @pytest.mark.parametrize("text", [
+        "a: [1, 2\n", "a: b: c\n", "\tx: 1\n", "a:\n  - 1\n - 2\n",
+        "key: 'unterminated\n", "{a: 1\n", "a: 1\nb: *missing\n", "- a\nb: 1\n",
+        "a: 1\n  b: 2\n", "a: !!python/object:os.system x\n",
+    ])
+    def test_malformed_text_is_reported_at_the_same_place(self, loaders, monkeypatch, text):
+        messages = []
+        for loader in loaders:
+            monkeypatch.setattr(schema, "YAML_LOADER", loader)
+            with pytest.raises(BundleError) as e:
+                schema._parse_yaml(text, "f.yaml")
+            messages.append(e.value.message)
+        assert messages[0] == messages[1]
+        assert " at line " in messages[0]

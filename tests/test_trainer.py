@@ -1,13 +1,17 @@
 import copy
 import dataclasses
 import json
+import os
+import signal
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from stageflow import trainer
+from stageflow import blaspool, trainer
 from stageflow.errors import TrainerError
 from stageflow.schema import parse_bundle
 from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Policy,
@@ -548,3 +552,147 @@ class TestBlasThreadPolicy:
         for name in ("metrics.jsonl", "checkpoint.bin"):
             assert ((tmp_path / "engaged" / name).read_bytes()
                     == (tmp_path / "off" / name).read_bytes()), name
+
+
+# -- the BLAS job pool ------------------------------------------------------------
+
+@pytest.fixture
+def pool_threads():
+    """The BLAS thread count, for tests of the job pool; they skip where
+    BLAS runs on one thread or takes no job runner."""
+    fns = trainer._openblas()
+    if fns is None or blaspool._setter() is None:
+        pytest.skip("numpy's BLAS takes no job runner here")
+    threads = fns[0]()
+    if threads < 2:
+        pytest.skip("BLAS runs on one thread: no call is split into jobs")
+    return threads
+
+
+def pool_calls() -> int:
+    return 0 if blaspool._pool is None else blaspool._pool.calls
+
+
+class TestJobPool:
+    def test_a_wide_update_keeps_its_bytes(self, pool_threads):
+        """One 20,480-row minibatch, the size a 4096-env stage trains on."""
+        def update():
+            policy = Policy([64, 64], [64, 64], seed=0)
+            batch = small_batch(policy, np.random.default_rng(1), n=20_480)
+            parts = trainer.ppo_update(policy, Adam(policy.params, lr=3e-4), batch,
+                                       np.random.default_rng(2), 1, 1, 0.2, 1e-3,
+                                       Workspace())
+            return {k: v.tobytes() for k, v in policy.params.items()}, parts
+
+        native = update()
+        before = pool_calls()
+        with blaspool.jobs_on_pool():
+            pooled = update()
+        assert pool_calls() > before
+        assert pooled == native
+
+    def test_a_multi_thread_stage_keeps_its_bytes(self, tmp_path, monkeypatch, pool_threads):
+        monkeypatch.setattr(trainer, "ONE_THREAD_MACS", 0)  # the tiny stage keeps every thread
+        before = pool_calls()
+        train_tiny(tmp_path / "pool")
+        assert pool_calls() > before
+        monkeypatch.setattr(blaspool, "_setter", lambda: None)
+        train_tiny(tmp_path / "native")
+        for name in ("metrics.jsonl", "checkpoint.bin"):
+            assert ((tmp_path / "pool" / name).read_bytes()
+                    == (tmp_path / "native" / name).read_bytes()), name
+
+    def test_a_call_of_more_jobs_than_cpus_runs_all_at_once(self, pool_threads):
+        """Four jobs whose level-3 parts wait on each other need three
+        workers at once, however few CPUs there are."""
+        set_ = trainer._openblas()[1]
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((4_096, 64)), rng.standard_normal((64, 64))
+        set_(4)
+        try:
+            native = a @ b
+            with blaspool.jobs_on_pool():
+                pooled = a @ b
+        finally:
+            set_(pool_threads)
+        assert len(blaspool._pool.workers) >= 3
+        assert pooled.tobytes() == native.tobytes()
+
+    def test_idle_workers_do_not_spin(self, pool_threads):
+        """OpenBLAS's own workers spin for about 0.13 s after a parallel call;
+        the pool's sleep."""
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((4_096, 64)), rng.standard_normal((64, 64))
+        with blaspool.jobs_on_pool():
+            time.sleep(0.3)  # OpenBLAS's workers, woken by earlier calls, stop spinning
+            before = pool_calls()
+            a @ b
+            assert pool_calls() > before
+            cpu = time.process_time()
+            time.sleep(0.3)
+            assert time.process_time() - cpu < 0.05
+
+    def test_a_forked_child_runs_parallel_calls(self, pool_threads):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((4_096, 64)), rng.standard_normal((64, 64))
+        with blaspool.jobs_on_pool():
+            expected = a @ b  # the parent's pool has workers now
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if (a @ b).tobytes() == expected.tobytes() else 1)
+            deadline = time.monotonic() + 20
+            while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    pytest.fail("the forked child hung in a parallel call")
+                time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_an_interrupt_mid_call_reaches_the_caller_after_the_call(self, pool_threads):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2_000, 2_000)), rng.standard_normal((2_000, 2_000))
+        with blaspool.jobs_on_pool():
+            expected = a @ b
+            out = np.zeros_like(expected)
+
+            def interrupt_mid_call():
+                deadline = time.monotonic() + 10
+                while not blaspool._pool.busy.locked() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+            sender = threading.Thread(target=interrupt_mid_call)
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                sender.start()
+                np.matmul(a, b, out=out)
+                time.sleep(10)  # the interrupt cuts this short
+            sender.join()
+        assert time.monotonic() - start < 5
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises"])
+    def test_the_runner_is_removed_when_the_stage_ends(
+            self, tmp_path, monkeypatch, pool_threads, outcome):
+        real = blaspool._setter()
+        installed = []
+
+        def setter(address):
+            installed.append(address)
+            real(address)
+
+        monkeypatch.setattr(blaspool, "_setter", lambda: setter)
+        monkeypatch.setattr(trainer, "ONE_THREAD_MACS", 0)
+        handler = signal.getsignal(signal.SIGINT)
+        if outcome == "returns":
+            train_tiny(tmp_path)
+        else:
+            with pytest.raises(TrainerError):
+                train_tiny(tmp_path, learning_rate=1e12)
+        assert installed == [blaspool._RUNNER_ADDR, None]
+        assert signal.getsignal(signal.SIGINT) is handler
+
+    def test_a_one_thread_stage_takes_no_runner(self, tmp_path, monkeypatch, pool_threads):
+        monkeypatch.setattr(blaspool, "_setter", lambda: pytest.fail("runner installed"))
+        train_tiny(tmp_path)  # 320-row minibatches: one BLAS thread

@@ -6,8 +6,10 @@ fan_in * fan_out over the policy and value nets). This tool is how that
 constant was set, and how it is re-measured on another machine. For each net
 width and row count it times one ``ppo_loss`` + ``Adam.step`` (the update
 ``ppo_update`` runs per minibatch, on a warm workspace) on one BLAS thread
-and on the count BLAS starts with, alternating the two over ``REPEATS``
-batches of ``SECONDS`` each, and prints per update the best wall
+and on the count BLAS starts with, each under ``trainer._blas_threads`` as
+a stage sets it (so the many-thread side runs its parallel calls on the
+sleeping job pool of ``stageflow.blaspool``), alternating the two over
+``REPEATS`` batches of ``SECONDS`` each, and prints per update the best wall
 milliseconds and the median CPU milliseconds of each, the wall gain of the
 extra threads, and what the current rule picks. Run from the repository
 root:
@@ -50,7 +52,6 @@ TINY = (([64, 64], (64, 320)),)
 REPEATS = 5       # alternating timed batches per setting
 SECONDS = 0.2     # wall time of one timed batch
 MIN_GAIN = 0.10   # share of the one-thread wall time the extra threads must save
-SETTLE_S = 0.2
 
 
 def _update_fn(hidden: list, rows: int):
@@ -77,9 +78,6 @@ def _update_fn(hidden: list, rows: int):
 def _time(update, threads, calls: int) -> tuple[float, float]:
     """(wall, CPU) seconds per update over ``calls`` updates."""
     with trainer._blas_threads(threads):
-        # idle OpenBLAS workers spin for a while before they sleep; let the
-        # last batch's stop before CPU time is counted
-        time.sleep(SETTLE_S)
         update()
         w0, c0 = time.perf_counter(), time.process_time()
         for _ in range(calls):
@@ -91,10 +89,13 @@ def measure(grid, repeats: int, budget_s: float) -> list[dict]:
     rows_out = []
     for hidden, row_counts in grid:
         for rows in row_counts:
-            update, nets = _update_fn(hidden, rows)
-            t0 = time.perf_counter()
-            update()
-            calls = max(1, int(budget_s / max(time.perf_counter() - t0, 1e-6)))
+            # set-up calls run on the pool too: OpenBLAS's own workers would
+            # spin for about 0.13 s after them, into the first timed batch
+            with trainer._blas_threads(None):
+                update, nets = _update_fn(hidden, rows)
+                t0 = time.perf_counter()
+                update()
+                calls = max(1, int(budget_s / max(time.perf_counter() - t0, 1e-6)))
             one, many = [], []
             for _ in range(repeats):
                 one.append(_time(update, 1, calls))
