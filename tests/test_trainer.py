@@ -649,26 +649,30 @@ class TestJobPool:
                 time.sleep(0.01)
         assert os.waitstatus_to_exitcode(done[1]) == 0
 
-    def test_an_interrupt_mid_call_reaches_the_caller_after_the_call(self, pool_threads):
+    def test_an_interrupt_mid_call_reaches_the_caller_after_the_call(
+            self, monkeypatch, pool_threads):
         rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((2_000, 2_000)), rng.standard_normal((2_000, 2_000))
+        a, b = rng.standard_normal((1_000, 1_000)), rng.standard_normal((1_000, 1_000))
         with blaspool.jobs_on_pool():
             expected = a @ b
             out = np.zeros_like(expected)
+            # job 1 sends the signal as it starts: the caller is then inside
+            # the call, running job 0 or waiting for job 1
+            (address, job), = blaspool._dojobs.items()
+            sent = []
 
-            def interrupt_mid_call():
-                deadline = time.monotonic() + 10
-                while not blaspool._pool.busy.locked() and time.monotonic() < deadline:
-                    time.sleep(0.001)
-                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            def interrupting_job(k, jobdata, data):
+                if k == 1 and not sent:
+                    sent.append(k)
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                job(k, jobdata, data)
 
-            sender = threading.Thread(target=interrupt_mid_call)
+            monkeypatch.setitem(blaspool._dojobs, address, interrupting_job)
             start = time.monotonic()
             with pytest.raises(KeyboardInterrupt):
-                sender.start()
                 np.matmul(a, b, out=out)
                 time.sleep(10)  # the interrupt cuts this short
-            sender.join()
+        assert sent
         assert time.monotonic() - start < 5
         assert out.tobytes() == expected.tobytes()
 
