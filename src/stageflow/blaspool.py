@@ -9,9 +9,9 @@ call it serves (``BENCH_16.json``). ``jobs_on_pool`` installs a job runner
 of its own through OpenBLAS's thread callback for the ``with`` block, and
 removes it when the block exits or raises; without a callback setter in
 numpy's BLAS (MKL, Accelerate, an older OpenBLAS) the block runs as it would
-without it. OpenBLAS still splits the work and runs the same
-kernels on the same parts, so every result keeps its bytes. How the runner
-keeps the contract the ``trainer`` docstring states:
+without it. OpenBLAS still splits the work and runs the same kernels on the
+same parts, so every result keeps its bytes. How the runner keeps the
+contract the ``trainer`` docstring states:
 
 - All jobs at once. The jobs of one level-3 call wait on each other, so run
   one after another they would deadlock. The pool first grows to one worker
