@@ -22,6 +22,17 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only integers >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="stageflow",
@@ -42,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fixtures", help="fixture directory for --transport replay")
     sp.add_argument("--run-id", help="run id, a directory under --out that must not "
                     "exist yet (default: the next free run-NNNN)")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     sp.add_argument("--paper-scale", action="store_true",
                     help="honor full configured sizes instead of the desk profile")
     sp.add_argument("--override", action="append", default=[],
@@ -52,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train the stages of an existing bundle")
     sp.add_argument("--workflow", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     sp.add_argument("--paper-scale", action="store_true")
 
     sp = sub.add_parser("score", help="score a recorded binding trace")
@@ -73,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mutate", help="emit the validator mutation corpus")
     sp.add_argument("--bundle", required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     return p
 
 

@@ -185,10 +185,13 @@ class VecEnv:
     reward evaluator, for the keys of ``binding_keys`` that are in
     ``BINDING_KEYS`` (a term that reads any other key gets its
     ``default_reward``). Scenes come from one ``resample_per_env`` call over
-    all rows, env i at key ``(base_seed, i)``.
+    all rows, env i at key ``(base_seed, i)``: each rule's stream for each
+    env is computed in array passes over all rows, with no Generator, and
+    gives the doubles of the per-(rule, env) Generator it replaced
+    (``randomize`` module docstring).
 
-    Env i draws from its own Generator, seeded ``base_seed * 100003 + i``, in
-    this order. A reset takes one double each for gait frequency, foot
+    Reset, kick and observation noise draws are per env: env i draws from
+    its own Generator, seeded ``base_seed * 100003 + i``, in this order. A reset takes one double each for gait frequency, foot
     height, [the 8 joint offsets and the phase, under ``init_rand``,] and the
     stand coin, then 3 command doubles unless the env stands. A step takes
     (magnitude, direction) for the big kick, then the small kick, on the

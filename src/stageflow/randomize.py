@@ -5,21 +5,31 @@ validator: ``schema.validate`` reports its findings against
 ``desk_scene()`` before any training, and the sampler raises the first.
 
 Draws are keyed: each (seed, field, target, env_index) tuple derives its own
-generator, so editing or reordering unrelated rules never perturbs a draw.
+stream, so editing or reordering unrelated rules never perturbs a draw.
 The second and later rules of one field on the same target also key by
 their occurrence (1, 2, ...), so they draw their own numbers; a first
-occurrence keeps the plain key.
+occurrence keeps the plain key. A stream is the doubles
+``np.random.default_rng(s).random()`` yields, where ``s`` is the first 8
+bytes of the key's sha256 (``_seeds_for``); a rule takes as many as its
+target rows hold, in row order.
 ``resample_per_env`` is the one sampler: it samples many (seed, env_index)
-keys at once, with one generator call per (rule, env) that draws the rule's
-whole target rows, and applies the operations across the env axis.
+keys at once and applies the operations across the env axis. It makes no
+Generator. ``_uniforms`` computes every stream of a pass in one set of array
+ops: numpy 2.4.6's ``SeedSequence`` hash over the seed's two 32-bit words,
+PCG64's seeding, each draw's 128-bit LCG state by a jump from the seeded
+one, and ``random()``'s top 53 bits of the XSL-RR output. The tests hold it
+to the Generator byte for byte.
 Operations: add, scale, set (the default when a rule omits it).
-``tests/data/vecenv_golden.json`` pins the resulting scenes through a VecEnv
+``tests/data/scene_golden.json`` pins 4,096-key scenes of every shipped
+stage, and ``tests/data/vecenv_golden.json`` the scenes through a VecEnv
 rollout.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,13 +96,152 @@ def _target_key(target) -> str:
     return str(target)
 
 
-def _rng_for(seed: int, field_name: str, target, env_index: int,
-             occurrence: int = 0) -> np.random.Generator:
-    key = f"{seed}:{field_name}:{_target_key(target)}:{env_index}"
-    if occurrence:  # a later rule on the same (field, target)
-        key += f":{occurrence}"
-    digest = hashlib.sha256(key.encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+def _seeds_for(field_name: str, target, occurrence: int, keys) -> np.ndarray:
+    """The 64-bit seeds of one rule's streams, one per ``(seed, env_index)``
+    in ``keys``: the first 8 bytes, little-endian, of the sha256 of
+    ``"seed:field:target:env_index"``. The second and later rules of one
+    field on the same target append ``":occurrence"``."""
+    rule = f"{field_name}:{_target_key(target)}"
+    tail = f":{occurrence}" if occurrence else ""
+    return np.frombuffer(b"".join(
+        hashlib.sha256(f"{seed}:{rule}:{env_index}{tail}".encode()).digest()[:8]
+        for seed, env_index in keys), dtype="<u8").astype(np.uint64)
+
+
+# doubles drawn per sampler pass: a pass takes as many keys' scenes as fit,
+# at least one, which bounds its temporaries
+PASS_DOUBLES = 1 << 13
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, each hash multiplying its constant on before it is used
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init, init * mult, init * mult**2, ...`` mod 2**32, as a uint32
+    column: the constants of ``count`` hashes in a row."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# the pool's 16 hashmix calls (4 to fill it, 3 per word to mix it) and
+# generate_state's 8 output words each take (xor constant, multiplier)
+_MIX_CONSTS = _hash_consts(_INIT_A, _MULT_A, 4 + 12 + 1)
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+
+
+def _hash(values, consts):
+    """numpy's per-word hash, one row of ``values`` per row of ``consts``."""
+    values = values ^ consts[:-1]
+    values *= consts[1:]
+    values ^= values >> 16
+    return values
+
+
+def _seed_sequence(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for every uint64
+    seed, as a ``(4, len(seeds))`` array: the seed's low and high 32-bit
+    words, zero-padded to the pool of four, hashed and mixed as numpy does."""
+    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds & _M32, seeds >> 32
+    pool = _hash(pool, _MIX_CONSTS[:_POOL_SIZE + 1])
+    at = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        # the three words mix in the same hashed source word, each under
+        # its own constant
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        mixed = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * _hash(
+            pool[src], _MIX_CONSTS[at:at + 4])
+        pool[dst] = mixed ^ (mixed >> 16)
+        at += 3
+    words = _hash(np.tile(pool, (2, 1)), _OUT_CONSTS).astype(np.uint64)
+    return words[0::2] | words[1::2] << np.uint64(32)
+
+
+def _split(hi, lo) -> np.ndarray:
+    """A 128-bit value's uint64 halves and the low half's 32-bit limbs, as
+    one ``(4, ...)`` array: (hi, lo, lo & 0xFFFFFFFF, lo >> 32)."""
+    return np.array([hi, lo, lo & _M32, lo >> np.uint64(32)], dtype=np.uint64)
+
+
+@functools.cache
+def _jump_tables(count: int) -> np.ndarray:
+    """Draw ``j`` of a stream reads the state ``A**(j+2) * x + C(j+2) * inc``
+    (mod 2**128), where ``x`` is the seeded state plus the increment,
+    ``inc`` the increment and ``C(n) = A**0 + ... + A**(n-1)``. For
+    ``j < count``, ``A**(j+2)`` and ``C(j+2)`` split as :func:`_split` does,
+    in a ``(4, 2, count)`` array."""
+    mod = 1 << 128
+    a, c = _PCG_MULT * _PCG_MULT % mod, 1 + _PCG_MULT
+    table = []
+    for _ in range(count):
+        table.append([a, c])
+        a, c = a * _PCG_MULT % mod, (c + a) % mod
+    return _split(*(np.array([[v >> 64 for v in pair] for pair in table], dtype=np.uint64).T,
+                    np.array([[v & _M64 for v in pair] for pair in table], dtype=np.uint64).T))
+
+
+def _mul128(a, b):
+    """(hi, lo) of the 128-bit products ``a * b`` mod 2**128, from operands
+    split as :func:`_split` does; the high half of the low halves' product
+    comes from the 32-bit limbs."""
+    a_hi, a_lo, a0, a1 = a
+    b_hi, b_lo, b0, b1 = b
+    p01, p10, mid = a0 * b1, a1 * b0, a0 * b0
+    mid >>= np.uint64(32)
+    mid += p01 & _M32
+    mid += p10 & _M32
+    mid >>= np.uint64(32)
+    hi = a1 * b1
+    p01 >>= np.uint64(32)
+    hi += p01
+    p10 >>= np.uint64(32)
+    hi += p10
+    hi += mid
+    hi += a_hi * b_lo
+    hi += a_lo * b_hi
+    return hi, a_lo * b_lo
+
+
+def _uniforms(seeds: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The doubles ``np.random.default_rng(s).random(c)`` returns for each
+    uint64 seed ``s`` and its count ``c``, concatenated in seed order, from
+    one pass of array ops whatever the seeds and counts.
+
+    Each seed goes through numpy's ``SeedSequence`` and PCG64 seeding; draw
+    ``j`` jumps the 128-bit LCG ``j + 2`` steps past the seeded state in one
+    multiply-add (``_jump_tables``), takes the XSL-RR output and keeps its
+    top 53 bits, as ``Generator.random`` does.
+    """
+    s0, s1, s2, s3 = _seed_sequence(seeds)
+    # pcg64_set_seed: state (s0, s1), increment ((s2, s3) << 1) | 1
+    inc_hi, inc_lo = s2 << np.uint64(1) | s3 >> np.uint64(63), s3 << np.uint64(1) | np.uint64(1)
+    x_lo = s1 + inc_lo
+    x_hi = s0 + inc_hi + (x_lo < s1)
+    row = np.repeat(np.arange(len(seeds)), counts)
+    draw = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # (x, inc) times (A**(j+2), C(j+2)), both products in one call
+    # (take, unlike a fancy index on the last axis, returns contiguous rows)
+    hi, lo = _mul128(_split(np.array([x_hi, inc_hi]), np.array([x_lo, inc_lo])).take(row, axis=2),
+                     _jump_tables(int(counts.max(initial=1))).take(draw, axis=2))
+    lo, add = lo
+    lo += add
+    hi = hi[0] + hi[1] + (lo < add)
+    # XSL-RR: hi ^ lo rotated right by the state's top 6 bits
+    rot = hi >> np.uint64(58)
+    hi ^= lo
+    out = hi >> rot
+    out |= hi << (np.uint64(64) - rot & np.uint64(63))
+    out >>= np.uint64(11)
+    return out.astype(np.float64) * 2.0 ** -53
 
 
 # operation -> how a drawn value combines with the row's current value
@@ -183,39 +332,49 @@ def resample_per_env(rules: dict, nominal: SceneParameters, keys) -> dict:
 
     Returns ``field -> array`` of shape ``(len(keys),) + nominal shape``
     for every field of ``nominal``, which is left untouched. Raises the first
-    :func:`rule_findings` triple as a :class:`RandomizeError`; then each env's
-    generator for a rule fills all of the rule's target rows in one call. A
-    generator fills its output in order, so row ``r`` gets the same doubles
-    as a per-row draw would.
+    :func:`rule_findings` triple as a :class:`RandomizeError`; then draws
+    the keys in passes of about ``PASS_DOUBLES`` doubles, every rule's stream
+    for every key of a pass in one :func:`_uniforms` call. A stream fills its rule's target
+    rows in order, so row ``r`` gets the same doubles as a per-row draw
+    would.
     """
     problems = rule_findings(rules, nominal)
     if problems:
         code, path, message = problems[0]
         raise RandomizeError(code, f"{path}: {message}")
     keys = list(keys)
-    n = len(keys)
-    out = {name: np.repeat(group.values[None], n, axis=0)
+    out = {name: np.repeat(group.values[None], len(keys), axis=0)
            for name, group in nominal.fields.items()}
+    draws = []  # (field, target, occurrence, rows, lo, hi, operation) per drawn rule
     for field_name, rule_list in rules.items():
         group = nominal.fields[field_name]
         if group.inert:
             continue
-        values = out[field_name]
         seen: dict[str, int] = {}  # target key -> rules on it so far
         for rule in rule_list:
             target = rule["target"]
             occurrence = seen.get(_target_key(target), 0)
             seen[_target_key(target)] = occurrence + 1
-            rows, _ = _rows(group, target)
             uni = rule["distribution"]["uniform"]
-            lo, hi = _bound(uni["minval"]), _bound(uni["maxval"])
-            apply = OPERATIONS[rule.get("operation", "set")]
-            u = np.empty((n, len(rows)) + group.values.shape[1:])
-            for k, (seed, env_index) in enumerate(keys):
-                # random() yields the same doubles as uniform(0, 1), in place
-                _rng_for(seed, field_name, target, env_index, occurrence).random(out=u[k])
-            u = lo + u * (hi - lo)
+            draws.append((field_name, target, occurrence, _rows(group, target)[0],
+                          _bound(uni["minval"]), _bound(uni["maxval"]),
+                          OPERATIONS[rule.get("operation", "set")]))
+    if not draws:
+        return out
+    shapes = [(len(rows),) + nominal.fields[field_name].values.shape[1:]
+              for field_name, _, _, rows, *_ in draws]
+    counts = np.array([math.prod(shape) for shape in shapes], dtype=np.int64)
+    block = max(1, PASS_DOUBLES // int(counts.sum()))
+    for start in range(0, len(keys), block):
+        chunk = keys[start:start + block]
+        seeds = np.concatenate([_seeds_for(field_name, target, occurrence, chunk)
+                                for field_name, target, occurrence, *_ in draws])
+        u = _uniforms(seeds, np.repeat(counts, len(chunk)))
+        at = 0
+        for (field_name, _, _, rows, lo, hi, apply), shape in zip(draws, shapes):
+            drawn = lo + u[at:at + len(chunk) * math.prod(shape)].reshape((len(chunk),) + shape) * (hi - lo)
+            at += drawn.size
+            values = out[field_name][start:start + len(chunk)]
             for j, r in enumerate(rows):  # in order, so a repeated target row compounds
-                values[:, r] = apply(values[:, r], u[:, j])
+                values[:, r] = apply(values[:, r], drawn[:, j])
     return out
-

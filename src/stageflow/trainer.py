@@ -71,7 +71,8 @@ multiply-accumulate count of one minibatch: its rows
 the sum of fan_in * fan_out over the policy and value nets. Below
 ``ONE_THREAD_MACS`` the stage runs on one BLAS thread: there a second thread
 saved wall time within run-to-run noise at up to twice the CPU time
-(``BENCH_10.json``; re-run in ``BENCH_15.json`` and ``BENCH_16.json``).
+(``BENCH_10.json``; re-run in ``BENCH_15.json``, ``BENCH_16.json`` and,
+with the second thread on the job pool, ``BENCH_17.json``).
 At or above it the count is left as found, so 4096-env and paper-width
 stages keep every thread, and while that is more than one the stage's
 parallel BLAS calls run on :mod:`stageflow.blaspool`'s job pool, whose
@@ -128,10 +129,12 @@ LOGP_EPS = 1e-6
 LOG2PI = math.log(2.0 * math.pi)
 
 # minibatch multiply-accumulates below which a stage trains on one BLAS
-# thread (8.4 M): below it a second thread's wall gain changed sign from run
-# to run (BENCH_10.json, BENCH_15.json); on the job pool it saved no wall
-# time below about 60 M either (BENCH_16.json)
-ONE_THREAD_MACS = 1 << 23
+# thread (33.6 M): the largest power of two under the smallest count at which
+# a second thread on the job pool saved 10% of the wall time in three
+# crossover runs (61.9 M, 93.9 M and 113.7 M MACs; BENCH_16.json,
+# BENCH_17.json); below it the second thread cost CPU time for gains that
+# changed sign from run to run
+ONE_THREAD_MACS = 1 << 25
 
 # (step, env) rows one reward evaluation covers at most: a rollout block is
 # as many whole steps as fit, and at least one (module docstring)
@@ -706,8 +709,6 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
     """Run one curriculum stage: rollout / GAE / minibatch PPO updates, with
     ``num_evals`` evaluation records written to ``metrics.jsonl`` and a
     checkpoint at the end."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = desk_profile(stage.config_doc, paper_scale)
     tr = cfg["trainer"]
     env_cfg = cfg["environment"]
@@ -720,6 +721,10 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
         )
 
     seed = int(tr.get("seed", 0)) if seed is None else int(seed)
+    if seed < 0:  # numpy refuses it, and scene keys would wrap it
+        raise TrainerError("TYPE_ERROR", f"seed must be an integer >= 0, got {seed}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
     program = compile_program(stage.reward_doc["reward"])

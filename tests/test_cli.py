@@ -68,6 +68,16 @@ class TestExitCodes:
     def test_usage_error(self, capsys, argv):
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--prompt", "prompt.txt", "--vdb", "vdb", "--out", "out", "--seed", "-1"],
+        ["train", "--workflow", str(DESK / "workflow.yaml"), "--out", "out", "--seed", "-1"],
+        ["mutate", "--bundle", str(DESK), "--out", "out", "--seed", "-2"]])
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_runtime_failure(self, capsys, tmp_path):
         code, out = _cli(capsys, "validate", tmp_path / "nope.yaml")
         assert code == 3

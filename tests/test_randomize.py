@@ -1,11 +1,16 @@
 import copy
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from stageflow import randomize
 from stageflow.errors import RandomizeError
-from stageflow.randomize import _rng_for, desk_scene, resample_per_env
+from stageflow.randomize import _seeds_for, _uniforms, desk_scene, resample_per_env
 
+from scene_golden import REPEATED
 from test_schema import RANDOMIZE_CASES
 
 RULES = {
@@ -37,6 +42,13 @@ def one_env(rules, seed, env_index=0, nominal=None):
 
 def nominal_values(nominal, name):
     return nominal.fields[name].values
+
+
+def rng_for(seed, field_name, target, env_index, occurrence=0):
+    """The Generator whose ``random()`` doubles a rule's stream for one env
+    must reproduce."""
+    [stream_seed] = _seeds_for(field_name, target, occurrence, [(seed, env_index)])
+    return np.random.default_rng(int(stream_seed))
 
 
 class TestSample:
@@ -118,7 +130,7 @@ class TestSample:
                                 keys(3, 4))["body_mass"]
         for k in range(4):
             expected = np.empty(4)
-            _rng_for(3, "body_mass", "ALL", k).random(out=expected)
+            rng_for(3, "body_mass", "ALL", k).random(out=expected)
             assert u[k].tobytes() == expected.tobytes()
         added = both - u
         assert not np.allclose(added, u)
@@ -162,23 +174,6 @@ def _shipped_rule_sets():
 SHIPPED = dict(_shipped_rule_sets())
 
 
-def _uniform_rule(target, operation, lo, hi):
-    return {"target": target, "operation": operation,
-            "distribution": {"uniform": {"minval": lo, "maxval": hi}}}
-
-
-# rules that repeat a (field, target), which no shipped bundle does
-REPEATED = {
-    "body_mass": [_uniform_rule("ALL", "set", 0.0, 1.0),
-                  _uniform_rule(["torso", "leg_l"], "scale", 0.5, 1.5),
-                  _uniform_rule("ALL", "add", 0.0, 1.0),
-                  _uniform_rule(["torso", "leg_l"], "scale", 0.5, 1.5),
-                  _uniform_rule("ALL", "add", 0.0, 1.0)],
-    "geom_friction": [_uniform_rule("ALL", "set", [0.6, 0.0, 0.0], [1.1, 0.0, 0.0]),
-                      _uniform_rule("ALL", "scale", [0.5, 1.0, 1.0], [1.5, 1.0, 1.0])],
-}
-
-
 def per_row_reference(rules, nominal, seed, env_index):
     """The per-row loop the batched sampler replaced: one generator per
     (seed, field, target, env, occurrence of that target in the field) and
@@ -199,7 +194,7 @@ def per_row_reference(rules, nominal, seed, env_index):
                     else [group.names.index(t) for t in wanted])
             lo = np.asarray(rule["distribution"]["uniform"]["minval"], dtype=np.float64)
             hi = np.asarray(rule["distribution"]["uniform"]["maxval"], dtype=np.float64)
-            rng = _rng_for(seed, field_name, target, env_index, occurrence)
+            rng = rng_for(seed, field_name, target, env_index, occurrence)
             op = rule.get("operation", "set")
             for r in rows:
                 u = lo + rng.uniform(size=group.values.shape[1:]) * (hi - lo)
@@ -265,3 +260,60 @@ class TestBatchedSampler:
         b = resample_per_env(flipped, desk_scene(), keys(5, 4))
         for f in a:
             assert a[f].tobytes() == b[f].tobytes(), f
+
+    def test_blocks_do_not_change_the_draws(self, monkeypatch):
+        """Keys split into passes of any size, the last one short, give the
+        scenes of one pass."""
+        rules = SHIPPED["blind/stage1"]
+        pairs = keys(6, 7) + [(2**40, 3), (0, 2**33)]
+        whole = resample_per_env(rules, desk_scene(), pairs)
+        monkeypatch.setattr(randomize, "PASS_DOUBLES", 4 * 186)  # 4 of blind's scenes
+        for f, values in resample_per_env(rules, desk_scene(), pairs).items():
+            assert values.tobytes() == whole[f].tobytes(), f
+
+    def test_no_keys_and_no_rules(self):
+        drawn = resample_per_env(SHIPPED["tune/stage1"], desk_scene(), [])
+        assert drawn["body_mass"].shape == (0, 4)
+        drawn = resample_per_env({}, desk_scene(), keys(0, 2))
+        np.testing.assert_array_equal(drawn["body_mass"],
+                                      np.tile(nominal_values(desk_scene(), "body_mass"), (2, 1)))
+
+    def test_golden_scenes_at_paper_width(self):
+        """Every shipped stage's rules and the repeated-target rules, drawn
+        for 4,096 keys, match the scenes recorded from the sampler that
+        made one Generator per (rule, env), byte for byte."""
+        from scene_golden import GOLDEN, digests
+        assert digests() == json.loads(GOLDEN.read_text())
+
+
+# seeds at the edges of SeedSequence's one- and two-word entropy
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def generator_doubles(pairs):
+    return np.concatenate([np.random.default_rng(seed).random(count)
+                           for seed, count in pairs])
+
+
+class TestUniforms:
+    def test_edge_seeds_at_every_count(self):
+        pairs = [(seed, count) for seed in EDGE_SEEDS for count in range(1, 81)]
+        got = _uniforms(np.array([s for s, _ in pairs], dtype=np.uint64),
+                        np.array([c for _, c in pairs]))
+        assert got.tobytes() == generator_doubles(pairs).tobytes()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from(EDGE_SEEDS),
+                                        st.integers(0, 2**64 - 1)),
+                              st.integers(1, 80)),
+                    min_size=1, max_size=6))
+    @example([(seed, 80) for seed in EDGE_SEEDS])
+    def test_matches_generator_random(self, pairs):
+        """Each seed's doubles are ``default_rng(seed).random(count)``, byte
+        for byte, wherever it sits among other seeds and counts."""
+        got = _uniforms(np.array([s for s, _ in pairs], dtype=np.uint64),
+                        np.array([c for _, c in pairs]))
+        assert got.tobytes() == generator_doubles(pairs).tobytes()
+
+    def test_no_seeds(self):
+        assert _uniforms(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=int)).size == 0

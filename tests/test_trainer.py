@@ -495,10 +495,12 @@ def blas_threads():
 class TestBlasThreadPolicy:
     @pytest.mark.parametrize("rows,hidden,threads", [
         (320, [64, 64], 1),                # desk width: 64 envs x 20 / 4
-        (640, [64, 64], 1),                # 7.7 M MACs, just under the constant
-        (64, [256, 256], None),            # 9.4 M MACs, just over it
+        (640, [64, 64], 1),                # 7.7 M MACs
+        (64, [512, 512, 512], None),       # 69.1 M MACs: few rows, wide nets
         (20_480, [64, 64], None),          # 4096 envs under the desk profile
         (5_120, [512, 256, 128], None),    # the shipped paper-scale tune stage
+        (2_560, [64, 64], 1),              # 31.0 M MACs, just under the constant
+        (320, [256, 256], None),           # 46.9 M MACs, just over it
     ])
     def test_selection(self, rows, hidden, threads):
         policy = Policy(hidden, hidden, seed=0)
@@ -552,6 +554,19 @@ class TestBlasThreadPolicy:
         for name in ("metrics.jsonl", "checkpoint.bin"):
             assert ((tmp_path / "engaged" / name).read_bytes()
                     == (tmp_path / "off" / name).read_bytes()), name
+
+
+class TestTrainStage:
+    @pytest.mark.parametrize("config_seed,seed", [(0, -1), (-2, None)])
+    def test_a_negative_seed_is_refused_before_anything_is_built(
+            self, tmp_path, config_seed, seed):
+        """numpy refuses negative seeds; the stage says so in a finding
+        instead of a bare ValueError, and writes nothing."""
+        out = tmp_path / "stage"
+        with pytest.raises(TrainerError) as e:
+            train_stage(tiny_stage(seed=config_seed), out, seed=seed)
+        assert e.value.code == "TYPE_ERROR"
+        assert not out.exists()
 
 
 # -- the BLAS job pool ------------------------------------------------------------

@@ -8,7 +8,10 @@ process at the config's seed, and prints:
   includes the interpreter and its imports;
 - minor page faults, wall seconds, CPU seconds (user + system) and system
   seconds taken by the stage alone (``getrusage`` and clocks around
-  ``train_stage``).
+  ``train_stage``);
+- ``construct_s``: the wall seconds of one ``VecEnv`` construction at the
+  stage's width, seed, environment config and randomization rules, taken
+  before the stage (ROADMAP item 8 sets it under 0.2 s at 4096 envs).
 
 Each run is one process, so every figure is a first stage's: no buffer of an
 earlier stage is warm. By default the stage runs under the desk profile
@@ -38,6 +41,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from stageflow import schema, trainer
+from stageflow.env import VecEnv
 
 TUNE = Path(__file__).resolve().parents[1] / "src" / "stageflow" / "data" / "bundles" / "tune"
 TINY_ENVS = 256
@@ -56,6 +60,16 @@ def tune_stage(envs: int | None, paper_scale: bool):
     return dataclasses.replace(stage, config_doc=config), tr
 
 
+def construct_seconds(stage, tr) -> float:
+    """Wall seconds of one construction of the stage's ``VecEnv``."""
+    w0 = time.perf_counter()
+    VecEnv(stage.config_doc["environment"], int(tr["num_envs"]),
+           base_seed=int(tr.get("seed", 0)),
+           randomize_rules=stage.randomize_doc.get("randomization") or {},
+           episode_length=int(tr["episode_length"]))
+    return time.perf_counter() - w0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     size = ap.add_mutually_exclusive_group()
@@ -69,6 +83,7 @@ def main(argv=None) -> int:
     envs = TINY_ENVS if args.tiny else args.envs
 
     stage, tr = tune_stage(envs, args.paper_scale)
+    construct_s = construct_seconds(stage, tr)
     with tempfile.TemporaryDirectory() as tmp:
         r0 = resource.getrusage(resource.RUSAGE_SELF)
         w0 = time.perf_counter()
@@ -88,6 +103,7 @@ def main(argv=None) -> int:
         "wall_s": round(wall, 3),
         "cpu_s": round(r1.ru_utime - r0.ru_utime + r1.ru_stime - r0.ru_stime, 3),
         "sys_s": round(r1.ru_stime - r0.ru_stime, 3),
+        "construct_s": round(construct_s, 3),
         "eval_reward": result.last_eval["eval/episode_reward"],
     }
     print(f"tune stage 1, {record['num_envs']} envs, "
@@ -95,6 +111,7 @@ def main(argv=None) -> int:
           f"{record['env_steps']:,} env steps")
     print(f"peak RSS {record['peak_rss_mb']} MB, {record['minor_faults']:,} minor faults, "
           f"wall {record['wall_s']} s, CPU {record['cpu_s']} s (system {record['sys_s']} s)")
+    print(f"VecEnv construction before the stage: {record['construct_s']} s")
     print(json.dumps(record, sort_keys=True))
     return 0
 
