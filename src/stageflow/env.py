@@ -191,9 +191,10 @@ class VecEnv:
     (``randomize`` module docstring).
 
     Reset, kick and observation noise draws are per env: env i draws from
-    its own Generator, seeded ``base_seed * 100003 + i``, in this order. A reset takes one double each for gait frequency, foot
-    height, [the 8 joint offsets and the phase, under ``init_rand``,] and the
-    stand coin, then 3 command doubles unless the env stands. A step takes
+    its own Generator, seeded ``base_seed * 100003 + i``, in this order. A
+    reset takes one double each for gait frequency, foot height, [the 8
+    joint offsets and the phase, under ``init_rand``,] and the stand coin,
+    then 3 command doubles unless the env stands. A step takes
     (magnitude, direction) for the big kick, then the small kick, on the
     steps where each is due, then resets the rows that finished. Each
     ``observe`` call with ``obs_noise`` on takes ``OBS_DIM`` standard normals

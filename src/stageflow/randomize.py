@@ -113,7 +113,8 @@ def _seeds_for(field_name: str, target, occurrence: int, keys) -> np.ndarray:
 PASS_DOUBLES = 1 << 13
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
-# uint32 words, each hash multiplying its constant on before it is used
+# uint32 words; each hash xors in one term of a running constant sequence
+# and multiplies by the next
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -172,7 +173,7 @@ def _split(hi, lo) -> np.ndarray:
     return np.array([hi, lo, lo & _M32, lo >> np.uint64(32)], dtype=np.uint64)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)  # one entry per rule size in use
 def _jump_tables(count: int) -> np.ndarray:
     """Draw ``j`` of a stream reads the state ``A**(j+2) * x + C(j+2) * inc``
     (mod 2**128), where ``x`` is the seeded state plus the increment,
@@ -185,8 +186,10 @@ def _jump_tables(count: int) -> np.ndarray:
     for _ in range(count):
         table.append([a, c])
         a, c = a * _PCG_MULT % mod, (c + a) % mod
-    return _split(*(np.array([[v >> 64 for v in pair] for pair in table], dtype=np.uint64).T,
-                    np.array([[v & _M64 for v in pair] for pair in table], dtype=np.uint64).T))
+    out = _split(np.array([[v >> 64 for v in pair] for pair in table], dtype=np.uint64).T,
+                 np.array([[v & _M64 for v in pair] for pair in table], dtype=np.uint64).T)
+    out.flags.writeable = False  # shared by every caller of the cache
+    return out
 
 
 def _mul128(a, b):
@@ -333,10 +336,10 @@ def resample_per_env(rules: dict, nominal: SceneParameters, keys) -> dict:
     Returns ``field -> array`` of shape ``(len(keys),) + nominal shape``
     for every field of ``nominal``, which is left untouched. Raises the first
     :func:`rule_findings` triple as a :class:`RandomizeError`; then draws
-    the keys in passes of about ``PASS_DOUBLES`` doubles, every rule's stream
-    for every key of a pass in one :func:`_uniforms` call. A stream fills its rule's target
-    rows in order, so row ``r`` gets the same doubles as a per-row draw
-    would.
+    the keys in passes of about ``PASS_DOUBLES`` doubles, every rule's
+    stream for every key of a pass in one :func:`_uniforms` call. A stream
+    fills its rule's target rows in order, so row ``r`` gets the same
+    doubles as a per-row draw would.
     """
     problems = rule_findings(rules, nominal)
     if problems:
@@ -355,8 +358,11 @@ def resample_per_env(rules: dict, nominal: SceneParameters, keys) -> dict:
             target = rule["target"]
             occurrence = seen.get(_target_key(target), 0)
             seen[_target_key(target)] = occurrence + 1
+            rows = _rows(group, target)[0]
+            if not rows:  # an empty target list draws nothing
+                continue
             uni = rule["distribution"]["uniform"]
-            draws.append((field_name, target, occurrence, _rows(group, target)[0],
+            draws.append((field_name, target, occurrence, rows,
                           _bound(uni["minval"]), _bound(uni["maxval"]),
                           OPERATIONS[rule.get("operation", "set")]))
     if not draws:
@@ -372,8 +378,9 @@ def resample_per_env(rules: dict, nominal: SceneParameters, keys) -> dict:
         u = _uniforms(seeds, np.repeat(counts, len(chunk)))
         at = 0
         for (field_name, _, _, rows, lo, hi, apply), shape in zip(draws, shapes):
-            drawn = lo + u[at:at + len(chunk) * math.prod(shape)].reshape((len(chunk),) + shape) * (hi - lo)
-            at += drawn.size
+            size = len(chunk) * math.prod(shape)
+            drawn = lo + u[at:at + size].reshape((len(chunk),) + shape) * (hi - lo)
+            at += size
             values = out[field_name][start:start + len(chunk)]
             for j, r in enumerate(rows):  # in order, so a repeated target row compounds
                 values[:, r] = apply(values[:, r], drawn[:, j])

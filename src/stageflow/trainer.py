@@ -721,7 +721,7 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
         )
 
     seed = int(tr.get("seed", 0)) if seed is None else int(seed)
-    if seed < 0:  # numpy refuses it, and scene keys would wrap it
+    if seed < 0:  # numpy's generators refuse it with a bare ValueError
         raise TrainerError("TYPE_ERROR", f"seed must be an integer >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
