@@ -65,22 +65,25 @@ wall-time gain (``BENCH_11.json`` and its probes).
 ``tests/data/rollout_golden.json`` pins both rollouts byte for byte,
 recorded before rewards were blocked.
 
-BLAS threads. ``train_stage`` picks its BLAS thread count once, from the
-multiply-accumulate count of one minibatch: its rows
-(``num_envs * unroll_length / num_minibatches`` after ``desk_profile``) times
-the sum of fan_in * fan_out over the policy and value nets. Below
-``ONE_THREAD_MACS`` the stage runs on one BLAS thread: there a second thread
-saved wall time within run-to-run noise at up to twice the CPU time
-(``BENCH_10.json``; re-run in ``BENCH_15.json``, ``BENCH_16.json`` and,
-with the second thread on the job pool, ``BENCH_17.json``).
-At or above it the count is left as found, so 4096-env and paper-width
-stages keep every thread, and while that is more than one the stage's
-parallel BLAS calls run on :mod:`stageflow.blaspool`'s job pool, whose
-workers sleep between calls where OpenBLAS's own spin: less CPU time for a
-worker wake-up per call (``BENCH_16.json``). The pool's contract:
+BLAS threads. Each phase of ``train_stage`` runs on the BLAS thread count
+its own rows earn, by one rule on their multiply-accumulate count: the rows
+times the sum of fan_in * fan_out over the policy and value nets. The rows
+are the rollout's ``num_envs``, the update's largest minibatch
+(``num_envs * unroll_length / num_minibatches`` after ``desk_profile``) and
+the evaluation's ``eval_episodes``. Below ``ONE_THREAD_MACS`` a phase runs
+on one BLAS thread: there a second thread saved wall time within
+run-to-run noise at up to twice the CPU time (``BENCH_10.json``; re-run in
+``BENCH_15.json``, ``BENCH_16.json`` and, with the second thread on the job
+pool, ``BENCH_17.json``). At or above it the count is left as found, so the
+updates of 4096-env and paper-width stages keep every thread (and so do
+their rollouts: 4096 envs on the desk nets are 49.5 M MACs), and while that
+is more than one the stage's parallel BLAS calls run on
+:mod:`stageflow.blaspool`'s job pool, whose workers sleep between calls
+where OpenBLAS's own spin: less CPU time for a worker wake-up per call
+(``BENCH_16.json``). The pool's contract:
 
-- Scope: it is installed when the stage starts and removed when the stage
-  returns or raises.
+- Scope: it is installed when a stage with a phase that keeps every thread
+  starts, and removed when the stage returns or raises.
 - All jobs at once: each call's jobs run concurrently, job 0 on the caller;
   OpenBLAS's partition and kernels are its own, so every byte is kept.
 - Fork: a forked child starts its own workers on its first parallel call.
@@ -641,7 +644,7 @@ def _minibatch_macs(rows: int, nets) -> int:
 
 
 def _stage_blas_threads(rows: int, nets) -> int | None:
-    """1 when a minibatch does fewer than ``ONE_THREAD_MACS``
+    """1 when a pass of ``rows`` rows does fewer than ``ONE_THREAD_MACS``
     multiply-accumulates; None (leave BLAS as found) otherwise."""
     return 1 if _minibatch_macs(rows, nets) < ONE_THREAD_MACS else None
 
@@ -767,27 +770,36 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
     last_losses = {"loss/policy": 0.0, "loss/value": 0.0, "loss/entropy": 0.0}
     env_steps = 0
 
+    # each phase runs on the BLAS threads its own rows earn (module
+    # docstring): the rollout's envs, the largest of array_split's
+    # minibatches (ceil(steps / minibatches) rows), the evaluation's episodes
+    nets = (policy.policy_sizes, policy.value_sizes)
+    phases = [_stage_blas_threads(rows, nets) for rows in
+              (num_envs, math.ceil(steps_per_iter / num_minibatches), eval_episodes)]
+    stage_threads = None if None in phases else 1
+    collect_blas, update_blas, eval_blas = (
+        functools.partial(_blas_threads, 1) if threads == 1 and stage_threads is None
+        else contextlib.nullcontext for threads in phases)
+
     def run_eval():
-        rec = _evaluate(policy, obs_norm if normalize_obs else None, env_cfg,
-                        rules, program, seed, eval_episodes, eval_max_steps, workspace)
+        with eval_blas():
+            rec = _evaluate(policy, obs_norm if normalize_obs else None, env_cfg,
+                            rules, program, seed, eval_episodes, eval_max_steps, workspace)
         rec["step"] = env_steps
         rec.update(last_losses)
         metrics.append(rec)
 
-    # one BLAS thread for a small minibatch (module docstring); the largest
-    # of array_split's minibatches has ceil(steps / minibatches) rows
-    rows = math.ceil(steps_per_iter / num_minibatches)
-    threads = _stage_blas_threads(rows, (policy.policy_sizes, policy.value_sizes))
     # a blow-up (say, from a huge learning rate) surfaces as NON_FINITE_LOSS
     # from ppo_loss, not as numpy warnings on the way there
-    with _blas_threads(threads), np.errstate(over="ignore", invalid="ignore",
-                                             divide="ignore"):
+    with _blas_threads(stage_threads), np.errstate(over="ignore", invalid="ignore",
+                                                   divide="ignore"):
         obs = envs.observe()
         for it in range(iters):
             if it in eval_at:
                 run_eval()
-            rollout, obs = _collect(envs, policy, obs_norm if normalize_obs else None,
-                                    obs, program, reward_scaling, unroll, rng, workspace)
+            with collect_blas():
+                rollout, obs = _collect(envs, policy, obs_norm if normalize_obs else None,
+                                        obs, program, reward_scaling, unroll, rng, workspace)
             env_steps += steps_per_iter
 
             advantages, returns = gae(
@@ -799,9 +811,10 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
                 "advantages": advantages.reshape(-1),
                 "returns": returns.reshape(-1),
             }
-            last_losses = ppo_update(policy, optimizer, flat, rng, num_updates,
-                                     num_minibatches, clip_eps, entropy_cost,
-                                     workspace) or last_losses
+            with update_blas():
+                last_losses = ppo_update(policy, optimizer, flat, rng, num_updates,
+                                         num_minibatches, clip_eps, entropy_cost,
+                                         workspace) or last_losses
         if iters in eval_at:
             run_eval()
         while len(metrics) < num_evals:  # guard against rounding collisions

@@ -521,6 +521,21 @@ class TestBlasThreadPolicy:
         assert seen == [1]
         assert blas_threads() == 2
 
+    def test_rollout_and_evaluation_run_on_the_threads_their_rows_earn(
+            self, tmp_path, monkeypatch, blas_threads):
+        """64 rollout rows (0.8 M MACs) and 2 evaluation rows under the
+        constant, 320 update rows (3.9 M MACs) over it."""
+        monkeypatch.setattr(trainer, "ONE_THREAD_MACS", 1_000_000)
+        seen = {}
+        for name in ("_collect", "ppo_update", "_evaluate"):
+            def spy(*args, _real=getattr(trainer, name), _name=name, **kwargs):
+                seen.setdefault(_name, set()).add(blas_threads())
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(trainer, name, spy)
+        train_tiny(tmp_path)
+        assert seen == {"_collect": {1}, "ppo_update": {2}, "_evaluate": {1}}
+        assert blas_threads() == 2
+
     def test_a_raising_stage_restores_the_callers_count(self, tmp_path, blas_threads):
         # the first Adam step blows the weights up; the next loss is not finite
         with pytest.raises(TrainerError) as e:
