@@ -22,15 +22,22 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _seed(text: str) -> int:
-    """A ``--seed`` value: numpy's generators take only integers >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be an integer >= 0, got {text!r}")
-    return value
+def _int_at_least(low: int, name: str):
+    """An argument type for integers >= ``low``; anything else is a usage
+    error that names the argument."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+_seed = _int_at_least(0, "seed")  # numpy's generators take only integers >= 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("score", help="score a recorded binding trace")
     sp.add_argument("--trace", required=True)
-    sp.add_argument("--horizon", type=int)
+    sp.add_argument("--horizon", type=_int_at_least(1, "horizon"),
+                    help="steps an episode could last (default: the trace's length)")
 
     vp = sub.add_parser("vdb", help="vector store operations")
     vsub = vp.add_subparsers(dest="vdb_command", required=True)
@@ -79,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--evaluation", default="", help="expert evaluation text")
     sp = vsub.add_parser("query", help="retrieve the most similar stored runs")
     sp.add_argument("text")
-    sp.add_argument("-k", type=int, default=3)
+    sp.add_argument("-k", type=_int_at_least(1, "k"), default=3)
     sp.add_argument("--vdb", required=True)
 
     sp = sub.add_parser("mutate", help="emit the validator mutation corpus")

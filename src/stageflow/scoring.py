@@ -130,4 +130,5 @@ def batch_from_trace(path, horizon: int | None = None) -> EvalBatch:
     steps = read_trace(path, required=SCORED_BINDINGS)
     if not steps:
         raise ScoreError("BAD_EPISODE", f"empty trace {path}")
-    return EvalBatch(episodes=[episode_from_bindings(steps)], horizon=horizon or len(steps))
+    return EvalBatch(episodes=[episode_from_bindings(steps)],
+                     horizon=len(steps) if horizon is None else horizon)

@@ -11,6 +11,8 @@ import pytest
 from stageflow import trainer
 from stageflow.cli import main
 from stageflow.env import ACTION_DIM, DeskWalker, write_trace
+from stageflow.errors import ScoreError
+from stageflow.scoring import batch_from_trace
 from stageflow.vdb import VectorStore
 
 from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts, walker_row
@@ -76,6 +78,20 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,message", [
+        (["score", "--trace", "trace.jsonl", "--horizon", "0"], "horizon must be an integer >= 1"),
+        (["score", "--trace", "trace.jsonl", "--horizon", "-5"], "horizon must be an integer >= 1"),
+        (["vdb", "query", "walk", "-k", "0", "--vdb", "vdb"], "k must be an integer >= 1"),
+        (["vdb", "query", "walk", "-k", "-1", "--vdb", "vdb"], "k must be an integer >= 1"),
+        (["vdb", "query", "walk", "-k", "two", "--vdb", "vdb"], "k must be an integer >= 1")],
+        ids=["horizon 0", "horizon -5", "k 0", "k -1", "k two"])
+    def test_a_count_below_one_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_runtime_failure(self, capsys, tmp_path):
@@ -243,6 +259,14 @@ class TestScore:
         code, out = _cli(capsys, "score", "--trace", path)
         assert code == 3
         assert out.err.startswith(f"error TRACE_FORMAT_ERROR: {path}:2: binding {key!r}")
+
+    def test_a_zero_horizon_is_not_the_trace_length(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("".join(json.dumps(_record()) + "\n" for _ in range(3)))
+        assert batch_from_trace(path).horizon == 3
+        with pytest.raises(ScoreError) as e:
+            batch_from_trace(path, horizon=0)
+        assert e.value.code == "BAD_EPISODE"
 
     def test_undecodable_bytes_are_a_format_error(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"
