@@ -15,6 +15,8 @@ from pathlib import Path
 from .errors import StageflowError
 
 DEFAULT_SEED = 7
+PAPER_SCALE_HELP = ("honor full configured sizes instead of the desk profile, and train "
+                    "in float32 over float64 master weights")
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -61,8 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--run-id", help="run id, a directory under --out that must not "
                     "exist yet (default: the next free run-NNNN)")
     sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    sp.add_argument("--paper-scale", action="store_true",
-                    help="honor full configured sizes instead of the desk profile")
+    sp.add_argument("--paper-scale", action="store_true", help=PAPER_SCALE_HELP)
     sp.add_argument("--override", action="append", default=[],
                     metavar="KEY=VALUE",
                     help="dotted config override, e.g. trainer.num_timesteps=4000")
@@ -71,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workflow", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    sp.add_argument("--paper-scale", action="store_true")
+    sp.add_argument("--paper-scale", action="store_true", help=PAPER_SCALE_HELP)
 
     sp = sub.add_parser("score", help="score a recorded binding trace")
     sp.add_argument("--trace", required=True)

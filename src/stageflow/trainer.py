@@ -35,6 +35,23 @@ CHANGES.md). Each block rounds every element as the whole-array expression
 does: ``tests/data/silu_blocks_golden.json``, recorded before the SiLU ran
 in blocks, pins an update and inference across several blocks byte for byte.
 
+Precision. A stage computes in one dtype, :func:`compute_dtype`: float32
+under ``paper_scale``, as GPU PPO frameworks train, and float64 otherwise.
+In that dtype are the rollout arrays the update reads (observations, raw
+actions, log-probs, and the advantages and returns cast from GAE), the
+minibatch gathers and every workspace buffer: every forward and backward of
+the rollout, the update and evaluation runs in it (at 4096 envs, about 40%
+fewer CPU seconds a stage: ``BENCH_19.json``). ``mlp_forward`` and
+``mlp_backward`` run in their input's dtype and cast each weight and bias
+to it, as ``ppo_loss`` and ``Policy._logp`` cast ``log_std``; at float64 the
+casts are no-ops. ``Policy.act`` draws its noise in float64 and casts the
+raw action before the squash and the log-prob, so the env's action, the
+stored action and ``old_logp`` agree. The masters stay float64: the
+parameters, ``Adam``'s flat buffers (the gradients are copied into its
+float64 buffer), ``RunningNorm``'s statistics, GAE, checkpoints and final
+scoring. Desk-profile stages are float64 end to end; the ``walker2``
+replay digests and every golden in ``tests/data`` pin their bytes.
+
 Flat-buffer Adam. ``Adam`` keeps the parameters, both moments and the
 gradient in one float64 buffer each, laid out in the order of the params
 dict it is built with; that dict's values and ``Adam.m``/``Adam.v`` become
@@ -183,15 +200,17 @@ def gae(rewards, values, dones, gamma: float, lam: float = GAE_LAMBDA):
 class Workspace:
     """Named scratch arrays reused across calls.
 
-    ``take(name, shape)`` returns a C-contiguous array of that shape backed by
-    the name's one buffer, which only grows: a smaller request reuses a
-    prefix, a larger one replaces the buffer, so a change of minibatch rows or
-    layer width never keeps a second set."""
+    ``take(name, shape, dtype)`` returns a C-contiguous array of that shape
+    and dtype backed by the name's one buffer, which only grows: a smaller
+    request of its dtype reuses a prefix, a larger one or another dtype
+    replaces the buffer, so a change of minibatch rows or layer width never
+    keeps a second set. The dtype has no default, so that no buffer of a
+    float32 pass is float64 by omission."""
 
     def __init__(self):
         self._bufs: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    def take(self, name: str, shape: tuple, dtype) -> np.ndarray:
         size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size or buf.dtype != dtype:
@@ -223,8 +242,9 @@ def _mlp_layers(params: dict, prefix: str) -> int:
 
 def mlp_forward(params: dict, prefix: str, x: np.ndarray,
                 workspace: Workspace | None = None, grad: bool = False):
-    """SiLU between layers, linear output. Returns (y, cache), the cache None
-    unless ``grad``.
+    """SiLU between layers, linear output, in the dtype of ``x``, to which
+    each weight and bias is cast. Returns (y, cache), the cache None unless
+    ``grad``.
 
     y and the cache live in ``workspace`` (a throwaway one when none is given)
     under names of the layer alone: a forward overwrites the last one's. The
@@ -236,13 +256,13 @@ def mlp_forward(params: dict, prefix: str, x: np.ndarray,
     cache = []
     h = x
     for i in range(n):
-        w = params[f"{prefix}/W{i}"]
-        z = np.matmul(h, w, out=ws.take(f"z{i}", (*h.shape[:-1], w.shape[1])))
-        z += params[f"{prefix}/b{i}"]
+        w = params[f"{prefix}/W{i}"].astype(x.dtype, copy=False)
+        z = np.matmul(h, w, out=ws.take(f"z{i}", (*h.shape[:-1], w.shape[1]), x.dtype))
+        z += params[f"{prefix}/b{i}"].astype(x.dtype, copy=False)
         if i == n - 1:
             cache.append((h, None))
             return z, cache if grad else None
-        a = ws.take(f"a{i}", z.shape)
+        a = ws.take(f"a{i}", z.shape, z.dtype)
         _silu(z, a, ws, grad)
         cache.append((h, z))
         h = a
@@ -260,20 +280,20 @@ def _silu(z: np.ndarray, a: np.ndarray, ws: Workspace, grad: bool) -> None:
         blocks = ((z2[r:r + SILU_ROWS], a2[r:r + SILU_ROWS])
                   for r in range(0, rows, SILU_ROWS))
     for zb, ab in blocks:
-        s = np.negative(zb, out=ws.take("silu/s", zb.shape))
+        s = np.negative(zb, out=ws.take("silu/s", zb.shape, zb.dtype))
         np.exp(s, out=s)
         s += 1.0
         np.divide(1.0, s, out=s)
         np.multiply(zb, s, out=ab)
         if grad:  # z * (1 - s) rounds as (1 - s) * z does
-            zb *= np.subtract(1.0, s, out=ws.take("silu/1-s", zb.shape))
+            zb *= np.subtract(1.0, s, out=ws.take("silu/1-s", zb.shape, zb.dtype))
             zb += 1.0
             zb *= s
 
 
 def mlp_backward(params: dict, prefix: str, cache: list, dy: np.ndarray) -> dict:
     """Gradient of a scalar loss w.r.t. each layer's W/b, given dL/dy and the
-    cache of a ``grad`` forward.
+    cache of a ``grad`` forward, in the dtype of ``dy``.
 
     The SiLU derivative of layer i-1's output is applied when the loop
     reaches it. Consumes ``cache``: once layer i has taken its weight
@@ -288,7 +308,8 @@ def mlp_backward(params: dict, prefix: str, cache: list, dy: np.ndarray) -> dict
         grads[f"{prefix}/W{i}"] = h.T @ grad
         grads[f"{prefix}/b{i}"] = grad.sum(axis=0)
         if i > 0:
-            grad = np.matmul(grad, params[f"{prefix}/W{i}"].T, out=h)
+            w = params[f"{prefix}/W{i}"].astype(grad.dtype, copy=False)
+            grad = np.matmul(grad, w.T, out=h)
     return grads
 
 
@@ -317,10 +338,13 @@ class Policy:
         return y[..., 0]
 
     def act(self, obs: np.ndarray, rng: np.random.Generator, workspace: Workspace | None = None):
-        """Sample raw (pre-squash) actions: (raw, squashed, logp)."""
+        """Sample raw (pre-squash) actions: (raw, squashed, logp), in the
+        dtype of ``obs``. The normal draws are float64 whatever that dtype;
+        raw is cast to it before the squash and the log-prob, so the action
+        the env takes, the one stored and its log-prob agree."""
         mean = self.mean(obs, workspace)
         std = np.exp(self.params["log_std"])
-        raw = mean + std * rng.standard_normal(mean.shape)
+        raw = (mean + std * rng.standard_normal(mean.shape)).astype(mean.dtype, copy=False)
         return raw, np.tanh(raw), self._logp(mean, raw)
 
     def act_deterministic(self, obs: np.ndarray,
@@ -328,7 +352,7 @@ class Policy:
         return np.tanh(self.mean(obs, workspace))
 
     def _logp(self, mean: np.ndarray, raw: np.ndarray) -> np.ndarray:
-        log_std = self.params["log_std"]
+        log_std = self.params["log_std"].astype(mean.dtype, copy=False)
         var = np.exp(2.0 * log_std)
         gauss = -0.5 * (((raw - mean) ** 2) / var + 2.0 * log_std + LOG2PI).sum(-1)
         correction = np.log(1.0 - np.tanh(raw) ** 2 + LOGP_EPS).sum(-1)
@@ -342,7 +366,8 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
              with_grads: bool = True, workspace: Workspace | None = None):
     """loss = -L_clip + c_v * value_loss - entropy_cost * entropy.
 
-    ``batch``: obs, raw_actions, old_logp, advantages, returns (numpy arrays).
+    ``batch``: obs, raw_actions, old_logp, advantages, returns (numpy arrays
+    of one dtype, in which the loss and its gradients are computed).
     Returns (loss, grads, parts); grads is None when with_grads=False.
     Intermediates live in ``workspace`` (a throwaway one when none is given);
     the value net runs after the policy net, over the same activations.
@@ -354,35 +379,35 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     obs = batch["obs"]
     raw = batch["raw_actions"]
     adv = batch["advantages"]
-    n = obs.shape[0]
+    n, dtype = obs.shape[0], obs.dtype
 
     mean, p_cache = mlp_forward(params, "policy", obs, ws, grad=with_grads)
-    log_std = params["log_std"]
+    log_std = params["log_std"].astype(dtype, copy=False)
     var = np.exp(2.0 * log_std)
     # new_logp = gauss - correction, with d = raw - mean,
     #   gauss = -0.5 * ((d * d) / var + 2.0 * log_std + LOG2PI).sum(-1)
     #   correction = np.log(1.0 - np.tanh(raw) ** 2 + LOGP_EPS).sum(-1)
-    d = np.subtract(raw, mean, out=ws.take("d", raw.shape))
-    term = np.multiply(d, d, out=ws.take("term", raw.shape))
+    d = np.subtract(raw, mean, out=ws.take("d", raw.shape, dtype))
+    term = np.multiply(d, d, out=ws.take("term", raw.shape, dtype))
     term /= var
     term += 2.0 * log_std
     term += LOG2PI
-    new_logp = np.sum(term, axis=-1, out=ws.take("new_logp", (n,)))
+    new_logp = np.sum(term, axis=-1, out=ws.take("new_logp", (n,), dtype))
     new_logp *= -0.5
     np.tanh(raw, out=term)
     np.square(term, out=term)
     np.subtract(1.0, term, out=term)
     term += LOGP_EPS
     np.log(term, out=term)
-    new_logp -= np.sum(term, axis=-1, out=ws.take("correction", (n,)))
+    new_logp -= np.sum(term, axis=-1, out=ws.take("correction", (n,), dtype))
 
     # ratio = exp(new_logp - old_logp); the surrogate is the mean of
     # min(ratio * adv, clip(ratio, 1 - eps, 1 + eps) * adv)
     ratio = np.subtract(new_logp, batch["old_logp"], out=new_logp)
     np.exp(ratio, out=ratio)
-    t_unclipped = np.multiply(ratio, adv, out=ws.take("t_unclipped", (n,)))
+    t_unclipped = np.multiply(ratio, adv, out=ws.take("t_unclipped", (n,), dtype))
     t_clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps,
-                        out=ws.take("t_clipped", (n,)))
+                        out=ws.take("t_clipped", (n,), dtype))
     t_clipped *= adv
     unclipped_active = np.less_equal(t_unclipped, t_clipped,
                                      out=ws.take("unclipped_active", (n,), bool))
@@ -410,7 +435,8 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
 
     # the policy net is done with the activations; the value net overwrites them
     v_out, v_cache = mlp_forward(params, "value", obs, ws, grad=with_grads)
-    value_err = np.subtract(v_out[..., 0], batch["returns"], out=ws.take("value_err", (n,)))
+    value_err = np.subtract(v_out[..., 0], batch["returns"],
+                            out=ws.take("value_err", (n,), dtype))
     value_loss = float(np.multiply(value_err, value_err, out=t_clipped).mean())
 
     loss = -surrogate + value_coef * value_loss - entropy_cost * entropy
@@ -490,7 +516,8 @@ class Adam:
 
 
 class RunningNorm:
-    """Streaming observation mean/variance with an epsilon floor."""
+    """Streaming observation mean/variance with an epsilon floor, kept and
+    accumulated in float64 whatever the batch's dtype."""
 
     def __init__(self, dim: int, eps: float = 1e-8):
         self.mean = np.zeros(dim)
@@ -500,8 +527,8 @@ class RunningNorm:
 
     def update(self, batch: np.ndarray):
         batch = batch.reshape(-1, batch.shape[-1])
-        b_mean = batch.mean(axis=0)
-        b_var = batch.var(axis=0)
+        b_mean = batch.mean(axis=0, dtype=np.float64)
+        b_var = batch.var(axis=0, dtype=np.float64)
         b_count = batch.shape[0]
         delta = b_mean - self.mean
         total = self.count + b_count
@@ -706,6 +733,12 @@ def desk_profile(config: dict, paper_scale: bool = False) -> dict:
     return cfg
 
 
+def compute_dtype(paper_scale: bool) -> np.dtype:
+    """The dtype a stage's rollout, update and evaluation compute in, over
+    float64 master weights (module docstring)."""
+    return np.dtype(np.float32 if paper_scale else np.float64)
+
+
 def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
                 paper_scale: bool = False, seed: int | None = None,
                 eval_episodes: int = 16, eval_max_steps: int = 150) -> StageResult:
@@ -758,6 +791,7 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
 
     optimizer = Adam(policy.params, lr=lr)
     workspace = Workspace()
+    dtype = compute_dtype(paper_scale)
 
     steps_per_iter = num_envs * unroll
     iters = max(1, math.ceil(num_timesteps / steps_per_iter))
@@ -783,8 +817,8 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
 
     def run_eval():
         with eval_blas():
-            rec = _evaluate(policy, obs_norm if normalize_obs else None, env_cfg,
-                            rules, program, seed, eval_episodes, eval_max_steps, workspace)
+            rec = _evaluate(policy, obs_norm if normalize_obs else None, env_cfg, rules,
+                            program, seed, eval_episodes, eval_max_steps, workspace, dtype)
         rec["step"] = env_steps
         rec.update(last_losses)
         metrics.append(rec)
@@ -799,7 +833,8 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
                 run_eval()
             with collect_blas():
                 rollout, obs = _collect(envs, policy, obs_norm if normalize_obs else None,
-                                        obs, program, reward_scaling, unroll, rng, workspace)
+                                        obs, program, reward_scaling, unroll, rng, workspace,
+                                        dtype)
             env_steps += steps_per_iter
 
             advantages, returns = gae(
@@ -808,8 +843,8 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
                 "obs": rollout["obs"].reshape(-1, OBS_DIM),
                 "raw_actions": rollout["raw_actions"].reshape(-1, ACTION_DIM),
                 "old_logp": rollout["logp"].reshape(-1),
-                "advantages": advantages.reshape(-1),
-                "returns": returns.reshape(-1),
+                "advantages": advantages.reshape(-1).astype(dtype, copy=False),
+                "returns": returns.reshape(-1).astype(dtype, copy=False),
             }
             with update_blas():
                 last_losses = ppo_update(policy, optimizer, flat, rng, num_updates,
@@ -850,7 +885,8 @@ def ppo_update(policy: Policy, optimizer: Adam, batch: dict, rng: np.random.Gene
             # mode="clip" gathers straight into the buffer ("raise" would
             # buffer a copy); a permutation's indices are all in range
             mb = {k: np.take(v, chunk, axis=0, mode="clip",
-                             out=workspace.take(f"batch/{k}", (len(chunk), *v.shape[1:])))
+                             out=workspace.take(f"batch/{k}", (len(chunk), *v.shape[1:]),
+                                                v.dtype))
                   for k, v in batch.items()}
             a = mb["advantages"]             # (a - a.mean()) / (a.std() + 1e-8)
             a_mean, a_std = a.mean(), a.std()
@@ -874,12 +910,15 @@ def _stack_bindings(steps: list) -> dict:
 
 def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
              program: RewardProgram, reward_scaling: float, unroll: int,
-             rng: np.random.Generator, workspace: Workspace):
+             rng: np.random.Generator, workspace: Workspace, dtype=np.float64):
+    """``unroll`` steps of every env, the policy run in ``dtype``: what the
+    update reads (obs, raw actions, log-probs) is kept in it, rewards, dones
+    and values in float64 for GAE."""
     T, N = unroll, envs.num_envs
     out = {
-        "obs": np.zeros((T, N, OBS_DIM)),
-        "raw_actions": np.zeros((T, N, ACTION_DIM)),
-        "logp": np.zeros((T, N)),
+        "obs": np.zeros((T, N, OBS_DIM), dtype),
+        "raw_actions": np.zeros((T, N, ACTION_DIM), dtype),
+        "logp": np.zeros((T, N), dtype),
         "rewards": np.zeros((T, N)),
         "dones": np.zeros((T, N)),
         "values": np.zeros((T + 1, N)),
@@ -887,7 +926,8 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
     block = max(1, REWARD_ROWS // N)
     pending = []
     for t in range(T):
-        norm_obs = obs_norm.normalize(obs) if obs_norm is not None else obs
+        norm_obs = (obs_norm.normalize(obs) if obs_norm is not None
+                    else obs).astype(dtype, copy=False)
         raw, squashed, logp = policy.act(norm_obs, rng, workspace)
         out["obs"][t] = norm_obs
         out["raw_actions"][t] = raw
@@ -906,16 +946,17 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
         final_norm = obs_norm.normalize(obs)
     else:
         final_norm = obs
-    out["values"][T] = policy.value(final_norm, workspace)
+    out["values"][T] = policy.value(final_norm.astype(dtype, copy=False), workspace)
     return out, obs
 
 
-def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program,
-              seed: int, episodes: int, max_steps: int, workspace: Workspace) -> dict:
-    """Deterministic-policy rollouts, one env per episode slot; per-term
-    metrics are mean episode sums of each term's contribution. Each step's
-    alive mask is kept until its reward block is evaluated, and contributions
-    are added in step order."""
+def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program, seed: int,
+              episodes: int, max_steps: int, workspace: Workspace,
+              dtype=np.float64) -> dict:
+    """Deterministic-policy rollouts, one env per episode slot, the policy
+    run in ``dtype``; per-term metrics are mean episode sums of each term's
+    contribution. Each step's alive mask is kept until its reward block is
+    evaluated, and contributions are added in step order."""
     envs = VecEnv(env_cfg, episodes, base_seed=seed + 7777, randomize_rules=rules,
                   episode_length=max_steps, binding_keys=program.required_variables)
     alive = np.ones(episodes, dtype=bool)
@@ -927,7 +968,7 @@ def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program,
     obs = envs.observe()
     for step in range(max_steps):
         norm_obs = obs_norm.normalize(obs) if obs_norm is not None else obs
-        action = policy.act_deterministic(norm_obs, workspace)
+        action = policy.act_deterministic(norm_obs.astype(dtype, copy=False), workspace)
         obs, bindings, finished = envs.step(action)
         pending.append(bindings)
         masks.append(alive)

@@ -473,8 +473,11 @@ def tiny_stage(**trainer_keys):
     return dataclasses.replace(stage, config_doc=config)
 
 
-def train_tiny(out_dir, **trainer_keys):
-    return train_stage(tiny_stage(**trainer_keys), out_dir,
+def train_tiny(out_dir, paper_scale=False, **trainer_keys):
+    """The tiny stage, trained with two 10-step evaluation episodes; the
+    desk config's sizes are the desk profile's, so under ``paper_scale``
+    only the compute dtype differs."""
+    return train_stage(tiny_stage(**trainer_keys), out_dir, paper_scale=paper_scale,
                        eval_episodes=2, eval_max_steps=10)
 
 
@@ -584,6 +587,86 @@ class TestTrainStage:
         assert not out.exists()
 
 
+# -- the float32 path --------------------------------------------------------------
+
+class TestFloat32Path:
+    """Paper-scale stages compute in float32 over float64 master weights."""
+
+    def test_loss_and_gradients_match_float64_within_float32_rounding(self, rng):
+        policy = Policy([64, 64], [64, 64], seed=0)
+        batch = small_batch(policy, rng, n=512)
+        loss64, grads64, _ = ppo_loss(policy, batch, 0.2, entropy_cost=1e-3)
+        batch32 = {k: v.astype(np.float32) for k, v in batch.items()}
+        loss32, grads32, _ = ppo_loss(policy, batch32, 0.2, entropy_cost=1e-3)
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        assert grads32.keys() == grads64.keys()
+        for name, g in grads64.items():
+            assert grads32[name].dtype == np.float32, name
+            np.testing.assert_allclose(grads32[name], g, rtol=1e-3,
+                                       atol=1e-5 * np.abs(g).max(), err_msg=name)
+
+    @pytest.mark.parametrize("paper_scale,dtype", [(False, np.float64), (True, np.float32)])
+    def test_every_row_buffer_is_in_the_stages_dtype(self, tmp_path, monkeypatch,
+                                                      paper_scale, dtype):
+        made = []
+
+        class Recorded(Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(trainer, "Workspace", Recorded)
+        train_tiny(tmp_path, paper_scale=paper_scale)
+        workspace, = made
+        assert ({name: b.dtype for name, b in workspace._bufs.items() if b.dtype != bool}
+                == dict.fromkeys(workspace._bufs.keys() - {"unclipped_active"},
+                                 np.dtype(dtype)))
+
+    def test_the_first_minibatch_ratio_is_one(self, tmp_path, monkeypatch):
+        """Collection's log-probs and the first loss's agree: the same
+        float32 weights, observations and actions."""
+        ratios = []
+        real = trainer.ppo_loss
+
+        def spy(policy, batch, *args, workspace, **kwargs):
+            out = real(policy, batch, *args, workspace=workspace, **kwargs)
+            if not ratios:  # ppo_loss computes the ratio over its new_logp buffer
+                n = len(batch["obs"])
+                ratios.append(workspace.take("new_logp", (n,), np.float32).copy())
+            return out
+
+        monkeypatch.setattr(trainer, "ppo_loss", spy)
+        train_tiny(tmp_path, paper_scale=True)
+        ratio, = ratios
+        assert ratio.shape == (320,)
+        assert np.abs(ratio - 1.0).max() < 1e-4
+
+    def test_two_paper_scale_stages_give_the_same_bytes(self, tmp_path):
+        for run in ("a", "b", "desk"):
+            train_tiny(tmp_path / run, paper_scale=run != "desk")
+        for name in ("metrics.jsonl", "checkpoint.bin"):
+            a, b, desk = ((tmp_path / run / name).read_bytes() for run in ("a", "b", "desk"))
+            assert a == b, name
+            assert a != desk, name  # float32 differs from the desk stage's float64
+
+    def test_a_paper_scale_checkpoint_is_float64_and_restores_into_a_desk_stage(
+            self, tmp_path):
+        paper = train_tiny(tmp_path / "paper", paper_scale=True).checkpoint_path
+        ckpt = load_checkpoint(paper)
+        assert {a.dtype for a in ckpt.arrays.values()} == {np.dtype(np.float64)}
+        # the master weights are not float32 values stored as float64
+        w = ckpt.arrays["params/policy/W0"]
+        assert (w.astype(np.float32).astype(np.float64) != w).any()
+        result = train_stage(tiny_stage(), tmp_path / "desk", checkpoint_in=paper,
+                             eval_episodes=2, eval_max_steps=10)
+        assert load_checkpoint(result.checkpoint_path).step_count == TINY_STEPS
+
+    def test_a_blown_up_paper_scale_stage_is_a_non_finite_loss(self, tmp_path):
+        with pytest.raises(TrainerError) as e:
+            train_tiny(tmp_path, paper_scale=True, learning_rate=1e12)
+        assert e.value.code == "NON_FINITE_LOSS"
+
+
 # -- the BLAS job pool ------------------------------------------------------------
 
 @pytest.fixture
@@ -603,22 +686,34 @@ def pool_calls() -> int:
     return 0 if blaspool._pool is None else blaspool._pool.calls
 
 
+def wide_update(dtype=np.float64):
+    """Parameter bytes and loss parts after one update on a 20,480-row
+    minibatch, the size a 4096-env stage trains on, in ``dtype``."""
+    policy = Policy([64, 64], [64, 64], seed=0)
+    batch = small_batch(policy, np.random.default_rng(1), n=20_480)
+    batch = {k: v.astype(dtype) for k, v in batch.items()}
+    parts = trainer.ppo_update(policy, Adam(policy.params, lr=3e-4), batch,
+                               np.random.default_rng(2), 1, 1, 0.2, 1e-3, Workspace())
+    return {k: v.tobytes() for k, v in policy.params.items()}, parts
+
+
+def pooled_and_native(update):
+    """``update()`` run as BLAS runs it, then on the job pool."""
+    native = update()
+    before = pool_calls()
+    with blaspool.jobs_on_pool():
+        pooled = update()
+    assert pool_calls() > before
+    return pooled, native
+
+
 class TestJobPool:
     def test_a_wide_update_keeps_its_bytes(self, pool_threads):
-        """One 20,480-row minibatch, the size a 4096-env stage trains on."""
-        def update():
-            policy = Policy([64, 64], [64, 64], seed=0)
-            batch = small_batch(policy, np.random.default_rng(1), n=20_480)
-            parts = trainer.ppo_update(policy, Adam(policy.params, lr=3e-4), batch,
-                                       np.random.default_rng(2), 1, 1, 0.2, 1e-3,
-                                       Workspace())
-            return {k: v.tobytes() for k, v in policy.params.items()}, parts
+        pooled, native = pooled_and_native(wide_update)
+        assert pooled == native
 
-        native = update()
-        before = pool_calls()
-        with blaspool.jobs_on_pool():
-            pooled = update()
-        assert pool_calls() > before
+    def test_a_wide_float32_update_keeps_its_bytes(self, pool_threads):
+        pooled, native = pooled_and_native(lambda: wide_update(np.float32))
         assert pooled == native
 
     def test_a_multi_thread_stage_keeps_its_bytes(self, tmp_path, monkeypatch, pool_threads):

@@ -11,7 +11,9 @@ process at the config's seed, and prints:
   ``train_stage``);
 - ``construct_s``: the wall seconds of one ``VecEnv`` construction at the
   stage's width, seed, environment config and randomization rules, taken
-  before the stage (ROADMAP item 8 sets it under 0.2 s at 4096 envs).
+  before the stage (ROADMAP item 8 sets it under 0.2 s at 4096 envs);
+- ``compute_dtype``: the dtype the stage computes in. Every probe trains as
+  a paper-scale stage, so this is float32 (``trainer`` docstring).
 
 Each run is one process, so every figure is a first stage's: no buffer of an
 earlier stage is warm. By default the stage runs under the desk profile
@@ -45,6 +47,7 @@ from stageflow.env import VecEnv
 
 TUNE = Path(__file__).resolve().parents[1] / "src" / "stageflow" / "data" / "bundles" / "tune"
 TINY_ENVS = 256
+PAPER_SCALE = True  # how every probe trains (the stage is sized beforehand)
 
 
 def tune_stage(envs: int | None, paper_scale: bool):
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
         w0 = time.perf_counter()
         # the config is already sized; train_stage's desk profile would cap
         # num_envs at 64
-        result = trainer.train_stage(stage, tmp, paper_scale=True)
+        result = trainer.train_stage(stage, tmp, paper_scale=PAPER_SCALE)
         wall = time.perf_counter() - w0
         r1 = resource.getrusage(resource.RUSAGE_SELF)
 
@@ -104,11 +107,12 @@ def main(argv=None) -> int:
         "cpu_s": round(r1.ru_utime - r0.ru_utime + r1.ru_stime - r0.ru_stime, 3),
         "sys_s": round(r1.ru_stime - r0.ru_stime, 3),
         "construct_s": round(construct_s, 3),
+        "compute_dtype": trainer.compute_dtype(PAPER_SCALE).name,
         "eval_reward": result.last_eval["eval/episode_reward"],
     }
     print(f"tune stage 1, {record['num_envs']} envs, "
-          f"{'paper scale' if args.paper_scale else 'desk nets'}, seed {record['seed']}: "
-          f"{record['env_steps']:,} env steps")
+          f"{'paper scale' if args.paper_scale else 'desk nets'}, seed {record['seed']}, "
+          f"{record['compute_dtype']}: {record['env_steps']:,} env steps")
     print(f"peak RSS {record['peak_rss_mb']} MB, {record['minor_faults']:,} minor faults, "
           f"wall {record['wall_s']} s, CPU {record['cpu_s']} s (system {record['sys_s']} s)")
     print(f"VecEnv construction before the stage: {record['construct_s']} s")
