@@ -40,8 +40,8 @@ under ``paper_scale``, as GPU PPO frameworks train, and float64 otherwise.
 In that dtype are the rollout arrays the update reads (observations, raw
 actions, log-probs, and the advantages and returns cast from GAE), the
 minibatch gathers and every workspace buffer: every forward and backward of
-the rollout, the update and evaluation runs in it (at 4096 envs, about 40%
-fewer CPU seconds a stage: ``BENCH_19.json``). ``mlp_forward`` and
+the rollout, the update and evaluation runs in it (a 4096-env stage on the
+desk nets took 36% fewer CPU seconds: ``BENCH_19.json``). ``mlp_forward`` and
 ``mlp_backward`` run in their input's dtype and cast each weight and bias
 to it, as ``ppo_loss`` and ``Policy._logp`` cast ``log_std``; at float64 the
 casts are no-ops. ``Policy.act`` draws its noise in float64 and casts the

@@ -618,9 +618,8 @@ class TestFloat32Path:
         monkeypatch.setattr(trainer, "Workspace", Recorded)
         train_tiny(tmp_path, paper_scale=paper_scale)
         workspace, = made
-        assert ({name: b.dtype for name, b in workspace._bufs.items() if b.dtype != bool}
-                == dict.fromkeys(workspace._bufs.keys() - {"unclipped_active"},
-                                 np.dtype(dtype)))
+        assert {b.dtype for name, b in workspace._bufs.items()
+                if name != "unclipped_active"} == {np.dtype(dtype)}
 
     def test_the_first_minibatch_ratio_is_one(self, tmp_path, monkeypatch):
         """Collection's log-probs and the first loss's agree: the same
