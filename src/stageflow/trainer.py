@@ -806,7 +806,9 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
 
     # each phase runs on the BLAS threads its own rows earn (module
     # docstring): the rollout's envs, the largest of array_split's
-    # minibatches (ceil(steps / minibatches) rows), the evaluation's episodes
+    # minibatches (ceil(steps / minibatches) rows), the evaluation's
+    # episodes. The stage's scope keeps every thread, on the pool, when any
+    # phase does; a one-thread phase inside it drops to one for its call
     nets = (policy.policy_sizes, policy.value_sizes)
     phases = [_stage_blas_threads(rows, nets) for rows in
               (num_envs, math.ceil(steps_per_iter / num_minibatches), eval_episodes)]
