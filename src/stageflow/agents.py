@@ -263,7 +263,8 @@ def request_digest(role: str, prompt: str) -> str:
 
 
 class ScriptedTransport:
-    """Returns queued responses in order; used by tests."""
+    """Returns queued responses in order; used by tests and to record the
+    shipped replay fixtures (``tools/make_fixtures.py``)."""
 
     def __init__(self, responses):
         self.responses = list(responses)

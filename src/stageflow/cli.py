@@ -74,11 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     sp.add_argument("--paper-scale", action="store_true", help=PAPER_SCALE_HELP)
 
-    sp = sub.add_parser("score", help="score a recorded binding trace")
-    sp.add_argument("--trace", required=True)
-    sp.add_argument("--horizon", type=_int_at_least(1, "horizon"),
-                    help="steps an episode could last (default: the trace's length)")
-
     vp = sub.add_parser("vdb", help="vector store operations")
     vsub = vp.add_subparsers(dest="vdb_command", required=True)
     sp = vsub.add_parser("add", help="store a finished run directory")
@@ -189,15 +184,6 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_score(args) -> int:
-    from .scoring import batch_from_trace, score_triple
-
-    batch = batch_from_trace(_resolve(args.workdir, args.trace), args.horizon)
-    triple = score_triple(batch)
-    _emit(args, triple.to_dict(), triple.to_json())
-    return EXIT_OK
-
-
 def _cmd_vdb_add(args) -> int:
     from .vdb import VectorStore, run_artifact
 
@@ -255,7 +241,6 @@ def main(argv=None) -> int:
         "validate": _cmd_validate,
         "run": _cmd_run,
         "train": _cmd_train,
-        "score": _cmd_score,
         "mutate": _cmd_mutate,
     }
     try:

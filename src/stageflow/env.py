@@ -10,29 +10,18 @@ training, periodic evaluation and final scoring run them. Each step builds
 only the binding keys its caller asked for. ``DeskWalker`` is the ``VecEnv``
 final scoring steps, one row per episode, each row seeded as if it ran
 alone; it has no dynamics of its own.
-
-``write_trace``/``read_trace`` store a run of binding maps as JSON-lines, one
-step per line::
-
-    {"step": 0, "bindings": {"<key>": {"shape": [3], "kind": "numeric",
-                                       "data": [0.1, 0.2, 0.0]}, ...}}
-
-``data`` is the value flattened in C order, ``kind`` is ``numeric`` or
-``boolean`` (data 0 or 1), and a value has at most ``MAX_RANK`` axes.
 """
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from . import randomize
 from .errors import EnvError
 from .randomize import desk_scene
-from .reward import MAX_RANK, BatchValue
+from .reward import BatchValue
 
 DT = 0.02          # 50 Hz control
 NUM_JOINTS = 8
@@ -109,64 +98,6 @@ _BINDINGS = {
     "max_foot_height": ("numeric", lambda s: s.w.max_foot_height.copy()),
 }
 BINDING_KEYS = tuple(_BINDINGS)
-
-
-# -- trace record / replay ----------------------------------------------------
-
-def _value_to_json(v: BatchValue) -> dict:
-    return {"shape": list(v.arr.shape), "kind": v.kind, "data": v.arr.ravel().tolist()}
-
-
-def _value_from_json(obj, where: str) -> BatchValue:
-    try:
-        arr = np.array(obj["data"], dtype=np.float64).reshape(obj["shape"])
-        kind = obj.get("kind", "numeric")
-    except (AttributeError, KeyError, TypeError, ValueError):
-        raise EnvError("TRACE_FORMAT_ERROR", f"{where}: malformed value")
-    if arr.ndim > MAX_RANK:
-        raise EnvError("TRACE_FORMAT_ERROR", f"{where}: rank {arr.ndim} exceeds {MAX_RANK}")
-    if kind == "boolean":
-        if ((arr != 0.0) & (arr != 1.0)).any():
-            raise EnvError("TRACE_FORMAT_ERROR", f"{where}: boolean data outside {{0, 1}}")
-    elif kind != "numeric":
-        raise EnvError("TRACE_FORMAT_ERROR", f"{where}: unknown kind {kind!r}")
-    return BatchValue(arr, kind, batched=False)
-
-
-def write_trace(path, binding_steps) -> None:
-    """Write one unbatched binding map per line."""
-    with open(path, "w") as f:
-        for step, bindings in enumerate(binding_steps):
-            rec = {"step": step,
-                   "bindings": {k: _value_to_json(v) for k, v in bindings.items()}}
-            f.write(json.dumps(rec) + "\n")
-
-
-def read_trace(path, required=None) -> list[dict]:
-    """One name -> unbatched BatchValue map per step. ``required`` maps the
-    keys every step must hold to their shape. A defect anywhere raises
-    ``TRACE_FORMAT_ERROR`` naming the file and line."""
-    path = Path(path)
-    if not path.is_file():
-        raise EnvError("TRACE_FORMAT_ERROR", f"no such trace file: {path}")
-    steps = []
-    # undecodable bytes fail the record's JSON parse, naming its line
-    for lineno, line in enumerate(path.read_text(errors="replace").splitlines(), 1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            items = json.loads(line)["bindings"].items()
-        except (json.JSONDecodeError, AttributeError, KeyError, TypeError):
-            raise EnvError("TRACE_FORMAT_ERROR", f"{where}: malformed trace record")
-        bindings = {k: _value_from_json(v, f"{where}: binding {k!r}") for k, v in items}
-        for key, shape in (required or {}).items():
-            found = bindings[key].arr.shape if key in bindings else "none"
-            if found != shape:
-                raise EnvError("TRACE_FORMAT_ERROR", f"{where}: binding {key!r}: "
-                                                     f"expected shape {shape}, found {found}")
-        steps.append(bindings)
-    return steps
 
 
 def _scaled(lo, hi, u: np.ndarray) -> np.ndarray:

@@ -43,10 +43,6 @@ class TrainerError(StageflowError):
     pass
 
 
-class ScoreError(StageflowError):
-    pass
-
-
 class StoreError(StageflowError):
     pass
 

@@ -26,7 +26,6 @@ from .agents import (AgentLog, GeneratedFileBlock, invoke_with_retry,
                      parse_selector_json, render)
 from .env import DeskWalker
 from .errors import AgentError, BundleError, StageflowError, StoreError
-from .reward import BatchValue
 from .schema import (STAGE_ROLES, CurriculumBundle, PromotionCriterion,
                      StageBundle, build_stage, parse_bundle, parse_workflow,
                      validate)
@@ -160,6 +159,9 @@ def _apply_overrides(config_doc: dict, overrides: dict) -> dict:
         *parents, leaf = dotted.split(".")
         for p in parents:
             node = node.setdefault(p, {})
+            if not isinstance(node, dict):
+                raise StageflowError("PARSE_ERROR", f"override {dotted!r}: {p!r} "
+                                                    f"holds {node!r}, not a mapping")
         node[leaf] = value
     return doc
 
@@ -272,10 +274,7 @@ def final_scores(checkpoint_path, stage: StageBundle, seed: int = 7,
         steps.append(bindings)
         lengths += alive
         alive &= ~done
-    eps = [scoring.episode_from_bindings(
-        [{k: BatchValue(v.arr[e], v.kind, batched=False) for k, v in b.items()}
-         for b in steps[:n]]) for e, n in enumerate(lengths)]
-    return scoring.score_triple(scoring.EvalBatch(episodes=eps, horizon=horizon))
+    return scoring.score_triple(steps, lengths, horizon)
 
 
 # -- stage loop ----------------------------------------------------------------

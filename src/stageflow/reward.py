@@ -14,11 +14,11 @@ is rejected at compile time.
 Every value of the language is a :class:`BatchValue`: a float64 array of at
 most ``MAX_RANK`` axes per env, tagged numeric or boolean (booleans are 0.0 or
 1.0, so masks multiply directly), with a leading env axis when ``batched``.
-Env bindings (``VecEnv``, ``DeskWalker``) are batched; literals and trace
-steps are not. Operations broadcast over the per-env axes, aligned from the
-last one, and never across envs. Slices clip like Python's; an integer index
-out of range, division by zero and a result above ``MAX_RANK`` axes are
-errors. A term reduces to one float per env.
+Env bindings (``VecEnv``, ``DeskWalker``) are batched; literals are not.
+Operations broadcast over the per-env axes, aligned from the last one, and
+never across envs. Slices clip like Python's; an integer index out of range,
+division by zero and a result above ``MAX_RANK`` axes are errors. A term
+reduces to one float per env.
 
 Since no operation combines rows, a row need not be one env at one step:
 the trainer's rollouts join several steps' bindings along the env axis and

@@ -12,13 +12,12 @@ def rng():
 
 
 def env_value(data, kind="numeric") -> BatchValue:
-    """One env's value, without an env axis, as trace steps carry it."""
+    """One env's value, without an env axis."""
     return BatchValue(data, kind, batched=False)
 
 
 def walker_row(bindings: dict, row: int = 0) -> dict:
-    """One row of a step's batched bindings, unbatched, as a one-env trace
-    step carries it."""
+    """One row of a step's batched bindings, unbatched."""
     return {k: env_value(v.arr[row], v.kind) for k, v in bindings.items()}
 
 

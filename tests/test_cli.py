@@ -1,21 +1,17 @@
 """The command line: exit codes, and the commands the pipeline replay does
-not run (train, score, vdb add)."""
+not run (train, vdb add)."""
 
 import json
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from stageflow import trainer
 from stageflow.cli import main
-from stageflow.env import ACTION_DIM, DeskWalker, write_trace
-from stageflow.errors import ScoreError
-from stageflow.scoring import batch_from_trace
 from stageflow.vdb import VectorStore
 
-from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts, walker_row
+from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts
 
 
 def _cli(capsys, *argv):
@@ -66,7 +62,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [[], ["validate"], ["frobnicate"],
                                       ["train", "--workflow", "w.yaml"],
-                                      ["mutate", "--bundle", str(DESK), "--out", "x"]])
+                                      ["mutate", "--bundle", str(DESK), "--out", "x"],
+                                      ["score", "--trace", "trace.jsonl"]])
     def test_usage_error(self, capsys, argv):
         assert main(argv) == 2
 
@@ -81,12 +78,10 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv,message", [
-        (["score", "--trace", "trace.jsonl", "--horizon", "0"], "horizon must be an integer >= 1"),
-        (["score", "--trace", "trace.jsonl", "--horizon", "-5"], "horizon must be an integer >= 1"),
         (["vdb", "query", "walk", "-k", "0", "--vdb", "vdb"], "k must be an integer >= 1"),
         (["vdb", "query", "walk", "-k", "-1", "--vdb", "vdb"], "k must be an integer >= 1"),
         (["vdb", "query", "walk", "-k", "two", "--vdb", "vdb"], "k must be an integer >= 1")],
-        ids=["horizon 0", "horizon -5", "k 0", "k -1", "k two"])
+        ids=["k 0", "k -1", "k two"])
     def test_a_count_below_one_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
                                                 argv, message):
         monkeypatch.chdir(tmp_path)
@@ -108,6 +103,22 @@ class TestExitCodes:
                          "--transport", "live")
         assert code == 3
         assert out.err.startswith("error MISSING_CONFIG: ")
+
+
+class TestRunOverrides:
+    @pytest.mark.parametrize("override", ["trainer.seed.x=1", "trainer.seed.x.y=1"])
+    def test_an_override_through_a_non_mapping_is_a_parse_error(self, capsys, tmp_path,
+                                                                 override):
+        fixtures = DATA / "fixtures" / "walker2"
+        code, out = _cli(capsys, "run", "--prompt", fixtures / "prompt.txt",
+                         "--vdb", tmp_path / "vdb", "--out", tmp_path / "out",
+                         "--fixtures", fixtures, "--override", override)
+        assert code == 3, out.err
+        run = json.loads(out.out)
+        assert (run["status"], run["failure_stage"]) == ("failed", "generation")
+        key = override.split("=")[0]
+        assert run["failure_reason"].startswith(
+            f"[PARSE_ERROR] override {key!r}: 'seed' holds 7, not a mapping")
 
 
 class TestValidate:
@@ -198,82 +209,6 @@ class TestTrain:
         for i in (1, 2):
             assert (out / f"stage{i}" / "checkpoint.bin").is_file()
             assert len((out / f"stage{i}" / "metrics.jsonl").read_text().splitlines()) == 1
-
-
-def _binding(value, kind="numeric"):
-    arr = np.asarray(value, dtype=np.float64)
-    return {"shape": list(arr.shape), "kind": kind, "data": arr.ravel().tolist()}
-
-
-# what ``stageflow score`` reads of each trace step
-SCORED = {"command": [0.3, 0.1, 0.0], "local_vel": [0.2, 0.1, 0.0],
-          "feet_air_time": [0.0, 0.1], "foot_contact": [1.0, 0.0], "command_norm": 0.32}
-
-
-def _record():
-    return {"step": 0, "bindings": {
-        k: _binding(v, "boolean" if k == "foot_contact" else "numeric")
-        for k, v in SCORED.items()}}
-
-
-class TestScore:
-    def test_scores_a_written_trace(self, capsys, tmp_path):
-        env = DeskWalker(
-            {"command_lin_vel_x_range": [-0.5, 0.5], "command_lin_vel_y_range": [-0.3, 0.3],
-             "command_ang_vel_yaw_range": [-0.5, 0.5]}, seed=3)
-        act = np.random.default_rng(0)
-        steps = [walker_row(env.step(act.uniform(-1, 1, (1, ACTION_DIM)))[1])
-                 for _ in range(40)]
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, steps)
-        code, out = _cli(capsys, "score", "--trace", path, "--horizon", 50)
-        assert code == 0, out.err
-        got = json.loads(out.out)
-
-        def arr(b, key):
-            return b[key].arr
-
-        track = air = 0.0
-        for b in steps:
-            err = arr(b, "command")[:2] - arr(b, "local_vel")[:2]
-            track += np.exp(-(err @ err) / (2 * 0.1 ** 2))
-            at, contact = arr(b, "feet_air_time"), arr(b, "foot_contact")
-            i = int(np.argmax(at))
-            air += (float(arr(b, "command_norm")) > 0.05) * (at[i] - 0.2) * (1 - contact[i])
-        assert got["survival_score"] == pytest.approx(40 / 50)
-        assert got["lin_vel_tracking_score"] == pytest.approx(track / 50)
-        assert got["feet_air_time_score"] == pytest.approx(air / 40)
-
-
-    @pytest.mark.parametrize("change,key", [
-        (lambda b: b.pop("local_vel"), "local_vel"),
-        (lambda b: b.update({k: _binding([0.5]) for k in SCORED}), "command"),
-        (lambda b: b.update(extra=_binding(np.zeros((1, 1, 1, 1)))), "extra"),
-        (lambda b: b.update(foot_contact=_binding([1.0, 0.5], "boolean")), "foot_contact"),
-    ], ids=["binding missing", "bindings 1-wide", "rank above 3", "boolean not 0 or 1"])
-    def test_a_malformed_record_is_a_format_error(self, capsys, tmp_path, change, key):
-        bad = _record()
-        change(bad["bindings"])
-        path = tmp_path / "trace.jsonl"
-        path.write_text("".join(json.dumps(r) + "\n" for r in (_record(), bad, _record())))
-        code, out = _cli(capsys, "score", "--trace", path)
-        assert code == 3
-        assert out.err.startswith(f"error TRACE_FORMAT_ERROR: {path}:2: binding {key!r}")
-
-    def test_a_zero_horizon_is_not_the_trace_length(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text("".join(json.dumps(_record()) + "\n" for _ in range(3)))
-        assert batch_from_trace(path).horizon == 3
-        with pytest.raises(ScoreError) as e:
-            batch_from_trace(path, horizon=0)
-        assert e.value.code == "BAD_EPISODE"
-
-    def test_undecodable_bytes_are_a_format_error(self, capsys, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_bytes(json.dumps(_record()).encode() + b"\n\xff\xfe\n")
-        code, out = _cli(capsys, "score", "--trace", path)
-        assert code == 3
-        assert out.err.startswith(f"error TRACE_FORMAT_ERROR: {path}:2: ")
 
 
 class TestVdbAdd:

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from stageflow.env import (ACTION_DIM, BINDING_KEYS, OBS_DIM, DeskWalker,
-                           VecEnv, read_trace, write_trace)
+from stageflow.env import ACTION_DIM, BINDING_KEYS, OBS_DIM, DeskWalker, VecEnv
 from stageflow.reward import compile_program, eval_total_batch
 from stageflow.schema import parse_bundle
 
@@ -170,20 +169,3 @@ class TestVecEnv:
         assert finished.all()
         assert obs.shape == (2, OBS_DIM)
 
-
-class TestTrace:
-    def test_round_trip(self, tmp_path):
-        env = DeskWalker(CALM, seed=2)
-        steps = []
-        for _ in range(10):
-            action = np.random.default_rng(0).uniform(-1, 1, (1, ACTION_DIM))
-            steps.append(walker_row(env.step(action)[1]))
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, steps)
-        back = read_trace(path)
-        assert len(back) == len(steps)
-        for a, b in zip(steps, back):
-            assert set(a) == set(b)
-            for k in a:
-                assert (a[k].kind, a[k].batched) == (b[k].kind, b[k].batched), k
-                assert np.array_equal(a[k].arr, b[k].arr), k

@@ -2,15 +2,12 @@
 elementwise ops, indexing, reductions and select, on one env's values
 (no env axis) and on stacked rows, where the env axis is kept apart."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stageflow.env import read_trace
-from stageflow.errors import EnvError, TensorError
+from stageflow.errors import TensorError
 from stageflow.expr import parse_expression
 from stageflow.reward import (MAX_RANK, BatchValue, broadcast_shape,
                               compile_term, eval_term_batch, evaluate)
@@ -39,15 +36,8 @@ class TestConstruction:
             ev("x + 1", x=BatchValue(np.zeros((5, 2, 2, 2, 2))))
         assert e.value.code == "SHAPE_MISMATCH"
 
-    def test_boolean_values_checked(self, tmp_path):
+    def test_boolean_values_checked(self):
         assert (ev("True").kind, ev("True").arr.tolist()) == ("boolean", 1.0)
-        # booleans read from a trace must be 0 or 1
-        path = tmp_path / "trace.jsonl"
-        path.write_text(json.dumps({"step": 0, "bindings": {
-            "c": {"shape": [2], "kind": "boolean", "data": [0.0, 0.5]}}}) + "\n")
-        with pytest.raises(EnvError) as e:
-            read_trace(path)
-        assert e.value.code == "TRACE_FORMAT_ERROR"
 
 
 class TestBroadcastShape:

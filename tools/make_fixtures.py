@@ -22,7 +22,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stageflow.agents import GeneratedFileBlock, RecordingTransport, serialize_file_blocks
+from stageflow.agents import (GeneratedFileBlock, RecordingTransport, ScriptedTransport,
+                              serialize_file_blocks)
 from stageflow.orchestrator import run_pipeline, seed_examples
 from stageflow.vdb import VectorStore
 
@@ -69,7 +70,9 @@ def _trim_trainer(cfg_text: str) -> str:
     return out.replace("num_evals: 5", "num_evals: 3")
 
 
-def authored_responses() -> dict:
+def authored_responses() -> list:
+    """The authored answers in the order a cold run asks for them: the
+    curriculum, each stage's files, then the feedback between the stages."""
     desk = Path(__file__).resolve().parents[1] / "src/stageflow/data/bundles/desk"
     ex = seed_examples()
     workflow = ex["workflow"]
@@ -98,27 +101,13 @@ def authored_responses() -> dict:
                            "../prompts/tmp/generated_stage2_details.txt",
                            STAGE2_DETAILS),
     ])
-    return {
-        "curriculum": [curriculum],
-        "per_stage": stage_blocks,
-        "feedback": [FEEDBACK_RESPONSE],
-    }
-
-
-class AuthorTransport:
-    """Serves the authored responses per role, in call order."""
-
-    def __init__(self, responses: dict):
-        self.responses = {role: list(items) for role, items in responses.items()}
-
-    def send(self, role: str, prompt: str) -> str:
-        return self.responses[role].pop(0)
+    return [curriculum, *stage_blocks, FEEDBACK_RESPONSE]
 
 
 def main() -> int:
     if FIXTURE_DIR.exists():
         shutil.rmtree(FIXTURE_DIR)
-    transport = RecordingTransport(AuthorTransport(authored_responses()), FIXTURE_DIR)
+    transport = RecordingTransport(ScriptedTransport(authored_responses()), FIXTURE_DIR)
     with tempfile.TemporaryDirectory() as td:
         vdb = VectorStore(Path(td) / "vdb")
         run = run_pipeline(TASK_PROMPT, vdb, transport, Path(td) / "runs", seed=7)
