@@ -22,6 +22,7 @@ from . import randomize
 from .errors import EnvError
 from .randomize import desk_scene
 from .reward import BatchValue
+from .schema import section_config
 
 DT = 0.02          # 50 Hz control
 NUM_JOINTS = 8
@@ -109,7 +110,9 @@ def _scaled(lo, hi, u: np.ndarray) -> np.ndarray:
 
 class VecEnv:
     """N walkers, each with its own randomized scene, stepped in lockstep.
-    Environments auto-reset on done or truncation.
+    Environments auto-reset on done or truncation. ``cfg`` is the record of
+    ``env_config``, a possibly partial environment section, by
+    ``schema.section_config`` (which raises as ``EnvError``).
 
     All physics state carries a leading env axis and steps in a handful of
     numpy ops; bindings come back as stacked BatchValue arrays for the batched
@@ -135,10 +138,10 @@ class VecEnv:
     pins a noisy, kicked 64-env rollout byte for byte.
     """
 
-    def __init__(self, env_config: dict, num_envs: int, base_seed: int = 0,
+    def __init__(self, env_config, num_envs: int, base_seed: int = 0,
                  randomize_rules: dict | None = None,
                  episode_length: int = 1000, binding_keys=BINDING_KEYS):
-        self.cfg = cfg = env_config
+        self.cfg = cfg = section_config("environment", env_config, EnvError)
         self.n = num_envs
         self.episode_length = episode_length
         wanted = set(binding_keys)
@@ -155,22 +158,15 @@ class VecEnv:
         # Reset draws, one double each: gait frequency, foot height,
         # [joint offsets, phase,] stand coin; then the command unless the
         # env stands.
-        gait = cfg.get("gait_frequency", [2.0, 2.0])
-        foot = cfg.get("foot_height_range", [0.03, 0.05])
-        self._init_rand = bool(cfg.get("init_rand", False))
-        lo, hi = [gait[0], foot[0]], [gait[1], foot[1]]
-        if self._init_rand:
+        lo, hi = map(list, zip(cfg.gait_frequency, cfg.foot_height_range))
+        if cfg.init_rand:
             lo += [-0.1] * NUM_JOINTS + [0.0]
             hi += [0.1] * NUM_JOINTS + [2.0 * np.pi]
         self._reset_bounds = (np.array(lo + [0.0], dtype=np.float64),
                               np.array(hi + [1.0], dtype=np.float64))
-        cmd = [cfg.get(key, [0.0, 0.0]) for key in
-               ("command_lin_vel_x_range", "command_lin_vel_y_range",
-                "command_ang_vel_yaw_range")]
-        self._cmd_bounds = (np.array([c[0] for c in cmd], dtype=np.float64),
-                            np.array([c[1] for c in cmd], dtype=np.float64))
-        self._stand_prob = float(cfg.get("command_stand_prob", 0.0))
-        self._max_foot_height = float(cfg.get("max_foot_height", foot[1]))
+        self._cmd_bounds = tuple(np.array(b, dtype=np.float64) for b in zip(
+            cfg.command_lin_vel_x_range, cfg.command_lin_vel_y_range,
+            cfg.command_ang_vel_yaw_range))
         self._noise = np.empty((num_envs, OBS_DIM))
 
         n = num_envs
@@ -211,7 +207,7 @@ class VecEnv:
             rng = self._rngs[i]
             rng.random(out=u[k])
             # the stand coin is uniform(0, 1), i.e. the raw double itself
-            if not u[k, -1] < self._stand_prob:
+            if not u[k, -1] < self.cfg.command_stand_prob:
                 moving[k] = True
                 rng.random(out=u_cmd[k])
         draws = _scaled(*self._reset_bounds, u)
@@ -225,8 +221,8 @@ class VecEnv:
         self.done[rows] = False
         self.gait_freq[rows] = draws[:, 0]
         self.foot_h[rows] = draws[:, 1]
-        self.max_foot_height[rows] = self._max_foot_height
-        if self._init_rand:
+        self.max_foot_height[rows] = self.cfg.max_foot_height
+        if self.cfg.init_rand:
             self.joints[rows] = DEFAULT_POSE + draws[:, 2:2 + NUM_JOINTS]
             self.phase[rows] = draws[:, 2 + NUM_JOINTS]
         else:
@@ -242,8 +238,8 @@ class VecEnv:
 
     def _kicks(self, key: str) -> None:
         cfg = self.cfg
-        interval = int(cfg.get(f"{key}_kick_interval", 0) or 0)
-        if interval < 1:
+        interval = getattr(cfg, f"{key}_kick_interval")
+        if interval < 1:  # the table's default: no kicks
             return
         rows = np.flatnonzero(self.t % interval == 0)
         if not rows.size:
@@ -251,8 +247,8 @@ class VecEnv:
         u = np.empty((rows.size, 2))  # (magnitude, direction) per kicked env
         for k, i in enumerate(rows):
             self._rngs[i].random(out=u[k])
-        lo = np.array([float(cfg.get(f"{key}_min_kick_vel", 0.0)), 0.0])
-        hi = np.array([float(cfg.get(f"{key}_max_kick_vel", 0.0)), 2.0 * np.pi])
+        lo = np.array([getattr(cfg, f"{key}_min_kick_vel"), 0.0])
+        hi = np.array([getattr(cfg, f"{key}_max_kick_vel"), 2.0 * np.pi])
         draws = _scaled(lo, hi, u)
         mag, theta = draws[:, 0:1], draws[:, 1]
         impulse = mag * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -321,7 +317,7 @@ class VecEnv:
             self.last_act,
             self.tilt,
         ], axis=1)
-        noise = float(self.cfg.get("obs_noise", 0.0))
+        noise = self.cfg.obs_noise
         if noise > 0.0:
             for rng, row in zip(self._rngs, self._noise):
                 rng.standard_normal(out=row)
@@ -342,7 +338,7 @@ class DeskWalker(VecEnv):
     time final scoring's steps as their own layer, ``env.desk_walker_step``.
     """
 
-    def __init__(self, env_config: dict, rules: dict | None = None, seed: int = 0,
+    def __init__(self, env_config, rules: dict | None = None, seed: int = 0,
                  episodes: int = 1, binding_keys=BINDING_KEYS):
         super().__init__(env_config, episodes, base_seed=seed, randomize_rules=rules,
                          episode_length=np.iinfo(np.int64).max, binding_keys=binding_keys)

@@ -26,7 +26,7 @@ from .agents import (AgentLog, GeneratedFileBlock, invoke_with_retry,
                      parse_selector_json, render)
 from .env import DeskWalker
 from .errors import AgentError, BundleError, StageflowError, StoreError
-from .schema import (STAGE_ROLES, CurriculumBundle, PromotionCriterion,
+from .schema import (KEYS, STAGE_ROLES, CurriculumBundle, PromotionCriterion,
                      StageBundle, build_stage, parse_bundle, parse_workflow,
                      validate)
 from .trainer import (Policy, RunningNorm, StageResult, load_checkpoint,
@@ -147,6 +147,15 @@ def _stage_findings(blocks) -> list:
     except StageflowError as e:
         return [f"[{e.code}] {e.message}"]
     return [f"[{f.code}] {f.path}: {f.message}" for f in report.errors]
+
+
+def _check_overrides(overrides: dict) -> None:
+    """Raise the config table's finding for the first override whose value
+    the table refuses; a path the table does not type is left to
+    validation."""
+    for dotted, value in (overrides or {}).items():
+        if dotted in KEYS and (problem := KEYS[dotted].problem(value)):
+            raise BundleError(problem[0], f"override {dotted!r}: {problem[1]}")
 
 
 def _apply_overrides(config_doc: dict, overrides: dict) -> dict:
@@ -387,8 +396,10 @@ def run_pipeline(task_prompt: str, vdb: VectorStore, transport, out_dir,
     log = AgentLog(run_dir / "agent_log.jsonl")
     run = CurriculumRun(run_id=run_id, task_prompt=task_prompt,
                         run_dir=str(run_dir))
-    phase = "generation"
+    phase = "validation"
     try:
+        _check_overrides(config_overrides)
+        phase = "generation"
         examples, evaluation = _retrieve(task_prompt, vdb, transport, log, run)
         wf_doc, descriptions = _generate_curriculum(
             task_prompt, examples, evaluation, transport, log)

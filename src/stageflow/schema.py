@@ -4,20 +4,38 @@ A bundle is a workflow YAML plus, per stage, a config / reward / randomize
 YAML. ``validate`` never stops at the first problem: it returns a report with
 every finding. ``mutate_corpus`` produces a labeled set of broken bundles used
 to exercise the validator.
+
+The config table. ``TABLE`` holds one row (a :class:`Key`) per config key,
+by section: its name, its kind (a finite float, an integer, a power of 2, a
+finite [lo, hi] pair, a layer list, a bool, a string; none for a key that
+is known but neither checked nor read), whether validation requires it, its
+default, the bounds ``within`` which a number must lie and the finding code
+for one outside them. Defaults live in the row and nowhere else: a row
+without one is read by nobody (``UNREAD``) or needed by its readers
+(``NO_DEFAULT``). ``validate`` walks the table for every per-key finding;
+cross-key checks stay code. :func:`stage_config` and
+:func:`section_config` walk the same table to build what training, its
+environments and final scoring read: frozen records holding only the keys
+the table types and some reader reads, each converted by its kind and
+defaulted by its row. A value ``validate`` would refuse is refused there
+too, with the same code, so no reader sees a key the table does not type.
 """
 
 from __future__ import annotations
 
 import copy
+import enum
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .errors import BundleError, RewardError
+from .errors import BundleError, RewardError, StageflowError
 from .randomize import desk_scene, rule_findings
 from .reward import compile_term
 
@@ -26,41 +44,6 @@ WARNING = "warning"
 
 CONFIG_SECTIONS = ("environment", "trainer", "randomization", "artifact", "ppo_network")
 OPTIONAL_CONFIG_SECTIONS = ("render",)
-
-REQUIRED_ENVIRONMENT_KEYS = (
-    "scene_file",
-    "reward_config_path",
-    "obs_noise",
-    "init_rand",
-    "command_lin_vel_x_range",
-    "command_lin_vel_y_range",
-    "command_ang_vel_yaw_range",
-    "command_stand_prob",
-    "gait_frequency",
-    "foot_height_range",
-)
-
-KNOWN_ENVIRONMENT_KEYS = REQUIRED_ENVIRONMENT_KEYS + (
-    "imu_disturbs",
-    "big_min_kick_vel", "big_max_kick_vel", "big_kick_interval",
-    "small_min_kick_vel", "small_max_kick_vel", "small_kick_interval",
-    "fixed_command", "cutoff_freq", "deadband_size", "low_cmd_boost_scale",
-    "gaits", "max_foot_height",
-)
-
-REQUIRED_TRAINER_KEYS = (
-    "num_timesteps", "num_evals", "episode_length", "learning_rate",
-    "entropy_cost", "discounting", "num_envs", "batch_size",
-    "unroll_length", "num_minibatches", "num_updates_per_batch",
-    "clipping_epsilon", "seed",
-)
-
-KNOWN_TRAINER_KEYS = REQUIRED_TRAINER_KEYS + (
-    "reward_scaling", "normalize_observations", "action_repeat",
-)
-
-REQUIRED_NETWORK_KEYS = ("policy_hidden_layer_sizes", "value_hidden_layer_sizes", "activation")
-KNOWN_NETWORK_KEYS = REQUIRED_NETWORK_KEYS + ("policy_obs_key", "value_obs_key")
 
 
 @dataclass
@@ -72,10 +55,7 @@ class Finding:
     message: str
 
     def to_dict(self):
-        return dict(
-            severity=self.severity, code=self.code, file=self.file,
-            path=self.path, message=self.message,
-        )
+        return asdict(self)
 
     def __str__(self):
         return f"[{self.severity}] {self.code} {self.file}:{self.path}: {self.message}"
@@ -256,144 +236,205 @@ def parse_bundle(workflow_path: str | Path) -> CurriculumBundle:
     )
 
 
-# -- validation ---------------------------------------------------------------
+# -- the config table ---------------------------------------------------------
 
-def _is_power_of_two(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n > 0 and (n & (n - 1)) == 0
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-def _is_range(x) -> bool:
-    return (isinstance(x, list) and len(x) == 2
-            and all(_is_number(v) and math.isfinite(v) for v in x))
 
+def _is_finite(x) -> bool:
+    return _is_number(x) and math.isfinite(x)
+
+
+# a value of a kind passes ``test``; one that fails is a ``code`` finding
+# saying it must be ``noun`` (then ``hint``); readers get ``convert`` of it
+Kind = namedtuple("Kind", "test noun convert code hint", defaults=("TYPE_ERROR", ""))
+# PyYAML reads ``1.0e12`` (no exponent sign) and quoted numbers as strings,
+# and ``.nan``/``.inf`` as floats that no bound rejects
+FLOAT = Kind(_is_finite, "a finite number", float, hint="; write it unquoted, an exponent "
+             "with its sign and a decimal point, as in 1.0e+12")
+INT = Kind(_is_int, "an integer", int)
+POWER_OF_2 = Kind(lambda v: _is_int(v) and v > 0 and v & (v - 1) == 0, "a power of 2", int,
+                  "POWER_OF_TWO")
+RANGE = Kind(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v)),
+             "a finite [lo, hi] pair", lambda v: tuple(map(float, v)))
+LAYERS = Kind(lambda v: isinstance(v, list) and len(v) > 0
+              and all(_is_int(s) and s > 0 for s in v),
+              "a non-empty list of positive ints", tuple)
+BOOL = Kind(lambda v: isinstance(v, bool), "true or false", bool)
+STRING = Kind(lambda v: isinstance(v, str), "a string", str)
+
+# row defaults that are not values (module docstring)
+UNREAD, NO_DEFAULT = enum.Enum("Default", "UNREAD NO_DEFAULT")
+
+
+def _inside(v, interval: str) -> bool:
+    """Whether ``v`` lies in ``interval``, written as "[0, 1)" or "(0, inf)"."""
+    lo, hi = map(float, interval[1:-1].split(","))
+    return ((lo < v if interval[0] == "(" else lo <= v)
+            and (v < hi if interval[-1] == ")" else v <= hi))
+
+
+class Key(namedtuple("Key", "name kind required default within code",
+                     defaults=(None, False, UNREAD, "", "TYPE_ERROR"))):
+    """One row of the config table (module docstring)."""
+    __slots__ = ()
+
+    def problem(self, v) -> tuple[str, str] | None:
+        """(code, message) of what is wrong with the value ``v``, or None."""
+        if self.kind is None:
+            return None
+        if v is None:  # ``key:`` reads as null, which no reader takes for a default
+            return "TYPE_ERROR", f"{self.name} has no value; give it one or remove the key"
+        if not self.kind.test(v):
+            return (self.kind.code,
+                    f"{self.name} must be {self.kind.noun}, got {v!r}{self.kind.hint}")
+        if self.kind is RANGE and v[0] > v[1]:
+            return "RANGE_INVERTED", f"lo {v[0]} > hi {v[1]}"
+        if self.within and not _inside(v, self.within):
+            return self.code, f"{self.name} must lie in {self.within}, got {v!r}"
+        return None
+
+
+REQUIRED = True
+TABLE = {
+    "environment": (
+        Key("scene_file", STRING, REQUIRED),
+        Key("reward_config_path", STRING, REQUIRED),
+        Key("obs_noise", FLOAT, REQUIRED, 0.0, "[0, inf)", "POSITIVE_REQUIRED"),
+        Key("init_rand", BOOL, REQUIRED, False),
+        Key("command_lin_vel_x_range", RANGE, REQUIRED, (0.0, 0.0)),
+        Key("command_lin_vel_y_range", RANGE, REQUIRED, (0.0, 0.0)),
+        Key("command_ang_vel_yaw_range", RANGE, REQUIRED, (0.0, 0.0)),
+        Key("command_stand_prob", FLOAT, REQUIRED, 0.0, "[0, 1]", "PROB_RANGE"),
+        Key("gait_frequency", RANGE, REQUIRED, (2.0, 2.0)),
+        Key("foot_height_range", RANGE, REQUIRED, (0.03, 0.05)),
+        Key("max_foot_height", FLOAT, default=lambda env: env["foot_height_range"][1]),
+        Key("big_min_kick_vel", FLOAT, default=0.0),
+        Key("big_max_kick_vel", FLOAT, default=0.0),
+        Key("big_kick_interval", INT, default=0, within="[1, inf)"),  # 0: never kicks
+        Key("small_min_kick_vel", FLOAT, default=0.0),
+        Key("small_max_kick_vel", FLOAT, default=0.0),
+        Key("small_kick_interval", INT, default=0, within="[1, inf)"),
+        *map(Key, ("imu_disturbs", "fixed_command", "cutoff_freq", "deadband_size",
+                   "low_cmd_boost_scale", "gaits")),
+    ),
+    "trainer": (
+        Key("num_timesteps", INT, REQUIRED, 200_000, "[1, inf)"),
+        Key("num_evals", INT, REQUIRED, 1, "[1, inf)"),
+        Key("episode_length", INT, REQUIRED, 250, "[1, inf)"),
+        Key("learning_rate", FLOAT, REQUIRED, NO_DEFAULT, "(0, inf)", "POSITIVE_REQUIRED"),
+        Key("entropy_cost", FLOAT, REQUIRED, 0.0, "[0, inf)", "POSITIVE_REQUIRED"),
+        Key("discounting", FLOAT, REQUIRED, NO_DEFAULT, "(0, 1)", "GAMMA_RANGE"),
+        Key("num_envs", POWER_OF_2, REQUIRED, 64),
+        Key("batch_size", POWER_OF_2, REQUIRED),
+        Key("unroll_length", INT, REQUIRED, NO_DEFAULT, "[1, inf)"),
+        Key("num_minibatches", INT, REQUIRED, 4, "[1, inf)"),
+        Key("num_updates_per_batch", INT, REQUIRED, NO_DEFAULT, "[1, inf)"),
+        Key("clipping_epsilon", FLOAT, REQUIRED, NO_DEFAULT, "(0, inf)", "POSITIVE_REQUIRED"),
+        Key("seed", INT, REQUIRED, 0, "[0, inf)"),
+        Key("reward_scaling", FLOAT, default=1.0),
+        Key("normalize_observations", BOOL, default=True),
+        Key("action_repeat"),
+    ),
+    "ppo_network": (
+        Key("policy_hidden_layer_sizes", LAYERS, REQUIRED, NO_DEFAULT),
+        Key("value_hidden_layer_sizes", LAYERS, REQUIRED, NO_DEFAULT),
+        Key("activation", required=REQUIRED),
+        Key("policy_obs_key"),
+        Key("value_obs_key"),
+    ),
+    "randomization": (
+        Key("randomize_config_path", STRING, REQUIRED),
+        Key("randomize"),
+    ),
+}
+KEYS = {f"{section}.{key.name}": key for section, keys in TABLE.items() for key in keys}
+
+# per section with a key some reader reads, a record type of those keys
+RECORDS = {section: namedtuple(f"{section}_config", [k.name for k in read])
+           for section, keys in TABLE.items()
+           if (read := [k for k in keys if k.default is not UNREAD])}
+StageConfig = namedtuple("StageConfig", RECORDS)
+
+
+def section_config(section: str, values, error: type[StageflowError]):
+    """The frozen record of one config section: each key a reader reads,
+    converted by its kind, at the table's default where ``values`` lacks it.
+    ``values`` is a mapping, possibly partial, or already such a record. A
+    value ``validate`` would report raises ``error`` with its finding's
+    code, and so does a missing key without a default."""
+    record = RECORDS[section]
+    if isinstance(values, record):
+        return values
+    if not isinstance(values, Mapping):
+        raise error("MISSING_KEY", f"config must contain a '{section}:' mapping")
+    built = {}
+    for key in TABLE[section]:
+        if key.default is UNREAD:
+            continue
+        if key.name in values:
+            if problem := key.problem(values[key.name]):
+                raise error(problem[0], f"{section}.{key.name}: {problem[1]}")
+            built[key.name] = key.kind.convert(values[key.name])
+        elif key.default is NO_DEFAULT:
+            raise error("MISSING_KEY", f"{section}.{key.name}: required {section} key missing")
+        else:
+            built[key.name] = key.default(built) if callable(key.default) else key.default
+    return record(**built)
+
+
+def stage_config(doc: dict, error: type[StageflowError]) -> StageConfig:
+    """The frozen, fully defaulted config of a stage's config document; a
+    missing section takes every default (:func:`section_config`)."""
+    return StageConfig(*(section_config(s, doc.get(s, {}), error) for s in StageConfig._fields))
+
+
+# -- validation ---------------------------------------------------------------
 
 def _validate_config(stage: StageBundle, out: list):
     doc = stage.config_doc
-    f = stage.config_path
 
-    def err(code, path, msg):
-        out.append(Finding(ERROR, code, f, path, msg))
-
-    def warn(code, path, msg):
-        out.append(Finding(WARNING, code, f, path, msg))
-
-    def get(section, key):
-        """The value at ``section.key``: None when absent, and None after a
-        TYPE_ERROR when present with no value (``key:`` reads as null, which
-        the trainer cannot take for a default)."""
-        v = doc[section].get(key)
-        if v is None and key in doc[section]:
-            err("TYPE_ERROR", f"{section}.{key}", f"{key} has no value; give it one or remove the key")
-        return v
-
-    def number(section, key):
-        """The number at ``section.key``: None when absent or null (``get``),
-        and None after a TYPE_ERROR when not a finite number. PyYAML reads
-        ``1.0e12`` (no exponent sign) and quoted numbers as strings, and
-        ``.nan``/``.inf`` as floats that no range check rejects."""
-        v = get(section, key)
-        if v is None or _is_number(v) and math.isfinite(v):
-            return v
-        err("TYPE_ERROR", f"{section}.{key}", f"{key} must be a finite number, got {v!r}; "
-            "write it unquoted, an exponent with its sign and a decimal point, as in 1.0e+12")
-        return None
+    def add(severity, code, path, msg):
+        out.append(Finding(severity, code, stage.config_path, path, msg))
 
     for section in CONFIG_SECTIONS:
-        if section not in doc or not isinstance(doc[section], dict):
-            err("MISSING_KEY", section, f"config must contain a '{section}:' mapping")
-    for key in doc:
-        if key not in CONFIG_SECTIONS + OPTIONAL_CONFIG_SECTIONS:
-            warn("UNKNOWN_KEY", key, "unknown top-level config section")
+        if not isinstance(doc.get(section), dict):
+            add(ERROR, "MISSING_KEY", section, f"config must contain a '{section}:' mapping")
+    for section in doc:
+        if section not in CONFIG_SECTIONS + OPTIONAL_CONFIG_SECTIONS:
+            add(WARNING, "UNKNOWN_KEY", section, "unknown top-level config section")
 
-    env = doc.get("environment")
-    if isinstance(env, dict):
-        for key in REQUIRED_ENVIRONMENT_KEYS:
-            if key not in env:
-                err("MISSING_KEY", f"environment.{key}", "required environment key missing")
-        for key in env:
-            if key not in KNOWN_ENVIRONMENT_KEYS:
-                warn("UNKNOWN_KEY", f"environment.{key}", "unknown environment key")
-        for key in ("command_lin_vel_x_range", "command_lin_vel_y_range",
-                    "command_ang_vel_yaw_range", "gait_frequency", "foot_height_range"):
-            rng = get("environment", key)
-            if rng is None:
-                continue
-            if not _is_range(rng):
-                err("TYPE_ERROR", f"environment.{key}", "expected a finite [lo, hi] pair")
-            elif rng[0] > rng[1]:
-                err("RANGE_INVERTED", f"environment.{key}", f"lo {rng[0]} > hi {rng[1]}")
-        noise = number("environment", "obs_noise")
-        if noise is not None and noise < 0:
-            err("POSITIVE_REQUIRED", "environment.obs_noise", f"obs_noise must be >= 0, got {noise!r}")
-        prob = number("environment", "command_stand_prob")
-        if prob is not None and not 0.0 <= prob <= 1.0:
-            err("PROB_RANGE", "environment.command_stand_prob",
-                f"probability must lie in [0, 1], got {prob!r}")
-        number("environment", "max_foot_height")
-        for lo_key, hi_key in (("big_min_kick_vel", "big_max_kick_vel"),
-                               ("small_min_kick_vel", "small_max_kick_vel")):
-            lo, hi = number("environment", lo_key), number("environment", hi_key)
-            if lo is not None and hi is not None and lo > hi:
-                err("RANGE_INVERTED", f"environment.{lo_key}", f"{lo_key} {lo} > {hi_key} {hi}")
-        for key in ("big_kick_interval", "small_kick_interval"):
-            v = get("environment", key)
-            if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
-                err("TYPE_ERROR", f"environment.{key}", "interval must be an integer >= 1")
+    for section, keys in TABLE.items():
+        body = doc.get(section)
+        if not isinstance(body, dict):
+            continue
+        for key in keys:
+            if key.name not in body:
+                if key.required:
+                    add(ERROR, "MISSING_KEY", f"{section}.{key.name}",
+                        f"required {section} key missing")
+            elif problem := key.problem(body[key.name]):
+                add(ERROR, problem[0], f"{section}.{key.name}", problem[1])
+        for name in body:
+            if f"{section}.{name}" not in KEYS:
+                add(WARNING, "UNKNOWN_KEY", f"{section}.{name}", f"unknown {section} key")
 
-    tr = doc.get("trainer")
+    env, tr = doc.get("environment"), doc.get("trainer")
+    for size in ("big", "small") if isinstance(env, dict) else ():
+        lo_key, hi_key = f"{size}_min_kick_vel", f"{size}_max_kick_vel"
+        lo, hi = env.get(lo_key), env.get(hi_key)
+        if _is_finite(lo) and _is_finite(hi) and lo > hi:
+            add(ERROR, "RANGE_INVERTED", f"environment.{lo_key}", f"{lo_key} {lo} > {hi_key} {hi}")
     if isinstance(tr, dict):
-        for key in REQUIRED_TRAINER_KEYS:
-            if key not in tr:
-                err("MISSING_KEY", f"trainer.{key}", "required trainer key missing")
-        for key in tr:
-            if key not in KNOWN_TRAINER_KEYS:
-                warn("UNKNOWN_KEY", f"trainer.{key}", "unknown trainer key")
-        for key in ("batch_size", "num_envs"):
-            v = get("trainer", key)
-            if v is not None and not _is_power_of_two(v):
-                err("POWER_OF_TWO", f"trainer.{key}", f"{key} must be a power of 2, got {v!r}")
-        g = number("trainer", "discounting")
-        if g is not None and not 0.0 < g < 1.0:
-            err("GAMMA_RANGE", "trainer.discounting", f"discounting must be in (0, 1), got {g!r}")
-        for key in ("learning_rate", "clipping_epsilon"):
-            v = number("trainer", key)
-            if v is not None and v <= 0:
-                err("POSITIVE_REQUIRED", f"trainer.{key}", f"{key} must be > 0, got {v!r}")
-        number("trainer", "reward_scaling")
-        v = get("trainer", "seed")
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
-            err("TYPE_ERROR", "trainer.seed", f"seed must be an integer >= 0, got {v!r}")
-        v = number("trainer", "entropy_cost")
-        if v is not None and v < 0:
-            err("POSITIVE_REQUIRED", "trainer.entropy_cost", f"entropy_cost must be >= 0, got {v!r}")
-        for key in ("num_timesteps", "num_evals", "episode_length", "unroll_length",
-                    "num_minibatches", "num_updates_per_batch"):
-            v = get("trainer", key)
-            if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
-                err("TYPE_ERROR", f"trainer.{key}", f"{key} must be an integer >= 1, got {v!r}")
         mb, n, u = (tr.get(k) for k in ("num_minibatches", "num_envs", "unroll_length"))
         if all(_is_number(v) and v >= 1 for v in (mb, n, u)) and mb > n * u:  # empty minibatches
-            err("TOO_MANY_MINIBATCHES", "trainer.num_minibatches", f"num_minibatches {mb} "
+            add(ERROR, "TOO_MANY_MINIBATCHES", "trainer.num_minibatches", f"num_minibatches {mb} "
                 f"exceeds the {n * u} rollout rows (num_envs x unroll_length)")
-
-    net = doc.get("ppo_network")
-    if isinstance(net, dict):
-        for key in REQUIRED_NETWORK_KEYS:
-            if key not in net:
-                err("MISSING_KEY", f"ppo_network.{key}", "required network key missing")
-        for key in ("policy_hidden_layer_sizes", "value_hidden_layer_sizes"):
-            sizes = get("ppo_network", key)
-            if sizes is not None and (
-                not isinstance(sizes, list) or not sizes
-                or not all(isinstance(s, int) and not isinstance(s, bool) and s > 0 for s in sizes)
-            ):
-                err("TYPE_ERROR", f"ppo_network.{key}", "expected a non-empty list of positive ints")
-
-    rnd = doc.get("randomization")
-    if isinstance(rnd, dict) and "randomize_config_path" not in rnd:
-        err("MISSING_KEY", "randomization.randomize_config_path", "required key missing")
 
 
 def _validate_reward(stage: StageBundle, out: list):
@@ -463,7 +504,7 @@ def validate(bundle: CurriculumBundle) -> ValidationReport:
     for s in bundle.stages:
         rnd = s.config_doc.get("randomization") or {}
         declared = rnd.get("randomize_config_path")
-        if declared is not None and Path(declared).name != Path(s.randomize_path).name:
+        if isinstance(declared, str) and Path(declared).name != Path(s.randomize_path).name:
             out.append(Finding(
                 ERROR, "PATH_MISMATCH", s.config_path, "randomization.randomize_config_path",
                 f"config names {Path(declared).name!r} but the workflow assigns "
@@ -507,66 +548,53 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
         fn(b)
         mutants.append(Mutant(label, code, b, path))
 
-    def tr(b):
-        return b.stages[0].config_doc["trainer"]
-
-    def env(b):
-        return b.stages[0].config_doc["environment"]
-
     def term(b):
         return b.stages[0].reward_doc["reward"][victim_term]
 
     def rz(b):
         return b.stages[0].randomize_doc["randomization"]
 
-    mutant("batch_size not a power of two", "POWER_OF_TWO",
-           lambda b: tr(b).update(batch_size=500))
-    mutant("num_envs not a power of two", "POWER_OF_TWO",
-           lambda b: tr(b).update(num_envs=100))
-    mutant("x velocity command range inverted", "RANGE_INVERTED",
-           lambda b: env(b).update(command_lin_vel_x_range=[0.5, -0.5]))
-    mutant("stand probability above 1", "PROB_RANGE",
-           lambda b: env(b).update(command_stand_prob=1.5))
-    mutant("discount factor outside (0,1)", "GAMMA_RANGE",
-           lambda b: tr(b).update(discounting=1.5))
-    mutant("negative learning rate", "POSITIVE_REQUIRED",
-           lambda b: tr(b).update(learning_rate=-1.0e-4))
-    mutant("zero clipping epsilon", "POSITIVE_REQUIRED",
-           lambda b: tr(b).update(clipping_epsilon=0))
-    mutant("negative observation noise", "POSITIVE_REQUIRED",
-           lambda b: env(b).update(obs_noise=-1))
-    mutant("learning rate read as a string", "TYPE_ERROR",
-           lambda b: tr(b).update(learning_rate="1.0e12"))
-    mutant("learning rate NaN", "TYPE_ERROR",
-           lambda b: tr(b).update(learning_rate=float("nan")))
-    mutant("infinite clipping epsilon", "TYPE_ERROR",
-           lambda b: tr(b).update(clipping_epsilon=float("inf")))
     inf, nan = float("inf"), float("nan")
-    for label, section, key, value in (
-            ("big kick velocity infinite", "environment", "big_max_kick_vel", inf),
-            ("small kick velocity read as a string", "environment", "small_min_kick_vel", "fast"),
-            ("gait_frequency bound NaN", "environment", "gait_frequency", [nan, 2.0]),
-            ("x velocity command bound infinite", "environment", "command_lin_vel_x_range", [-inf, 1.0]),
-            ("max_foot_height NaN", "environment", "max_foot_height", nan),
-            ("max_foot_height read as a string", "environment", "max_foot_height", "high"),
-            ("reward_scaling infinite", "trainer", "reward_scaling", inf),
-            ("reward_scaling read as a string", "trainer", "reward_scaling", "big"),
-            ("negative seed", "trainer", "seed", -1),
-            ("learning rate left empty", "trainer", "learning_rate", None),
-            ("num_envs left empty", "trainer", "num_envs", None),
-            ("observation noise left empty", "environment", "obs_noise", None),
-            ("gait_frequency left empty", "environment", "gait_frequency", None)):
-        mutant(label, "TYPE_ERROR",
-               lambda b, s=section, k=key, v=value: b.stages[0].config_doc[s].update({k: v}),
-               f"{section}.{key}")
-    mutant("more minibatches than rollout rows", "TOO_MANY_MINIBATCHES",
-           lambda b: tr(b).update(num_minibatches=1_000_000))
+    for label, path, value, code in (  # one config value each, the only error
+            ("batch_size not a power of two", "trainer.batch_size", 500, "POWER_OF_TWO"),
+            ("num_envs not a power of two", "trainer.num_envs", 100, "POWER_OF_TWO"),
+            ("x velocity command range inverted", "environment.command_lin_vel_x_range",
+             [0.5, -0.5], "RANGE_INVERTED"),
+            ("gait_frequency range inverted", "environment.gait_frequency", [2.5, 2.0],
+             "RANGE_INVERTED"),
+            ("stand probability above 1", "environment.command_stand_prob", 1.5, "PROB_RANGE"),
+            ("discount factor outside (0,1)", "trainer.discounting", 1.5, "GAMMA_RANGE"),
+            ("negative learning rate", "trainer.learning_rate", -1.0e-4, "POSITIVE_REQUIRED"),
+            ("zero clipping epsilon", "trainer.clipping_epsilon", 0, "POSITIVE_REQUIRED"),
+            ("negative observation noise", "environment.obs_noise", -1, "POSITIVE_REQUIRED"),
+            ("learning rate read as a string", "trainer.learning_rate", "1.0e12", "TYPE_ERROR"),
+            ("learning rate NaN", "trainer.learning_rate", nan, "TYPE_ERROR"),
+            ("infinite clipping epsilon", "trainer.clipping_epsilon", inf, "TYPE_ERROR"),
+            ("big kick velocity infinite", "environment.big_max_kick_vel", inf, "TYPE_ERROR"),
+            ("small kick velocity read as a string", "environment.small_min_kick_vel", "fast",
+             "TYPE_ERROR"),
+            ("gait_frequency bound NaN", "environment.gait_frequency", [nan, 2.0], "TYPE_ERROR"),
+            ("x velocity command bound infinite", "environment.command_lin_vel_x_range",
+             [-inf, 1.0], "TYPE_ERROR"),
+            ("max_foot_height NaN", "environment.max_foot_height", nan, "TYPE_ERROR"),
+            ("max_foot_height read as a string", "environment.max_foot_height", "high",
+             "TYPE_ERROR"),
+            ("reward_scaling infinite", "trainer.reward_scaling", inf, "TYPE_ERROR"),
+            ("reward_scaling read as a string", "trainer.reward_scaling", "big", "TYPE_ERROR"),
+            ("negative seed", "trainer.seed", -1, "TYPE_ERROR"),
+            ("learning rate left empty", "trainer.learning_rate", None, "TYPE_ERROR"),
+            ("num_envs left empty", "trainer.num_envs", None, "TYPE_ERROR"),
+            ("observation noise left empty", "environment.obs_noise", None, "TYPE_ERROR"),
+            ("gait_frequency left empty", "environment.gait_frequency", None, "TYPE_ERROR"),
+            ("more minibatches than rollout rows", "trainer.num_minibatches", 1_000_000,
+             "TOO_MANY_MINIBATCHES")):
+        section, name = path.split(".")
+        mutant(label, code, lambda b, s=section, k=name, v=value:
+               b.stages[0].config_doc[s].update({k: v}), path)
     mutant("num_timesteps dropped", "MISSING_KEY",
-           lambda b: tr(b).pop("num_timesteps"))
+           lambda b: b.stages[0].config_doc["trainer"].pop("num_timesteps"))
     mutant("environment section dropped", "MISSING_KEY",
            lambda b: b.stages[0].config_doc.pop("environment"))
-    mutant("gait_frequency range inverted", "RANGE_INVERTED",
-           lambda b: env(b).update(gait_frequency=[2.5, 2.0]))
     mutant("reward top-level key renamed", "BAD_TOP_KEY",
            lambda b: b.stages[0].reward_doc.update(
                rewards=b.stages[0].reward_doc.pop("reward")))

@@ -123,6 +123,7 @@ and 10,001 rows (not at 320, 4,096, 5,120 or 20,480), which is why
 from __future__ import annotations
 
 import contextlib
+import copy
 import ctypes
 import functools
 import io
@@ -138,7 +139,7 @@ from . import blaspool
 from .env import ACTION_DIM, OBS_DIM, VecEnv
 from .errors import TrainerError
 from .reward import BatchValue, RewardProgram, compile_program, eval_total_batch
-from .schema import StageBundle
+from .schema import KEYS, StageBundle, stage_config
 
 CHECKPOINT_MAGIC = b"SFCP"
 CHECKPOINT_VERSION = 1
@@ -714,22 +715,25 @@ class StageResult:
         return self.metrics[-1] if self.metrics else {}
 
 
-def desk_profile(config: dict, paper_scale: bool = False) -> dict:
-    """Shrink the trainer section so stages run on a laptop CPU. The full
-    configured sizes are honored only under ``paper_scale``."""
-    import copy
+# trainer keys the desk profile caps at their config-table defaults
+DESK_CAPPED = ("num_envs", "num_timesteps", "num_minibatches", "episode_length")
 
+
+def desk_profile(config: dict, paper_scale: bool = False) -> dict:
+    """Shrink the config so stages run on a laptop CPU: [64, 64] nets, and
+    each integer of ``DESK_CAPPED`` at most its table default, which a
+    missing one takes. The full configured sizes are honored only under
+    ``paper_scale``."""
     cfg = copy.deepcopy(config)
     if paper_scale:
         return cfg
     tr = cfg.setdefault("trainer", {})
-    net = cfg.setdefault("ppo_network", {})
-    net["policy_hidden_layer_sizes"] = [64, 64]
-    net["value_hidden_layer_sizes"] = [64, 64]
-    tr["num_envs"] = min(int(tr.get("num_envs", 64)), 64)
-    tr["num_timesteps"] = min(int(tr.get("num_timesteps", 200_000)), 200_000)
-    tr["num_minibatches"] = min(int(tr.get("num_minibatches", 4)), 4)
-    tr["episode_length"] = min(int(tr.get("episode_length", 250)), 250)
+    cfg.setdefault("ppo_network", {}).update(policy_hidden_layer_sizes=[64, 64],
+                                             value_hidden_layer_sizes=[64, 64])
+    for name in DESK_CAPPED:
+        cap = KEYS[f"trainer.{name}"].default
+        if type(tr.setdefault(name, cap)) is int:
+            tr[name] = min(tr[name], cap)
     return cfg
 
 
@@ -744,11 +748,10 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
                 eval_episodes: int = 16, eval_max_steps: int = 150) -> StageResult:
     """Run one curriculum stage: rollout / GAE / minibatch PPO updates, with
     ``num_evals`` evaluation records written to ``metrics.jsonl`` and a
-    checkpoint at the end."""
-    cfg = desk_profile(stage.config_doc, paper_scale)
-    tr = cfg["trainer"]
-    env_cfg = cfg["environment"]
-    net_cfg = cfg["ppo_network"]
+    checkpoint at the end. A config value validation would refuse raises
+    ``TrainerError`` with that finding's code before anything is built."""
+    cfg = stage_config(desk_profile(stage.config_doc, paper_scale), TrainerError)
+    tr = cfg.trainer
 
     if stage.resume_from_checkpoint and checkpoint_in is None:
         raise TrainerError(
@@ -756,7 +759,7 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
             f"stage {stage.index} resumes from a checkpoint but none was given",
         )
 
-    seed = int(tr.get("seed", 0)) if seed is None else int(seed)
+    seed = tr.seed if seed is None else int(seed)
     if seed < 0:  # numpy's generators refuse it with a bare ValueError
         raise TrainerError("TYPE_ERROR", f"seed must be an integer >= 0, got {seed}")
     out_dir = Path(out_dir)
@@ -766,35 +769,23 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
     program = compile_program(stage.reward_doc["reward"])
     rules = stage.randomize_doc.get("randomization") or {}
 
-    num_envs = int(tr["num_envs"])
-    unroll = int(tr["unroll_length"])
-    num_timesteps = int(tr["num_timesteps"])
-    gamma = float(tr["discounting"])
-    clip_eps = float(tr["clipping_epsilon"])
-    lr = float(tr["learning_rate"])
-    entropy_cost = float(tr.get("entropy_cost", 0.0))
-    reward_scaling = float(tr.get("reward_scaling", 1.0))
-    num_minibatches = int(tr["num_minibatches"])
-    num_updates = int(tr["num_updates_per_batch"])
-    num_evals = int(tr.get("num_evals", 1))
-    normalize_obs = bool(tr.get("normalize_observations", True))
+    num_envs, num_evals = tr.num_envs, tr.num_evals
+    envs = VecEnv(cfg.environment, num_envs, base_seed=seed, randomize_rules=rules,
+                  episode_length=tr.episode_length, binding_keys=program.required_variables)
 
-    envs = VecEnv(env_cfg, num_envs, base_seed=seed, randomize_rules=rules,
-                  episode_length=int(tr["episode_length"]),
-                  binding_keys=program.required_variables)
-
-    policy = Policy(net_cfg["policy_hidden_layer_sizes"],
-                    net_cfg["value_hidden_layer_sizes"], seed=seed)
+    policy = Policy(cfg.ppo_network.policy_hidden_layer_sizes,
+                    cfg.ppo_network.value_hidden_layer_sizes, seed=seed)
     obs_norm = RunningNorm(OBS_DIM)
     if checkpoint_in is not None:
         restore_policy(load_checkpoint(checkpoint_in), policy, obs_norm)
+    norm = obs_norm if tr.normalize_observations else None
 
-    optimizer = Adam(policy.params, lr=lr)
+    optimizer = Adam(policy.params, lr=tr.learning_rate)
     workspace = Workspace()
     dtype = compute_dtype(paper_scale)
 
-    steps_per_iter = num_envs * unroll
-    iters = max(1, math.ceil(num_timesteps / steps_per_iter))
+    steps_per_iter = num_envs * tr.unroll_length
+    iters = max(1, math.ceil(tr.num_timesteps / steps_per_iter))
     if num_evals <= 1:
         eval_at = {iters}
     else:
@@ -811,7 +802,7 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
     # phase does; a one-thread phase inside it drops to one for its call
     nets = (policy.policy_sizes, policy.value_sizes)
     phases = [_stage_blas_threads(rows, nets) for rows in
-              (num_envs, math.ceil(steps_per_iter / num_minibatches), eval_episodes)]
+              (num_envs, math.ceil(steps_per_iter / tr.num_minibatches), eval_episodes)]
     stage_threads = None if None in phases else 1
     collect_blas, update_blas, eval_blas = (
         functools.partial(_blas_threads, 1) if threads == 1 and stage_threads is None
@@ -819,8 +810,8 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
 
     def run_eval():
         with eval_blas():
-            rec = _evaluate(policy, obs_norm if normalize_obs else None, env_cfg, rules,
-                            program, seed, eval_episodes, eval_max_steps, workspace, dtype)
+            rec = _evaluate(policy, norm, cfg.environment, rules, program, seed,
+                            eval_episodes, eval_max_steps, workspace, dtype)
         rec["step"] = env_steps
         rec.update(last_losses)
         metrics.append(rec)
@@ -834,13 +825,13 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
             if it in eval_at:
                 run_eval()
             with collect_blas():
-                rollout, obs = _collect(envs, policy, obs_norm if normalize_obs else None,
-                                        obs, program, reward_scaling, unroll, rng, workspace,
-                                        dtype)
+                rollout, obs = _collect(envs, policy, norm, obs, program, tr.reward_scaling,
+                                        tr.unroll_length, rng, workspace, dtype)
             env_steps += steps_per_iter
 
             advantages, returns = gae(
-                rollout["rewards"], rollout["values"], rollout["dones"], gamma, GAE_LAMBDA)
+                rollout["rewards"], rollout["values"], rollout["dones"], tr.discounting,
+                GAE_LAMBDA)
             flat = {
                 "obs": rollout["obs"].reshape(-1, OBS_DIM),
                 "raw_actions": rollout["raw_actions"].reshape(-1, ACTION_DIM),
@@ -849,9 +840,9 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
                 "returns": returns.reshape(-1).astype(dtype, copy=False),
             }
             with update_blas():
-                last_losses = ppo_update(policy, optimizer, flat, rng, num_updates,
-                                         num_minibatches, clip_eps, entropy_cost,
-                                         workspace) or last_losses
+                last_losses = ppo_update(policy, optimizer, flat, rng, tr.num_updates_per_batch,
+                                         tr.num_minibatches, tr.clipping_epsilon,
+                                         tr.entropy_cost, workspace) or last_losses
         if iters in eval_at:
             run_eval()
         while len(metrics) < num_evals:  # guard against rounding collisions
@@ -868,7 +859,7 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
         checkpoint_path=str(ckpt_path),
         metrics=metrics,
         env_steps=env_steps,
-        budget_exhausted=env_steps >= num_timesteps,
+        budget_exhausted=env_steps >= tr.num_timesteps,
     )
 
 

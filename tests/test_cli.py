@@ -120,6 +120,28 @@ class TestRunOverrides:
         assert run["failure_reason"].startswith(
             f"[PARSE_ERROR] override {key!r}: 'seed' holds 7, not a mapping")
 
+    @pytest.mark.parametrize("override,reason", [
+        ("trainer.batch_size=63", "[POWER_OF_TWO] override 'trainer.batch_size': "
+                                  "batch_size must be a power of 2, got 63"),
+        ("environment.init_rand=no", "[TYPE_ERROR] override 'environment.init_rand': "
+                                     "init_rand must be true or false, got 'no'"),
+    ], ids=["batch_size=63", "init_rand=no"])
+    def test_an_override_the_schema_refuses_fails_before_any_exchange(
+            self, capsys, tmp_path, override, reason):
+        """The override is checked against the config table before the
+        first agent exchange, so the run names the override, not the
+        agent's files, and no prompt is sent."""
+        fixtures = DATA / "fixtures" / "walker2"
+        code, out = _cli(capsys, "run", "--prompt", fixtures / "prompt.txt",
+                         "--vdb", tmp_path / "vdb", "--out", tmp_path / "out",
+                         "--fixtures", fixtures, "--override", override)
+        assert code == 3, out.err
+        run = json.loads(out.out)
+        assert (run["status"], run["failure_stage"], run["failure_reason"]) == (
+            "failed", "validation", reason)
+        log = Path(run["run_dir"]) / "agent_log.jsonl"
+        assert (log.read_text() if log.exists() else "") == ""
+
 
 class TestValidate:
     def test_randomization_rules_are_checked_against_the_scene(self, capsys, tiny_desk):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stageflow.env import ACTION_DIM, BINDING_KEYS, OBS_DIM, DeskWalker, VecEnv
+from stageflow.errors import EnvError
 from stageflow.reward import compile_program, eval_total_batch
 from stageflow.schema import parse_bundle
 
@@ -161,6 +162,14 @@ class TestVecEnv:
         got = eval_total_batch(program, bindings, 3)
         assert got["per_term"]["ghost"].tolist() == [0.25] * 3
         assert (got["per_term"]["speed"] > 0.0).all()
+
+    def test_a_partial_config_takes_the_table_defaults_and_refuses_bad_values(self):
+        env = VecEnv(CALM, 2, base_seed=0)
+        assert (env.cfg.obs_noise, env.cfg.init_rand, env.cfg.max_foot_height) == (
+            0.0, False, 0.05)
+        with pytest.raises(EnvError) as e:
+            VecEnv(dict(CALM, init_rand="no"), 2, base_seed=0)
+        assert e.value.code == "TYPE_ERROR"
 
     def test_auto_reset_on_truncation(self):
         vec = VecEnv(CALM, 2, base_seed=0, episode_length=5)

@@ -20,13 +20,11 @@ from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts
 
 FIXTURES = DATA / "fixtures" / "walker2"
 
-# sha256 of the walker2 replay outputs (seed 7), recorded before the
-# orchestrator's duplicate paths were merged; a change here means the run
-# no longer produces the same bytes.
-WALKER2_SHA256 = {
-    "scores.json": "27d5e8792480a9bbdd0daf7a29c5d30c182f8b999503f26c4715501df368502d",
-    "agent_log.jsonl": "c30d7c486d0c723c725e5b1846a662899dcb5da6c4645cf71b223ac42c723c57",
-}
+# sha256 of the walker2 replay outputs (seed 7), first recorded before the
+# orchestrator's duplicate paths were merged and rewritten only by
+# tools/regenerate.py; a change here means the run no longer produces the
+# same bytes.
+WALKER2_SHA256 = json.loads((Path(__file__).parent / "data" / "walker2_digests.json").read_text())
 
 
 def _sha256(path: Path) -> str:

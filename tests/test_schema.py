@@ -58,6 +58,16 @@ class TestValidate:
         validate(parse_bundle(DATA / "bundles" / name))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("path,value", [("environment.init_rand", "no"),
+                                            ("trainer.normalize_observations", "false")])
+    def test_a_quoted_bool_is_one_type_error_on_its_path(self, path, value):
+        """``bool("no")`` is True: a flag the trainer reads must be a YAML
+        boolean, or validation says so on that key."""
+        bundle = parse_bundle(DATA / "bundles" / "desk")
+        section, key = path.split(".")
+        bundle.stages[0].config_doc[section][key] = value
+        assert [(f.code, f.path) for f in validate(bundle).errors] == [("TYPE_ERROR", path)]
+
     def test_report_json_roundtrip(self):
         import json
         report = validate(parse_bundle(DATA / "bundles" / "tune"))
@@ -102,44 +112,62 @@ def _numeric_fields(doc, path=()):
             yield path + (key,), None
 
 
-def _kicked_stage():
-    """Desk stage 2 (kicks, observation noise) as a first stage, trimmed to
-    one PPO iteration of 4 envs and one evaluation."""
-    stage = parse_bundle(DATA / "bundles" / "desk").stages[1]
+def _one_iteration_stage(name):
+    """The last stage of a shipped bundle as a first stage, trimmed to one
+    PPO iteration of 4 envs and one evaluation (desk's last stage kicks and
+    adds observation noise)."""
+    stage = parse_bundle(DATA / "bundles" / name).stages[-1]
     config = copy.deepcopy(stage.config_doc)
     config["trainer"].update(num_envs=4, num_timesteps=80, num_evals=1)
-    return dataclasses.replace(stage, config_doc=config, resume_from_checkpoint=False)
+    return dataclasses.replace(stage, config_doc=config, resume_from_checkpoint=False,
+                               index=1)
 
 
-KICKED = _kicked_stage()
-NUMERIC_FIELDS = sorted(_numeric_fields(KICKED.config_doc), key=str)
-ODD_NUMBERS = [math.nan, math.inf, -math.inf, "0.5", "1.0e12", "fast", "", True, False,
-               0, 0.0, -1, -0.25, -3.0, None]
-# numbers of the config that validate does not check; training ignores them
-UNCHECKED = {"artifact.checkpoint.folder_index", "artifact.master_path.folder_index",
-             "trainer.action_repeat"}
+def _typed_fields(config):
+    """(path, index) of every value of ``config`` that the config table
+    types: index None for the whole value, and each position of a list."""
+    for path, key in schema.KEYS.items():
+        section, name = path.split(".")
+        value = config.get(section, {}).get(name)
+        if key.kind is not None and value is not None:
+            yield path, None
+            if isinstance(value, list):
+                yield from ((path, i) for i in range(len(value)))
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(field=st.sampled_from(NUMERIC_FIELDS), value=st.sampled_from(ODD_NUMBERS))
+STAGES = {name: _one_iteration_stage(name) for name in BUNDLES}
+KICKED = STAGES["desk"]
+TYPED_FIELDS = [(name, path, index) for name in BUNDLES
+                for path, index in _typed_fields(STAGES[name].config_doc)]
+ODD_VALUES = [math.nan, math.inf, -math.inf, "0.5", "1.0e12", "fast", "", "no", "false",
+              True, False, 0, 0.0, -1, -0.25, -3.0, None,
+              [], [0.5], [2.0, 1.0], [64, 64, 64], [True, 1], {"lo": 0.0}]
+
+
+def _alone(name, stage):
+    """Shipped bundle ``name`` with ``stage`` as its only stage."""
+    bundle = parse_bundle(DATA / "bundles" / name)
+    bundle.stages = [stage]
+    return bundle
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(field=st.sampled_from(TYPED_FIELDS), value=st.sampled_from(ODD_VALUES))
 def test_a_mutated_number_is_reported_or_trains(field, value, tmp_path_factory):
-    """Differential property: with one number of the config replaced, either
-    ``validate`` names that field in an error, or a one-iteration 4-env
-    ``train_stage`` raises nothing or a StageflowError."""
-    (*parents, key), index = field
-    config = copy.deepcopy(KICKED.config_doc)
-    holder = config
-    for name in parents:
-        holder = holder[name]
+    """Differential property, over every value the config table types in
+    each shipped bundle (numbers, bools, strings, ranges and layer lists,
+    whole or one element): with it replaced, either ``validate`` names that
+    key in an error, or a one-iteration 4-env ``train_stage`` raises nothing
+    or a StageflowError."""
+    name, path, index = field
+    section, key = path.split(".")
+    config = copy.deepcopy(STAGES[name].config_doc)
     if index is None:
-        holder[key] = value
+        config[section][key] = value
     else:
-        holder[key][index] = value
-    stage = dataclasses.replace(KICKED, config_doc=config)
-    bundle = parse_bundle(DATA / "bundles" / "desk")
-    bundle.stages = [dataclasses.replace(stage, index=1)]
-    path = ".".join((*parents, key))
-    if any(f.severity == ERROR and f.path == path for f in validate(bundle).findings):
+        config[section][key][index] = value
+    stage = dataclasses.replace(STAGES[name], config_doc=config)
+    if any(f.severity == ERROR and f.path == path for f in validate(_alone(name, stage)).findings):
         return
     try:
         train_stage(stage, tmp_path_factory.mktemp("stage"), eval_episodes=2, eval_max_steps=10)
@@ -147,21 +175,22 @@ def test_a_mutated_number_is_reported_or_trains(field, value, tmp_path_factory):
         pass
 
 
-@pytest.mark.parametrize("path", sorted({".".join(p) for p, _ in NUMERIC_FIELDS}))
+@pytest.mark.parametrize("path", sorted({".".join(p) for p, _ in
+                                         _numeric_fields(KICKED.config_doc)}))
 def test_a_null_number_is_one_type_error_on_its_path(path):
     """A key written with no value (``learning_rate:``) reads as None: on a
-    key validate checks it is one TYPE_ERROR on that key's path, not taken
-    for an absent key."""
+    key the config table types it is one TYPE_ERROR on that key's path, not
+    taken for an absent key; any other key is not checked."""
     *parents, key = path.split(".")
     config = copy.deepcopy(KICKED.config_doc)
     holder = config
     for name in parents:
         holder = holder[name]
     holder[key] = None
-    bundle = parse_bundle(DATA / "bundles" / "desk")
-    bundle.stages = [dataclasses.replace(KICKED, config_doc=config, index=1)]
-    errors = [(f.code, f.path) for f in validate(bundle).errors]
-    assert errors == ([] if path in UNCHECKED else [("TYPE_ERROR", path)])
+    typed = path in schema.KEYS and schema.KEYS[path].kind is not None
+    errors = [(f.code, f.path) for f in
+              validate(_alone("desk", dataclasses.replace(KICKED, config_doc=config))).errors]
+    assert errors == ([("TYPE_ERROR", path)] if typed else [])
 
 
 U = {"uniform": {"minval": 0.9, "maxval": 1.1}}

@@ -586,6 +586,21 @@ class TestTrainStage:
         assert e.value.code == "TYPE_ERROR"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value,code", [
+        ("normalize_observations", "false", "TYPE_ERROR"),
+        ("discounting", 1.5, "GAMMA_RANGE"),
+        ("num_envs", 48, "POWER_OF_TWO")])
+    def test_a_value_validation_refuses_is_refused_before_anything_is_built(
+            self, tmp_path, key, value, code):
+        """The stage reads its config through the table ``validate`` walks,
+        so it refuses what validation refuses, with the same code, and
+        writes nothing."""
+        out = tmp_path / "stage"
+        with pytest.raises(TrainerError) as e:
+            train_stage(tiny_stage(**{key: value}), out)
+        assert (e.value.code, e.value.message.split(":")[0]) == (code, f"trainer.{key}")
+        assert not out.exists()
+
 
 # -- the float32 path --------------------------------------------------------------
 
