@@ -18,7 +18,18 @@ taken from a workspace is valid until its name is taken again:
 ``Policy.mean``/``value`` return views valid until the next forward (a
 throwaway workspace when none is given), and ``mlp_backward`` writes the
 gradient flowing into each hidden activation over it. ``ppo_loss`` returns
-fresh gradient arrays, in the order policy, ``log_std``, value.
+fresh gradient arrays, in the order policy, ``log_std``, value. No buffer of
+an update or of the observation normalizer holds more than ``ROW_CHUNK``
+(4,096) rows, whatever the minibatch or the rollout: ``ppo_update``
+normalizes a minibatch's advantages over all its rows, then gathers it and
+runs ``ppo_loss`` one chunk of at most ``ROW_CHUNK`` rows at a time, adding
+the chunks' gradients into one float64 set for one Adam step, and
+``RunningNorm.update`` sums its float64 mean and variance over row blocks of
+``ROW_CHUNK``. A 4096-env stage's 20,480-row minibatches then hold a fifth
+of the activations, and its normalizer no float64 copy of the 81,920-row
+rollout (peak RSS: ``BENCH_23.json``). Inference stays whole, on the
+rollout's ``num_envs`` or the evaluation's episodes: a forward pass in
+chunks rounds differently from a whole one.
 
 SiLU blocks. The backward reads, per hidden layer, only the layer's input
 and its SiLU derivative, so that is all a forward keeps: two row-sized
@@ -33,7 +44,8 @@ on whole arrays. Block size barely moves time but sets the scratch, so the
 block is the smallest size measured (the ``BENCH_15.json`` entry of
 CHANGES.md). Each block rounds every element as the whole-array expression
 does: ``tests/data/silu_blocks_golden.json``, recorded before the SiLU ran
-in blocks, pins an update and inference across several blocks byte for byte.
+in blocks, held byte for byte. Re-recorded when updates began to run in row
+chunks (Precision), it pins an update and inference across several blocks.
 
 Precision. A stage computes in one dtype, :func:`compute_dtype`: float32
 under ``paper_scale``, as GPU PPO frameworks train, and float64 otherwise.
@@ -41,16 +53,25 @@ In that dtype are the rollout arrays the update reads (observations, raw
 actions, log-probs, and the advantages and returns cast from GAE), the
 minibatch gathers and every workspace buffer: every forward and backward of
 the rollout, the update and evaluation runs in it (a 4096-env stage on the
-desk nets took 36% fewer CPU seconds: ``BENCH_19.json``). ``mlp_forward`` and
-``mlp_backward`` run in their input's dtype and cast each weight and bias
-to it, as ``ppo_loss`` and ``Policy._logp`` cast ``log_std``; at float64 the
-casts are no-ops. ``Policy.act`` draws its noise in float64 and casts the
-raw action before the squash and the log-prob, so the env's action, the
-stored action and ``old_logp`` agree. The masters stay float64: the
-parameters, ``Adam``'s flat buffers (the gradients are copied into its
+desk nets took 36% fewer CPU seconds: ``BENCH_19.json``). ``mlp_forward``
+and ``mlp_backward`` run in their input's dtype and cast each weight and
+bias to it, as ``ppo_loss`` and ``Policy._logp`` cast ``log_std``; at
+float64 the casts are no-ops. ``Policy.act`` draws its noise in float64 and
+casts the raw action before the squash and the log-prob, so the env's
+action, the stored action and ``old_logp`` agree. The masters stay float64:
+the parameters, ``Adam``'s flat buffers (the gradients are copied into its
 float64 buffer), ``RunningNorm``'s statistics, GAE, checkpoints and final
-scoring. Desk-profile stages are float64 end to end; the ``walker2``
-replay digests and every golden in ``tests/data`` pin their bytes.
+scoring. Desk-profile stages are float64 end to end; the ``walker2`` replay
+digests and every golden in ``tests/data`` pin their bytes. A minibatch of
+at most ``ROW_CHUNK`` rows is one chunk, and keeps the bytes it had before
+updates ran in chunks: its gradients are copied into the float64 set, and
+its loss parts are its means. A larger one (paper-scale stages, and 4096-env
+ones under the desk profile) adds each chunk's gradients, already divided by
+the minibatch's rows, in float64 in chunk order, and each chunk's loss
+parts, its sums over the minibatch's rows; so it differs from one pass over
+its rows in rounding only, and ``tests/data/silu_blocks_golden.json`` pins
+such updates. The normalizer's blocks keep every byte at any row count
+(``RunningNorm.update``).
 
 Flat-buffer Adam. ``Adam`` keeps the parameters, both moments and the
 gradient in one float64 buffer each, laid out in the order of the params
@@ -85,13 +106,14 @@ recorded before rewards were blocked.
 BLAS threads. Each phase of ``train_stage`` runs on the BLAS thread count
 its own rows earn, by one rule on their multiply-accumulate count: the rows
 times the sum of fan_in * fan_out over the policy and value nets. The rows
-are the rollout's ``num_envs``, the update's largest minibatch
-(``num_envs * unroll_length / num_minibatches`` after ``desk_profile``) and
-the evaluation's ``eval_episodes``. Below ``ONE_THREAD_MACS`` a phase runs
-on one BLAS thread: there a second thread saved wall time within
-run-to-run noise at up to twice the CPU time (``BENCH_10.json``; re-run in
-``BENCH_15.json``, ``BENCH_16.json`` and, with the second thread on the job
-pool, ``BENCH_17.json``). At or above it the count is left as found, so the
+are the rollout's ``num_envs``, the rows of the update's products (the
+largest minibatch, ``num_envs * unroll_length / num_minibatches`` after
+``desk_profile``, or one ``ROW_CHUNK`` of it) and the evaluation's
+``eval_episodes``. Below ``ONE_THREAD_MACS`` a phase runs on one BLAS
+thread: there a second thread saved wall time within run-to-run noise at up
+to twice the CPU time (``BENCH_10.json``; re-run in ``BENCH_15.json``,
+``BENCH_16.json`` and, with the second thread on the job pool,
+``BENCH_17.json``). At or above it the count is left as found, so the
 updates of 4096-env and paper-width stages keep every thread (and so do
 their rollouts: 4096 envs on the desk nets are 49.5 M MACs), and while that
 is more than one the stage's parallel BLAS calls run on
@@ -164,6 +186,10 @@ REWARD_ROWS = 256
 # rows of a hidden layer whose SiLU one block computes: the sigmoid and
 # ``1 - s`` live in block-sized scratch (module docstring)
 SILU_ROWS = 512
+
+# rows one update chunk or one normalizer block holds at most: a minibatch
+# runs its forward and backward a chunk at a time (module docstring)
+ROW_CHUNK = 4096
 
 
 # -- generalized advantage estimation -----------------------------------------
@@ -364,7 +390,8 @@ class Policy:
 
 def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
              value_coef: float = VALUE_LOSS_COEF, entropy_cost: float = 0.0,
-             with_grads: bool = True, workspace: Workspace | None = None):
+             with_grads: bool = True, workspace: Workspace | None = None,
+             rows: int | None = None):
     """loss = -L_clip + c_v * value_loss - entropy_cost * entropy.
 
     ``batch``: obs, raw_actions, old_logp, advantages, returns (numpy arrays
@@ -372,6 +399,14 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     Returns (loss, grads, parts); grads is None when with_grads=False.
     Intermediates live in ``workspace`` (a throwaway one when none is given);
     the value net runs after the policy net, over the same activations.
+
+    ``rows`` is the row count of the minibatch that ``batch`` is one chunk
+    of (by default its own). The loss, the policy and value parts and the
+    gradients are then the chunk's share of the minibatch's: each per-row
+    term's chunk mean times the chunk's share of the rows (a sum over the
+    chunk divided by ``rows``), and the entropy term, which no row holds,
+    weighted by that share. Summed over a minibatch's chunks they are its
+    loss and gradients; ``loss/entropy`` is the entropy whatever the chunk.
     """
     if clip_eps <= 0:
         raise TrainerError("NON_FINITE_LOSS", f"clipping epsilon must be > 0, got {clip_eps}")
@@ -381,6 +416,8 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     raw = batch["raw_actions"]
     adv = batch["advantages"]
     n, dtype = obs.shape[0], obs.dtype
+    rows = n if rows is None else rows
+    share = n / rows  # 1.0 for a whole minibatch, which keeps its bytes
 
     mean, p_cache = mlp_forward(params, "policy", obs, ws, grad=with_grads)
     log_std = params["log_std"].astype(dtype, copy=False)
@@ -412,15 +449,15 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     t_clipped *= adv
     unclipped_active = np.less_equal(t_unclipped, t_clipped,
                                      out=ws.take("unclipped_active", (n,), bool))
-    surrogate = float(np.minimum(t_unclipped, t_clipped, out=t_clipped).mean())
+    surrogate = float(np.minimum(t_unclipped, t_clipped, out=t_clipped).mean()) * share
     entropy = float((log_std + 0.5 * (LOG2PI + 1.0)).sum())
 
     grads = None
     if with_grads:
-        # dL/dlogp_i = -(1/n) * r_i * A_i where the unclipped branch is active,
-        # else 0.0: np.where(unclipped_active, -(ratio * adv) / n, 0.0)
+        # dL/dlogp_i = -(1/rows) * r_i * A_i where the unclipped branch is
+        # active, else 0.0: np.where(unclipped_active, -(ratio * adv) / rows, 0.0)
         dlogp = np.negative(t_unclipped, out=t_unclipped)
-        dlogp /= n
+        dlogp /= rows
         np.copyto(dlogp, 0.0, where=np.logical_not(unclipped_active, out=unclipped_active))
         # dlogp/dmean = (raw - mean)/var: dmean = dlogp[:, None] * (d / var)
         dmean = np.divide(d, var, out=term)
@@ -432,15 +469,15 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
         d /= var
         d -= 1.0
         d *= dlogp[:, None]
-        grads["log_std"] = d.sum(axis=0) - entropy_cost * np.ones_like(log_std)
+        grads["log_std"] = d.sum(axis=0) - entropy_cost * share * np.ones_like(log_std)
 
     # the policy net is done with the activations; the value net overwrites them
     v_out, v_cache = mlp_forward(params, "value", obs, ws, grad=with_grads)
     value_err = np.subtract(v_out[..., 0], batch["returns"],
                             out=ws.take("value_err", (n,), dtype))
-    value_loss = float(np.multiply(value_err, value_err, out=t_clipped).mean())
+    value_loss = float(np.multiply(value_err, value_err, out=t_clipped).mean()) * share
 
-    loss = -surrogate + value_coef * value_loss - entropy_cost * entropy
+    loss = -surrogate + value_coef * value_loss - entropy_cost * share * entropy
     if not math.isfinite(loss):
         raise TrainerError("NON_FINITE_LOSS", "PPO loss is not finite")
     parts = {
@@ -451,9 +488,9 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     if not with_grads:
         return loss, None, parts
 
-    # dv = value_coef * 2.0 * value_err / n
+    # dv = value_coef * 2.0 * value_err / rows
     dv = np.multiply(value_err, value_coef * 2.0, out=value_err)
-    dv /= n
+    dv /= rows
     grads.update(mlp_backward(params, "value", v_cache, dv[:, None]))
     return loss, grads, parts
 
@@ -527,10 +564,13 @@ class RunningNorm:
         self.eps = eps
 
     def update(self, batch: np.ndarray):
+        """Fold ``batch``'s rows into the statistics. Its float64 mean and
+        variance are the bytes of ``batch.mean/var(axis=0, dtype=np.float64)``,
+        taken over row blocks of ``ROW_CHUNK`` (:func:`_row_block_sum`)."""
         batch = batch.reshape(-1, batch.shape[-1])
-        b_mean = batch.mean(axis=0, dtype=np.float64)
-        b_var = batch.var(axis=0, dtype=np.float64)
         b_count = batch.shape[0]
+        b_mean = _row_block_sum(batch) / b_count
+        b_var = _row_block_sum(batch, b_mean) / b_count
         delta = b_mean - self.mean
         total = self.count + b_count
         self.mean = self.mean + delta * b_count / total
@@ -540,6 +580,32 @@ class RunningNorm:
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / np.sqrt(self.var + self.eps)
+
+
+def _row_block_sum(batch: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
+    """Float64 sum over the rows of 2-D ``batch``, or of its squared
+    deviations from ``center``, one block of ``ROW_CHUNK`` rows at a time.
+    A block's float64 buffer carries the running sum as its first row, and
+    numpy sums axis 0 row by row, so the sum has the bytes of the one-pass
+    ``batch.sum(axis=0, dtype=np.float64)`` (or of ``np.var``'s sum of
+    ``(batch - center) ** 2``) while no buffer holds the whole batch."""
+    rows, dim = batch.shape
+    buf = np.empty((min(rows, ROW_CHUNK) + 1, dim))
+    total = None
+    for r in range(0, rows, ROW_CHUNK):
+        block = batch[r:r + ROW_CHUNK]
+        lead = 0 if total is None else 1
+        part = buf[:lead + len(block)]
+        if lead:
+            part[0] = total
+        body = part[lead:]
+        if center is None:
+            body[...] = block
+        else:
+            np.subtract(block, center, out=body)
+            np.square(body, out=body)
+        total = part.sum(axis=0)
+    return total
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -797,12 +863,14 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
 
     # each phase runs on the BLAS threads its own rows earn (module
     # docstring): the rollout's envs, the largest of array_split's
-    # minibatches (ceil(steps / minibatches) rows), the evaluation's
-    # episodes. The stage's scope keeps every thread, on the pool, when any
-    # phase does; a one-thread phase inside it drops to one for its call
+    # minibatches (ceil(steps / minibatches) rows) or one ROW_CHUNK of it,
+    # the evaluation's episodes. The stage's scope keeps every thread, on
+    # the pool, when any phase does; a one-thread phase inside it drops to
+    # one for its call
     nets = (policy.policy_sizes, policy.value_sizes)
     phases = [_stage_blas_threads(rows, nets) for rows in
-              (num_envs, math.ceil(steps_per_iter / tr.num_minibatches), eval_episodes)]
+              (num_envs, min(math.ceil(steps_per_iter / tr.num_minibatches), ROW_CHUNK),
+               eval_episodes)]
     stage_threads = None if None in phases else 1
     collect_blas, update_blas, eval_blas = (
         functools.partial(_blas_threads, 1) if threads == 1 and stage_threads is None
@@ -867,26 +935,43 @@ def ppo_update(policy: Policy, optimizer: Adam, batch: dict, rng: np.random.Gene
                num_updates: int, num_minibatches: int, clip_eps: float,
                entropy_cost: float, workspace: Workspace) -> dict:
     """``num_updates`` epochs over one rollout ``batch``: a fresh permutation
-    each, split into ``num_minibatches`` minibatches, each gathered into
-    ``workspace``, its advantages normalized, then one ``ppo_loss`` and one
-    Adam step. Returns the last minibatch's loss parts."""
+    each, split into ``num_minibatches`` minibatches, each taking one Adam
+    step. A minibatch's advantages are normalized over all its rows; it then
+    runs through ``ppo_loss`` one chunk of at most ``ROW_CHUNK`` rows at a
+    time, each gathered into ``workspace``, and the chunks' gradients and
+    loss parts are added, the gradients in one float64 set, in chunk order
+    (module docstring). Returns the last minibatch's loss parts."""
     n = batch["obs"].shape[0]
-    parts = {}
+    grads, parts = None, {}
     for _ in range(num_updates):
         perm = rng.permutation(n)
-        for chunk in np.array_split(perm, num_minibatches):
-            # mode="clip" gathers straight into the buffer ("raise" would
-            # buffer a copy); a permutation's indices are all in range
-            mb = {k: np.take(v, chunk, axis=0, mode="clip",
-                             out=workspace.take(f"batch/{k}", (len(chunk), *v.shape[1:]),
-                                                v.dtype))
-                  for k, v in batch.items()}
-            a = mb["advantages"]             # (a - a.mean()) / (a.std() + 1e-8)
+        for minibatch in np.array_split(perm, num_minibatches):
+            a = batch["advantages"][minibatch]  # (a - a.mean()) / (a.std() + 1e-8)
             a_mean, a_std = a.mean(), a.std()
-            a -= a_mean
-            a /= a_std + 1e-8
-            _, grads, parts = ppo_loss(policy, mb, clip_eps, VALUE_LOSS_COEF,
-                                       entropy_cost, workspace=workspace)
+            for start in range(0, len(minibatch), ROW_CHUNK):
+                chunk = minibatch[start:start + ROW_CHUNK]
+                # mode="clip" gathers straight into the buffer ("raise" would
+                # buffer a copy); a permutation's indices are all in range
+                mb = {k: np.take(v, chunk, axis=0, mode="clip",
+                                 out=workspace.take(f"batch/{k}", (len(chunk), *v.shape[1:]),
+                                                    v.dtype))
+                      for k, v in batch.items()}
+                mb["advantages"] -= a_mean
+                mb["advantages"] /= a_std + 1e-8
+                _, chunk_grads, chunk_parts = ppo_loss(
+                    policy, mb, clip_eps, VALUE_LOSS_COEF, entropy_cost,
+                    workspace=workspace, rows=len(minibatch))
+                if grads is None:
+                    grads = {k: np.empty(g.shape) for k, g in chunk_grads.items()}
+                if start == 0:  # a copy, so that one chunk keeps its bytes
+                    for k, g in chunk_grads.items():
+                        np.copyto(grads[k], g)
+                    parts = chunk_parts
+                else:
+                    for k, g in chunk_grads.items():
+                        grads[k] += g
+                    for k in ("loss/policy", "loss/value"):
+                        parts[k] += chunk_parts[k]
             optimizer.step(grads)
     return parts
 

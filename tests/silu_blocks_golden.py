@@ -2,29 +2,38 @@
 tests/test_trainer.py.
 
 ``mlp_forward`` runs each hidden layer's SiLU in row blocks of
-``trainer.SILU_ROWS``; the other goldens train on minibatches of at most
-321 rows, within one block. These cases span several blocks for any block
-size from 512 to 2,048 rows and, but for one, end in a short block:
+``trainer.SILU_ROWS``, and ``ppo_update`` runs a minibatch in chunks of
+``trainer.ROW_CHUNK`` rows; the other goldens train on minibatches of at
+most 321 rows, within one block and one chunk. These cases span several
+blocks for any block size from 512 to 2,048 rows and, but for one, end in a
+short block:
 
 - ``update``: ``ppo_update`` on 9,001 synthetic rollout rows, 2 epochs of 2
-  minibatches (4,501 and 4,500 rows), at the desk nets ([64, 64] policy and
-  value) and at uneven ones ([80, 48] policy, [32, 96, 64] value), so that
-  the block scratch serves layers of several widths. One sha256 per
-  parameter and per Adam moment after the last step, and one over the last
-  minibatch's loss parts, as in ``ppo_update_golden``.
+  minibatches (4,501 and 4,500 rows, each a chunk of 4,096 rows and a
+  short one), at the desk nets ([64, 64] policy and value) and at uneven
+  ones ([80, 48] policy, [32, 96, 64] value), so that the block scratch
+  serves layers of several widths. One sha256 per parameter and per Adam
+  moment after the last step, and one over the last minibatch's loss
+  parts, as in ``ppo_update_golden``.
 - ``inference``: ``act``, ``value`` and ``act_deterministic`` of the desk
   nets on 4,500 rows and on 4,096 (a whole number of blocks, as a 4096-env
   rollout step is), each on a workspace an update has grown and on a
-  throwaway one.
+  throwaway one. The update that grows it trains one minibatch of twice
+  the rows (9,000 or 8,192, in three or two chunks); inference itself runs
+  whole.
 
-Every case runs on one BLAS thread. At these row counts the weight
-gradient ``h.T @ grad``, a product over the rows, rounds differently on one
-OpenBLAS thread than on two (at 4,500 and 10,001 rows, not at 4,096, 5,120
-or 20,480), so without the pin the digests would depend on the machine's
-core count. The SiLU blocks themselves are elementwise and need no BLAS.
+Every case runs on one BLAS thread. The weight gradient ``h.T @ grad``,
+a product over a chunk's rows, can round differently on one OpenBLAS thread
+than on two (it did at 1,283, 4,500 and 10,001 rows, not at 4,096, 5,120 or
+20,480), so without the pin the digests could depend on the machine's core
+count. The SiLU blocks themselves are elementwise and need
+no BLAS.
 
-The digests were recorded from the passes as they were before the SiLU ran
-in blocks, when each hidden layer held its sigmoid as a whole array.
+The digests were first recorded before the SiLU ran in blocks, when each
+hidden layer held its sigmoid as a whole array, and held byte for byte
+under the blocks. They were re-recorded when ``ppo_update`` began to add
+its gradients over row chunks, which rounds differently from one pass over
+a minibatch of more than ``ROW_CHUNK`` rows.
 
 Regenerate (only after a deliberate change of numerics) from the repo root:
 

@@ -4,8 +4,11 @@ live transport's error handling."""
 
 import io
 import json
+import subprocess
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +209,17 @@ class TestLiveTransport:
         with pytest.raises(AgentError) as e:
             transport.send("vdb_query", "P")
         assert e.value.code == "TRANSPORT_ERROR"
+
+    def test_importing_the_orchestrator_leaves_urllib_request_out(self):
+        """Only ``send`` needs ``urllib.request``, so no import of the
+        pipeline pays for it; run in a fresh interpreter, since this one has
+        it loaded already."""
+        src = str(Path(agents.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import stageflow.orchestrator; "
+                "print('urllib.request' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("unset", ["STAGEFLOW_LLM_ENDPOINT", "STAGEFLOW_LLM_MODEL"])
     def test_missing_configuration_is_named(self, monkeypatch, unset):

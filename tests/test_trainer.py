@@ -194,12 +194,14 @@ class TestPpoUpdate:
     def test_golden_multi_block_update_and_inference(self):
         """Minibatches of 4,501 and 4,500 rows and inference on 4,500 and
         4,096 rows run the SiLU over several row blocks, most ending in a
-        short one, at the desk nets and at uneven ones; every result matches
-        the digest recorded before the SiLU ran in blocks, byte for byte."""
+        short one, at the desk nets and at uneven ones, and the minibatches
+        run in two chunks of ``ROW_CHUNK`` rows or fewer; every result
+        matches the recorded digest byte for byte."""
         from silu_blocks_golden import GOLDEN, INFERENCE_ROWS, UPDATE_ROWS, golden
         for rows in (UPDATE_ROWS // 2, *INFERENCE_ROWS):
             assert rows >= 2 * trainer.SILU_ROWS
         assert (UPDATE_ROWS // 2) % trainer.SILU_ROWS and INFERENCE_ROWS[0] % trainer.SILU_ROWS
+        assert UPDATE_ROWS // 2 > trainer.ROW_CHUNK
         expected = json.loads(GOLDEN.read_text())
         got = golden()
         for section in ("update", "inference"):
@@ -232,27 +234,70 @@ class TestPpoUpdate:
         assert peak < rows * hidden * 8, peak
 
     def test_an_update_holds_one_activation_set(self):
-        """The value net's forward and backward run after the policy net's,
-        over the same buffers: after one update the workspace holds one
-        activation set at the wider net's widths, plus the minibatch and the
-        log-prob scratch. A hidden layer keeps two arrays, its activation and
-        its SiLU derivative; the sigmoid and ``1 - s`` are block scratch."""
-        rows = 640
+        """A 20,480-row float32 minibatch, a 4096-env stage's, runs through
+        ``ppo_loss`` one chunk of ``ROW_CHUNK`` rows at a time: no workspace
+        buffer is taken for more rows, and the workspace holds one
+        activation set of a chunk at the wider net's widths, plus the
+        chunk's gather and the log-prob scratch. The value net runs over the
+        policy net's buffers. A hidden layer keeps two arrays, its
+        activation and its SiLU derivative; the sigmoid and ``1 - s`` are
+        block scratch."""
+        rows, chunk = 20_480, trainer.ROW_CHUNK
+        taken = {}
+
+        class Recorded(Workspace):
+            def take(self, name, shape, dtype):
+                taken[name] = max(taken.get(name, 0), shape[0])
+                return super().take(name, shape, dtype)
+
         policy = Policy([64, 64], [64, 64], seed=0)
         batch = small_batch(policy, np.random.default_rng(1), n=rows)
-        workspace = Workspace()
+        batch = {k: v.astype(np.float32) for k, v in batch.items()}
+        workspace = Recorded()
         trainer.ppo_update(policy, Adam(policy.params, lr=1e-4), batch,
                            np.random.default_rng(2), 1, 1, 0.2, 1e-3, workspace)
+        assert max(taken.values()) == chunk, taken
         widths = [max(p, v) for p, v in zip(policy.policy_sizes[1:], policy.value_sizes[1:])]
         hidden, out = widths[:-1], widths[-1]
         # the derivative over z and a per hidden layer, the output z
         activations = 2 * sum(hidden) + out
         minibatch = OBS_DIM + ACTION_DIM + 3      # obs, raw_actions, old_logp, advantages, returns
         logp = 2 * ACTION_DIM + 5                 # d, term and five per-row vectors
-        scratch = 2 * min(rows, trainer.SILU_ROWS) * max(hidden) * 8  # s and 1 - s
-        bound = rows * 8 * (activations + minibatch + logp) + scratch + rows  # + the bool mask
+        scratch = 2 * min(chunk, trainer.SILU_ROWS) * max(hidden) * 4  # s and 1 - s
+        bound = chunk * 4 * (activations + minibatch + logp) + scratch + chunk  # + the bool mask
         total = sum(b.nbytes for b in workspace._bufs.values())
         assert total <= bound, (total, bound)
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_chunked_gradients_match_one_pass(self, monkeypatch, dtype, rtol):
+        """A 9,001-row minibatch run in ten chunks (nine of 1,000 rows, one
+        of one) gives the gradients and loss parts of one pass over all its
+        rows, to rounding: each array within ``rtol`` of its largest
+        element."""
+        policy = Policy([64, 64], [64, 64], seed=0)
+        batch = small_batch(policy, np.random.default_rng(1), n=9_001)
+        batch = {k: v.astype(dtype) for k, v in batch.items()}
+
+        class Recorded:
+            def step(self, grads):
+                self.grads = {k: g.copy() for k, g in grads.items()}
+
+        got = {}
+        for chunk in (1_000, 9_001):
+            monkeypatch.setattr(trainer, "ROW_CHUNK", chunk)
+            optimizer = Recorded()
+            parts = trainer.ppo_update(policy, optimizer, batch, np.random.default_rng(2),
+                                       1, 1, 0.2, 1e-3, Workspace())
+            got[chunk] = optimizer.grads, parts
+        (chunked, chunked_parts), (whole, whole_parts) = got[1_000], got[9_001]
+        assert list(chunked) == list(whole)  # the clip sums in this order
+        for name, g in whole.items():
+            assert chunked[name].dtype == np.float64, name
+            np.testing.assert_allclose(chunked[name], g, rtol=0,
+                                       atol=rtol * np.abs(g).max(), err_msg=name)
+        assert chunked_parts.keys() == whole_parts.keys()
+        for name, value in whole_parts.items():
+            assert chunked_parts[name] == pytest.approx(value, rel=10 * rtol), name
 
     def test_loss_without_grads_is_the_loss_with_them(self, rng):
         policy = Policy([64, 64], [64, 64], seed=0)
@@ -381,6 +426,35 @@ class TestAdamAndNorm:
         full = np.concatenate(chunks)
         np.testing.assert_allclose(norm.mean, full.mean(0), atol=1e-8)
         np.testing.assert_allclose(norm.var, full.var(0), atol=1e-8)
+
+
+    @pytest.mark.parametrize("rows,dtype", [(81_920, np.float32), (12_345, np.float64)])
+    def test_running_norm_streams_the_one_pass_bytes(self, rows, dtype):
+        """81,920 rows are a 4096-env rollout's observations. The update's
+        statistics are the bytes of the one-pass ``batch.mean/var(axis=0,
+        dtype=np.float64)`` over a prior state, and it holds no float64
+        copy of the whole batch."""
+        batch = (np.random.default_rng(3).standard_normal((rows, OBS_DIM)) * 2.0
+                 + 0.5).astype(dtype)
+        norm, ref = RunningNorm(OBS_DIM), RunningNorm(OBS_DIM)
+        prior = np.random.default_rng(4).standard_normal((64, OBS_DIM))
+        norm.update(prior)
+        ref.update(prior)
+        b_mean = batch.mean(axis=0, dtype=np.float64)
+        b_var = batch.var(axis=0, dtype=np.float64)
+        delta, total = b_mean - ref.mean, ref.count + rows
+        tracemalloc.start()
+        try:
+            norm.update(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert norm.mean.tobytes() == (ref.mean + delta * rows / total).tobytes()
+        assert norm.var.tobytes() == ((ref.var * ref.count + b_var * rows
+                                       + delta * delta * ref.count * rows / total)
+                                      / total).tobytes()
+        assert norm.count == total
+        assert peak < 2 * (trainer.ROW_CHUNK + 1) * OBS_DIM * 8 < rows * OBS_DIM * 8, peak
 
 
 class TestCheckpoint:
@@ -574,7 +648,25 @@ class TestBlasThreadPolicy:
                     == (tmp_path / "off" / name).read_bytes()), name
 
 
+def shipped_stages():
+    """(bundle, stage index) of every stage of every shipped bundle."""
+    return [(name, i) for name in ("desk", "tune", "blind")
+            for i in range(len(parse_bundle(DESK.parent / name).stages))]
+
+
 class TestTrainStage:
+    @pytest.mark.parametrize("name,index", shipped_stages())
+    def test_every_shipped_stage_trains_one_iteration(self, tmp_path, name, index):
+        """Each stage of each shipped bundle, as a first stage, trains one
+        4-env PPO iteration: its reward evaluates on the walker's bindings."""
+        stage = parse_bundle(DESK.parent / name).stages[index]
+        config = copy.deepcopy(stage.config_doc)
+        config["trainer"].update(num_envs=4, num_timesteps=80, num_evals=1)
+        stage = dataclasses.replace(stage, config_doc=config, resume_from_checkpoint=False)
+        result = train_stage(stage, tmp_path, eval_episodes=2, eval_max_steps=10)
+        assert result.env_steps == 4 * config["trainer"]["unroll_length"]
+        assert len(result.metrics) == 1
+
     @pytest.mark.parametrize("config_seed,seed", [(0, -1), (-2, None)])
     def test_a_negative_seed_is_refused_before_anything_is_built(
             self, tmp_path, config_seed, seed):
