@@ -427,7 +427,6 @@ class TestAdamAndNorm:
         np.testing.assert_allclose(norm.mean, full.mean(0), atol=1e-8)
         np.testing.assert_allclose(norm.var, full.var(0), atol=1e-8)
 
-
     @pytest.mark.parametrize("rows,dtype", [(81_920, np.float32), (12_345, np.float64)])
     def test_running_norm_streams_the_one_pass_bytes(self, rows, dtype):
         """81,920 rows are a 4096-env rollout's observations. The update's
