@@ -32,12 +32,14 @@ rollout's ``num_envs`` or the evaluation's episodes: a forward pass in
 chunks rounds differently from a whole one.
 
 SiLU blocks. The backward reads, per hidden layer, only the layer's input
-and its SiLU derivative, so that is all a forward keeps: two row-sized
-arrays per hidden layer, the activation ``a{i}`` and, over the
-pre-activation ``z{i}``, the derivative ``s * (1 + z * (1 - s))`` (only
-under ``grad``, which ``ppo_loss(with_grads=True)`` alone sets; inference
-skips it). The sigmoid ``s`` and ``1 - s`` live in two scratch arrays of one
-block of ``SILU_ROWS`` rows, shared by every layer: each block writes
+and its SiLU derivative, so that is all a forward keeps: under ``grad``,
+which ``ppo_loss(with_grads=True)`` alone sets, two row-sized arrays per
+hidden layer, the activation ``a{i}`` and, over the pre-activation
+``z{i}``, the derivative ``s * (1 + z * (1 - s))``. Inference keeps one,
+the activation written over ``z{i}``, so ``a{i}`` is taken by update chunks
+alone (a paper-scale rollout's 8,192 rows: ``BENCH_24.json``). The sigmoid
+``s`` and ``1 - s`` live in two scratch arrays of one block of
+``SILU_ROWS`` rows, shared by every layer: each block writes
 ``a = z * s``, then the derivative over its rows of z, and ``mlp_backward``
 only multiplies the gradient by it. A layer whose rows fit in one block works
 on whole arrays. Block size barely moves time but sets the scratch, so the
@@ -106,20 +108,22 @@ recorded before rewards were blocked.
 BLAS threads. Each phase of ``train_stage`` runs on the BLAS thread count
 its own rows earn, by one rule on their multiply-accumulate count: the rows
 times the sum of fan_in * fan_out over the policy and value nets. The rows
-are the rollout's ``num_envs``, the rows of the update's products (the
-largest minibatch, ``num_envs * unroll_length / num_minibatches`` after
-``desk_profile``, or one ``ROW_CHUNK`` of it) and the evaluation's
-``eval_episodes``. Below ``ONE_THREAD_MACS`` a phase runs on one BLAS
-thread: there a second thread saved wall time within run-to-run noise at up
-to twice the CPU time (``BENCH_10.json``; re-run in ``BENCH_15.json``,
-``BENCH_16.json`` and, with the second thread on the job pool,
-``BENCH_17.json``). At or above it the count is left as found, so the
-updates of 4096-env and paper-width stages keep every thread (and so do
-their rollouts: 4096 envs on the desk nets are 49.5 M MACs), and while that
-is more than one the stage's parallel BLAS calls run on
-:mod:`stageflow.blaspool`'s job pool, whose workers sleep between calls
-where OpenBLAS's own spin: less CPU time for a worker wake-up per call
-(``BENCH_16.json``). The pool's contract:
+are those of one call (:func:`_phase_blas_threads`): the rollout's
+``num_envs``, the update's largest minibatch (``num_envs * unroll_length /
+num_minibatches`` after ``desk_profile``) capped at one ``ROW_CHUNK``, and
+the evaluation's ``eval_episodes``. Below ``ONE_THREAD_MACS`` a phase runs
+on one BLAS thread: there a second thread saved wall time within run-to-run
+noise at up to twice the CPU time. ``tools/blas_crossover.py`` measures
+that for each phase as a stage runs it, in the stage's compute dtype
+(``BENCH_24.json``; earlier rules, on whole float64 minibatches:
+``BENCH_10.json`` to ``BENCH_17.json``). So every phase of a 4096-env stage
+on the desk nets, 49.5 M MACs for its float32 update chunks and rollout
+steps alike, runs on one thread. At or above the constant, as the update
+chunks (1.46 G MACs) and rollouts of paper-width stages are, the count is
+left as found, and while that is more than one the stage's parallel BLAS
+calls run on :mod:`stageflow.blaspool`'s job pool, whose workers sleep
+between calls where OpenBLAS's own spin: less CPU time for a worker wake-up
+per call (``BENCH_16.json``). The pool's contract:
 
 - Scope: it is installed when a stage with a phase that keeps every thread
   starts, and removed when the stage returns or raises.
@@ -139,7 +143,11 @@ bytes of the results the digest tests pin on both counts. It can change
 others: the weight gradient ``h.T @ grad``, a product over a minibatch's
 rows, rounds differently on one OpenBLAS thread than on two at 1,283, 4,500
 and 10,001 rows (not at 320, 4,096, 5,120 or 20,480), which is why
-``tests/silu_blocks_golden.py`` pins one thread.
+``tests/silu_blocks_golden.py`` pins one thread. A stage whose every phase
+is below the constant (every desk stage, and 4096-env stages on the desk
+nets) runs on one OpenBLAS thread on any machine, so its bytes do not depend
+on the core count; only an update at or above it, over rows that are not a
+multiple of 32, can.
 """
 
 from __future__ import annotations
@@ -171,13 +179,14 @@ VALUE_LOSS_COEF = 0.5   # c_v default
 LOGP_EPS = 1e-6
 LOG2PI = math.log(2.0 * math.pi)
 
-# minibatch multiply-accumulates below which a stage trains on one BLAS
-# thread (33.6 M): the largest power of two under the smallest count at which
-# a second thread on the job pool saved 10% of the wall time in three
-# crossover runs (61.9 M, 93.9 M and 113.7 M MACs; BENCH_16.json,
-# BENCH_17.json); below it the second thread cost CPU time for gains that
-# changed sign from run to run
-ONE_THREAD_MACS = 1 << 25
+# multiply-accumulates of one call's rows below which a stage phase runs on
+# one BLAS thread (67.1 M): the largest power of two under the smallest count
+# at which a second thread on the job pool saved 10% of the wall time, in
+# three runs of tools/blas_crossover.py that time each phase as a stage runs
+# it (93.9 M, 182.0 M and 182.0 M MACs; BENCH_24.json). Below it, a 4096-env
+# stage's 49.5 M-MAC float32 update chunks and rollout steps included, the
+# second thread cost CPU time for gains that changed sign from run to run
+ONE_THREAD_MACS = 1 << 26
 
 # (step, env) rows one reward evaluation covers at most: a rollout block is
 # as many whole steps as fit, and at least one (module docstring)
@@ -277,7 +286,9 @@ def mlp_forward(params: dict, prefix: str, x: np.ndarray,
     under names of the layer alone: a forward overwrites the last one's. The
     cache holds, per layer, its input and, for a hidden layer under ``grad``,
     its SiLU derivative, written over the layer's pre-activation: what
-    ``mlp_backward`` reads, and nothing more (module docstring)."""
+    ``mlp_backward`` reads, and nothing more (module docstring). Without
+    ``grad`` each hidden layer's SiLU is written over its pre-activation, so
+    inference takes no ``a{i}`` buffer."""
     ws = Workspace() if workspace is None else workspace
     n = _mlp_layers(params, prefix)
     cache = []
@@ -289,7 +300,7 @@ def mlp_forward(params: dict, prefix: str, x: np.ndarray,
         if i == n - 1:
             cache.append((h, None))
             return z, cache if grad else None
-        a = ws.take(f"a{i}", z.shape, z.dtype)
+        a = ws.take(f"a{i}", z.shape, z.dtype) if grad else z
         _silu(z, a, ws, grad)
         cache.append((h, z))
         h = a
@@ -297,8 +308,8 @@ def mlp_forward(params: dict, prefix: str, x: np.ndarray,
 
 def _silu(z: np.ndarray, a: np.ndarray, ws: Workspace, grad: bool) -> None:
     """a = z * s with s = 1 / (1 + exp(-z)), one block of ``SILU_ROWS`` rows
-    at a time, s in block scratch; under ``grad`` each block's z is then
-    overwritten by the SiLU derivative s * (1 + z * (1 - s))."""
+    at a time, s in block scratch; ``a`` may be ``z``. Under ``grad`` each
+    block's z is then overwritten by the SiLU derivative s * (1 + z * (1 - s))."""
     rows = z.size // z.shape[-1]
     if rows <= SILU_ROWS:
         blocks = ((z, a),)
@@ -738,9 +749,20 @@ def _minibatch_macs(rows: int, nets) -> int:
 
 
 def _stage_blas_threads(rows: int, nets) -> int | None:
-    """1 when a pass of ``rows`` rows does fewer than ``ONE_THREAD_MACS``
+    """1 when one call of a phase over ``rows`` rows (a rollout step, an
+    update chunk, an evaluation step) does fewer than ``ONE_THREAD_MACS``
     multiply-accumulates; None (leave BLAS as found) otherwise."""
     return 1 if _minibatch_macs(rows, nets) < ONE_THREAD_MACS else None
+
+
+def _phase_blas_threads(tr, nets, eval_episodes: int) -> list:
+    """The BLAS threads of a stage's rollout, update and evaluation, each by
+    its own rows (module docstring): the rollout's envs, the largest of
+    ``array_split``'s minibatches (ceil(steps / minibatches) rows) or one
+    ``ROW_CHUNK`` of it, the evaluation's episodes."""
+    minibatch = math.ceil(tr.num_envs * tr.unroll_length / tr.num_minibatches)
+    return [_stage_blas_threads(rows, nets)
+            for rows in (tr.num_envs, min(minibatch, ROW_CHUNK), eval_episodes)]
 
 
 @contextlib.contextmanager
@@ -861,16 +883,10 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
     last_losses = {"loss/policy": 0.0, "loss/value": 0.0, "loss/entropy": 0.0}
     env_steps = 0
 
-    # each phase runs on the BLAS threads its own rows earn (module
-    # docstring): the rollout's envs, the largest of array_split's
-    # minibatches (ceil(steps / minibatches) rows) or one ROW_CHUNK of it,
-    # the evaluation's episodes. The stage's scope keeps every thread, on
-    # the pool, when any phase does; a one-thread phase inside it drops to
-    # one for its call
-    nets = (policy.policy_sizes, policy.value_sizes)
-    phases = [_stage_blas_threads(rows, nets) for rows in
-              (num_envs, min(math.ceil(steps_per_iter / tr.num_minibatches), ROW_CHUNK),
-               eval_episodes)]
+    # the stage's scope keeps every thread, on the pool, when any phase
+    # does; a one-thread phase inside it drops to one for its call
+    phases = _phase_blas_threads(tr, (policy.policy_sizes, policy.value_sizes),
+                                 eval_episodes)
     stage_threads = None if None in phases else 1
     collect_blas, update_blas, eval_blas = (
         functools.partial(_blas_threads, 1) if threads == 1 and stage_threads is None

@@ -109,9 +109,24 @@ class VectorStore:
         self._index = self._load_index()
 
     def _load_index(self) -> dict:
-        if self.index_path.is_file():
-            return json.loads(self.index_path.read_text())
-        return {"dim": EMBED_DIM, "runs": {}}
+        if not self.index_path.is_file():
+            return {"dim": EMBED_DIM, "runs": {}}
+        try:
+            index = json.loads(self.index_path.read_text())
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise StoreError("CORRUPT_INDEX", f"{self.index_path}: not JSON ({e})") from e
+        runs = index.get("runs") if isinstance(index, dict) else None
+        if not isinstance(runs, dict):
+            raise StoreError("CORRUPT_INDEX",
+                             f"{self.index_path}: not an object with a 'runs' mapping")
+        for run_id, meta in runs.items():
+            meta = meta if isinstance(meta, dict) else {}
+            vec = meta.get("embedding")
+            if not (isinstance(meta.get("order"), int) and isinstance(vec, list)
+                    and len(vec) == EMBED_DIM and all(isinstance(x, (int, float)) for x in vec)):
+                raise StoreError("CORRUPT_INDEX", f"{self.index_path}: run {run_id!r} lacks "
+                                 f"an integer 'order' or a {EMBED_DIM}-number 'embedding'")
+        return index
 
     def _write_index(self):
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")

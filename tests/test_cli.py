@@ -259,6 +259,23 @@ class TestVdbAdd:
             list(range(1, 12))
 
 
+class TestCorruptStore:
+    @pytest.mark.parametrize("text", ["not json", '{"dim": 256}'])
+    def test_vdb_commands_exit_3_naming_the_index(self, capsys, tmp_path, text):
+        (tmp_path / "vdb").mkdir()
+        (tmp_path / "vdb" / "index.json").write_text(text)
+        (tmp_path / "prompt.txt").write_text("walk forward\n")
+        run_dir = _write_run_dir(tmp_path / "src", stages=1)
+        for argv in (["vdb", "query", "walk", "--vdb", tmp_path / "vdb"],
+                     ["vdb", "add", run_dir, "--vdb", tmp_path / "vdb"],
+                     ["run", "--prompt", tmp_path / "prompt.txt", "--vdb", tmp_path / "vdb",
+                      "--out", tmp_path / "out", "--fixtures", DATA / "fixtures" / "walker2"]):
+            code, out = _cli(capsys, *argv)
+            assert code == 3, argv
+            assert "CORRUPT_INDEX" in out.err and str(tmp_path / "vdb" / "index.json") in out.err
+        assert (tmp_path / "vdb" / "index.json").read_text() == text
+
+
 class TestRunIdEscape:
     def test_vdb_add_run_id_stays_in_the_store(self, capsys, tmp_path):
         run_dir = _write_run_dir(tmp_path / "src", stages=1)

@@ -13,7 +13,7 @@ import pytest
 
 from stageflow import blaspool, trainer
 from stageflow.errors import TrainerError
-from stageflow.schema import parse_bundle
+from stageflow.schema import parse_bundle, stage_config
 from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Policy,
                                RunningNorm, Workspace,
                                gae, load_checkpoint, ppo_loss,
@@ -360,6 +360,18 @@ class TestRollouts:
         assert workspace._bufs.keys() == bufs.keys()
         assert all(workspace._bufs[k] is b for k, b in bufs.items())
 
+    def test_an_inference_forward_takes_no_activation_buffer(self):
+        """Without ``grad``, each hidden layer's SiLU is written over its
+        pre-activation: act, value and act_deterministic take the ``z{i}``
+        buffers and the SiLU block scratch, and no ``a{i}``."""
+        policy = Policy([64, 32], [64, 32], seed=0)
+        workspace = Workspace()
+        obs = np.random.default_rng(1).standard_normal((1_000, OBS_DIM))
+        policy.act(obs, np.random.default_rng(2), workspace)
+        policy.value(obs, workspace)
+        policy.act_deterministic(obs, workspace)
+        assert set(workspace._bufs) == {"z0", "z1", "z2", "silu/s"}
+
     def test_warm_inference_allocates_less_than_one_hidden_activation(self):
         rows, hidden = 5_120, 64
         policy = Policy([hidden, hidden], [hidden, hidden], seed=0)
@@ -573,15 +585,39 @@ class TestBlasThreadPolicy:
         (320, [64, 64], 1),                # desk width: 64 envs x 20 / 4
         (640, [64, 64], 1),                # 7.7 M MACs
         (64, [512, 512, 512], None),       # 69.1 M MACs: few rows, wide nets
-        (20_480, [64, 64], None),          # 4096 envs under the desk profile
-        (5_120, [512, 256, 128], None),    # the shipped paper-scale tune stage
-        (2_560, [64, 64], 1),              # 31.0 M MACs, just under the constant
-        (320, [256, 256], None),           # 46.9 M MACs, just over it
+        (4_096, [64, 64], 1),              # 49.5 M MACs: a 4096-env stage's update chunk
+                                           # and rollout step under the desk profile
+        (5_120, [512, 256, 128], None),    # a paper-scale tune minibatch, 1.82 G MACs
+        (2_560, [64, 64], 1),              # 31.0 M MACs
+        (320, [256, 256], 1),              # 46.9 M MACs
+        (4_096, [512, 256, 128], None),    # 1.46 G MACs: one chunk of that minibatch
+        (16, [512, 256, 128], 1),          # 5.7 M MACs: its evaluation step
+        (5_548, [64, 64], 1),              # 67,108,608 MACs, just under the constant
+        (5_549, [64, 64], None),           # 67,120,704 MACs, just over it
     ])
     def test_selection(self, rows, hidden, threads):
         policy = Policy(hidden, hidden, seed=0)
         nets = (policy.policy_sizes, policy.value_sizes)
         assert trainer._stage_blas_threads(rows, nets) == threads
+
+    @pytest.mark.parametrize("paper_scale,phases", [(False, [1, 1, 1]),
+                                                     (True, [None, None, 1])])
+    def test_the_shipped_tune_stages_phases(self, paper_scale, phases):
+        """Tune stage 1 as the benchmark trains it at 4096 envs (desk nets,
+        20,480-row minibatches in 4,096-row chunks: 49.5 M MACs a call) runs
+        its rollout, update and evaluation on one thread; at its configured
+        sizes (8192 envs, [512, 256, 128] nets, 5,120-row minibatches) the
+        rollout (2.9 G MACs) and update chunks (1.46 G) keep every thread
+        and the 16-episode evaluation (5.7 M) takes one."""
+        stage = parse_bundle(DESK.parent / "tune").stages[0]
+        doc = trainer.desk_profile(stage.config_doc, paper_scale)
+        if not paper_scale:
+            doc["trainer"]["num_envs"] = 4096
+        cfg = stage_config(doc, TrainerError)
+        policy = Policy(cfg.ppo_network.policy_hidden_layer_sizes,
+                        cfg.ppo_network.value_hidden_layer_sizes, seed=0)
+        nets = (policy.policy_sizes, policy.value_sizes)
+        assert trainer._phase_blas_threads(cfg.trainer, nets, 16) == phases
 
     def test_a_desk_stage_trains_on_one_thread_and_restores_the_callers(
             self, tmp_path, monkeypatch, blas_threads):

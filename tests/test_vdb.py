@@ -52,3 +52,17 @@ def test_equal_scores_put_the_older_run_first(tmp_path):
     top = VectorStore(tmp_path).query_topk("walk on the desk", k=4)
     assert [rid for rid, _ in top] == ["run-b", "run-c", "run-a", "run-z"]
     assert top[0][1] == top[1][1] == top[2][1] > top[3][1]
+
+
+@pytest.mark.parametrize("text", [
+    "not json", '["run-0001"]', '{"dim": 256}', '{"dim": 256, "runs": ["run-0001"]}',
+    '{"dim": 256, "runs": {"run-0001": {}}}',
+    '{"dim": 256, "runs": {"run-0001": {"order": 0, "embedding": [1.0]}}}',
+    '{"dim": 256, "runs": {"run-0001": {"order": 0, "embedding": [%s]}}}'
+    % ", ".join(['"x"'] * 256)])
+def test_an_ill_formed_index_is_a_corrupt_index(tmp_path, text):
+    (tmp_path / "index.json").write_text(text)
+    with pytest.raises(StoreError) as e:
+        VectorStore(tmp_path)
+    assert e.value.code == "CORRUPT_INDEX"
+    assert str(tmp_path / "index.json") in e.value.message
