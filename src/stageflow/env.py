@@ -2,14 +2,16 @@
 
 Velocities follow first-order lag dynamics toward action-projected targets,
 feet follow a gait oscillator, and kicks inject velocity impulses on a fixed
-schedule. The point of the environment is to emit, every step, the binding
-maps the reward programs consume; it is not a physics simulator.
+schedule. The point of the environment is to emit, every step, the bindings
+the reward programs consume; it is not a physics simulator.
 
 ``VecEnv`` holds the physics: N walkers stepped along one env axis, as
-training, periodic evaluation and final scoring run them. Each step builds
-only the binding keys its caller asked for. ``DeskWalker`` is the ``VecEnv``
-final scoring steps, one row per episode, each row seeded as if it ran
-alone; it has no dynamics of its own.
+training, periodic evaluation and final scoring run them. Each step copies
+what its caller's binding keys read into the rows of the current reward
+block, and the keys are built once per block. ``BINDING_SHAPES`` is the one
+shape table of those keys, which reward programs are compiled and validated
+against. ``DeskWalker`` is the ``VecEnv`` final scoring steps, one row per
+episode, each row seeded as if it ran alone; it has no dynamics of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from . import randomize
 from .errors import EnvError
 from .randomize import desk_scene
-from .reward import BatchValue
 from .schema import section_config
 
 DT = 0.02          # 50 Hz control
@@ -34,71 +35,82 @@ SPEED_LIMIT = 3.0
 
 DEFAULT_POSE = np.array([0.0, 0.0, -0.3, 0.6, -0.3, 0.6, 0.0, 0.0])
 
+# (step, env) rows a reward block holds at most: a block is as many whole
+# steps as fit, and at least one (``VecEnv`` docstring)
+REWARD_ROWS = 256
 
-class _Step:
-    """What one step's bindings read: the walker ``w`` after the step, the
-    step's foot heights ``z``, contacts ``c`` and first contacts ``fc``, and
-    the arrays that several keys share, each built on first use."""
 
-    def __init__(self, w, z, c, fc):
-        self.w, self.z, self.c, self.fc = w, z, c, fc
+class _Block:
+    """A reward block's state: each field the requested keys read, one row per
+    (step, env), as the step's binding point left it, and the arrays several
+    keys share, each built on first use."""
+
+    def __init__(self, state: dict, rows: int):
+        self.__dict__.update(state)
+        self.n = rows
 
     @cached_property
     def local_vel(self) -> np.ndarray:
-        return np.concatenate([self.w.vel, np.zeros((self.w.n, 1))], axis=1)
+        return np.concatenate([self.vel, np.zeros((self.n, 1))], axis=1)
 
     @cached_property
     def cmd_norm(self) -> np.ndarray:
-        return np.linalg.norm(self.w.command[:, :2], axis=1)
+        return np.linalg.norm(self.command[:, :2], axis=1)
 
     @cached_property
     def feet_pos(self) -> np.ndarray:
         return self.feet(2, self.z)
 
     def feet(self, axes, value) -> np.ndarray:
-        """(N, 2 feet, 3) zeros with ``value`` written at ``axes``."""
-        out = np.zeros((self.w.n, 2, 3))
+        """(rows, 2 feet, 3) zeros with ``value`` written at ``axes``."""
+        out = np.zeros((self.n, 2, 3))
         out[:, :, axes] = value
         return out
 
 
-# binding key -> (kind, its array built from the step); a boolean key's
-# array is bool, which BatchValue stores as 0.0/1.0
+# binding key -> (per-env shape, kind, the state fields it reads, its array
+# over a block's rows from the block state ``s``). Walker fields are read
+# after the step's dynamics; ``z``, ``c`` and ``fc`` are the step's foot
+# heights, contacts and first contacts. A boolean key's array is bool, and
+# ``VecEnv.bindings`` returns it as 0.0/1.0
 _BINDINGS = {
-    "command": ("numeric", lambda s: s.w.command.copy()),
-    "local_vel": ("numeric", lambda s: s.local_vel),
-    "base_ang_vel": ("numeric", lambda s: s.w.yaw_rate.copy()),
-    "xd.vel": ("numeric", lambda s: s.local_vel[:, None, :]),
-    "xd.ang": ("numeric", lambda s: np.stack(
-        [0.2 * s.w.tilt[:, 1], -0.2 * s.w.tilt[:, 0], s.w.yaw_rate], axis=1)[:, None, :]),
-    "rot_up": ("numeric", lambda s: np.concatenate(
-        [s.w.tilt, np.sqrt(np.maximum(0.0, 1.0 - (s.w.tilt * s.w.tilt).sum(axis=1)))[:, None]],
+    "command": ((3,), "numeric", "command", lambda s: s.command),
+    "local_vel": ((3,), "numeric", "vel", lambda s: s.local_vel),
+    "base_ang_vel": ((), "numeric", "yaw_rate", lambda s: s.yaw_rate),
+    "xd.vel": ((1, 3), "numeric", "vel", lambda s: s.local_vel[:, None, :]),
+    "xd.ang": ((1, 3), "numeric", "tilt yaw_rate", lambda s: np.stack(
+        [0.2 * s.tilt[:, 1], -0.2 * s.tilt[:, 0], s.yaw_rate], axis=1)[:, None, :]),
+    "rot_up": ((3,), "numeric", "tilt", lambda s: np.concatenate(
+        [s.tilt, np.sqrt(np.maximum(0.0, 1.0 - (s.tilt * s.tilt).sum(axis=1)))[:, None]],
         axis=1)),
-    "qfrc_actuator": ("numeric", lambda s:
-                      80.0 * (0.4 * s.w.action - (s.w.joints - s.w.default_pose))),
-    "action": ("numeric", lambda s: s.w.action.copy()),
-    "last_act": ("numeric", lambda s: s.w.last_act.copy()),
-    "feet_air_time": ("numeric", lambda s: s.w.air_time.copy()),
-    "first_foot_contact": ("boolean", lambda s: s.fc),
-    "command_norm": ("numeric", lambda s: s.cmd_norm),
-    "commands_norm": ("numeric", lambda s: s.cmd_norm),
-    "joint_angles": ("numeric", lambda s: s.w.joints.copy()),
-    "default_pose": ("numeric", lambda s: s.w.default_pose.copy()),
-    "done": ("boolean", lambda s: s.w.done),
-    "step": ("numeric", lambda s: s.w.t.astype(np.float64)),
-    "foot_contact": ("boolean", lambda s: s.c),
-    "first_site_contact": ("boolean", lambda s: s.c),
-    "feet_pos": ("numeric", lambda s: s.feet_pos),
-    "feet_site_pos": ("numeric", lambda s: s.feet_pos.copy()),
-    "feet_site_linvel": ("numeric", lambda s: s.feet(
-        slice(0, 2), np.where(s.c[:, :, None], 0.0, s.w.vel[:, None, :]))),
-    "feet_site_angvel": ("numeric", lambda s: s.feet(
-        2, np.where(s.c, 0.0, s.w.yaw_rate[:, None]))),
-    "rz": ("numeric", lambda s: s.z),
-    "swing_peak": ("numeric", lambda s: s.w.swing_peak.copy()),
-    "max_foot_height": ("numeric", lambda s: s.w.max_foot_height.copy()),
+    "qfrc_actuator": ((NUM_JOINTS,), "numeric", "action joints default_pose", lambda s:
+                      80.0 * (0.4 * s.action - (s.joints - s.default_pose))),
+    "action": ((ACTION_DIM,), "numeric", "action", lambda s: s.action),
+    "last_act": ((ACTION_DIM,), "numeric", "last_act", lambda s: s.last_act),
+    "feet_air_time": ((2,), "numeric", "air_time", lambda s: s.air_time),
+    "first_foot_contact": ((2,), "boolean", "fc", lambda s: s.fc),
+    "command_norm": ((), "numeric", "command", lambda s: s.cmd_norm),
+    "commands_norm": ((), "numeric", "command", lambda s: s.cmd_norm),
+    "joint_angles": ((NUM_JOINTS,), "numeric", "joints", lambda s: s.joints),
+    "default_pose": ((NUM_JOINTS,), "numeric", "default_pose", lambda s: s.default_pose),
+    "done": ((), "boolean", "done", lambda s: s.done),
+    "step": ((), "numeric", "t", lambda s: s.t),
+    "foot_contact": ((2,), "boolean", "c", lambda s: s.c),
+    "first_site_contact": ((2,), "boolean", "c", lambda s: s.c),
+    "feet_pos": ((2, 3), "numeric", "z", lambda s: s.feet_pos),
+    "feet_site_pos": ((2, 3), "numeric", "z", lambda s: s.feet_pos),
+    "feet_site_linvel": ((2, 3), "numeric", "c vel", lambda s: s.feet(
+        slice(0, 2), np.where(s.c[:, :, None], 0.0, s.vel[:, None, :]))),
+    "feet_site_angvel": ((2, 3), "numeric", "c yaw_rate", lambda s: s.feet(
+        2, np.where(s.c, 0.0, s.yaw_rate[:, None]))),
+    "rz": ((2,), "numeric", "z", lambda s: s.z),
+    "swing_peak": ((2,), "numeric", "swing_peak", lambda s: s.swing_peak),
+    "max_foot_height": ((), "numeric", "max_foot_height", lambda s: s.max_foot_height),
 }
 BINDING_KEYS = tuple(_BINDINGS)
+# the shape table reward programs are compiled and validated against
+BINDING_SHAPES = {key: entry[0] for key, entry in _BINDINGS.items()}
+BINDING_KINDS = {key: entry[1] for key, entry in _BINDINGS.items()}
 
 
 def _scaled(lo, hi, u: np.ndarray) -> np.ndarray:
@@ -115,14 +127,24 @@ class VecEnv:
     ``schema.section_config`` (which raises as ``EnvError``).
 
     All physics state carries a leading env axis and steps in a handful of
-    numpy ops; bindings come back as stacked BatchValue arrays for the batched
-    reward evaluator, for the keys of ``binding_keys`` that are in
-    ``BINDING_KEYS`` (a term that reads any other key gets its
-    ``default_reward``). Scenes come from one ``resample_per_env`` call over
-    all rows, env i at key ``(base_seed, i)``: each rule's stream for each
-    env is computed in array passes over all rows, with no Generator, and
-    gives the doubles of the per-(rule, env) Generator it replaced
-    (``randomize`` module docstring).
+    numpy ops. Reward blocks: at each step's binding point (after the
+    dynamics, before first contacts clear the air time and finished rows
+    reset), ``step`` copies the state fields that the requested keys read,
+    the keys of ``binding_keys`` that are in ``BINDING_KEYS`` (a term that
+    reads any other key gets its ``default_reward``), into that step's N rows
+    of a block of ``block_steps`` steps: by default as many whole steps as
+    fit in ``REWARD_ROWS`` rows, and at least one. :meth:`bindings` then
+    builds each key once over the block's rows, not once per step
+    (``BENCH_25.json``), with the bytes each step's own build gave, as every
+    builder works row by row. A copy, not a reference: resets write the
+    step's contacts (as ``prev_contact``) and other state in place, and
+    kicks add to ``vel`` in place.
+
+    Scenes come from one ``resample_per_env`` call over all rows, env i at
+    key ``(base_seed, i)``: each rule's stream for each env is computed in
+    array passes over all rows, with no Generator, and gives the doubles of
+    the per-(rule, env) Generator it replaced (``randomize`` module
+    docstring).
 
     Reset, kick and observation noise draws are per env: env i draws from
     its own Generator, seeded ``base_seed * 100003 + i``, in this order. A
@@ -140,12 +162,18 @@ class VecEnv:
 
     def __init__(self, env_config, num_envs: int, base_seed: int = 0,
                  randomize_rules: dict | None = None,
-                 episode_length: int = 1000, binding_keys=BINDING_KEYS):
+                 episode_length: int = 1000, binding_keys=BINDING_KEYS,
+                 block_steps: int | None = None):
         self.cfg = cfg = section_config("environment", env_config, EnvError)
         self.n = num_envs
         self.episode_length = episode_length
+        self.block_steps = block_steps or max(1, REWARD_ROWS // num_envs)
         wanted = set(binding_keys)
-        self._builders = [(k, *_BINDINGS[k]) for k in BINDING_KEYS if k in wanted]
+        keys = [k for k in BINDING_KEYS if k in wanted]
+        self._builders = [(k, _BINDINGS[k][3]) for k in keys]
+        self._fields = sorted({f for k in keys for f in _BINDINGS[k][2].split()})
+        self._block: dict = {}  # field -> (block_steps * n, ...) rows, made on first use
+        self._filled = 0  # steps in the current block
         seeds, scene_keys = self._row_keys(base_seed)
         self._rngs = [np.random.default_rng(s) for s in seeds]
         scenes = randomize.resample_per_env(randomize_rules or {}, desk_scene(), scene_keys)
@@ -256,8 +284,9 @@ class VecEnv:
         self.tilt[rows] += 0.5 * impulse
 
     def step(self, actions: np.ndarray):
-        """Returns (obs (N, OBS_DIM), stacked bindings, done (N,)). ``done``
-        includes truncation; finished rows reset in place before ``obs``."""
+        """Returns (obs (N, OBS_DIM), done (N,)). ``done`` includes
+        truncation; finished rows reset in place before ``obs``. The step's
+        bindings join the block that :meth:`bindings` reads."""
         actions = np.clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
         if actions.shape != (self.n, ACTION_DIM):
             raise EnvError(
@@ -290,7 +319,7 @@ class VecEnv:
         speed = np.linalg.norm(self.vel, axis=1)
         self.done = (np.linalg.norm(self.tilt, axis=1) > TILT_LIMIT) | (speed > SPEED_LIMIT)
 
-        bindings = self._bindings(foot_z, contact, first_contact)
+        self._snapshot({"z": foot_z, "c": contact, "fc": first_contact})
 
         self.air_time = np.where(first_contact, 0.0, self.air_time)
         self.swing_peak = np.where(first_contact, 0.0, self.swing_peak)
@@ -301,11 +330,31 @@ class VecEnv:
         rows = np.flatnonzero(finished)
         if rows.size:
             self._reset_rows(rows)
-        return self.observe(), bindings, finished
+        return self.observe(), finished
 
-    def _bindings(self, foot_z, contact, first_contact) -> dict:
-        step = _Step(self, foot_z, contact, first_contact)
-        return {key: BatchValue(build(step), kind) for key, kind, build in self._builders}
+    def _snapshot(self, step_state: dict) -> None:
+        """Copy the fields the requested keys read into this step's rows of
+        the block; resets and kicks later write the walker's arrays in place.
+        A step on a full block that nobody read starts the next one."""
+        if self._filled == self.block_steps:
+            self._filled = 0
+        rows = slice(self._filled * self.n, (self._filled + 1) * self.n)
+        for f in self._fields:
+            src = step_state[f] if f in step_state else getattr(self, f)
+            if f not in self._block:
+                self._block[f] = np.empty((self.block_steps * self.n,) + src.shape[1:], src.dtype)
+            self._block[f][rows] = src
+        self._filled += 1
+
+    def bindings(self) -> dict:
+        """The requested binding keys over the steps since the last call (at
+        most ``block_steps``), row ``j * n + i`` env i at the j-th of them:
+        key -> float64 array (rows, *BINDING_SHAPES[key]). The arrays may be
+        views of the block, valid until the next step."""
+        rows = self._filled * self.n
+        self._filled = 0
+        s = _Block({f: buf[:rows] for f, buf in self._block.items()}, rows)
+        return {key: np.asarray(build(s), dtype=np.float64) for key, build in self._builders}
 
     def observe(self) -> np.ndarray:
         obs = np.concatenate([
@@ -331,7 +380,8 @@ class DeskWalker(VecEnv):
     Row e draws from ``default_rng(seed + 100 e)`` and takes its scene from
     key ``(seed + 100 e, 0)``, so each episode runs as it would alone. Rows
     are never truncated; a done row resets in place and steps on, so callers
-    stop reading it there. Construction resets every row, draws one
+    stop reading it there. Final scoring reads all of its steps as one
+    reward block (``block_steps`` its horizon). Construction resets every row, draws one
     observation and resets again, and the caller's first ``observe`` draws
     the next: the draw sequence that the recorded ``scores.json`` pins.
     ``step`` is defined again here only so that the benchmark's trace can
@@ -339,9 +389,10 @@ class DeskWalker(VecEnv):
     """
 
     def __init__(self, env_config, rules: dict | None = None, seed: int = 0,
-                 episodes: int = 1, binding_keys=BINDING_KEYS):
+                 episodes: int = 1, binding_keys=BINDING_KEYS, block_steps: int | None = None):
         super().__init__(env_config, episodes, base_seed=seed, randomize_rules=rules,
-                         episode_length=np.iinfo(np.int64).max, binding_keys=binding_keys)
+                         episode_length=np.iinfo(np.int64).max, binding_keys=binding_keys,
+                         block_steps=block_steps)
         self.observe()
         self._reset_rows(np.arange(episodes))
 

@@ -265,25 +265,27 @@ def final_scores(checkpoint_path, stage: StageBundle, seed: int = 7,
                  episodes: int = 8, horizon: int = 150) -> scoring.ScoreTriple:
     """Deployment-style evaluation of the final policy: ``episodes``
     deterministic rollouts stepped together as the rows of one
-    :class:`DeskWalker`, each row read up to its first ``done`` and scored
-    with the survival / tracking / air-time formulas. The policy acts on
-    (episodes, 1, OBS_DIM): a stack of one-row products rounds each row as
-    a lone observation's product does, and an (episodes, OBS_DIM) product
-    would not."""
+    :class:`DeskWalker` whose one reward block holds every step, each row
+    read up to its first ``done`` and scored with the survival / tracking /
+    air-time formulas. The policy acts on (episodes, 1, OBS_DIM): a stack of
+    one-row products rounds each row as a lone observation's product does,
+    and an (episodes, OBS_DIM) product would not."""
     policy, obs_norm = policy_from_checkpoint(checkpoint_path)
     env = DeskWalker(stage.config_doc.get("environment", {}),
                      stage.randomize_doc.get("randomization") or {}, seed=seed,
-                     episodes=episodes, binding_keys=scoring.SCORED_BINDINGS)
+                     episodes=episodes, binding_keys=scoring.SCORED_BINDINGS,
+                     block_steps=horizon)
     obs = env.observe()
-    steps, lengths = [], np.zeros(episodes, dtype=int)
+    lengths = np.zeros(episodes, dtype=int)
     alive = np.ones(episodes, dtype=bool)
-    while alive.any() and len(steps) < horizon:
+    for _ in range(horizon):
         action = policy.act_deterministic(obs_norm.normalize(obs)[:, None])[:, 0]
-        obs, bindings, done = env.step(action)
-        steps.append(bindings)
+        obs, done = env.step(action)
         lengths += alive
         alive &= ~done
-    return scoring.score_triple(steps, lengths, horizon)
+        if not alive.any():
+            break
+    return scoring.score_triple(env.bindings(), lengths, horizon)
 
 
 # -- stage loop ----------------------------------------------------------------

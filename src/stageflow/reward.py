@@ -1,4 +1,4 @@
-"""Compile reward YAML documents into executable programs and evaluate them.
+"""Compile reward YAML documents into typed numpy closures.
 
 A reward document maps term names to::
 
@@ -9,27 +9,37 @@ A reward document maps term names to::
     default_reward: float   (returned unscaled when a required binding is absent)
 
 Evaluation primitives and their parameter signatures are fixed; anything else
-is rejected at compile time.
+is rejected at compile time, as is a term that is not made of the mappings,
+lists, strings and numbers above.
 
-Every value of the language is a :class:`BatchValue`: a float64 array of at
-most ``MAX_RANK`` axes per env, tagged numeric or boolean (booleans are 0.0 or
-1.0, so masks multiply directly), with a leading env axis when ``batched``.
-Env bindings (``VecEnv``, ``DeskWalker``) are batched; literals are not.
-Operations broadcast over the per-env axes, aligned from the last one, and
-never across envs. Slices clip like Python's; an integer index out of range,
-division by zero and a result above ``MAX_RANK`` axes are errors. A term
-reduces to one float per env.
+A program is compiled against a shape table, binding key -> per-row shape
+(``env.BINDING_SHAPES`` for the desk walker). A term that reads a key the
+table lacks gets its ``default_reward``; every other term is type-checked
+once, node by node, and becomes one closure over raw float64 arrays. Every
+value of the language has a per-row shape of at most ``MAX_RANK`` axes; a
+value read from bindings has a leading row axis, and one made of literals
+alone has none and is computed at compile time. Operations broadcast over
+the per-row axes, aligned from the last one, and never across rows. Slices
+clip like Python's; an integer index out of range and a result above
+``MAX_RANK`` axes fail at compile time, division by zero and a sigma that is
+not positive when they happen. Booleans are 0.0 or 1.0, so masks multiply
+directly. A term reduces to one float per row.
 
 Since no operation combines rows, a row need not be one env at one step:
-the trainer's rollouts join several steps' bindings along the env axis and
-evaluate them in one call, one row per (step, env) pair, with the same bytes
-per row as step by step (``trainer`` docstring).
+the trainer's rollouts evaluate a block of steps in one call, one row per
+(step, env) pair, with the same bytes per row as step by step (``trainer``
+docstring). Each closure runs the numpy calls, in the order, of the
+per-node interpreter it replaced, so every byte is kept
+(``tests/data/reward_golden.json``), without its dispatch on every node of
+every call: a 256-row call of the 13-term ``tune`` program takes about half
+the time it did (``BENCH_25.json``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,184 +67,25 @@ EVALUATION_SIGNATURES: dict[str, frozenset[str]] = {
 COMBINATION_TYPES = ("last", "sum", "weighted_sum")
 
 
-@dataclass(frozen=True)
-class EvaluationStep:
-    type: str
-    parameters: dict  # name -> AST
-    output: str | None
-
-
-@dataclass(frozen=True)
-class Combination:
-    type: str
-    vectors: tuple = ()  # ASTs, weighted_sum only
-    weights: tuple = ()  # floats, weighted_sum only
+class Typed(NamedTuple):
+    """A compiled value: ``fn(scope)`` is its array, (rows, *shape) when
+    ``batched``, else ``shape``, where ``scope`` maps names to arrays."""
+    fn: Callable
+    shape: tuple
+    batched: bool
 
 
 @dataclass(frozen=True)
 class RewardTerm:
     name: str
-    inputs: dict  # input name -> AST
-    evaluations: tuple
-    combination: Combination
-    scale: float
-    default_reward: float
     required_variables: frozenset[str]
+    fn: Callable  # (bindings, rows) -> (rows,) contribution
 
 
 @dataclass(frozen=True)
 class RewardProgram:
     terms: tuple
-    required_variables: frozenset[str] = field(default_factory=frozenset)
-
-
-def _parse_param(value, where: str):
-    """Parameters may be strings (expression text) or bare YAML numbers/bools."""
-    if isinstance(value, bool):
-        return ex.BoolLit(value)
-    if isinstance(value, (int, float)):
-        return ex.Num(float(value))
-    if isinstance(value, str):
-        try:
-            return ex.parse_expression(value)
-        except Exception as e:  # keep the original code, add location
-            raise RewardError(
-                getattr(e, "code", "SYNTAX_ERROR"),
-                f"{where}: {getattr(e, 'message', e)}",
-            )
-    raise RewardError("SYNTAX_ERROR", f"{where}: expected expression, got {type(value).__name__}")
-
-
-def compile_term(name: str, spec: dict) -> RewardTerm:
-    if not isinstance(spec, dict):
-        raise RewardError("SYNTAX_ERROR", f"term {name!r} must be a mapping")
-
-    inputs_spec = spec.get("inputs") or {}
-    inputs = {}
-    for in_name, in_text in inputs_spec.items():
-        inputs[in_name] = _parse_param(in_text, f"term {name!r} input {in_name!r}")
-
-    evals_spec = spec.get("evaluations")
-    if not evals_spec:
-        raise RewardError("EMPTY_EVALUATIONS", f"term {name!r} has no evaluations")
-
-    steps = []
-    known = set(inputs)
-    for i, step_spec in enumerate(evals_spec):
-        where = f"term {name!r} evaluation {i}"
-        etype = step_spec.get("type")
-        if etype not in EVALUATION_SIGNATURES:
-            raise RewardError("UNKNOWN_EVALUATION", f"{where}: unknown type {etype!r}")
-        params_spec = step_spec.get("parameters") or {}
-        expected = EVALUATION_SIGNATURES[etype]
-        if set(params_spec) != set(expected):
-            raise RewardError(
-                "TYPE_ARITY",
-                f"{where}: type {etype!r} expects parameters {sorted(expected)}, "
-                f"got {sorted(params_spec)}",
-            )
-        params = {}
-        for p_name, p_value in params_spec.items():
-            ast = _parse_param(p_value, f"{where} parameter {p_name!r}")
-            for var in ex.free_variables(ast):
-                if var not in known:
-                    raise RewardError(
-                        "UNBOUND_VARIABLE",
-                        f"{where}: variable {var!r} is neither a declared input "
-                        f"nor an earlier output",
-                        term=name,
-                        variable=var,
-                    )
-            params[p_name] = ast
-        output = step_spec.get("output")
-        if output:
-            known.add(output)
-        steps.append(EvaluationStep(etype, params, output))
-
-    comb_spec = spec.get("combination") or {"type": "last"}
-    ctype = comb_spec.get("type", "last")
-    if ctype not in COMBINATION_TYPES:
-        raise RewardError("UNKNOWN_COMBINATION", f"term {name!r}: combination {ctype!r}")
-    if ctype == "weighted_sum":
-        cparams = comb_spec.get("parameters") or {}
-        vec_texts = cparams.get("vectors")
-        weights = cparams.get("weights")
-        if not isinstance(vec_texts, list) or not isinstance(weights, list) or \
-                len(vec_texts) != len(weights):
-            raise RewardError(
-                "UNKNOWN_COMBINATION",
-                f"term {name!r}: weighted_sum combination needs parallel "
-                f"vectors/weights lists",
-            )
-        vec_asts = []
-        for j, text in enumerate(vec_texts):
-            ast = _parse_param(text, f"term {name!r} combination vector {j}")
-            for var in ex.free_variables(ast):
-                if var not in known:
-                    raise RewardError(
-                        "UNBOUND_VARIABLE",
-                        f"term {name!r} combination: variable {var!r} unresolvable",
-                        term=name,
-                        variable=var,
-                    )
-            vec_asts.append(ast)
-        combination = Combination(
-            "weighted_sum", tuple(vec_asts), tuple(float(w) for w in weights)
-        )
-    else:
-        combination = Combination(ctype)
-
-    scale = spec.get("scale", 1.0)
-    if not isinstance(scale, (int, float)) or isinstance(scale, bool) or not math.isfinite(scale):
-        raise RewardError("BAD_SCALE", f"term {name!r}: scale must be a finite number")
-    default_reward = spec.get("default_reward", 0.0)
-    if not isinstance(default_reward, (int, float)) or isinstance(default_reward, bool):
-        raise RewardError("BAD_SCALE", f"term {name!r}: default_reward must be a number")
-
-    required = frozenset().union(
-        *(ex.free_variables(ast) for ast in inputs.values())
-    ) if inputs else frozenset()
-
-    return RewardTerm(
-        name=name,
-        inputs=inputs,
-        evaluations=tuple(steps),
-        combination=combination,
-        scale=float(scale),
-        default_reward=float(default_reward),
-        required_variables=required,
-    )
-
-
-def compile_program(reward_doc: dict) -> RewardProgram:
-    """Compile the mapping under the top-level ``reward:`` key."""
-    if not isinstance(reward_doc, dict):
-        raise RewardError("SYNTAX_ERROR", "reward document must be a mapping")
-    terms = tuple(compile_term(name, spec) for name, spec in reward_doc.items())
-    seen = set()
-    for t in terms:
-        if t.name in seen:
-            raise RewardError("SYNTAX_ERROR", f"duplicate term name {t.name!r}")
-        seen.add(t.name)
-    required = frozenset().union(*(t.required_variables for t in terms)) if terms else frozenset()
-    return RewardProgram(terms=terms, required_variables=required)
-
-
-# -- evaluation ---------------------------------------------------------------
-
-class BatchValue:
-    """Array with an optional leading env axis plus the numeric/boolean tag."""
-
-    __slots__ = ("arr", "kind", "batched")
-
-    def __init__(self, arr, kind="numeric", batched=True):
-        self.arr = np.asarray(arr, dtype=np.float64)
-        self.kind = kind
-        self.batched = batched
-
-    @property
-    def env_shape(self):
-        return self.arr.shape[1:] if self.batched else self.arr.shape
+    required_variables: frozenset[str]
 
 
 def broadcast_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -256,181 +107,315 @@ def broadcast_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out[::-1])
 
 
-def _expand(v: BatchValue, rank: int) -> np.ndarray:
-    """The array of ``v`` with 1s inserted before its per-env axes up to ``rank``."""
-    pad = rank - len(v.env_shape)
-    arr = v.arr
-    if v.batched:
-        return arr.reshape(arr.shape[:1] + (1,) * pad + arr.shape[1:])
-    return arr.reshape((1,) * pad + arr.shape) if pad else arr
+def _typed(fn, shape, batched: bool) -> Typed:
+    """A value without a row axis depends on literals alone: computed now."""
+    if not batched:
+        value = np.asarray(fn(None), dtype=np.float64)
+        fn = lambda scope: value  # noqa: E731
+    return Typed(fn, tuple(shape), batched)
 
 
-def _align(a: BatchValue, b: BatchValue):
-    """Broadcast two values over their per-env shapes, keeping env axes apart."""
-    rank = len(broadcast_shape(a.env_shape, b.env_shape))
-    return _expand(a, rank), _expand(b, rank), a.batched or b.batched
+def _expanded(v: Typed, rank: int):
+    """``v``'s closure with 1s inserted before its per-row axes up to ``rank``."""
+    pad, f = (1,) * (rank - len(v.shape)), v.fn
+    if not pad:
+        return f
+    if not v.batched:
+        value = f(None).reshape(pad + v.shape)
+        return lambda scope: value
+    return lambda scope: (x := f(scope)).reshape(x.shape[:1] + pad + x.shape[1:])
 
 
-def _elementwise(op: str, a: BatchValue, b: BatchValue) -> BatchValue:
-    x, y, batched = _align(a, b)
+def _sum_axes(v: Typed) -> tuple:
+    """The axes of ``v``'s array that hold one row's value."""
+    first = 1 if v.batched else 0
+    return tuple(range(first, first + len(v.shape)))
+
+
+def _row_sum(x, axes):
+    return x.sum(axis=axes) if axes else x
+
+
+def _elementwise(op: str, a: Typed, b: Typed) -> Typed:
+    shape = broadcast_shape(a.shape, b.shape)
+    fa, fb = _expanded(a, len(shape)), _expanded(b, len(shape))
+    batched = a.batched or b.batched
     if op == "/":
-        if (np.broadcast_to(y, np.broadcast_shapes(x.shape, y.shape)) == 0.0).any():
-            raise TensorError("DIVISION_BY_ZERO", "division by zero in elementwise /")
-        return BatchValue(x / y, batched=batched)
+        def nonzero(y):
+            if 0 not in shape and (y == 0.0).any():  # an empty result divides nothing
+                raise TensorError("DIVISION_BY_ZERO", "division by zero in elementwise /")
+            return y
+        if not b.batched:  # a literal divisor is checked once, now
+            nonzero(fb(None))
+        return _typed(lambda s: fa(s) / nonzero(fb(s)), shape, batched)
     if op in _ARITH:
-        return BatchValue(_ARITH[op](x, y), batched=batched)
+        f = _ARITH[op]
+        return _typed(lambda s: f(fa(s), fb(s)), shape, batched)
     if op in _COMPARE:
-        return BatchValue(_COMPARE[op](x, y).astype(np.float64), kind="boolean",
-                          batched=batched)
-    if op in ("&", "|"):
-        xa, ya = x != 0.0, y != 0.0
-        out = xa & ya if op == "&" else xa | ya
-        return BatchValue(out.astype(np.float64), kind="boolean", batched=batched)
-    raise TensorError("SHAPE_MISMATCH", f"unknown elementwise op {op!r}")
+        f = _COMPARE[op]
+        return _typed(lambda s: f(fa(s), fb(s)).astype(np.float64), shape, batched)
+    f = np.logical_and if op == "&" else np.logical_or
+    return _typed(lambda s: f(fa(s) != 0.0, fb(s) != 0.0).astype(np.float64), shape, batched)
 
 
-def _index(v: BatchValue, items) -> BatchValue:
-    items = list(items)
+def _index(v: Typed, items) -> Typed:
+    items = [slice(it.start, it.stop) if isinstance(it, ex.SliceItem) else it for it in items]
     n_ell = sum(1 for it in items if it is Ellipsis)
     if n_ell > 1:
         raise TensorError("BAD_ELLIPSIS", "more than one ellipsis in index")
-    rank = len(v.env_shape)
+    rank = len(v.shape)
     explicit = len(items) - n_ell
     if explicit > rank:
         raise TensorError("INDEX_OUT_OF_BOUNDS", f"index arity {explicit} exceeds rank {rank}")
     if n_ell:
         pos = items.index(Ellipsis)
         items = items[:pos] + [slice(None)] * (rank - explicit) + items[pos + 1:]
-    key = []
     for axis, it in enumerate(items):
-        if isinstance(it, slice):
-            key.append(it)
-        else:
-            i = int(it)
-            n = v.env_shape[axis]
-            if not (-n <= i < n):
-                raise TensorError(
-                    "INDEX_OUT_OF_BOUNDS",
-                    f"index {i} out of bounds for axis {axis} of length {n}",
-                )
-            key.append(i)
+        if not isinstance(it, slice) and not -v.shape[axis] <= it < v.shape[axis]:
+            raise TensorError(
+                "INDEX_OUT_OF_BOUNDS",
+                f"index {it} out of bounds for axis {axis} of length {v.shape[axis]}")
+    key = tuple(items)
+    shape = np.empty(v.shape)[key].shape
     if v.batched:
-        key = [slice(None)] + key
-    return BatchValue(v.arr[tuple(key)], kind=v.kind, batched=v.batched)
+        key = (slice(None),) + key
+    f = v.fn
+    return _typed(lambda s: f(s)[key], shape, v.batched)
 
 
-def evaluate(node, scope: dict) -> BatchValue:
-    """Evaluate an expression AST against a name -> BatchValue scope."""
-    if isinstance(node, ex.Num):
-        return BatchValue(node.value, batched=False)
-    if isinstance(node, ex.BoolLit):
-        return BatchValue(1.0 if node.value else 0.0, kind="boolean", batched=False)
+def compile_expression(node, types: dict) -> Typed:
+    """An expression AST typed against ``types`` (name -> :class:`Typed`)."""
+    if isinstance(node, (ex.Num, ex.BoolLit)):
+        return _typed(lambda s: float(node.value), (), False)
     if isinstance(node, ex.Var):
-        try:
-            return scope[node.name]
-        except KeyError:
+        if node.name not in types:
             raise ExpressionError("UNBOUND_VARIABLE", f"unbound variable {node.name!r}")
+        v, name = types[node.name], node.name
+        return Typed(lambda s: s[name], v.shape, True) if v.batched else v
     if isinstance(node, ex.Unary):
-        v = evaluate(node.operand, scope)
-        return BatchValue(-v.arr, batched=v.batched)
+        v = compile_expression(node.operand, types)
+        f = v.fn
+        return _typed(lambda s: -f(s), v.shape, v.batched)
     if isinstance(node, ex.Bin):
-        return _elementwise(
-            node.op, evaluate(node.left, scope), evaluate(node.right, scope))
+        return _elementwise(node.op, compile_expression(node.left, types),
+                            compile_expression(node.right, types))
     if isinstance(node, ex.Index):
-        base = evaluate(node.base, scope)
-        items = [slice(it.start, it.stop) if isinstance(it, ex.SliceItem) else it
-                 for it in node.items]
-        return _index(base, items)
+        return _index(compile_expression(node.base, types), node.items)
     raise ExpressionError("SYNTAX_ERROR", f"unknown AST node {node!r}")
 
 
-def _env_sum(arr: np.ndarray, batched: bool) -> np.ndarray:
-    """Each env's part of ``arr`` summed to a scalar."""
-    axes = tuple(range(1 if batched else 0, arr.ndim))
-    return arr.sum(axis=axes) if axes else arr
+def _square(v: Typed):
+    f = v.fn
+    return lambda s: (x := f(s)) * x
 
 
-def _total(v: BatchValue, n: int) -> np.ndarray:
-    """Each env's value summed -> (n,)."""
-    s = _env_sum(v.arr, v.batched)
-    return s if v.batched else np.full(n, float(s))
-
-
-def eval_step_batch(step: EvaluationStep, scope: dict) -> BatchValue:
-    """The value of one evaluation primitive over a name -> BatchValue scope."""
-    p = {name: evaluate(ast, scope) for name, ast in step.parameters.items()}
-    t = step.type
-    if t == "sum_square":
-        v = p["vector"]
-        return BatchValue(_env_sum(v.arr * v.arr, v.batched), batched=v.batched)
-    if t == "exponential_decay":
+def compile_primitive(etype: str, p: dict) -> Typed:
+    """The value of one evaluation primitive over its typed parameters."""
+    if etype in ("sum_square", "weighted_sum"):  # each row's sum of v * v, or of the product
+        v = p["vector"] if etype == "sum_square" else _elementwise("*", p["values"], p["weights"])
+        f = _square(v) if etype == "sum_square" else v.fn
+        axes = _sum_axes(v)
+        return _typed(lambda s: _row_sum(f(s), axes), (), v.batched)
+    if etype == "exponential_decay":
         sigma = p["sigma"]
-        if len(sigma.env_shape) != 0:
+        if sigma.shape:
             raise RewardError("SHAPE_MISMATCH", f"sigma must be a per-env scalar, "
-                                                f"got shape {sigma.env_shape}")
-        if (sigma.arr <= 0.0).any():
-            raise RewardError("NEGATIVE_SIGMA", "sigma must be positive")
-        denom = BatchValue(2.0 * sigma.arr * sigma.arr, batched=sigma.batched)
-        x, y, batched = _align(p["error"], denom)
-        return BatchValue(np.exp(-x / y), batched=batched)
-    if t == "norm_L2":
+                                                f"got shape {sigma.shape}")
+
+        def denom(s):
+            x = sigma.fn(s)
+            if (x <= 0.0).any():
+                raise RewardError("NEGATIVE_SIGMA", "sigma must be positive")
+            return 2.0 * x * x
+        error = p["error"]
+        fe, fd = error.fn, _expanded(_typed(denom, (), sigma.batched), len(error.shape))
+        return _typed(lambda s: np.exp(-fe(s) / fd(s)), error.shape,
+                      error.batched or sigma.batched)
+    if etype in ("norm_L2", "norm_L1"):
         v = p["vector"]
-        if len(v.env_shape) == 0:
-            return BatchValue(np.abs(v.arr), batched=v.batched)
-        return BatchValue(np.sqrt((v.arr * v.arr).sum(axis=-1)), batched=v.batched)
-    if t == "norm_L1":
-        v = p["vector"]
-        if len(v.env_shape) == 0:
-            return BatchValue(np.abs(v.arr), batched=v.batched)
-        return BatchValue(np.abs(v.arr).sum(axis=-1), batched=v.batched)
-    if t == "quadratic":
-        sq = _elementwise("*", p["value"], p["value"])
-        return _elementwise("*", p["weight"], sq)
-    if t == "weighted_sum":
-        prod = _elementwise("*", p["values"], p["weights"])
-        return BatchValue(_env_sum(prod.arr, prod.batched), batched=prod.batched)
-    if t == "binary":
+        f = v.fn
+        if not v.shape:
+            return _typed(lambda s: np.abs(f(s)), (), v.batched)
+        if etype == "norm_L2":
+            sq = _square(v)
+            return _typed(lambda s: np.sqrt(sq(s).sum(axis=-1)), v.shape[:-1], v.batched)
+        return _typed(lambda s: np.abs(f(s)).sum(axis=-1), v.shape[:-1], v.batched)
+    if etype == "quadratic":
+        value = p["value"]
+        return _elementwise("*", p["weight"], _typed(_square(value), value.shape, value.batched))
+    if etype == "binary":
         c, rv, ev = p["condition"], p["reward_value"], p["else_value"]
-        rank = len(broadcast_shape(broadcast_shape(c.env_shape, rv.env_shape), ev.env_shape))
-        return BatchValue(np.where(_expand(c, rank) != 0.0, _expand(rv, rank), _expand(ev, rank)),
-                          batched=c.batched or rv.batched or ev.batched)
-    if t == "absolute_difference":
-        d = _elementwise("-", p["value1"], p["value2"])
-        return BatchValue(np.abs(d.arr), kind=d.kind, batched=d.batched)
-    raise RewardError("UNKNOWN_EVALUATION", f"unknown type {t!r}")
+        shape = broadcast_shape(broadcast_shape(c.shape, rv.shape), ev.shape)
+        fc, fr, fe = (_expanded(v, len(shape)) for v in (c, rv, ev))
+        return _typed(lambda s: np.where(fc(s) != 0.0, fr(s), fe(s)), shape,
+                      c.batched or rv.batched or ev.batched)
+    d = _elementwise("-", p["value1"], p["value2"])  # absolute_difference
+    return _typed(lambda s: np.abs(d.fn(s)), d.shape, d.batched)
 
 
-def eval_term_batch(term: RewardTerm, bindings: dict, n: int) -> np.ndarray:
-    """(n,) contribution of one term. Missing required bindings give the
-    unscaled default_reward; numeric errors propagate loudly."""
-    missing = term.required_variables - bindings.keys()
-    if missing:
-        return np.full(n, term.default_reward)
+def _total(v: Typed):
+    """(value, rows) -> each row's value summed, (rows,)."""
+    axes = _sum_axes(v)
+    if v.batched:
+        return lambda x, n: _row_sum(x, axes)
+    return lambda x, n: np.full(n, float(_row_sum(x, axes)))
 
-    scope = {name: evaluate(ast, bindings) for name, ast in term.inputs.items()}
-    step_values = []
-    for step in term.evaluations:
-        value = eval_step_batch(step, scope)
-        if step.output:
-            scope[step.output] = value
-        step_values.append(value)
 
-    comb = term.combination
-    if comb.type == "last":
-        combined = _total(step_values[-1], n)
-    elif comb.type == "sum":
-        combined = sum(_total(v, n) for v in step_values)
-    else:  # weighted_sum
-        combined = sum(
-            w * _total(evaluate(vec, scope), n)
-            for vec, w in zip(comb.vectors, comb.weights)
-        )
-    return combined * term.scale
+def _parse_param(value, where: str):
+    """Parameters may be strings (expression text) or bare YAML numbers/bools."""
+    if isinstance(value, bool):
+        return ex.BoolLit(value)
+    if isinstance(value, (int, float)):
+        return ex.Num(float(value))
+    if isinstance(value, str):
+        try:
+            return ex.parse_expression(value)
+        except Exception as e:  # keep the original code, add location
+            raise RewardError(
+                getattr(e, "code", "SYNTAX_ERROR"),
+                f"{where}: {getattr(e, 'message', e)}",
+            )
+    raise RewardError("SYNTAX_ERROR", f"{where}: expected expression, got {type(value).__name__}")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _of(value, kind, where: str, what: str):
+    """``value`` when it is a ``kind``, else a SYNTAX_ERROR saying ``what`` it must be."""
+    if not isinstance(value, kind):
+        raise RewardError("SYNTAX_ERROR", f"{where} must be {what}, got {type(value).__name__}")
+    return value
+
+
+def _bound(ast, known, where: str, name: str):
+    for var in ex.free_variables(ast):
+        if var not in known:
+            raise RewardError(
+                "UNBOUND_VARIABLE",
+                f"{where}: variable {var!r} is neither a declared input nor an earlier output",
+                term=name, variable=var)
+    return ast
+
+
+def compile_term(name: str, spec: dict, shapes: dict) -> RewardTerm:
+    """One term compiled against ``shapes`` (binding key -> per-row shape).
+    Every fault of the term is a ``RewardError`` that names it."""
+    where = f"term {name!r}"
+    try:  # literals fold as a stage runs: an overflow is inf, not a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _compile_term(name, _of(spec, dict, where, "a mapping"), shapes)
+    except TensorError as e:  # a shape fault found by the type check
+        raise RewardError(e.code, f"{where}: {e.message}", term=name) from None
+    except RecursionError:  # an expression deeper than the interpreter's stack
+        raise RewardError("SYNTAX_ERROR", f"{where}: an expression nests too deeply",
+                          term=name) from None
+
+
+def _compile_term(name: str, spec: dict, shapes: dict) -> RewardTerm:
+    where = f"term {name!r}"
+    inputs = {in_name: _parse_param(text, f"{where} input {in_name!r}") for in_name, text in
+              _of(spec.get("inputs") or {}, dict, f"{where} inputs", "a mapping").items()}
+    required = frozenset().union(*map(ex.free_variables, inputs.values()))
+    typed = required <= shapes.keys()  # else the term takes its default
+    bound = {k: Typed(None, tuple(shapes[k]), True) for k in required} if typed else {}
+    types = {k: compile_expression(ast, bound) for k, ast in inputs.items()} if typed else {}
+    input_fns = [(k, t.fn) for k, t in types.items() if t.batched]
+
+    evals_spec = spec.get("evaluations")
+    if not evals_spec:
+        raise RewardError("EMPTY_EVALUATIONS", f"{where} has no evaluations")
+    known, steps = set(inputs), []
+    for i, step_spec in enumerate(_of(evals_spec, list, f"{where} evaluations", "a list")):
+        at = f"{where} evaluation {i}"
+        etype = _of(step_spec, dict, at, "a mapping").get("type")
+        if not isinstance(etype, str) or etype not in EVALUATION_SIGNATURES:
+            raise RewardError("UNKNOWN_EVALUATION", f"{at}: unknown type {etype!r}")
+        params_spec = _of(step_spec.get("parameters") or {}, dict, f"{at} parameters",
+                          "a mapping")
+        expected = EVALUATION_SIGNATURES[etype]
+        if set(params_spec) != set(expected):
+            raise RewardError(
+                "TYPE_ARITY",
+                f"{at}: type {etype!r} expects parameters {sorted(expected)}, "
+                f"got {sorted(params_spec, key=str)}",
+            )
+        params = {p: _bound(_parse_param(v, f"{at} parameter {p!r}"), known, at, name)
+                  for p, v in params_spec.items()}
+        output = _of(step_spec.get("output") or "", str, f"{at} output", "a name")
+        known.add(output)
+        if typed:
+            value = compile_primitive(
+                etype, {p: compile_expression(ast, types) for p, ast in params.items()})
+            steps.append((output if value.batched else "", value.fn, _total(value)))
+            if output:
+                types[output] = value
+
+    comb_spec = _of(spec.get("combination") or {"type": "last"}, dict,
+                    f"{where} combination", "a mapping")
+    ctype = comb_spec.get("type", "last")
+    if ctype not in COMBINATION_TYPES:
+        raise RewardError("UNKNOWN_COMBINATION", f"{where}: combination {ctype!r}")
+    vectors = []
+    if ctype == "weighted_sum":
+        cparams = _of(comb_spec.get("parameters") or {}, dict, f"{where} combination parameters",
+                      "a mapping")
+        vec_texts, weights = cparams.get("vectors"), cparams.get("weights")
+        if not isinstance(vec_texts, list) or not isinstance(weights, list) or \
+                len(vec_texts) != len(weights) or not all(map(_is_number, weights)):
+            raise RewardError(
+                "UNKNOWN_COMBINATION",
+                f"{where}: weighted_sum combination needs parallel "
+                f"vectors/weights lists, the weights numbers",
+            )
+        for j, (text, w) in enumerate(zip(vec_texts, weights)):
+            ast = _bound(_parse_param(text, f"{where} combination vector {j}"), known,
+                         f"{where} combination", name)
+            if typed:
+                v = compile_expression(ast, types)
+                vectors.append((v.fn, _total(v), float(w)))
+
+    scale = spec.get("scale", 1.0)
+    if not _is_number(scale) or not math.isfinite(scale):
+        raise RewardError("BAD_SCALE", f"{where}: scale must be a finite number")
+    default = spec.get("default_reward", 0.0)
+    if not _is_number(default):
+        raise RewardError("BAD_SCALE", f"{where}: default_reward must be a number")
+    scale, default = float(scale), float(default)
+
+    if not typed:
+        return RewardTerm(name, required, lambda bindings, n: np.full(n, default))
+
+    def run(bindings, n):
+        scope = {k: f(bindings) for k, f in input_fns}
+        values = []
+        for output, f, _ in steps:
+            values.append(v := f(scope))
+            if output:
+                scope[output] = v
+        if ctype == "last":
+            combined = steps[-1][2](values[-1], n)
+        elif ctype == "sum":
+            combined = sum(total(v, n) for (_, _, total), v in zip(steps, values))
+        else:
+            combined = sum(w * total(f(scope), n) for f, total, w in vectors)
+        return combined * scale
+    return RewardTerm(name, required, run)
+
+
+def compile_program(reward_doc: dict, shapes: dict) -> RewardProgram:
+    """Compile the mapping under the top-level ``reward:`` key against
+    ``shapes`` (binding key -> per-row shape)."""
+    if not isinstance(reward_doc, dict):
+        raise RewardError("SYNTAX_ERROR", "reward document must be a mapping")
+    terms = tuple(compile_term(name, spec, shapes) for name, spec in reward_doc.items())
+    return RewardProgram(terms, frozenset().union(*(t.required_variables for t in terms)))
 
 
 def eval_total_batch(program: RewardProgram, bindings: dict, n: int) -> dict:
     """Total reward plus the per-term breakdown (metrics keys `eval/<term>`):
-    bindings map names to BatchValue, batched with a leading env axis of
-    length ``n`` or unbatched with ``n`` 1. Returns arrays of shape (n,)."""
-    per_term = {t.name: eval_term_batch(t, bindings, n) for t in program.terms}
+    ``bindings`` map keys to float64 arrays of ``n`` rows. Returns arrays of
+    shape (n,)."""
+    per_term = {t.name: t.fn(bindings, n) for t in program.terms}
     return {"total": sum(per_term.values(), np.zeros(n)), "per_term": per_term}

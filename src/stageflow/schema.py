@@ -438,6 +438,7 @@ def _validate_config(stage: StageBundle, out: list):
 
 
 def _validate_reward(stage: StageBundle, out: list):
+    from .env import BINDING_SHAPES  # env reads its config through this module
     doc = stage.reward_doc
     f = stage.reward_path
     if "reward" not in doc:
@@ -450,7 +451,7 @@ def _validate_reward(stage: StageBundle, out: list):
         return
     for name, spec in terms.items():
         try:
-            compile_term(name, spec)
+            compile_term(name, spec, BINDING_SHAPES)
         except RewardError as e:
             out.append(Finding(ERROR, e.code, f, f"reward.{name}", e.message))
 

@@ -1,11 +1,12 @@
 """Deployment evaluation scores: survival, velocity tracking, feet air time,
-computed from final scoring's per-step batched binding maps.
+computed from final scoring's reward block.
 
-``steps[t]`` maps each key of ``SCORED_BINDINGS`` to a ``BatchValue`` with one
-row per episode. Row e counts its first ``n_e = lengths[e]`` steps, with
-``1 <= n_e <= len(steps) <= horizon``; later steps are never read. Over E
-episodes, with ``a_t`` the larger air time of step t's two feet (the first on
-a tie) and ``s_t`` 1 while that foot is off the ground:
+``block`` maps each key of ``SCORED_BINDINGS`` to a float64 array of T * E
+rows, row ``t * E + e`` episode e at step t, as ``VecEnv.bindings`` gives
+them over E episodes. Episode e counts its first ``n_e = lengths[e]`` steps,
+with ``1 <= n_e <= T <= horizon``; later steps are never read. With ``a_t``
+the larger air time of step t's two feet (the first on a tie) and ``s_t`` 1
+while that foot is off the ground:
 
     survival = (1/E) sum_e n_e / horizon
     tracking = (1/E) sum_e (1/horizon) sum_{t<n_e}
@@ -49,12 +50,13 @@ class ScoreTriple:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def score_triple(steps, lengths, horizon: int) -> ScoreTriple:
-    """The three scores of ``steps``, row e read for ``lengths[e]`` steps."""
+def score_triple(block: dict, lengths, horizon: int) -> ScoreTriple:
+    """The three scores of ``block``, episode e read for ``lengths[e]`` steps."""
     lengths = np.asarray(lengths)
 
     def stacked(key):  # (episodes, steps, ...)
-        return np.stack([b[key].arr for b in steps], axis=1)
+        arr = block[key]
+        return np.ascontiguousarray(arr.reshape(-1, len(lengths), *arr.shape[1:]).swapaxes(0, 1))
 
     diff = stacked("command")[..., :2] - stacked("local_vel")[..., :2]
     tracked = np.exp(-(diff * diff).sum(axis=-1) / (2.0 * SIGMA * SIGMA))

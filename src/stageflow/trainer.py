@@ -89,21 +89,26 @@ restore) is no longer updated; ``train_stage`` restores before it builds
 the optimizer.
 
 Reward blocks. ``_collect`` and ``_evaluate`` do not evaluate the reward on
-every step: they keep each step's bindings and call ``eval_total_batch``
-once per block of consecutive steps, on those bindings joined along the env
-axis, so that a row is a (step, env) pair. A block is as many whole steps as
-fit in ``REWARD_ROWS`` (256) rows, and at least one: 4 steps at 64 envs, 16
-at the 16 evaluation envs, one at 4096 envs. This is exact, because a
-reward program never combines rows (``reward`` docstring) and nothing in a
-rollout reads a step's reward before its block is evaluated. What stays per
-step: the action, the env step and ``done``; ``_evaluate`` also keeps each
-step's alive mask, stops stepping once every episode has ended, and adds
-each step's contributions in step order. The reward interpreter pays per
-expression node, not per row, so a block costs about what one step did; the
-cap bounds what a block holds, as larger blocks raised peak RSS for no clear
-wall-time gain (``BENCH_11.json`` and its probes).
-``tests/data/rollout_golden.json`` pins both rollouts byte for byte,
-recorded before rewards were blocked.
+every step: the env copies each step's state into the rows of its current
+reward block (``env.VecEnv`` docstring), and once per block the rollout
+calls ``eval_total_batch`` on the block's bindings, built once over all its
+rows, so that a row is a (step, env) pair. A block is as many whole steps
+as fit in ``env.REWARD_ROWS`` (256) rows, and at least one: 4 steps at 64
+envs, 16 at the 16 evaluation envs, one at 4096 envs; final scoring reads
+its whole rollout as one block. This is exact, because neither a reward
+program (``reward`` docstring) nor a binding build combines rows, and
+nothing in a rollout reads a step's reward before its block is evaluated.
+What stays per step: the action, the env step, the state copy and
+``done``; ``_evaluate`` also keeps each step's alive mask, stops stepping
+once every episode has ended, and adds each step's contributions in step
+order. The reward program is compiled once per stage into closures over
+raw arrays, whose cost is still mostly per node rather than per row, so a
+block costs about what one step would. Compiled programs and block
+bindings halved a 256-row ``tune`` reward call and moved ``tune_desk64``'s
+median CPU time by about -7.5% (``BENCH_25.json``). The cap bounds what a
+block holds, as larger blocks raised peak RSS for no clear wall-time gain
+(``BENCH_11.json`` and its probes). ``tests/data/rollout_golden.json`` pins
+both rollouts byte for byte, recorded before rewards were blocked.
 
 BLAS threads. Each phase of ``train_stage`` runs on the BLAS thread count
 its own rows earn, by one rule on their multiply-accumulate count: the rows
@@ -166,9 +171,9 @@ from pathlib import Path
 import numpy as np
 
 from . import blaspool
-from .env import ACTION_DIM, OBS_DIM, VecEnv
+from .env import ACTION_DIM, BINDING_SHAPES, OBS_DIM, VecEnv
 from .errors import TrainerError
-from .reward import BatchValue, RewardProgram, compile_program, eval_total_batch
+from .reward import RewardProgram, compile_program, eval_total_batch
 from .schema import KEYS, StageBundle, stage_config
 
 CHECKPOINT_MAGIC = b"SFCP"
@@ -187,10 +192,6 @@ LOG2PI = math.log(2.0 * math.pi)
 # stage's 49.5 M-MAC float32 update chunks and rollout steps included, the
 # second thread cost CPU time for gains that changed sign from run to run
 ONE_THREAD_MACS = 1 << 26
-
-# (step, env) rows one reward evaluation covers at most: a rollout block is
-# as many whole steps as fit, and at least one (module docstring)
-REWARD_ROWS = 256
 
 # rows of a hidden layer whose SiLU one block computes: the sigmoid and
 # ``1 - s`` live in block-sized scratch (module docstring)
@@ -854,7 +855,7 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    program = compile_program(stage.reward_doc["reward"])
+    program = compile_program(stage.reward_doc["reward"], BINDING_SHAPES)
     rules = stage.randomize_doc.get("randomization") or {}
 
     num_envs, num_evals = tr.num_envs, tr.num_evals
@@ -992,22 +993,13 @@ def ppo_update(policy: Policy, optimizer: Adam, batch: dict, rng: np.random.Gene
     return parts
 
 
-def _stack_bindings(steps: list) -> dict:
-    """Several steps' batched bindings as one map, each key's arrays joined
-    along the env axis in step order: row ``j * n + i`` is env i at the
-    block's step j."""
-    if len(steps) == 1:
-        return steps[0]
-    return {k: BatchValue(np.concatenate([b[k].arr for b in steps]), v.kind)
-            for k, v in steps[0].items()}
-
-
 def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
              program: RewardProgram, reward_scaling: float, unroll: int,
              rng: np.random.Generator, workspace: Workspace, dtype=np.float64):
     """``unroll`` steps of every env, the policy run in ``dtype``: what the
     update reads (obs, raw actions, log-probs) is kept in it, rewards, dones
-    and values in float64 for GAE."""
+    and values in float64 for GAE. Rewards come once per reward block of
+    ``envs.block_steps`` steps, counted from the call's first step."""
     T, N = unroll, envs.num_envs
     out = {
         "obs": np.zeros((T, N, OBS_DIM), dtype),
@@ -1017,8 +1009,7 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
         "dones": np.zeros((T, N)),
         "values": np.zeros((T + 1, N)),
     }
-    block = max(1, REWARD_ROWS // N)
-    pending = []
+    block = envs.block_steps
     for t in range(T):
         norm_obs = (obs_norm.normalize(obs) if obs_norm is not None
                     else obs).astype(dtype, copy=False)
@@ -1027,14 +1018,12 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
         out["raw_actions"][t] = raw
         out["logp"][t] = logp
         out["values"][t] = policy.value(norm_obs, workspace)
-        obs, bindings, dones = envs.step(squashed)
+        obs, dones = envs.step(squashed)
         out["dones"][t] = dones.astype(np.float64)
-        pending.append(bindings)
-        if len(pending) == block or t == T - 1:
-            k = len(pending)
-            total = eval_total_batch(program, _stack_bindings(pending), k * N)["total"]
+        if (t + 1) % block == 0 or t == T - 1:
+            k = t % block + 1
+            total = eval_total_batch(program, envs.bindings(), k * N)["total"]
             out["rewards"][t + 1 - k:t + 1] = (total * reward_scaling).reshape(k, N)
-            pending.clear()
     if obs_norm is not None:
         obs_norm.update(out["obs"].reshape(-1, OBS_DIM))
         final_norm = obs_norm.normalize(obs)
@@ -1057,27 +1046,23 @@ def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program, seed: int,
     totals = np.zeros(episodes)
     lengths = np.zeros(episodes)
     term_sums = {t.name: np.zeros(episodes) for t in program.terms}
-    block = max(1, REWARD_ROWS // episodes)
-    pending, masks = [], []
+    masks = []
     obs = envs.observe()
     for step in range(max_steps):
         norm_obs = obs_norm.normalize(obs) if obs_norm is not None else obs
         action = policy.act_deterministic(norm_obs.astype(dtype, copy=False), workspace)
-        obs, bindings, finished = envs.step(action)
-        pending.append(bindings)
+        obs, finished = envs.step(action)
         masks.append(alive)
         alive = alive & ~finished
         done = not alive.any() or step == max_steps - 1
-        if len(pending) == block or done:
-            result = eval_total_batch(program, _stack_bindings(pending),
-                                      len(pending) * episodes)
+        if len(masks) == envs.block_steps or done:
+            result = eval_total_batch(program, envs.bindings(), len(masks) * episodes)
             for j, mask in enumerate(masks):
                 rows = slice(j * episodes, (j + 1) * episodes)
                 totals += mask * result["total"][rows]
                 lengths += mask
                 for name, v in result["per_term"].items():
                     term_sums[name] += mask * v[rows]
-            pending.clear()
             masks.clear()
         if done:
             break

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stageflow.reward import BatchValue, compile_term, eval_step_batch
+from stageflow.expr import parse_expression
+from stageflow.reward import Typed, compile_expression, compile_primitive
 
 DATA = __import__("pathlib").Path(__file__).resolve().parents[1] / "src/stageflow/data"
 
@@ -11,28 +12,33 @@ def rng():
     return np.random.default_rng(0)
 
 
-def env_value(data, kind="numeric") -> BatchValue:
-    """One env's value, without an env axis."""
-    return BatchValue(data, kind, batched=False)
+def env_value(data) -> np.ndarray:
+    """One env's value as a one-row binding: a leading row axis of 1."""
+    return np.asarray(data, dtype=np.float64)[None]
 
 
 def walker_row(bindings: dict, row: int = 0) -> dict:
-    """One row of a step's batched bindings, unbatched."""
-    return {k: env_value(v.arr[row], v.kind) for k, v in bindings.items()}
+    """One row of a block's bindings."""
+    return {k: v[row] for k, v in bindings.items()}
 
 
-def term_for_step(etype, params):
-    """A one-step term whose inputs are the names its parameters use."""
-    names = sorted({v for v in params.values() if isinstance(v, str)})
-    return compile_term("t", {
-        "inputs": {n: n for n in names},
-        "evaluations": [{"type": etype, "parameters": params}],
-    })
+def types_of(scope: dict) -> dict:
+    """The compile-time types of ``scope``'s arrays, each with a row axis."""
+    return {k: Typed(None, v.shape[1:], True) for k, v in scope.items()}
 
 
-def step_value(etype, params, scope) -> BatchValue:
-    """The value of one evaluation primitive over ``scope``."""
-    return eval_step_batch(term_for_step(etype, params).evaluations[0], scope)
+def expr_value(text: str, scope: dict):
+    """The value of expression ``text`` over ``scope`` (name -> array with a
+    leading row axis); one made of literals alone has no row axis."""
+    return compile_expression(parse_expression(text), types_of(scope)).fn(scope)
+
+
+def step_value(etype, params, scope):
+    """The value of one evaluation primitive over ``scope``; a parameter is
+    expression text or a literal."""
+    types = types_of(scope)
+    typed = {p: compile_expression(parse_expression(str(v)), types) for p, v in params.items()}
+    return compile_primitive(etype, typed).fn(scope)
 
 
 DESK = DATA / "bundles" / "desk"

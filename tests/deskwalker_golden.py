@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stageflow.env import ACTION_DIM, DeskWalker
+from stageflow.env import ACTION_DIM, BINDING_KINDS, DeskWalker
 from stageflow.schema import parse_bundle
 
 from conftest import walker_row
@@ -62,12 +62,12 @@ def rollout_digest() -> dict:
         env = DeskWalker(env_cfg, rules, seed=SEED + 100 * e)
         _feed(hashes["obs"], env.observe()[0])
         for t in range(HORIZON):
-            obs, bindings, done = env.step(act_rng.uniform(-1, 1, (1, ACTION_DIM)))
+            obs, done = env.step(act_rng.uniform(-1, 1, (1, ACTION_DIM)))
             _feed(hashes["done"], np.array(done[0]))
-            for key, value in walker_row(bindings).items():
+            for key, value in walker_row(env.bindings()).items():
                 h = hashes.setdefault(f"binding:{key}", hashlib.sha256())
-                h.update(value.kind.encode())
-                _feed(h, value.arr)
+                h.update(BINDING_KINDS[key].encode())
+                _feed(h, value)
             if done[0]:
                 break
             _feed(hashes["obs"], obs[0])

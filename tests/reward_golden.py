@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stageflow.env import ACTION_DIM, VecEnv
+from stageflow.env import ACTION_DIM, BINDING_SHAPES, VecEnv
 from stageflow.reward import compile_program, eval_total_batch
 from stageflow.schema import parse_bundle
 
@@ -37,20 +37,20 @@ def programs() -> dict:
     out = {}
     for bundle, stage in PROGRAMS:
         doc = parse_bundle(DATA / "bundles" / bundle).stages[stage - 1].reward_doc
-        out[f"{bundle}{stage}"] = compile_program(doc["reward"])
+        out[f"{bundle}{stage}"] = compile_program(doc["reward"], BINDING_SHAPES)
     return out
 
 
 def rollout_bindings():
-    """Yield the stacked bindings of every step of the pinned rollout."""
+    """Yield the bindings of every step of the pinned rollout."""
     stage = parse_bundle(DATA / "bundles" / "tune").stages[0]
     env = VecEnv(stage.config_doc["environment"], NUM_ENVS, base_seed=BASE_SEED,
                  randomize_rules=stage.randomize_doc["randomization"],
                  episode_length=EPISODE_LENGTH)
     act_rng = np.random.default_rng(11)
     for _ in range(STEPS):
-        _, bindings, _ = env.step(act_rng.uniform(-1, 1, (NUM_ENVS, ACTION_DIM)))
-        yield bindings
+        env.step(act_rng.uniform(-1, 1, (NUM_ENVS, ACTION_DIM)))
+        yield env.bindings()
 
 
 def reward_digest() -> dict:

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from stageflow import trainer
-from stageflow.env import OBS_DIM, VecEnv
+from stageflow.env import BINDING_SHAPES, OBS_DIM, VecEnv
 from stageflow.reward import compile_program
 from stageflow.schema import parse_bundle
 
@@ -62,7 +62,7 @@ def _feed(h, arr) -> None:
 def _stage():
     stage = parse_bundle(DATA / "bundles" / "tune").stages[0]
     return (stage.config_doc["environment"], stage.randomize_doc["randomization"],
-            compile_program(stage.reward_doc["reward"]))
+            compile_program(stage.reward_doc["reward"], BINDING_SHAPES))
 
 
 def _policy_and_norm():
@@ -98,7 +98,7 @@ def _recording_envs(finished_masks: list):
     class Recording(VecEnv):
         def step(self, actions):
             out = super().step(actions)
-            finished_masks.append(out[2].copy())
+            finished_masks.append(out[-1].copy())
             return out
 
     trainer.VecEnv = Recording

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from stageflow.env import ACTION_DIM, BINDING_KEYS, OBS_DIM, DeskWalker, VecEnv
+from stageflow.env import (ACTION_DIM, BINDING_KEYS, BINDING_KINDS, BINDING_SHAPES, OBS_DIM,
+                           DeskWalker, VecEnv)
 from stageflow.errors import EnvError
 from stageflow.reward import compile_program, eval_total_batch
 from stageflow.schema import parse_bundle
@@ -25,17 +26,17 @@ class TestDeskWalker:
     def test_obs_shape_and_binding_keys(self):
         env = DeskWalker(CALM, seed=0)
         assert env.observe().shape == (1, OBS_DIM)
-        obs, bindings, done = env.step(np.zeros((1, ACTION_DIM)))
+        obs, done = env.step(np.zeros((1, ACTION_DIM)))
         assert obs.shape == (1, OBS_DIM) and done.shape == (1,)
-        assert set(walker_row(bindings)) == set(BINDING_KEYS)
+        assert set(walker_row(env.bindings())) == set(BINDING_KEYS)
 
     def test_deterministic_under_seed(self):
         def run(seed):
             env = DeskWalker(RICH, seed=seed)
             out = []
             for _ in range(30):
-                b = walker_row(env.step(np.full((1, ACTION_DIM), 0.1))[1])
-                out.append(b["local_vel"].arr.tolist())
+                env.step(np.full((1, ACTION_DIM), 0.1))
+                out.append(walker_row(env.bindings())["local_vel"].tolist())
             return out
         assert run(3) == run(3)
         assert run(3) != run(4)
@@ -57,17 +58,17 @@ class TestDeskWalker:
     def test_tilt_termination(self):
         vec = VecEnv(CALM, 2, base_seed=0)
         vec.tilt[0] = [1.5, 0.0]  # decays to 1.05 this step, above the 0.7 limit
-        _, bindings, finished = vec.step(np.zeros((2, ACTION_DIM)))
+        _, finished = vec.step(np.zeros((2, ACTION_DIM)))
         assert finished.tolist() == [True, False]
-        assert bindings["done"].arr.tolist() == [1.0, 0.0]
+        assert vec.bindings()["done"].tolist() == [1.0, 0.0]
         assert vec.tilt[0].tolist() == [0.0, 0.0]  # the row reset in place
 
     def test_speed_termination(self):
         vec = VecEnv(CALM, 2, base_seed=0)
         vec.vel[1] = [5.0, 0.0]  # lag shrinks it this step but it stays above 3
-        _, bindings, finished = vec.step(np.zeros((2, ACTION_DIM)))
+        _, finished = vec.step(np.zeros((2, ACTION_DIM)))
         assert finished.tolist() == [False, True]
-        assert bindings["done"].arr.tolist() == [0.0, 1.0]
+        assert vec.bindings()["done"].tolist() == [0.0, 1.0]
 
     def test_rows_run_as_alone(self):
         """Each row of an 8-row walker matches a one-row walker at its seed,
@@ -85,25 +86,31 @@ class TestDeskWalker:
         assert obs.tobytes() == np.concatenate([env.observe() for env in alone]).tobytes()
         alive = np.ones(EPISODES, dtype=bool)
         for t in range(HORIZON):
-            obs, bindings, done = rows.step(actions[t])
+            obs, done = rows.step(actions[t])
+            bindings = rows.bindings()
             for e in np.flatnonzero(alive):
-                obs_e, bindings_e, done_e = alone[e].step(actions[t, e:e + 1])
+                obs_e, done_e = alone[e].step(actions[t, e:e + 1])
                 assert done[e] == done_e[0], (t, e)
                 if not done[e]:
                     assert obs[e].tobytes() == obs_e[0].tobytes(), (t, e)
-                got, want = walker_row(bindings, e), walker_row(bindings_e)
+                got, want = walker_row(bindings, e), walker_row(alone[e].bindings())
                 assert list(got) == list(want) == list(BINDING_KEYS)
                 for key in want:
-                    assert got[key].kind == want[key].kind, (t, e, key)
-                    assert got[key].arr.tobytes() == want[key].arr.tobytes(), (t, e, key)
+                    assert got[key].tobytes() == want[key].tobytes(), (t, e, key)
             alive &= ~done
         assert 0 < alive.sum() < EPISODES  # some rows ended early, some ran out
 
     def test_boolean_bindings_are_boolean(self):
-        env = DeskWalker(CALM, seed=0)
-        b = walker_row(env.step(np.zeros((1, ACTION_DIM)))[1])
-        for key in ("foot_contact", "first_foot_contact", "done"):
-            assert b[key].kind == "boolean"
+        env = DeskWalker(RICH, seed=0)
+        seen = set()
+        for _ in range(40):
+            env.step(np.zeros((1, ACTION_DIM)))
+            b = walker_row(env.bindings())
+            for key in ("foot_contact", "first_foot_contact", "done"):
+                assert BINDING_KINDS[key] == "boolean"
+                assert set(b[key].ravel().tolist()) <= {0.0, 1.0}, key
+                seen.update(b[key].ravel().tolist())
+        assert seen == {0.0, 1.0}
 
     def test_golden_final_scoring_digest(self):
         """Every observation, ``done`` and binding of final scoring's
@@ -141,13 +148,13 @@ class TestVecEnv:
         keyed = VecEnv(RICH, 4, base_seed=3, binding_keys=keys)
         act = np.random.default_rng(1).uniform(-1, 1, (30, 4, ACTION_DIM))
         for t in range(30):
-            obs, want, done = full.step(act[t])
-            obs_k, got, done_k = keyed.step(act[t])
+            obs, done = full.step(act[t])
+            obs_k, done_k = keyed.step(act[t])
+            want, got = full.bindings(), keyed.bindings()
             assert set(got) == keys - {"not_a_binding"}
             assert obs.tobytes() == obs_k.tobytes() and done.tolist() == done_k.tolist()
             for key in got:
-                assert got[key].kind == want[key].kind, key
-                assert got[key].arr.tobytes() == want[key].arr.tobytes(), (t, key)
+                assert got[key].tobytes() == want[key].tobytes(), (t, key)
 
     def test_a_term_reading_no_binding_key_gets_its_default(self):
         program = compile_program({
@@ -155,9 +162,10 @@ class TestVecEnv:
                       "evaluations": [{"type": "sum_square", "parameters": {"vector": "v"}}]},
             "ghost": {"inputs": {"g": "ghost_sensor"}, "default_reward": 0.25,
                       "evaluations": [{"type": "norm_L1", "parameters": {"vector": "g"}}]},
-        })
+        }, BINDING_SHAPES)
         env = VecEnv(CALM, 3, base_seed=0, binding_keys=program.required_variables)
-        _, bindings, _ = env.step(np.full((3, ACTION_DIM), 0.5))
+        env.step(np.full((3, ACTION_DIM), 0.5))
+        bindings = env.bindings()
         assert set(bindings) == {"local_vel"}
         got = eval_total_batch(program, bindings, 3)
         assert got["per_term"]["ghost"].tolist() == [0.25] * 3
@@ -174,7 +182,60 @@ class TestVecEnv:
     def test_auto_reset_on_truncation(self):
         vec = VecEnv(CALM, 2, base_seed=0, episode_length=5)
         for t in range(5):
-            obs, bindings, finished = vec.step(np.zeros((2, ACTION_DIM)))
+            obs, finished = vec.step(np.zeros((2, ACTION_DIM)))
         assert finished.all()
         assert obs.shape == (2, OBS_DIM)
 
+
+
+class TestRewardBlocks:
+    def test_every_key_has_its_table_shape(self):
+        """``BINDING_SHAPES``, which programs compile and validate against,
+        is the shape of every key's rows."""
+        env = VecEnv(RICH, 3, base_seed=0, block_steps=2)
+        for _ in range(2):
+            env.step(np.zeros((3, ACTION_DIM)))
+        bindings = env.bindings()
+        assert list(bindings) == list(BINDING_KEYS) == list(BINDING_SHAPES)
+        for key, arr in bindings.items():
+            assert arr.dtype == np.float64 and arr.shape == (6, *BINDING_SHAPES[key]), key
+
+    def test_a_block_holds_each_steps_bindings_on_reset_and_kicked_rows(self):
+        """Every key of a 4-step block, booleans included, equals, row for row,
+        the key built at each step's binding point from copies of what it
+        read, on 5-step episodes with both kicks and observation noise: rows
+        reset (writing the step's contacts, as ``prev_contact``, in place) and
+        are kicked (adding to ``vel`` in place) inside the block."""
+        from stageflow import env as env_module
+        cfg = dict(RICH, obs_noise=0.05, big_kick_interval=3, small_kick_interval=2,
+                   small_min_kick_vel=0.05, small_max_kick_vel=0.2)
+        fields = {f for entry in env_module._BINDINGS.values() for f in entry[2].split()}
+        at_step = []
+
+        class AtTheStep(VecEnv):
+            def _snapshot(self, step_state):
+                state = {f: np.array(step_state[f] if f in step_state else getattr(self, f))
+                         for f in fields}
+                block = env_module._Block(state, self.n)
+                at_step.append({k: np.asarray(entry[3](block), dtype=np.float64)
+                                for k, entry in env_module._BINDINGS.items()})
+                super()._snapshot(step_state)
+
+        n, block = 8, 4
+        env = AtTheStep(cfg, n, base_seed=2, episode_length=5, block_steps=block)
+        act = np.random.default_rng(3).uniform(-1, 1, (24, n, ACTION_DIM))
+        mid_block_resets = mid_block_kicks = 0
+        for t in range(24):
+            kicked = (env.t + 1) % 2 == 0  # the rows this step kicks
+            _, finished = env.step(act[t])
+            if t % block != block - 1:
+                mid_block_resets += int(finished.sum())
+                mid_block_kicks += int(kicked.sum())
+                continue
+            got = env.bindings()
+            assert list(got) == list(BINDING_KEYS)
+            for j in range(block):
+                want = at_step[t + 1 - block + j]
+                for key, arr in got.items():
+                    assert arr[j * n:(j + 1) * n].tobytes() == want[key].tobytes(), (t, j, key)
+        assert mid_block_resets > 0 and mid_block_kicks > 0

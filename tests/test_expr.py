@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from stageflow.errors import ExpressionError
 from stageflow.expr import (Bin, Index, Num, SliceItem, free_variables,
                             parse_expression, tokenize)
-from stageflow.reward import BatchValue, evaluate
 
-from conftest import env_value
+from conftest import env_value, expr_value
 
 
 class TestTokenizer:
@@ -90,31 +89,31 @@ class TestEvaluate:
         }
 
     def test_arith_and_index(self):
-        out = evaluate(parse_expression("(a - b)[0:2]"), self.scope())
-        assert out.arr.tolist() == [-1.0, 0.0]
-        # stacked rows: the slice applies to each env's value
-        rows = {"a": BatchValue([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), "b": env_value(2.0)}
-        out = evaluate(parse_expression("(a - b)[0:2]"), rows)
-        assert out.arr.tolist() == [[-1.0, 0.0], [2.0, 3.0]]
+        out = expr_value("(a - b)[0:2]", self.scope())
+        assert out[0].tolist() == [-1.0, 0.0]
+        # several rows: the slice applies to each env's value
+        rows = {"a": np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])}
+        out = expr_value("(a - 2)[0:2]", rows)
+        assert out.tolist() == [[-1.0, 0.0], [2.0, 3.0]]
 
     def test_matrix_ellipsis(self):
-        out = evaluate(parse_expression("m[..., 1]"), self.scope())
-        assert out.arr.tolist() == [1.0, 4.0]
+        out = expr_value("m[..., 1]", self.scope())
+        assert out[0].tolist() == [1.0, 4.0]
 
     def test_unary_minus(self):
-        assert float(evaluate(parse_expression("-b"), self.scope()).arr) == -2.0
+        assert float(expr_value("-b", self.scope())[0]) == -2.0
 
     def test_unbound_variable(self):
         with pytest.raises(ExpressionError) as e:
-            evaluate(parse_expression("zz + 1"), self.scope())
+            expr_value("zz + 1", self.scope())
         assert e.value.code == "UNBOUND_VARIABLE"
 
     def test_comparison_chain_with_bool(self):
-        out = evaluate(parse_expression("a > 1.5 & a < 2.5"), self.scope())
-        assert out.arr.tolist() == [0.0, 1.0, 0.0]
+        out = expr_value("a > 1.5 & a < 2.5", self.scope())
+        assert out[0].tolist() == [0.0, 1.0, 0.0]
 
     @given(st.floats(-10, 10), st.floats(-10, 10))
     def test_matches_python_arithmetic(self, x, y):
         scope = {"x": env_value(x), "y": env_value(y)}
-        out = evaluate(parse_expression("x * y + x - y"), scope)
-        assert float(out.arr) == pytest.approx(x * y + x - y, rel=1e-12, abs=1e-12)
+        out = expr_value("x * y + x - y", scope)
+        assert float(out[0]) == pytest.approx(x * y + x - y, rel=1e-12, abs=1e-12)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stageflow import schema
-from stageflow.errors import BundleError, StageflowError
+from stageflow.env import BINDING_SHAPES
+from stageflow.errors import BundleError, RewardError, StageflowError
+from stageflow.reward import compile_term
 from stageflow.schema import ERROR, mutate_corpus, parse_bundle, validate
 from stageflow.trainer import train_stage
 
@@ -74,6 +76,66 @@ class TestValidate:
         doc = json.loads(report.to_json())
         assert doc["ok"] is True
         assert isinstance(doc["findings"], list)
+
+
+def _with_term(spec):
+    """The shipped desk bundle with ``spec`` added to stage 1's reward as
+    term ``added``."""
+    bundle = parse_bundle(DATA / "bundles" / "desk")
+    bundle.stages[0].reward_doc["reward"]["added"] = spec
+    return bundle
+
+
+WELL_FORMED = {"inputs": {"v": "command[0:2]"},
+               "evaluations": [{"type": "sum_square", "parameters": {"vector": "v"},
+                                "output": "s"}],
+               "combination": {"type": "weighted_sum",
+                               "parameters": {"vectors": ["s"], "weights": [1.0]}}}
+
+
+class TestRewardFindings:
+    """A reward fault is one error on its term's path, never a traceback."""
+
+    @pytest.mark.parametrize("change", [
+        {"evaluations": ["x"]},                                   # an evaluation not a mapping
+        {"evaluations": [{"type": "sum_square", "parameters": ["vector"]}]},
+        {"inputs": ["command"]},
+        {"evaluations": {"type": "sum_square", "parameters": {"vector": "v"}}},
+        {"combination": "sum"},
+        {"evaluations": [{"type": "sum_square", "parameters": {"vector": "v"}, "output": ["x"]}]},
+        {"evaluations": [{"type": ["sum_square"], "parameters": {"vector": "v"}}]},
+        {"combination": {"type": "weighted_sum", "parameters": {"vectors": ["s"],
+                                                                "weights": ["x"]}}},
+        {"combination": {"type": "weighted_sum", "parameters": [["s"], [1.0]]}},
+        {"inputs": {"v": " + ".join(["command[0:2]"] * 3000)}},
+    ], ids=["evaluation", "parameters", "inputs", "evaluations", "combination", "output",
+            "type", "weights", "combination-parameters", "deep-expression"])
+    def test_a_malformed_term_is_one_finding(self, change):
+        spec = dict(copy.deepcopy(WELL_FORMED), **change)
+        with pytest.raises(RewardError) as e:
+            compile_term("added", spec, BINDING_SHAPES)
+        assert [(f.code, f.path) for f in validate(_with_term(spec)).errors] == [
+            (e.value.code, "reward.added")]
+
+    @pytest.mark.parametrize("expression,code", [
+        ("joint_angles[0:12] - joint_angles[12:24]", "SHAPE_MISMATCH"),
+        ("joint_angles[8]", "INDEX_OUT_OF_BOUNDS"),
+        ("feet_pos[0, 1, 2]", "INDEX_OUT_OF_BOUNDS"),
+        ("feet_pos - command[0:2]", "SHAPE_MISMATCH"),
+    ])
+    def test_a_shape_fault_on_the_walkers_bindings_is_found(self, expression, code):
+        """Terms type-check against the walker's binding shapes, the table
+        ``VecEnv`` builds its rows by, so a slice that cannot fit fails
+        validation instead of the first reward evaluation."""
+        spec = {"inputs": {"d": expression},
+                "evaluations": [{"type": "sum_square", "parameters": {"vector": "d"}}]}
+        assert [(f.code, f.path) for f in validate(_with_term(spec)).errors] == [
+            (code, "reward.added")]
+
+    def test_a_term_on_keys_the_walker_lacks_is_not_checked(self):
+        spec = {"inputs": {"d": "ghost[0:12] - ghost[12:24]"}, "default_reward": 0.5,
+                "evaluations": [{"type": "sum_square", "parameters": {"vector": "d"}}]}
+        assert validate(_with_term(spec)).errors == []
 
 
 class TestMutationCorpus:

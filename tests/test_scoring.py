@@ -1,11 +1,10 @@
-"""Final scoring's three scores, read straight from a batched rollout."""
+"""Final scoring's three scores, read straight from a rollout's reward block."""
 
 import numpy as np
 import pytest
 
 from stageflow import scoring
 from stageflow.env import ACTION_DIM, DeskWalker
-from stageflow.reward import BatchValue
 
 CALM = {"command_lin_vel_x_range": [-0.5, 0.5], "command_lin_vel_y_range": [-0.3, 0.3],
         "command_ang_vel_yaw_range": [-0.5, 0.5]}
@@ -14,22 +13,29 @@ HORIZON = 50
 
 
 def rollout(steps=HORIZON):
-    """A three-row walker stepped under random actions."""
+    """The one reward block of a three-row walker stepped under random
+    actions, row ``t * 3 + e`` episode e at step t."""
     env = DeskWalker(CALM, seed=3, episodes=len(LENGTHS),
-                     binding_keys=scoring.SCORED_BINDINGS)
+                     binding_keys=scoring.SCORED_BINDINGS, block_steps=steps)
     act = np.random.default_rng(0)
-    return [env.step(act.uniform(-1, 1, (len(LENGTHS), ACTION_DIM)))[1]
-            for _ in range(steps)]
+    for _ in range(steps):
+        env.step(act.uniform(-1, 1, (len(LENGTHS), ACTION_DIM)))
+    return env.bindings()
+
+
+def step_rows(block, t):
+    """Step t's rows of ``block``, one per episode."""
+    return {k: v[t * len(LENGTHS):(t + 1) * len(LENGTHS)] for k, v in block.items()}
 
 
 class TestScore:
     def test_matches_a_hand_written_reference(self):
-        steps = rollout()
-        got = scoring.score_triple(steps, LENGTHS, HORIZON)
+        block = rollout()
+        got = scoring.score_triple(block, LENGTHS, HORIZON)
         track, air = np.zeros(len(LENGTHS)), np.zeros(len(LENGTHS))
         for e, n in enumerate(LENGTHS):
-            for b in steps[:n]:
-                row = {k: v.arr[e] for k, v in b.items()}
+            for t in range(n):
+                row = {k: v[e] for k, v in step_rows(block, t).items()}
                 err = row["command"][:2] - row["local_vel"][:2]
                 track[e] += np.exp(-(err @ err) / (2 * 0.1 ** 2)) / HORIZON
                 at, contact = row["feet_air_time"], row["foot_contact"]
@@ -43,13 +49,12 @@ class TestScore:
 
     def test_steps_after_a_rows_length_are_not_read(self):
         lengths = np.array([1, 40, 45])
-        steps = rollout()
-        want = scoring.score_triple(steps, lengths, HORIZON).to_json()
-        for t, b in enumerate(steps):
-            for key, value in b.items():
-                arr = value.arr.copy()
+        block = rollout()
+        want = scoring.score_triple(block, lengths, HORIZON).to_json()
+        for t in range(HORIZON):
+            for arr in step_rows(block, t).values():
                 arr[t >= lengths] = np.nan
-                b[key] = BatchValue(arr, value.kind)
-        assert scoring.score_triple(steps, lengths, HORIZON).to_json() == want
+        assert scoring.score_triple(block, lengths, HORIZON).to_json() == want
         # nor does the number of steps past the longest row
-        assert scoring.score_triple(steps[:45], lengths, HORIZON).to_json() == want
+        first_45 = {k: v[:45 * len(lengths)] for k, v in block.items()}
+        assert scoring.score_triple(first_45, lengths, HORIZON).to_json() == want

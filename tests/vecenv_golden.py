@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stageflow.env import ACTION_DIM, VecEnv
+from stageflow.env import ACTION_DIM, BINDING_KINDS, VecEnv
 from stageflow.schema import parse_bundle
 
 HERE = Path(__file__).resolve().parent
@@ -46,14 +46,14 @@ def rollout_digest() -> dict:
     act_rng = np.random.default_rng(11)
     resets = 0
     for _ in range(STEPS):
-        obs, bindings, finished = env.step(act_rng.uniform(-1, 1, (NUM_ENVS, ACTION_DIM)))
+        obs, finished = env.step(act_rng.uniform(-1, 1, (NUM_ENVS, ACTION_DIM)))
         _feed(hashes["obs"], obs)
         _feed(hashes["finished"], finished)
         resets += int(finished.sum())
-        for key, value in bindings.items():
+        for key, value in env.bindings().items():
             h = hashes.setdefault(f"binding:{key}", hashlib.sha256())
-            h.update(value.kind.encode())
-            _feed(h, value.arr)
+            h.update(BINDING_KINDS[key].encode())
+            _feed(h, value)
     return {
         "config": {"num_envs": NUM_ENVS, "steps": STEPS,
                    "episode_length": EPISODE_LENGTH, "base_seed": BASE_SEED,
