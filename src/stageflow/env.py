@@ -335,9 +335,11 @@ class VecEnv:
     def _snapshot(self, step_state: dict) -> None:
         """Copy the fields the requested keys read into this step's rows of
         the block; resets and kicks later write the walker's arrays in place.
-        A step on a full block that nobody read starts the next one."""
+        A step on a full block that nobody read would lose its steps, so it
+        raises."""
         if self._filled == self.block_steps:
-            self._filled = 0
+            raise EnvError("BLOCK_FULL", f"{self.block_steps} steps since the last "
+                           "bindings() read fill the reward block; read it before stepping")
         rows = slice(self._filled * self.n, (self._filled + 1) * self.n)
         for f in self._fields:
             src = step_state[f] if f in step_state else getattr(self, f)

@@ -104,8 +104,9 @@ once every episode has ended, and adds each step's contributions in step
 order. The reward program is compiled once per stage into closures over
 raw arrays, whose cost is still mostly per node rather than per row, so a
 block costs about what one step would. Compiled programs and block
-bindings halved a 256-row ``tune`` reward call and moved ``tune_desk64``'s
-median CPU time by about -7.5% (``BENCH_25.json``). The cap bounds what a
+bindings halved a 256-row ``tune`` reward call; their end-to-end effect on
+``tune_desk64``'s CPU time is unresolved, inside that workload's spread
+(``BENCH_25.json``). The cap bounds what a
 block holds, as larger blocks raised peak RSS for no clear wall-time gain
 (``BENCH_11.json`` and its probes). ``tests/data/rollout_golden.json`` pins
 both rollouts byte for byte, recorded before rewards were blocked.

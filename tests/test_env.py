@@ -200,6 +200,19 @@ class TestRewardBlocks:
         for key, arr in bindings.items():
             assert arr.dtype == np.float64 and arr.shape == (6, *BINDING_SHAPES[key]), key
 
+    def test_a_step_on_a_full_unread_block_raises(self):
+        """Stepping past ``block_steps`` without reading would drop the
+        block's steps; a read empties the block and stepping goes on."""
+        env = VecEnv(CALM, 2, base_seed=0, block_steps=2)
+        for _ in range(2):
+            env.step(np.zeros((2, ACTION_DIM)))
+        with pytest.raises(EnvError) as e:
+            env.step(np.zeros((2, ACTION_DIM)))
+        assert e.value.code == "BLOCK_FULL"
+        assert env.bindings()["done"].shape == (4,)
+        env.step(np.zeros((2, ACTION_DIM)))
+        assert env.bindings()["done"].shape == (2,)
+
     def test_a_block_holds_each_steps_bindings_on_reset_and_kicked_rows(self):
         """Every key of a 4-step block, booleans included, equals, row for row,
         the key built at each step's binding point from copies of what it

@@ -275,7 +275,7 @@ def synthetic_bindings(rng):
     out = []
     for _ in range(100):
         env.step(rng.uniform(-1, 1, (1, 8)))
-        out.append(env.bindings())
+        out.append({k: v.copy() for k, v in env.bindings().items()})  # views of the block
     return out
 
 
