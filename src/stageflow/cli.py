@@ -134,7 +134,12 @@ def _cmd_run(args) -> int:
         transport = ReplayTransport(_resolve(args.workdir, args.fixtures))
     else:
         transport = LiveTransport()
-    prompt = _resolve(args.workdir, args.prompt).read_text().strip()
+    prompt_path = _resolve(args.workdir, args.prompt)
+    try:
+        prompt = prompt_path.read_text().strip()
+    except UnicodeDecodeError as e:
+        raise StageflowError("PARSE_ERROR", f"{prompt_path}: not UTF-8 text ({e.reason} "
+                             f"at byte {e.start})") from None
     vdb = VectorStore(_resolve(args.workdir, args.vdb))
     run = run_pipeline(
         prompt, vdb, transport, _resolve(args.workdir, args.out),
@@ -191,10 +196,7 @@ def _cmd_vdb_add(args) -> int:
     if not run_dir.is_dir():
         raise StageflowError("MISSING_FILE", f"no such run directory: {run_dir}")
     run_id = args.run_id or run_dir.resolve().name
-    prompt_path = run_dir / "prompt.txt"
-    artifact = run_artifact(
-        run_dir, run_id, prompt_path.read_text() if prompt_path.is_file() else run_id,
-        args.evaluation)
+    artifact = run_artifact(run_dir, run_id, evaluation=args.evaluation)
     VectorStore(_resolve(args.workdir, args.vdb)).add_run(artifact)
     _emit(args, {"run_id": run_id, "files": len(artifact.files)},
           f"stored {run_id} ({len(artifact.files)} files)")

@@ -131,7 +131,11 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def _read(path: Path) -> str:
     if not path.is_file():
         raise BundleError("MISSING_FILE", f"no such file: {path}")
-    return path.read_text()
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as e:
+        raise BundleError("PARSE_ERROR", f"{path}: not UTF-8 text ({e.reason} at byte "
+                          f"{e.start})") from None
 
 
 def _parse_yaml(text: str, name) -> dict:

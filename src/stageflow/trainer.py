@@ -111,49 +111,19 @@ block holds, as larger blocks raised peak RSS for no clear wall-time gain
 (``BENCH_11.json`` and its probes). ``tests/data/rollout_golden.json`` pins
 both rollouts byte for byte, recorded before rewards were blocked.
 
-BLAS threads. Each phase of ``train_stage`` runs on the BLAS thread count
-its own rows earn, by one rule on their multiply-accumulate count: the rows
-times the sum of fan_in * fan_out over the policy and value nets. The rows
-are those of one call (:func:`_phase_blas_threads`): the rollout's
-``num_envs``, the update's largest minibatch (``num_envs * unroll_length /
-num_minibatches`` after ``desk_profile``) capped at one ``ROW_CHUNK``, and
-the evaluation's ``eval_episodes``. Below ``ONE_THREAD_MACS`` a phase runs
-on one BLAS thread: there a second thread saved wall time within run-to-run
-noise at up to twice the CPU time. ``tools/blas_crossover.py`` measures
-that for each phase as a stage runs it, in the stage's compute dtype
-(``BENCH_24.json``; earlier rules, on whole float64 minibatches:
-``BENCH_10.json`` to ``BENCH_17.json``). So every phase of a 4096-env stage
-on the desk nets, 49.5 M MACs for its float32 update chunks and rollout
-steps alike, runs on one thread. At or above the constant, as the update
-chunks (1.46 G MACs) and rollouts of paper-width stages are, the count is
-left as found, and while that is more than one the stage's parallel BLAS
-calls run on :mod:`stageflow.blaspool`'s job pool, whose workers sleep
-between calls where OpenBLAS's own spin: less CPU time for a worker wake-up
-per call (``BENCH_16.json``). The pool's contract:
-
-- Scope: it is installed when a stage with a phase that keeps every thread
-  starts, and removed when the stage returns or raises.
-- All jobs at once: each call's jobs run concurrently, job 0 on the caller;
-  OpenBLAS's partition and kernels are its own, so every byte is kept.
-- Fork: a forked child starts its own workers on its first parallel call.
-- Interrupt: a SIGINT that lands inside a call (stage in the main thread)
-  waits for every job and is raised once the call has returned.
-- Fallback: a one-thread stage, or a BLAS without OpenBLAS's thread
-  callback, runs with BLAS as found.
-
-The thread count and the pool are process-global for the stage's duration,
-and the caller's count is restored when the stage returns or raises. The
-OpenBLAS numpy loaded is looked up once, on first use; with any other BLAS
-(MKL, Accelerate) the policy does nothing. Thread count does not change the
-bytes of the results the digest tests pin on both counts. It can change
-others: the weight gradient ``h.T @ grad``, a product over a minibatch's
-rows, rounds differently on one OpenBLAS thread than on two at 1,283, 4,500
-and 10,001 rows (not at 320, 4,096, 5,120 or 20,480), which is why
-``tests/silu_blocks_golden.py`` pins one thread. A stage whose every phase
-is below the constant (every desk stage, and 4096-env stages on the desk
-nets) runs on one OpenBLAS thread on any machine, so its bytes do not depend
-on the core count; only an update at or above it, over rows that are not a
-multiple of 32, can.
+One BLAS thread. ``train_stage`` runs on one thread of the OpenBLAS numpy
+links and restores the caller's count when it returns or raises; with any
+other BLAS (MKL, Accelerate) it leaves the count as found. So a stage's
+bytes do not depend on the core count: the weight gradient ``h.T @ grad``,
+a product over a chunk's rows, can round differently on two OpenBLAS
+threads than on one, and a paper-width stage with uneven minibatches wrote
+other bytes on 2 and 4 threads than on 1 before stages ran on one thread
+(``BENCH_26.json``, ``probes.thread_bytes``). Parallelism belongs to
+processes, one stage per core. The price is a lone paper-scale stage's wall
+time: ``tools/stage_memory.py --paper-scale`` on 2 vCPUs took 18-33% more
+wall time, 2-12% less CPU time and 6 MB less peak RSS than with a second
+thread, for the same ``eval_reward`` (``BENCH_26.json``,
+``probes.stage_memory_paper_scale``).
 """
 
 from __future__ import annotations
@@ -171,7 +141,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blaspool
 from .env import ACTION_DIM, BINDING_SHAPES, OBS_DIM, VecEnv
 from .errors import TrainerError
 from .reward import RewardProgram, compile_program, eval_total_batch
@@ -184,15 +153,6 @@ GAE_LAMBDA = 0.95       # conventional default
 VALUE_LOSS_COEF = 0.5   # c_v default
 LOGP_EPS = 1e-6
 LOG2PI = math.log(2.0 * math.pi)
-
-# multiply-accumulates of one call's rows below which a stage phase runs on
-# one BLAS thread (67.1 M): the largest power of two under the smallest count
-# at which a second thread on the job pool saved 10% of the wall time, in
-# three runs of tools/blas_crossover.py that time each phase as a stage runs
-# it (93.9 M, 182.0 M and 182.0 M MACs; BENCH_24.json). Below it, a 4096-env
-# stage's 49.5 M-MAC float32 update chunks and rollout steps included, the
-# second thread cost CPU time for gains that changed sign from run to run
-ONE_THREAD_MACS = 1 << 26
 
 # rows of a hidden layer whose SiLU one block computes: the sigmoid and
 # ``1 - s`` live in block-sized scratch (module docstring)
@@ -718,7 +678,7 @@ def restore_policy(ckpt: Checkpoint, policy: Policy, obs_norm: RunningNorm) -> N
     obs_norm.count = float(ckpt.arrays["obs_norm/count"][0])
 
 
-# -- BLAS thread policy -------------------------------------------------------
+# -- one BLAS thread ----------------------------------------------------------
 
 # (get, set) thread-count entry points: the numpy wheel's scipy-openblas,
 # then a plain OpenBLAS
@@ -731,9 +691,12 @@ _OPENBLAS_THREAD_FNS = (
 @functools.cache
 def _openblas():
     """(get, set) of the OpenBLAS numpy's own extension links, or None;
-    looked up once, on first use."""
-    lib = blaspool.numpy_lib()
-    if lib is None:
+    looked up once, on first use. A symbol lookup through the extension also
+    searches the libraries it links, which is where a wheel's OpenBLAS lives."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
         return None
     for get_name, set_name in _OPENBLAS_THREAD_FNS:
         if hasattr(lib, get_name) and hasattr(lib, set_name):
@@ -744,46 +707,17 @@ def _openblas():
     return None
 
 
-def _minibatch_macs(rows: int, nets) -> int:
-    """Multiply-accumulates of ``rows`` rows through the dense layers of each
-    layer-size list in ``nets``."""
-    return rows * sum(a * b for sizes in nets for a, b in zip(sizes, sizes[1:]))
-
-
-def _stage_blas_threads(rows: int, nets) -> int | None:
-    """1 when one call of a phase over ``rows`` rows (a rollout step, an
-    update chunk, an evaluation step) does fewer than ``ONE_THREAD_MACS``
-    multiply-accumulates; None (leave BLAS as found) otherwise."""
-    return 1 if _minibatch_macs(rows, nets) < ONE_THREAD_MACS else None
-
-
-def _phase_blas_threads(tr, nets, eval_episodes: int) -> list:
-    """The BLAS threads of a stage's rollout, update and evaluation, each by
-    its own rows (module docstring): the rollout's envs, the largest of
-    ``array_split``'s minibatches (ceil(steps / minibatches) rows) or one
-    ``ROW_CHUNK`` of it, the evaluation's episodes."""
-    minibatch = math.ceil(tr.num_envs * tr.unroll_length / tr.num_minibatches)
-    return [_stage_blas_threads(rows, nets)
-            for rows in (tr.num_envs, min(minibatch, ROW_CHUNK), eval_episodes)]
-
-
 @contextlib.contextmanager
-def _blas_threads(threads: int | None):
-    """Run the block on ``threads`` BLAS threads, then restore the caller's
-    count, also when the block raises. For None the count is left as found,
-    and when it is above one the block's parallel calls run on
-    ``blaspool.jobs_on_pool``. A no-op when no OpenBLAS can be driven."""
+def one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count,
+    also when the block raises. A no-op when no OpenBLAS can be driven."""
     fns = _openblas()
     if fns is None:
         yield
         return
     get, set_ = fns
-    if threads is None:
-        with blaspool.jobs_on_pool() if get() > 1 else contextlib.nullcontext():
-            yield
-        return
     before = get()
-    set_(threads)
+    set_(1)
     try:
         yield
     finally:
@@ -833,13 +767,15 @@ def compute_dtype(paper_scale: bool) -> np.dtype:
     return np.dtype(np.float32 if paper_scale else np.float64)
 
 
+@one_blas_thread()
 def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
                 paper_scale: bool = False, seed: int | None = None,
                 eval_episodes: int = 16, eval_max_steps: int = 150) -> StageResult:
-    """Run one curriculum stage: rollout / GAE / minibatch PPO updates, with
-    ``num_evals`` evaluation records written to ``metrics.jsonl`` and a
-    checkpoint at the end. A config value validation would refuse raises
-    ``TrainerError`` with that finding's code before anything is built."""
+    """Run one curriculum stage on one BLAS thread (module docstring):
+    rollout / GAE / minibatch PPO updates, with ``num_evals`` evaluation
+    records written to ``metrics.jsonl`` and a checkpoint at the end. A
+    config value validation would refuse raises ``TrainerError`` with that
+    finding's code before anything is built."""
     cfg = stage_config(desk_profile(stage.config_doc, paper_scale), TrainerError)
     tr = cfg.trainer
 
@@ -885,34 +821,22 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
     last_losses = {"loss/policy": 0.0, "loss/value": 0.0, "loss/entropy": 0.0}
     env_steps = 0
 
-    # the stage's scope keeps every thread, on the pool, when any phase
-    # does; a one-thread phase inside it drops to one for its call
-    phases = _phase_blas_threads(tr, (policy.policy_sizes, policy.value_sizes),
-                                 eval_episodes)
-    stage_threads = None if None in phases else 1
-    collect_blas, update_blas, eval_blas = (
-        functools.partial(_blas_threads, 1) if threads == 1 and stage_threads is None
-        else contextlib.nullcontext for threads in phases)
-
     def run_eval():
-        with eval_blas():
-            rec = _evaluate(policy, norm, cfg.environment, rules, program, seed,
-                            eval_episodes, eval_max_steps, workspace, dtype)
+        rec = _evaluate(policy, norm, cfg.environment, rules, program, seed,
+                        eval_episodes, eval_max_steps, workspace, dtype)
         rec["step"] = env_steps
         rec.update(last_losses)
         metrics.append(rec)
 
     # a blow-up (say, from a huge learning rate) surfaces as NON_FINITE_LOSS
     # from ppo_loss, not as numpy warnings on the way there
-    with _blas_threads(stage_threads), np.errstate(over="ignore", invalid="ignore",
-                                                   divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         obs = envs.observe()
         for it in range(iters):
             if it in eval_at:
                 run_eval()
-            with collect_blas():
-                rollout, obs = _collect(envs, policy, norm, obs, program, tr.reward_scaling,
-                                        tr.unroll_length, rng, workspace, dtype)
+            rollout, obs = _collect(envs, policy, norm, obs, program, tr.reward_scaling,
+                                    tr.unroll_length, rng, workspace, dtype)
             env_steps += steps_per_iter
 
             advantages, returns = gae(
@@ -925,10 +849,9 @@ def train_stage(stage: StageBundle, out_dir, checkpoint_in=None,
                 "advantages": advantages.reshape(-1).astype(dtype, copy=False),
                 "returns": returns.reshape(-1).astype(dtype, copy=False),
             }
-            with update_blas():
-                last_losses = ppo_update(policy, optimizer, flat, rng, tr.num_updates_per_batch,
-                                         tr.num_minibatches, tr.clipping_epsilon,
-                                         tr.entropy_cost, workspace) or last_losses
+            last_losses = ppo_update(policy, optimizer, flat, rng, tr.num_updates_per_batch,
+                                     tr.num_minibatches, tr.clipping_epsilon,
+                                     tr.entropy_cost, workspace) or last_losses
         if iters in eval_at:
             run_eval()
         while len(metrics) < num_evals:  # guard against rounding collisions

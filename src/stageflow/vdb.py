@@ -76,10 +76,34 @@ def check_run_id(run_id: str) -> str:
 _STAGE_DIR_RE = re.compile(r"stage(\d+)")
 
 
-def run_artifact(run_dir, run_id: str, prompt: str, evaluation: str = "") -> RunArtifact:
+def _read_text(path: Path) -> str:
+    """``path``'s text; a file that does not decode is a ``CORRUPT_RUN``
+    naming it."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as e:
+        raise StoreError("CORRUPT_RUN", f"{path}: not UTF-8 text ({e.reason} at byte "
+                         f"{e.start})") from None
+
+
+def _read_scores(path: Path) -> dict:
+    """A run's ``scores.json``, or {} when it has none."""
+    if not path.is_file():
+        return {}
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise StoreError("CORRUPT_RUN", f"{path}: not JSON ({e})") from None
+
+
+def run_artifact(run_dir, run_id: str, prompt: str | None = None,
+                 evaluation: str = "") -> RunArtifact:
     """Read a finished run directory in the pipeline's layout: its
     ``workflow.yaml``, each ``stageN/{reward,config,randomize}.yaml``, the
-    ``stageN/metrics.jsonl`` files joined in stage order, and ``scores.json``."""
+    ``stageN/metrics.jsonl`` files joined in stage order, and ``scores.json``.
+    Without a ``prompt``, the run's ``prompt.txt`` is read, or the run id
+    taken when there is none. A file that is not UTF-8 text, or a
+    ``scores.json`` that is not JSON, is a ``CORRUPT_RUN`` naming it."""
     run_dir = Path(run_dir)
     numbered = sorted((int(m.group(1)), d) for d in run_dir.iterdir()
                       if d.is_dir() and (m := _STAGE_DIR_RE.fullmatch(d.name)))
@@ -87,13 +111,15 @@ def run_artifact(run_dir, run_id: str, prompt: str, evaluation: str = "") -> Run
     files = [run_dir / "workflow.yaml"] + [
         d / f"{role}.yaml" for d in stage_dirs for role in ("reward", "config", "randomize")]
     metrics = [d / "metrics.jsonl" for d in stage_dirs]
-    scores = run_dir / "scores.json"
+    if prompt is None:
+        prompt_file = run_dir / "prompt.txt"
+        prompt = _read_text(prompt_file) if prompt_file.is_file() else run_id
     return RunArtifact(
         run_id=run_id,
         prompt=prompt,
-        files={p.relative_to(run_dir).as_posix(): p.read_text() for p in files if p.is_file()},
-        metrics_jsonl="".join(p.read_text() for p in metrics if p.is_file()),
-        scores=json.loads(scores.read_text()) if scores.is_file() else {},
+        files={p.relative_to(run_dir).as_posix(): _read_text(p) for p in files if p.is_file()},
+        metrics_jsonl="".join(_read_text(p) for p in metrics if p.is_file()),
+        scores=_read_scores(run_dir / "scores.json"),
         evaluation=evaluation,
         created_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
@@ -161,6 +187,8 @@ class VectorStore:
         return artifact.run_id
 
     def get_run(self, run_id: str) -> RunArtifact:
+        """The stored run; a file of it that is not UTF-8 text, or a
+        ``scores.json`` that is not JSON, is a ``CORRUPT_RUN`` naming it."""
         if run_id not in self._index["runs"]:
             raise StoreError("EMPTY_STORE", f"no run {run_id!r}")
         run_dir = self.root / "runs" / run_id
@@ -169,15 +197,14 @@ class VectorStore:
             if p.is_file() and p.name not in (
                 "metrics.jsonl", "scores.json", "evaluation.txt", "prompt.txt",
             ):
-                files[str(p.relative_to(run_dir))] = p.read_text()
-        scores_file = run_dir / "scores.json"
+                files[str(p.relative_to(run_dir))] = _read_text(p)
         return RunArtifact(
             run_id=run_id,
-            prompt=(run_dir / "prompt.txt").read_text(),
+            prompt=_read_text(run_dir / "prompt.txt"),
             files=files,
-            metrics_jsonl=(run_dir / "metrics.jsonl").read_text(),
-            scores=json.loads(scores_file.read_text()) if scores_file.is_file() else {},
-            evaluation=(run_dir / "evaluation.txt").read_text(),
+            metrics_jsonl=_read_text(run_dir / "metrics.jsonl"),
+            scores=_read_scores(run_dir / "scores.json"),
+            evaluation=_read_text(run_dir / "evaluation.txt"),
             created_at=self._index["runs"][run_id].get("created_at", ""),
         )
 

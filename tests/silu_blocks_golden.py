@@ -22,7 +22,8 @@ short block:
   the rows (9,000 or 8,192, in three or two chunks); inference itself runs
   whole.
 
-Every case runs on one BLAS thread. The weight gradient ``h.T @ grad``,
+Every case runs on one BLAS thread, as a stage does
+(``trainer.one_blas_thread``). The weight gradient ``h.T @ grad``,
 a product over a chunk's rows, can round differently on one OpenBLAS thread
 than on two (it did at 1,283, 4,500 and 10,001 rows, not at 4,096, 5,120 or
 20,480), so without the pin the digests could depend on the machine's core
@@ -50,7 +51,7 @@ import numpy as np
 from ppo_update_golden import (CLIP_EPS, DATA_SEED, ENTROPY_COST, LEARNING_RATE,
                                POLICY_SEED, SHUFFLE_SEED, _digest, rollout_batch)
 from stageflow.env import OBS_DIM
-from stageflow.trainer import Adam, Policy, Workspace, _blas_threads, ppo_update
+from stageflow.trainer import Adam, Policy, Workspace, one_blas_thread, ppo_update
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "data" / "silu_blocks_golden.json"
@@ -91,7 +92,7 @@ def inference_digest(rows: int) -> dict:
 
 
 def golden() -> dict:
-    with _blas_threads(1):
+    with one_blas_thread():
         update = {name: update_digest(*nets) for name, nets in NETS.items()}
         inference = {str(rows): inference_digest(rows) for rows in INFERENCE_ROWS}
     return {

@@ -94,6 +94,46 @@ class TestExitCodes:
         assert code == 3
         assert "MISSING_FILE" in out.err
 
+    @pytest.mark.parametrize("rel", ["workflow.yaml", "rewards/generated_reward_stage2.yaml"])
+    @pytest.mark.parametrize("command", ["validate", "train", "mutate"])
+    def test_a_bundle_file_that_is_not_utf8_is_a_parse_error(
+            self, capsys, tmp_path, tiny_desk, command, rel):
+        bad = tiny_desk / rel
+        bad.write_bytes(b"# caf\xe9\n" + bad.read_bytes())  # Latin-1, not UTF-8
+        argv = {"validate": [tiny_desk],
+                "train": ["--workflow", tiny_desk / "workflow.yaml", "--out", tmp_path / "out"],
+                "mutate": ["--bundle", tiny_desk]}[command]
+        code, out = _cli(capsys, command, *argv)
+        assert code == 3
+        assert out.err.startswith("error PARSE_ERROR: ") and str(bad) in out.err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_prompt_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path):
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_bytes(b"walk \xff forward\n")
+        code, out = _cli(capsys, "run", "--prompt", prompt, "--vdb", tmp_path / "vdb",
+                         "--out", tmp_path / "out", "--fixtures", DATA / "fixtures" / "walker2")
+        assert code == 3
+        assert out.err.startswith("error PARSE_ERROR: ") and str(prompt) in out.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rel,content", [
+        ("scores.json", b"{not json"),
+        ("scores.json", b'{"survival_score": "\xff"}'),
+        ("stage1/reward.yaml", b"reward: caf\xe9\n"),
+        ("stage1/metrics.jsonl", b'{"stage": 1}\n\xff\n'),
+        ("prompt.txt", b"walk \xff forward"),
+    ], ids=["scores not JSON", "scores not UTF-8", "stage file not UTF-8",
+            "metrics not UTF-8", "prompt not UTF-8"])
+    def test_a_run_dir_file_vdb_add_cannot_read_is_a_store_error(
+            self, capsys, tmp_path, rel, content):
+        run_dir = _write_run_dir(tmp_path, stages=1)
+        (run_dir / rel).write_bytes(content)
+        code, out = _cli(capsys, "vdb", "add", run_dir, "--vdb", tmp_path / "vdb")
+        assert code == 3
+        assert out.err.startswith("error CORRUPT_RUN: ") and str(run_dir / rel) in out.err
+        assert len(VectorStore(tmp_path / "vdb")) == 0
+
     def test_live_transport_without_configuration(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("STAGEFLOW_LLM_ENDPOINT", raising=False)
         monkeypatch.delenv("STAGEFLOW_LLM_MODEL", raising=False)

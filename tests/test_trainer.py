@@ -2,18 +2,18 @@ import copy
 import dataclasses
 import json
 import os
-import signal
 import struct
-import threading
-import time
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stageflow import blaspool, trainer
+from stageflow import trainer
 from stageflow.errors import TrainerError
-from stageflow.schema import parse_bundle, stage_config
+from stageflow.schema import parse_bundle
 from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Policy,
                                RunningNorm, Workspace,
                                gae, load_checkpoint, ppo_loss,
@@ -547,7 +547,7 @@ class TestCheckpoint:
         assert e.value.code == "CHECKPOINT_SHAPE_MISMATCH"
 
 
-# -- BLAS thread policy -----------------------------------------------------------
+# -- one BLAS thread --------------------------------------------------------------
 
 def tiny_stage(**trainer_keys):
     """Desk stage 1 at one PPO iteration (64 envs x 20 steps, 4 minibatches
@@ -566,6 +566,33 @@ def train_tiny(out_dir, paper_scale=False, **trainer_keys):
                        eval_episodes=2, eval_max_steps=10)
 
 
+def train_paper_nets(out_dir):
+    """Tune stage 1 at paper scale, on its [512, 256, 128] nets in float32,
+    for one iteration of 64 envs x 80 steps: one epoch of 3 minibatches of
+    1,707, 1,707 and 1,706 rows, whose weight gradients round differently on
+    two OpenBLAS threads than on one. Two 10-step evaluation episodes."""
+    stage = parse_bundle(DESK.parent / "tune").stages[0]
+    config = trainer.desk_profile(stage.config_doc, paper_scale=True)
+    config["trainer"].update(num_envs=64, unroll_length=80, num_timesteps=64 * 80,
+                             num_minibatches=3, num_updates_per_batch=1, num_evals=1)
+    return train_stage(dataclasses.replace(stage, config_doc=config), out_dir,
+                       paper_scale=True, eval_episodes=2, eval_max_steps=10)
+
+
+# trains the paper-net stage into argv[1] in a fresh interpreter, with
+# argv[2:] put first on its path, after printing the BLAS thread count it
+# started on (None: no OpenBLAS to drive)
+PAPER_NETS_CHILD = """
+import sys
+sys.path[:0] = sys.argv[2:]
+from stageflow import trainer
+from test_trainer import train_paper_nets
+fns = trainer._openblas()
+print(fns[0]() if fns else None)
+train_paper_nets(sys.argv[1])
+"""
+
+
 @pytest.fixture
 def blas_threads():
     """The BLAS thread-count getter, with the caller's count set to 2 for
@@ -581,71 +608,19 @@ def blas_threads():
 
 
 class TestBlasThreadPolicy:
-    @pytest.mark.parametrize("rows,hidden,threads", [
-        (320, [64, 64], 1),                # desk width: 64 envs x 20 / 4
-        (640, [64, 64], 1),                # 7.7 M MACs
-        (64, [512, 512, 512], None),       # 69.1 M MACs: few rows, wide nets
-        (4_096, [64, 64], 1),              # 49.5 M MACs: a 4096-env stage's update chunk
-                                           # and rollout step under the desk profile
-        (5_120, [512, 256, 128], None),    # a paper-scale tune minibatch, 1.82 G MACs
-        (2_560, [64, 64], 1),              # 31.0 M MACs
-        (320, [256, 256], 1),              # 46.9 M MACs
-        (4_096, [512, 256, 128], None),    # 1.46 G MACs: one chunk of that minibatch
-        (16, [512, 256, 128], 1),          # 5.7 M MACs: its evaluation step
-        (5_548, [64, 64], 1),              # 67,108,608 MACs, just under the constant
-        (5_549, [64, 64], None),           # 67,120,704 MACs, just over it
-    ])
-    def test_selection(self, rows, hidden, threads):
-        policy = Policy(hidden, hidden, seed=0)
-        nets = (policy.policy_sizes, policy.value_sizes)
-        assert trainer._stage_blas_threads(rows, nets) == threads
-
-    @pytest.mark.parametrize("paper_scale,phases", [(False, [1, 1, 1]),
-                                                     (True, [None, None, 1])])
-    def test_the_shipped_tune_stages_phases(self, paper_scale, phases):
-        """Tune stage 1 as the benchmark trains it at 4096 envs (desk nets,
-        20,480-row minibatches in 4,096-row chunks: 49.5 M MACs a call) runs
-        its rollout, update and evaluation on one thread; at its configured
-        sizes (8192 envs, [512, 256, 128] nets, 5,120-row minibatches) the
-        rollout (2.9 G MACs) and update chunks (1.46 G) keep every thread
-        and the 16-episode evaluation (5.7 M) takes one."""
-        stage = parse_bundle(DESK.parent / "tune").stages[0]
-        doc = trainer.desk_profile(stage.config_doc, paper_scale)
-        if not paper_scale:
-            doc["trainer"]["num_envs"] = 4096
-        cfg = stage_config(doc, TrainerError)
-        policy = Policy(cfg.ppo_network.policy_hidden_layer_sizes,
-                        cfg.ppo_network.value_hidden_layer_sizes, seed=0)
-        nets = (policy.policy_sizes, policy.value_sizes)
-        assert trainer._phase_blas_threads(cfg.trainer, nets, 16) == phases
-
+    @pytest.mark.parametrize("train", [train_tiny, train_paper_nets], ids=["desk", "paper nets"])
     def test_a_desk_stage_trains_on_one_thread_and_restores_the_callers(
-            self, tmp_path, monkeypatch, blas_threads):
-        seen = []
-        real_update = trainer.ppo_update
-
-        def update(*args, **kwargs):
-            seen.append(blas_threads())
-            return real_update(*args, **kwargs)
-
-        monkeypatch.setattr(trainer, "ppo_update", update)
-        train_tiny(tmp_path)
-        assert seen == [1]
-        assert blas_threads() == 2
-
-    def test_rollout_and_evaluation_run_on_the_threads_their_rows_earn(
-            self, tmp_path, monkeypatch, blas_threads):
-        """64 rollout rows (0.8 M MACs) and 2 evaluation rows under the
-        constant, 320 update rows (3.9 M MACs) over it."""
-        monkeypatch.setattr(trainer, "ONE_THREAD_MACS", 1_000_000)
+            self, tmp_path, monkeypatch, blas_threads, train):
+        """Every phase, the paper nets' 1,707-row update chunks included,
+        runs on one thread."""
         seen = {}
         for name in ("_collect", "ppo_update", "_evaluate"):
             def spy(*args, _real=getattr(trainer, name), _name=name, **kwargs):
                 seen.setdefault(_name, set()).add(blas_threads())
                 return _real(*args, **kwargs)
             monkeypatch.setattr(trainer, name, spy)
-        train_tiny(tmp_path)
-        assert seen == {"_collect": {1}, "ppo_update": {2}, "_evaluate": {1}}
+        train(tmp_path)
+        assert seen == {"_collect": {1}, "ppo_update": {1}, "_evaluate": {1}}
         assert blas_threads() == 2
 
     def test_a_raising_stage_restores_the_callers_count(self, tmp_path, blas_threads):
@@ -669,19 +644,36 @@ class TestBlasThreadPolicy:
         finally:
             set_(before)
 
-    @pytest.mark.parametrize("mode", ["policy off", "no BLAS found"])
     def test_outputs_are_byte_identical_with_the_policy_engaged_or_not(
-            self, tmp_path, monkeypatch, mode):
+            self, tmp_path, monkeypatch):
+        """With no BLAS found, the stage runs as BLAS is set, and a desk
+        stage keeps its bytes."""
         train_tiny(tmp_path / "engaged")
-        if mode == "policy off":
-            monkeypatch.setattr(trainer, "_stage_blas_threads", lambda rows, nets: None)
-        else:
-            monkeypatch.setattr(trainer, "_openblas", lambda: None)
+        monkeypatch.setattr(trainer, "_openblas", lambda: None)
         train_tiny(tmp_path / "off")
         for name in ("metrics.jsonl", "checkpoint.bin"):
             assert ((tmp_path / "engaged" / name).read_bytes()
                     == (tmp_path / "off" / name).read_bytes()), name
 
+    def test_a_paper_width_stage_writes_the_same_bytes_on_any_thread_count(self, tmp_path):
+        """Three fresh interpreters, started with ``OPENBLAS_NUM_THREADS``
+        1, 2 and 4, train the paper-net stage to the same bytes."""
+        path = [str(Path(trainer.__file__).resolve().parents[1]),
+                str(Path(__file__).resolve().parent)]
+        started = []
+        for threads in (1, 2, 4):
+            child = subprocess.run(
+                [sys.executable, "-c", PAPER_NETS_CHILD, str(tmp_path / str(threads)), *path],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=str(threads)),
+                capture_output=True, text=True, timeout=120)
+            assert child.returncode == 0, child.stderr
+            started.append(child.stdout.split()[0])
+        # where there are cores for them, the children started on other counts
+        if started[0] != "None" and len(os.sched_getaffinity(0)) > 1:
+            assert started[:2] == ["1", "2"]
+        for name in ("metrics.jsonl", "checkpoint.bin"):
+            one, two, four = ((tmp_path / t / name).read_bytes() for t in ("1", "2", "4"))
+            assert one == two == four, name
 
 def shipped_stages():
     """(bundle, stage index) of every stage of every shipped bundle."""
@@ -806,163 +798,3 @@ class TestFloat32Path:
         with pytest.raises(TrainerError) as e:
             train_tiny(tmp_path, paper_scale=True, learning_rate=1e12)
         assert e.value.code == "NON_FINITE_LOSS"
-
-
-# -- the BLAS job pool ------------------------------------------------------------
-
-@pytest.fixture
-def pool_threads():
-    """The BLAS thread count, for tests of the job pool; they skip where
-    BLAS runs on one thread or takes no job runner."""
-    fns = trainer._openblas()
-    if fns is None or blaspool._setter() is None:
-        pytest.skip("numpy's BLAS takes no job runner here")
-    threads = fns[0]()
-    if threads < 2:
-        pytest.skip("BLAS runs on one thread: no call is split into jobs")
-    return threads
-
-
-def pool_calls() -> int:
-    return 0 if blaspool._pool is None else blaspool._pool.calls
-
-
-def wide_update(dtype=np.float64):
-    """Parameter bytes and loss parts after one update on a 20,480-row
-    minibatch, the size a 4096-env stage trains on, in ``dtype``."""
-    policy = Policy([64, 64], [64, 64], seed=0)
-    batch = small_batch(policy, np.random.default_rng(1), n=20_480)
-    batch = {k: v.astype(dtype) for k, v in batch.items()}
-    parts = trainer.ppo_update(policy, Adam(policy.params, lr=3e-4), batch,
-                               np.random.default_rng(2), 1, 1, 0.2, 1e-3, Workspace())
-    return {k: v.tobytes() for k, v in policy.params.items()}, parts
-
-
-def pooled_and_native(update):
-    """``update()`` run as BLAS runs it, then on the job pool."""
-    native = update()
-    before = pool_calls()
-    with blaspool.jobs_on_pool():
-        pooled = update()
-    assert pool_calls() > before
-    return pooled, native
-
-
-class TestJobPool:
-    def test_a_wide_update_keeps_its_bytes(self, pool_threads):
-        pooled, native = pooled_and_native(wide_update)
-        assert pooled == native
-
-    def test_a_wide_float32_update_keeps_its_bytes(self, pool_threads):
-        pooled, native = pooled_and_native(lambda: wide_update(np.float32))
-        assert pooled == native
-
-    def test_a_multi_thread_stage_keeps_its_bytes(self, tmp_path, monkeypatch, pool_threads):
-        monkeypatch.setattr(trainer, "ONE_THREAD_MACS", 0)  # the tiny stage keeps every thread
-        before = pool_calls()
-        train_tiny(tmp_path / "pool")
-        assert pool_calls() > before
-        monkeypatch.setattr(blaspool, "_setter", lambda: None)
-        train_tiny(tmp_path / "native")
-        for name in ("metrics.jsonl", "checkpoint.bin"):
-            assert ((tmp_path / "pool" / name).read_bytes()
-                    == (tmp_path / "native" / name).read_bytes()), name
-
-    def test_a_call_of_more_jobs_than_cpus_runs_all_at_once(self, pool_threads):
-        """Four jobs whose level-3 parts wait on each other need three
-        workers at once, however few CPUs there are."""
-        set_ = trainer._openblas()[1]
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((4_096, 64)), rng.standard_normal((64, 64))
-        set_(4)
-        try:
-            native = a @ b
-            with blaspool.jobs_on_pool():
-                pooled = a @ b
-        finally:
-            set_(pool_threads)
-        assert len(blaspool._pool.workers) >= 3
-        assert pooled.tobytes() == native.tobytes()
-
-    def test_idle_workers_do_not_spin(self, pool_threads):
-        """OpenBLAS's own workers spin for about 0.13 s after a parallel call;
-        the pool's sleep."""
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((4_096, 64)), rng.standard_normal((64, 64))
-        with blaspool.jobs_on_pool():
-            time.sleep(0.3)  # OpenBLAS's workers, woken by earlier calls, stop spinning
-            before = pool_calls()
-            a @ b
-            assert pool_calls() > before
-            cpu = time.process_time()
-            time.sleep(0.3)
-            assert time.process_time() - cpu < 0.05
-
-    def test_a_forked_child_runs_parallel_calls(self, pool_threads):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((4_096, 64)), rng.standard_normal((64, 64))
-        with blaspool.jobs_on_pool():
-            expected = a @ b  # the parent's pool has workers now
-            pid = os.fork()
-            if pid == 0:
-                os._exit(0 if (a @ b).tobytes() == expected.tobytes() else 1)
-            deadline = time.monotonic() + 20
-            while not (done := os.waitpid(pid, os.WNOHANG))[0]:
-                if time.monotonic() > deadline:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                    pytest.fail("the forked child hung in a parallel call")
-                time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(done[1]) == 0
-
-    def test_an_interrupt_mid_call_reaches_the_caller_after_the_call(
-            self, monkeypatch, pool_threads):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((1_000, 1_000)), rng.standard_normal((1_000, 1_000))
-        with blaspool.jobs_on_pool():
-            expected = a @ b
-            out = np.zeros_like(expected)
-            # job 1 sends the signal as it starts: the caller is then inside
-            # the call, running job 0 or waiting for job 1
-            (address, job), = blaspool._dojobs.items()
-            sent = []
-
-            def interrupting_job(k, jobdata, data):
-                if k == 1 and not sent:
-                    sent.append(k)
-                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                job(k, jobdata, data)
-
-            monkeypatch.setitem(blaspool._dojobs, address, interrupting_job)
-            start = time.monotonic()
-            with pytest.raises(KeyboardInterrupt):
-                np.matmul(a, b, out=out)
-                time.sleep(10)  # the interrupt cuts this short
-        assert sent
-        assert time.monotonic() - start < 5
-        assert out.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("outcome", ["returns", "raises"])
-    def test_the_runner_is_removed_when_the_stage_ends(
-            self, tmp_path, monkeypatch, pool_threads, outcome):
-        real = blaspool._setter()
-        installed = []
-
-        def setter(address):
-            installed.append(address)
-            real(address)
-
-        monkeypatch.setattr(blaspool, "_setter", lambda: setter)
-        monkeypatch.setattr(trainer, "ONE_THREAD_MACS", 0)
-        handler = signal.getsignal(signal.SIGINT)
-        if outcome == "returns":
-            train_tiny(tmp_path)
-        else:
-            with pytest.raises(TrainerError):
-                train_tiny(tmp_path, learning_rate=1e12)
-        assert installed == [blaspool._RUNNER_ADDR, None]
-        assert signal.getsignal(signal.SIGINT) is handler
-
-    def test_a_one_thread_stage_takes_no_runner(self, tmp_path, monkeypatch, pool_threads):
-        monkeypatch.setattr(blaspool, "_setter", lambda: pytest.fail("runner installed"))
-        train_tiny(tmp_path)  # 320-row minibatches: one BLAS thread

@@ -66,3 +66,17 @@ def test_an_ill_formed_index_is_a_corrupt_index(tmp_path, text):
         VectorStore(tmp_path)
     assert e.value.code == "CORRUPT_INDEX"
     assert str(tmp_path / "index.json") in e.value.message
+
+
+@pytest.mark.parametrize("rel,content", [
+    ("scores.json", b"{not json"), ("prompt.txt", b"walk \xff"),
+    ("metrics.jsonl", b"\xff\n"), ("stage1/reward.yaml", b"reward: caf\xe9\n")],
+    ids=["scores not JSON", "prompt not UTF-8", "metrics not UTF-8", "stage file not UTF-8"])
+def test_a_stored_file_get_run_cannot_read_is_a_corrupt_run(tmp_path, rel, content):
+    VectorStore(tmp_path).add_run(_artifact("run-0001"))
+    bad = tmp_path / "runs" / "run-0001" / rel
+    bad.write_bytes(content)
+    with pytest.raises(StoreError) as e:
+        VectorStore(tmp_path).get_run("run-0001")
+    assert e.value.code == "CORRUPT_RUN"
+    assert str(bad) in e.value.message
