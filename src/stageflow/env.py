@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import randomize
 from .errors import EnvError
@@ -113,6 +114,28 @@ BINDING_SHAPES = {key: entry[0] for key, entry in _BINDINGS.items()}
 BINDING_KINDS = {key: entry[1] for key, entry in _BINDINGS.items()}
 
 
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state words are already computed: PCG64 seeds
+    itself from ``generate_state(4, np.uint64)``, which returns them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(seeds: list) -> list:
+    """``[np.random.default_rng(s) for s in seeds]``, state for state, with
+    every seed's ``SeedSequence(s).generate_state(4, np.uint64)`` from one
+    ``randomize._seed_sequence`` pass. That pass takes seeds of at most 64
+    bits; any other list is seeded one ``default_rng`` at a time."""
+    if not (0 <= min(seeds) and max(seeds) < 1 << 64):
+        return [np.random.default_rng(s) for s in seeds]
+    words = randomize._seed_sequence(np.array(seeds, dtype=np.uint64)).T.copy()
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in words]
+
+
 def _scaled(lo, hi, u: np.ndarray) -> np.ndarray:
     """``Generator.uniform(lo, hi)`` computes ``lo + (hi - lo) * d`` from the
     next double ``d`` that ``random()`` would return. Applied here to rows of
@@ -146,8 +169,16 @@ class VecEnv:
     the per-(rule, env) Generator it replaced (``randomize`` module
     docstring).
 
+    Only the fields the walker reads, ``geom_friction`` and ``body_mass``,
+    are drawn (``resample_per_env``'s ``fields``); the rules of every field
+    are still validated, and a stream is keyed by its field, so the drawn
+    fields get the bytes of an all-field call.
+
     Reset, kick and observation noise draws are per env: env i draws from
-    its own Generator, seeded ``base_seed * 100003 + i``, in this order. A
+    its own Generator, seeded ``base_seed * 100003 + i``, in this order. The
+    Generators are ``np.random.default_rng``'s for those seeds, state for
+    state, but every row's ``SeedSequence`` state comes from one array pass
+    (:func:`_generators`). A
     reset takes one double each for gait frequency, foot height, [the 8
     joint offsets and the phase, under ``init_rand``,] and the stand coin,
     then 3 command doubles unless the env stands. A step takes
@@ -165,6 +196,8 @@ class VecEnv:
                  episode_length: int = 1000, binding_keys=BINDING_KEYS,
                  block_steps: int | None = None):
         self.cfg = cfg = section_config("environment", env_config, EnvError)
+        if num_envs < 1:
+            raise EnvError("POSITIVE_REQUIRED", f"a walker needs at least one row, got {num_envs}")
         self.n = num_envs
         self.episode_length = episode_length
         self.block_steps = block_steps or max(1, REWARD_ROWS // num_envs)
@@ -175,8 +208,9 @@ class VecEnv:
         self._block: dict = {}  # field -> (block_steps * n, ...) rows, made on first use
         self._filled = 0  # steps in the current block
         seeds, scene_keys = self._row_keys(base_seed)
-        self._rngs = [np.random.default_rng(s) for s in seeds]
-        scenes = randomize.resample_per_env(randomize_rules or {}, desk_scene(), scene_keys)
+        self._rngs = _generators(seeds)
+        scenes = randomize.resample_per_env(randomize_rules or {}, desk_scene(), scene_keys,
+                                            fields=("geom_friction", "body_mass"))
         # lag gain: heavier bodies respond slower, more friction grips better
         fric_factor = np.mean(scenes["geom_friction"][:, :, 0], axis=1) / 0.8
         mass_factor = scenes["body_mass"].sum(axis=1) / 4.2

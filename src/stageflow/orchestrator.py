@@ -31,8 +31,7 @@ from .schema import (KEYS, STAGE_ROLES, CurriculumBundle, PromotionCriterion,
                      validate)
 from .trainer import (Policy, RunningNorm, StageResult, load_checkpoint,
                       restore_policy, train_stage)
-from .vdb import (RunArtifact, VectorStore, check_run_id, run_artifact,
-                  tokenize)
+from .vdb import VectorStore, check_run_id, run_artifact, tokenize
 
 _DATA = Path(__file__).parent / "data"
 
@@ -86,14 +85,14 @@ def seed_examples() -> dict:
     }
 
 
-def _examples_from_artifacts(artifacts: list[RunArtifact], selection: dict) -> dict:
+def _examples_from_artifacts(files: dict, selection: dict) -> dict:
     """The seed examples, with each role replaced by the selector's file.
 
-    Per role, the selection with the lowest stage index counts (``workflow``
-    has none). Its file comes from the highest-ranked of ``artifacts`` that
-    holds it by that path or in the selection's stage directory (a pipeline
-    run names every stage's files alike); only when no run does, from the
-    highest-ranked run holding that file name anywhere."""
+    ``files`` maps ``<run_id>/<rel>``, the names the selector is offered, to
+    the texts of the retrieved runs: the pipeline names every run's files
+    alike (``stage1/reward.yaml``), so a name must say whose file it is. Per
+    role, the selection with the lowest stage index counts (``workflow`` has
+    none)."""
     chosen = {}  # role -> (stage index, file name)
     for key, fname in selection.items():
         m = re.fullmatch(r"([a-z]+)_stage(\d+)", key)
@@ -101,17 +100,8 @@ def _examples_from_artifacts(artifacts: list[RunArtifact], selection: dict) -> d
         if role not in chosen or stage < chosen[role][0]:
             chosen[role] = (stage, fname)
     examples = seed_examples()
-    for role, (stage, fname) in chosen.items():
-        texts = (t for a in artifacts
-                 for t in (a.files.get(fname), a.files.get(f"stage{stage}/{fname}"))
-                 if t is not None)
-        by_name = (t for a in artifacts for rel, t in a.files.items()
-                   if Path(rel).name == fname)
-        text = next(texts, None)
-        if text is None:
-            text = next(by_name, None)
-        if text is not None:
-            examples[role] = text
+    for role, (_, fname) in chosen.items():
+        examples[role] = files[fname]
     return examples
 
 
@@ -464,18 +454,17 @@ def _retrieve(task_prompt, vdb, transport, log, run) -> tuple[dict, str]:
         f"run {a.run_id} (scores {json.dumps(a.scores, sort_keys=True)}):\n"
         f"{a.evaluation or '(no evaluation text)'}"
         for a in artifacts)
-    candidates = sorted({Path(rel).name
-                         for a in artifacts for rel in a.files})
+    files = {f"{a.run_id}/{rel}": text for a in artifacts for rel, text in a.files.items()}
     sel_prompt = render(load_template("selector"), {
         "INSERT_TASK_PROMPT_HERE": task_prompt,
         "INSERT_EVALUATIONS_HERE": evaluations,
-        "INSERT_EXAMPLES_HERE": "\n".join(candidates),
+        "INSERT_EXAMPLES_HERE": "\n".join(sorted(files)),
     })
     selection = invoke_with_retry(
         transport, log, "selector", sel_prompt,
-        lambda resp: parse_selector_json(resp, candidates))
+        lambda resp: parse_selector_json(resp, files))
     run.retrieved = selection
-    return _examples_from_artifacts(artifacts, selection), evaluations
+    return _examples_from_artifacts(files, selection), evaluations
 
 
 def _generate_curriculum(task_prompt, examples, evaluation, transport, log):

@@ -328,13 +328,16 @@ def rule_findings(rules: dict, nominal: SceneParameters) -> list:
     return out
 
 
-def resample_per_env(rules: dict, nominal: SceneParameters, keys) -> dict:
+def resample_per_env(rules: dict, nominal: SceneParameters, keys, fields=None) -> dict:
     """Apply every rule for each ``(seed, env_index)`` pair in ``keys``, one
     row per pair. ``rules`` is the mapping under the ``randomization:``
     top-level key.
 
     Returns ``field -> array`` of shape ``(len(keys),) + nominal shape``
-    for every field of ``nominal``, which is left untouched. Raises the first
+    for each of ``fields`` (by default every field of ``nominal``), which is
+    left untouched; the rules of other fields are validated but not drawn,
+    and as every stream is keyed by its field, the returned rows are those
+    of the all-field call. Raises the first
     :func:`rule_findings` triple as a :class:`RandomizeError`; then draws
     the keys in passes of about ``PASS_DOUBLES`` doubles, every rule's
     stream for every key of a pass in one :func:`_uniforms` call. A stream
@@ -346,12 +349,12 @@ def resample_per_env(rules: dict, nominal: SceneParameters, keys) -> dict:
         code, path, message = problems[0]
         raise RandomizeError(code, f"{path}: {message}")
     keys = list(keys)
-    out = {name: np.repeat(group.values[None], len(keys), axis=0)
-           for name, group in nominal.fields.items()}
+    out = {name: np.repeat(nominal.fields[name].values[None], len(keys), axis=0)
+           for name in (nominal.fields if fields is None else fields)}
     draws = []  # (field, target, occurrence, rows, lo, hi, operation) per drawn rule
     for field_name, rule_list in rules.items():
         group = nominal.fields[field_name]
-        if group.inert:
+        if group.inert or field_name not in out:
             continue
         seen: dict[str, int] = {}  # target key -> rules on it so far
         for rule in rule_list:

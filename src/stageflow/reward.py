@@ -45,6 +45,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ExpressionError, RewardError, TensorError
+from .reductions import row_sums
 
 MAX_RANK = 3
 
@@ -133,7 +134,17 @@ def _sum_axes(v: Typed) -> tuple:
 
 
 def _row_sum(x, axes):
-    return x.sum(axis=axes) if axes else x
+    """Each row's sum over the per-row ``axes`` of a batched ``x``, or the
+    sum of an unbatched one. Per-row axes that reshape to one axis without a
+    copy are one run of elements to numpy's reduce loop too, and are summed
+    as that run by ``reductions.row_sums``; any others take ``x.sum``."""
+    if not axes or not axes[0]:
+        return x.sum(axis=axes) if axes else x
+    try:
+        run = x.reshape(len(x), math.prod(x.shape[1:]), copy=False)
+    except ValueError:  # no one run
+        return x.sum(axis=axes)
+    return row_sums(run)
 
 
 def _elementwise(op: str, a: Typed, b: Typed) -> Typed:
@@ -238,8 +249,8 @@ def compile_primitive(etype: str, p: dict) -> Typed:
             return _typed(lambda s: np.abs(f(s)), (), v.batched)
         if etype == "norm_L2":
             sq = _square(v)
-            return _typed(lambda s: np.sqrt(sq(s).sum(axis=-1)), v.shape[:-1], v.batched)
-        return _typed(lambda s: np.abs(f(s)).sum(axis=-1), v.shape[:-1], v.batched)
+            return _typed(lambda s: np.sqrt(row_sums(sq(s))), v.shape[:-1], v.batched)
+        return _typed(lambda s: row_sums(np.abs(f(s))), v.shape[:-1], v.batched)
     if etype == "quadratic":
         value = p["value"]
         return _elementwise("*", p["weight"], _typed(_square(value), value.shape, value.batched))

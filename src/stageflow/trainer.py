@@ -75,6 +75,30 @@ its rows in rounding only, and ``tests/data/silu_blocks_golden.json`` pins
 such updates. The normalizer's blocks keep every byte at any row count
 (``RunningNorm.update``).
 
+Reductions. numpy's ``.sum`` down the rows of a 2-D array, or over a
+short last axis, runs its reduce loop once per row; from
+``reductions.COLUMN_SUM_ROWS`` (512) rows the update and the reward make
+those sums in array passes instead, with numpy's bytes in both dtypes
+(``reductions`` docstring). Sums down the rows (the bias gradients of
+``mlp_backward``, the ``log_std`` gradient and ``_row_block_sum``) go
+through ``reductions.column_sums``: numpy adds a C-contiguous array of two
+or more columns one row at a time, in row order, from 0.0, and
+``np.einsum("ij->j")`` makes the same adds in one pass. A single column, the
+value head's output bias, keeps ``.sum(axis=0)``, as numpy sums a
+contiguous column pairwise. The ``ACTION_DIM`` (8) wide log-prob sums of
+``ppo_loss`` and ``Policy._logp``, and the reward's row sums and norms, go
+through ``reductions.row_sums``, which adds columns in numpy's order: fewer
+than 8 in sequence from 0.0, exactly 8 as numpy's pairwise block
+``((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))``, and more than 8
+through ``.sum``. Both are exact because each output element goes through
+the same IEEE adds in the same order; only which of two NaNs an add keeps
+follows the compiled operand order, so a NaN result is summed again by
+``.sum``. ``TestExactReductions`` in ``tests/test_trainer.py`` and every
+golden pin the bytes. Desk-width calls (64-row acts, 256-row reward blocks,
+320-row minibatches) stay under the threshold and run numpy's own loop; a
+4096-env stage computes the same ``eval_reward`` in less CPU time
+(``BENCH_27.json``).
+
 Flat-buffer Adam. ``Adam`` keeps the parameters, both moments and the
 gradient in one float64 buffer each, laid out in the order of the params
 dict it is built with; that dict's values and ``Adam.m``/``Adam.v`` become
@@ -143,6 +167,7 @@ import numpy as np
 
 from .env import ACTION_DIM, BINDING_SHAPES, OBS_DIM, VecEnv
 from .errors import TrainerError
+from .reductions import column_sums, row_sums
 from .reward import RewardProgram, compile_program, eval_total_batch
 from .schema import KEYS, StageBundle, stage_config
 
@@ -306,7 +331,7 @@ def mlp_backward(params: dict, prefix: str, cache: list, dy: np.ndarray) -> dict
         if silu_derivative is not None:
             grad *= silu_derivative
         grads[f"{prefix}/W{i}"] = h.T @ grad
-        grads[f"{prefix}/b{i}"] = grad.sum(axis=0)
+        grads[f"{prefix}/b{i}"] = column_sums(grad)
         if i > 0:
             w = params[f"{prefix}/W{i}"].astype(grad.dtype, copy=False)
             grad = np.matmul(grad, w.T, out=h)
@@ -354,8 +379,8 @@ class Policy:
     def _logp(self, mean: np.ndarray, raw: np.ndarray) -> np.ndarray:
         log_std = self.params["log_std"].astype(mean.dtype, copy=False)
         var = np.exp(2.0 * log_std)
-        gauss = -0.5 * (((raw - mean) ** 2) / var + 2.0 * log_std + LOG2PI).sum(-1)
-        correction = np.log(1.0 - np.tanh(raw) ** 2 + LOGP_EPS).sum(-1)
+        gauss = -0.5 * row_sums(((raw - mean) ** 2) / var + 2.0 * log_std + LOG2PI)
+        correction = row_sums(np.log(1.0 - np.tanh(raw) ** 2 + LOGP_EPS))
         return gauss - correction
 
 
@@ -403,14 +428,14 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
     term /= var
     term += 2.0 * log_std
     term += LOG2PI
-    new_logp = np.sum(term, axis=-1, out=ws.take("new_logp", (n,), dtype))
+    new_logp = row_sums(term, out=ws.take("new_logp", (n,), dtype))
     new_logp *= -0.5
     np.tanh(raw, out=term)
     np.square(term, out=term)
     np.subtract(1.0, term, out=term)
     term += LOGP_EPS
     np.log(term, out=term)
-    new_logp -= np.sum(term, axis=-1, out=ws.take("correction", (n,), dtype))
+    new_logp -= row_sums(term, out=ws.take("correction", (n,), dtype))
 
     # ratio = exp(new_logp - old_logp); the surrogate is the mean of
     # min(ratio * adv, clip(ratio, 1 - eps, 1 + eps) * adv)
@@ -442,7 +467,7 @@ def ppo_loss(policy: Policy, batch: dict, clip_eps: float,
         d /= var
         d -= 1.0
         d *= dlogp[:, None]
-        grads["log_std"] = d.sum(axis=0) - entropy_cost * share * np.ones_like(log_std)
+        grads["log_std"] = column_sums(d) - entropy_cost * share * np.ones_like(log_std)
 
     # the policy net is done with the activations; the value net overwrites them
     v_out, v_cache = mlp_forward(params, "value", obs, ws, grad=with_grads)
@@ -577,7 +602,7 @@ def _row_block_sum(batch: np.ndarray, center: np.ndarray | None = None) -> np.nd
         else:
             np.subtract(block, center, out=body)
             np.square(body, out=body)
-        total = part.sum(axis=0)
+        total = column_sums(part)
     return total
 
 

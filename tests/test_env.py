@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from stageflow import env as env_module
 from stageflow.env import (ACTION_DIM, BINDING_KEYS, BINDING_KINDS, BINDING_SHAPES, OBS_DIM,
                            DeskWalker, VecEnv)
 from stageflow.errors import EnvError
@@ -18,6 +19,17 @@ CALM = {"command_lin_vel_x_range": [-0.5, 0.5],
 RICH = dict(CALM, command_stand_prob=0.3, init_rand=True,
             big_kick_interval=7, big_min_kick_vel=0.1, big_max_kick_vel=0.3,
             gait_frequency=[1.5, 2.5], foot_height_range=[0.03, 0.05])
+
+# scene rules on the two fields the walker reads and on one it does not
+SCENE_RULES = {
+    "body_mass": [{"target": "ALL", "operation": "scale",
+                   "distribution": {"uniform": {"minval": 0.8, "maxval": 1.2}}}],
+    "geom_friction": [{"target": "floor", "operation": "set",
+                       "distribution": {"uniform": {"minval": [0.5, 0.0, 0.0],
+                                                    "maxval": [1.2, 0.01, 0.0]}}}],
+    "actuator_kp_kd": [{"target": "ALL", "operation": "scale",
+                        "distribution": {"uniform": {"minval": 0.9, "maxval": 1.1}}}],
+}
 
 
 class TestDeskWalker:
@@ -252,3 +264,49 @@ class TestRewardBlocks:
                 for key, arr in got.items():
                     assert arr[j * n:(j + 1) * n].tobytes() == want[key].tobytes(), (t, j, key)
         assert mid_block_resets > 0 and mid_block_kicks > 0
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("make", [lambda: VecEnv(CALM, 0), lambda: VecEnv(CALM, -1),
+                                      lambda: DeskWalker(CALM, episodes=0)],
+                             ids=["no envs", "negative envs", "no episodes"])
+    def test_a_width_below_one_is_an_env_error(self, make):
+        with pytest.raises(EnvError) as e:
+            make()
+        assert e.value.code == "POSITIVE_REQUIRED"
+
+    @pytest.mark.parametrize("rows", [1, 16, 4096])
+    @pytest.mark.parametrize("walker", ["VecEnv", "DeskWalker"])
+    def test_every_rows_generator_is_default_rngs_for_its_row_key(self, rows, walker,
+                                                                  monkeypatch):
+        """Row i's Generator starts in ``np.random.default_rng``'s state for
+        its row key (``base_seed * 100003 + i``; final scoring's
+        ``seed + 100 i``), and so the walker built on one-pass seeding holds
+        the same state after construction's draws as one built on
+        ``default_rng``."""
+        made, real = [], env_module._generators
+
+        def spy(seeds):
+            rngs = real(seeds)
+            made.append((list(seeds), [g.bit_generator.state for g in rngs]))
+            return rngs
+        monkeypatch.setattr(env_module, "_generators", spy)
+        build = (lambda: VecEnv(RICH, rows, base_seed=3, randomize_rules=SCENE_RULES)) \
+            if walker == "VecEnv" else (lambda: DeskWalker(RICH, SCENE_RULES, seed=5,
+                                                           episodes=rows))
+        env = build()
+        (seeds, states), = made
+        assert seeds == ([3 * 100003 + i for i in range(rows)] if walker == "VecEnv"
+                         else [5 + 100 * i for i in range(rows)])
+        assert states == [np.random.default_rng(s).bit_generator.state for s in seeds]
+        monkeypatch.setattr(env_module, "_generators",
+                            lambda seeds: [np.random.default_rng(s) for s in seeds])
+        reference = build()
+        assert [g.bit_generator.state for g in env._rngs] == \
+            [g.bit_generator.state for g in reference._rngs]
+        assert env.gain.tobytes() == reference.gain.tobytes()
+
+    def test_seeds_beyond_64_bits_are_seeded_one_at_a_time(self):
+        seeds = [0, (1 << 64) - 1, 1 << 64, 3 << 70]
+        assert [g.bit_generator.state for g in env_module._generators(seeds)] == \
+            [np.random.default_rng(s).bit_generator.state for s in seeds]

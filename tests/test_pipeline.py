@@ -258,9 +258,9 @@ class TestRetrieval:
 
 
     def test_examples_come_from_every_retrieved_run(self, tmp_path):
-        """Each selected file comes from the highest-ranked run that holds
-        it, and per role the selection with the lowest stage index counts
-        (stage 2 before stage 10)."""
+        """Each selected file comes from the run its name starts with, even
+        where two runs hold a file of that name, and per role the selection
+        with the lowest stage index counts (stage 2 before stage 10)."""
         store = VectorStore(tmp_path / "vdb")
         store.add_run(RunArtifact("run-a", "walk on the desk", {
             "a_workflow.yaml": "workflow: a\n",
@@ -274,11 +274,11 @@ class TestRetrieval:
             "shared_config.yaml": "config: b\n",
             "b_randomize_stage2.yaml": "randomize: b2\n",
         }))
-        selection = {"workflow": "b_workflow.yaml",
-                     "reward_stage10": "b_reward_stage10.yaml",
-                     "reward_stage2": "b_reward_stage2.yaml",
-                     "config_stage3": "shared_config.yaml",
-                     "randomize_stage2": "b_randomize_stage2.yaml"}
+        selection = {"workflow": "run-b/b_workflow.yaml",
+                     "reward_stage10": "run-b/b_reward_stage10.yaml",
+                     "reward_stage2": "run-b/b_reward_stage2.yaml",
+                     "config_stage3": "run-a/shared_config.yaml",
+                     "randomize_stage2": "run-b/b_randomize_stage2.yaml"}
         transport = ScriptedTransport(["walk on the desk",
                                        f"```json\n{json.dumps(selection)}\n```"])
         run = orchestrator.CurriculumRun("run-c", "walk on the desk", str(tmp_path))
@@ -291,9 +291,9 @@ class TestRetrieval:
 
     def test_a_stage_selection_takes_that_stage_of_a_pipeline_run(self, tmp_path):
         """Runs the pipeline stores name every stage's files alike
-        (``stage2/reward.yaml``), so the selection's stage picks the file,
-        from a lower-ranked run when the top run lacks that stage; a bare
-        file-name match counts only when no run holds the stage."""
+        (``stage2/reward.yaml``), so the selector is offered each run's
+        files under its run id and the named run's file is taken, whatever
+        the stage key it is selected for."""
         store = VectorStore(tmp_path / "vdb")
         store.add_run(RunArtifact("run-a", "walk on the desk", {
             "workflow.yaml": "workflow: a\n",
@@ -302,15 +302,41 @@ class TestRetrieval:
         store.add_run(RunArtifact("run-b", "swim across the pond", {
             f"stage{i}/{role}.yaml": f"{role}: b{i}\n"
             for i in (3, 4) for role in ("reward", "config", "randomize")}))
-        selection = {"reward_stage2": "reward.yaml", "config_stage3": "config.yaml",
-                     "randomize_stage5": "randomize.yaml"}
+        selection = {"reward_stage2": "run-a/stage2/reward.yaml",
+                     "config_stage3": "run-b/stage3/config.yaml",
+                     "randomize_stage5": "run-a/stage1/randomize.yaml"}
         transport = ScriptedTransport(["walk", f"```json\n{json.dumps(selection)}\n```"])
         run = orchestrator.CurriculumRun("run-c", "walk", str(tmp_path))
         examples, evaluations = orchestrator._retrieve(
             "walk", store, transport, AgentLog(tmp_path / "log.jsonl"), run)
         assert evaluations.index("run run-a") < evaluations.index("run run-b")
+        offered = transport.calls[1][1]
+        assert "run-b/stage3/config.yaml" in offered and "\nconfig.yaml" not in offered
         assert examples == {**orchestrator.seed_examples(), "reward": "reward: a2\n",
                             "config": "config: b3\n", "randomize": "randomize: a1\n"}
+
+    def test_a_lower_ranked_runs_stage_file_reaches_the_generation_prompt(self, tmp_path):
+        """Runs the pipeline stores name their files alike
+        (``stage1/reward.yaml``), so the selector is offered
+        ``<run_id>/<rel>`` names: selecting the lower-ranked run's stage-1
+        reward puts that run's text in the curriculum prompt."""
+        store = VectorStore(tmp_path / "vdb")
+        for run_id, prompt in (("run-a", "walk on the desk"), ("run-b", "swim across the pond")):
+            store.add_run(RunArtifact(run_id, prompt, {
+                "workflow.yaml": f"workflow: {run_id}\n",
+                **{f"stage{i}/{role}.yaml": f"{role}: {run_id} stage {i}\n"
+                   for i in (1, 2) for role in ("reward", "config", "randomize")}}))
+        selection = {"workflow": "run-a/workflow.yaml", "reward_stage1": "run-b/stage1/reward.yaml"}
+        run, transport = _run(tmp_path, ["walk on the desk",
+                                         f"```json\n{json.dumps(selection)}\n```"])
+        assert [role for role, _ in transport.calls] == ["vdb_query", "selector", "curriculum"]
+        selector_prompt, curriculum_prompt = transport.calls[1][1], transport.calls[2][1]
+        assert selector_prompt.index("run run-a") < selector_prompt.index("run run-b")
+        assert "run-b/stage1/reward.yaml" in selector_prompt
+        assert run.retrieved == selection
+        assert "reward: run-b stage 1\n" in curriculum_prompt
+        assert "reward: run-a stage 1" not in curriculum_prompt
+        assert "workflow: run-a\n" in curriculum_prompt
 
 
 class TestCurriculumCheck:

@@ -293,6 +293,28 @@ class TestBatchedSampler:
         np.testing.assert_array_equal(alone["body_mass"],
                                       np.tile(nominal_values(desk_scene(), "body_mass"), (3, 1)))
 
+    @pytest.mark.parametrize("name", sorted(SHIPPED) + ["repeated targets"])
+    def test_drawing_some_fields_gives_the_all_field_rows(self, name):
+        """``fields`` returns just those fields, in its order, each byte for
+        byte the all-field call's: streams are keyed by field, so the rules
+        of the fields left out shift no draw."""
+        rules = SHIPPED.get(name, REPEATED)
+        whole = resample_per_env(rules, desk_scene(), keys(9, 6))
+        for fields in (("geom_friction", "body_mass"), ("body_mass",), ("actuator_kp_kd",)):
+            some = resample_per_env(rules, desk_scene(), keys(9, 6), fields=fields)
+            assert list(some) == list(fields)
+            for f in fields:
+                assert some[f].tobytes() == whole[f].tobytes(), (fields, f)
+
+    def test_a_bad_rule_on_a_field_not_drawn_still_raises(self):
+        bad = copy.deepcopy(RULES)
+        bad["actuator_kp_kd"] = [{"target": "ALL", "operation": "scale", "distribution": {
+            "uniform": {"minval": 1.1, "maxval": 0.9}}}]
+        with pytest.raises(RandomizeError) as e:
+            resample_per_env(bad, desk_scene(), keys(0, 2), fields=("geom_friction", "body_mass"))
+        assert e.value.code == "RANGE_INVERTED"
+        assert "randomization.actuator_kp_kd[0]" in e.value.message
+
     def test_golden_scenes_at_paper_width(self):
         """Every shipped stage's rules and the repeated-target rules, drawn
         for 4,096 keys, match the scenes recorded from the sampler that

@@ -295,6 +295,33 @@ class TestCorpusPrograms:
                 oracle_total += v
             assert got["total"][0] == pytest.approx(oracle_total, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("bundle,stage", [("desk", 1), ("desk", 2), ("tune", 1),
+                                              ("blind", 1)])
+    def test_column_sums_keep_every_shipped_programs_bytes(self, bundle, stage, monkeypatch):
+        """Each shipped program over a 512-row block, with per-row sums by
+        column adds (the default at 512 rows, and at every row count) and by
+        numpy's reduce loop alone, term for term byte for byte."""
+        from stageflow import reductions
+        from stageflow.env import VecEnv
+        program = load_program(bundle, stage)
+        env = VecEnv({"command_lin_vel_x_range": [-1, 1], "command_lin_vel_y_range": [-1, 1],
+                      "command_ang_vel_yaw_range": [-1, 1], "big_kick_interval": 2,
+                      "big_min_kick_vel": 0.2, "big_max_kick_vel": 0.6},
+                     128, base_seed=4, block_steps=4)
+        rng = np.random.default_rng(4)
+        for _ in range(4):
+            env.step(rng.uniform(-1, 1, (128, 8)))
+        bindings = {k: v.copy() for k, v in env.bindings().items()}
+        got = {}
+        for column_rows in (reductions.COLUMN_SUM_ROWS, 1, 1 << 62):
+            monkeypatch.setattr(reductions, "COLUMN_SUM_ROWS", column_rows)
+            got[column_rows] = eval_total_batch(program, bindings, 512)
+        want = got.pop(1 << 62)
+        for column_rows, result in got.items():
+            assert result["total"].tobytes() == want["total"].tobytes(), column_rows
+            for name, values in result["per_term"].items():
+                assert values.tobytes() == want["per_term"][name].tobytes(), (column_rows, name)
+
     def test_blind_program_compiles(self):
         # transcribed for a robot with more joints than the toy walker, its
         # slices now fit the walker's 8 joints, so it type-checks against them

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import os
 import struct
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stageflow import trainer
+from stageflow import reductions, reward, trainer
 from stageflow.errors import TrainerError
 from stageflow.schema import parse_bundle
 from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Policy,
@@ -798,3 +799,101 @@ class TestFloat32Path:
         with pytest.raises(TrainerError) as e:
             train_tiny(tmp_path, paper_scale=True, learning_rate=1e12)
         assert e.value.code == "NON_FINITE_LOSS"
+
+
+# -- exact one-pass reductions ------------------------------------------------
+
+REDUCTION_WIDTHS = list(range(1, 10)) + [26, 64]
+REDUCTION_ROWS = [1, 7, 320, 4096, 5000]
+
+
+def reduction_values(rng, shape, dtype, special):
+    """Values of many magnitudes, so that a sum in another order rounds
+    differently; ``special`` 1 adds -0.0 entries, 2 also +-inf and NaNs of
+    both signs, 3 is all -0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    if special == 3:
+        return np.full(shape, -0.0, dtype=dtype)
+    u = rng.random(shape)
+    if special:
+        x[u < 0.3] = -0.0
+    if special == 2:
+        x[u > 0.97] = np.inf
+        x[(u > 0.95) & (u <= 0.97)] = -np.inf
+        x[(u > 0.94) & (u <= 0.95)] = np.nan
+        x[(u > 0.93) & (u <= 0.94)] = -np.nan
+    return x.astype(dtype)
+
+
+def row_views(base, width):
+    """(rows, width) arrays in the layouts a per-row sum meets, cut from one
+    (rows, 2, 2 * max width) array: contiguous, every other column, one
+    slice of a (rows, 2, width) array, and a transposed copy, whose rows are
+    not its outer axis."""
+    return {"contiguous": np.ascontiguousarray(base[:, 0, :width]),
+            "strided": base[:, 0, :2 * width:2],
+            "sliced": base[:, 1, :width],
+            "transposed": np.ascontiguousarray(base[:, 0, :width].T).T}
+
+
+def reduction_cases(rng, dtype):
+    """(width, rows, special, layout, array) over every width, row count,
+    ``special`` value set and layout."""
+    for rows, special in itertools.product(REDUCTION_ROWS, range(4)):
+        base = reduction_values(rng, (rows, 2, 2 * max(REDUCTION_WIDTHS)), dtype, special)
+        for width in REDUCTION_WIDTHS:
+            views = row_views(base, width)
+            views["two per row"] = np.ascontiguousarray(base[:, :, :width])
+            for layout, x in views.items():
+                yield width, rows, special, layout, x
+
+
+def same_bytes(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+class TestExactReductions:
+    """``reductions.column_sums`` and ``reductions.row_sums`` give numpy's
+    ``.sum`` bytes, sign bits and NaNs included (``trainer`` docstring,
+    Reductions)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("column_rows", [reductions.COLUMN_SUM_ROWS, 1])
+    def test_column_sums_are_sums_down_the_rows(self, dtype, column_rows, monkeypatch):
+        """At the shipped row threshold and in one pass at every row count."""
+        monkeypatch.setattr(reductions, "COLUMN_SUM_ROWS", column_rows)
+        for *case, x in reduction_cases(np.random.default_rng(0), dtype):
+            if x.ndim == 2:
+                assert same_bytes(reductions.column_sums(x), x.sum(axis=0)), case
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("column_rows", [reductions.COLUMN_SUM_ROWS, 1])
+    def test_last_axis_sums_are_row_sums(self, dtype, column_rows, monkeypatch):
+        """At the shipped row threshold and with column adds at every row
+        count, into a fresh array and into ``out``; per-row axes before the
+        last one stay."""
+        monkeypatch.setattr(reductions, "COLUMN_SUM_ROWS", column_rows)
+        for *case, x in reduction_cases(np.random.default_rng(1), dtype):
+            want = x.sum(axis=-1)
+            assert same_bytes(reductions.row_sums(x), want), case
+            out = np.empty(want.shape, dtype)
+            assert reductions.row_sums(x, out=out) is out and same_bytes(out, want), case
+
+    @pytest.mark.parametrize("column_rows", [reductions.COLUMN_SUM_ROWS, 1])
+    def test_per_row_sums_over_several_axes(self, column_rows, monkeypatch):
+        """A reward value's per-row sum over all its per-row axes, on the
+        binding layouts: whole (rows, 2, 3) arrays, ``feet_pos``-style slices
+        (one axis, both feet's x and y, one foot), ``xd.vel``'s unit axis."""
+        monkeypatch.setattr(reductions, "COLUMN_SUM_ROWS", column_rows)
+        rng = np.random.default_rng(2)
+        for rows, special in itertools.product(REDUCTION_ROWS, range(4)):
+            feet = reduction_values(rng, (rows, 2, 3), np.float64, special)
+            vel = reduction_values(rng, (rows, 3), np.float64, special)
+            for layout, x in {"whole": feet, "z of both feet": feet[:, :, 2],
+                              "xy of both feet": feet[:, :, 0:2], "one foot": feet[:, 0:1, :],
+                              "unit axis": vel[:, None, :]}.items():
+                axes = tuple(range(1, x.ndim))
+                assert same_bytes(reward._row_sum(x, axes), x.sum(axis=axes)), \
+                    (rows, special, layout)
