@@ -165,26 +165,12 @@ def _apply_overrides(config_doc: dict, overrides: dict) -> dict:
     return doc
 
 
-def _stage_texts(blocks) -> dict:
-    """Role -> text as a stage directory holds it: a config's
-    ``*_config_path`` lines point at the canonical stage layout."""
-    texts = {}
-    for role, block in _classify_blocks(blocks).items():
-        text = block.content
-        if role == "config":
-            for target in ("randomize", "reward"):
-                text = re.sub(rf"({target}_config_path:\s*).*",
-                              rf'\g<1>"{target}.yaml"', text, count=1)
-        texts[role] = text
-    return texts
-
-
 def _write_stage_files(stage_dir: Path, blocks) -> None:
-    """Write each given role's block as ``stage_dir/<role>.yaml``; roles not
-    given are left as they are."""
+    """Write each given role's block as ``stage_dir/<role>.yaml``, verbatim;
+    roles not given are left as they are."""
     stage_dir.mkdir(parents=True, exist_ok=True)
-    for role, text in _stage_texts(blocks).items():
-        (stage_dir / f"{role}.yaml").write_text(text)
+    for role, block in _classify_blocks(blocks).items():
+        (stage_dir / f"{role}.yaml").write_text(block.content)
 
 
 def _write_workflow(run_dir: Path, wf_doc: dict) -> None:
@@ -353,7 +339,7 @@ def _merged_stage_blocks(next_stage: StageBundle, revised) -> list:
     texts = {"reward": next_stage.reward_text,
              "config": next_stage.config_text,
              "randomize": next_stage.randomize_text,
-             **_stage_texts(revised)}
+             **{role: b.content for role, b in _classify_blocks(revised).items()}}
     return [GeneratedFileBlock(f"{role}.yaml", f"{role}.yaml", text)
             for role, text in texts.items()]
 
@@ -401,10 +387,10 @@ def run_pipeline(task_prompt: str, vdb: VectorStore, transport, out_dir,
         bundle = parse_bundle(run_dir / "workflow.yaml")
         report = validate(bundle)
         if not report.ok:
-            raise AgentError(
-                "RETRIES_EXHAUSTED",
-                "generated bundle failed validation: "
-                + "; ".join(f"[{f.code}] {f.message}" for f in report.errors))
+            raise BundleError(
+                report.errors[0].code, "generated bundle failed validation: "
+                + "; ".join(f"[{f.code}] {f.file}:{f.path}: {f.message}"
+                            for f in report.errors))
         run.bundle = bundle
         phase = "training"
         results, (status, fail_stage, reason) = train_stages(

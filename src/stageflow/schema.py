@@ -5,26 +5,26 @@ YAML. ``validate`` never stops at the first problem: it returns a report with
 every finding. ``mutate_corpus`` produces a labeled set of broken bundles used
 to exercise the validator.
 
-The config table. ``TABLE`` holds one row (a :class:`Key`) per config key,
-by section: its name, its kind (a finite float, an integer, a power of 2, a
-finite [lo, hi] pair, a layer list, a bool, a string; none for a key that
-is known but neither checked nor read), whether validation requires it, its
-default, the bounds ``within`` which a number must lie and the finding code
-for one outside them. Defaults live in the row and nowhere else: a row
-without one is read by nobody (``UNREAD``) or needed by its readers
-(``NO_DEFAULT``). ``validate`` walks the table for every per-key finding;
-cross-key checks stay code. :func:`stage_config` and
-:func:`section_config` walk the same table to build what training, its
-environments and final scoring read: frozen records holding only the keys
-the table types and some reader reads, each converted by its kind and
+The config table. ``TABLE`` is the whole config contract: one row (a
+:class:`Key`) per key a stage config may hold, by section, and every row is
+read by training, its environments or final scoring. A row holds the key's
+name, its kind (a finite float, an integer, a power of 2, a finite [lo, hi]
+pair, a layer list, a bool), whether validation requires it, its default,
+the bounds ``within`` which a number must lie and the finding code for one
+outside them. Defaults live in the row and nowhere else; a row whose
+readers need the key has ``NO_DEFAULT``. ``validate`` walks the table for
+every per-key finding, and any key or section it does not hold is an
+``UNKNOWN_KEY`` warning; cross-key checks stay code. :func:`stage_config`
+and :func:`section_config` walk the same table to build what the readers
+read: frozen records of each section's keys, each converted by its kind and
 defaulted by its row. A value ``validate`` would refuse is refused there
-too, with the same code, so no reader sees a key the table does not type.
+too, with the same code. The workflow is the one place that names a
+stage's files; a config names none.
 """
 
 from __future__ import annotations
 
 import copy
-import enum
 import json
 import math
 import random
@@ -41,9 +41,6 @@ from .reward import compile_term
 
 ERROR = "error"
 WARNING = "warning"
-
-CONFIG_SECTIONS = ("environment", "trainer", "randomization", "artifact", "ppo_network")
-OPTIONAL_CONFIG_SECTIONS = ("render",)
 
 
 @dataclass
@@ -270,10 +267,8 @@ LAYERS = Kind(lambda v: isinstance(v, list) and len(v) > 0
               and all(_is_int(s) and s > 0 for s in v),
               "a non-empty list of positive ints", tuple)
 BOOL = Kind(lambda v: isinstance(v, bool), "true or false", bool)
-STRING = Kind(lambda v: isinstance(v, str), "a string", str)
 
-# row defaults that are not values (module docstring)
-UNREAD, NO_DEFAULT = enum.Enum("Default", "UNREAD NO_DEFAULT")
+NO_DEFAULT = object()  # a row default that is not a value (module docstring)
 
 
 def _inside(v, interval: str) -> bool:
@@ -284,14 +279,12 @@ def _inside(v, interval: str) -> bool:
 
 
 class Key(namedtuple("Key", "name kind required default within code",
-                     defaults=(None, False, UNREAD, "", "TYPE_ERROR"))):
+                     defaults=(False, NO_DEFAULT, "", "TYPE_ERROR"))):
     """One row of the config table (module docstring)."""
     __slots__ = ()
 
     def problem(self, v) -> tuple[str, str] | None:
         """(code, message) of what is wrong with the value ``v``, or None."""
-        if self.kind is None:
-            return None
         if v is None:  # ``key:`` reads as null, which no reader takes for a default
             return "TYPE_ERROR", f"{self.name} has no value; give it one or remove the key"
         if not self.kind.test(v):
@@ -307,8 +300,6 @@ class Key(namedtuple("Key", "name kind required default within code",
 REQUIRED = True
 TABLE = {
     "environment": (
-        Key("scene_file", STRING, REQUIRED),
-        Key("reward_config_path", STRING, REQUIRED),
         Key("obs_noise", FLOAT, REQUIRED, 0.0, "[0, inf)", "POSITIVE_REQUIRED"),
         Key("init_rand", BOOL, REQUIRED, False),
         Key("command_lin_vel_x_range", RANGE, REQUIRED, (0.0, 0.0)),
@@ -324,8 +315,6 @@ TABLE = {
         Key("small_min_kick_vel", FLOAT, default=0.0),
         Key("small_max_kick_vel", FLOAT, default=0.0),
         Key("small_kick_interval", INT, default=0, within="[1, inf)"),
-        *map(Key, ("imu_disturbs", "fixed_command", "cutoff_freq", "deadband_size",
-                   "low_cmd_boost_scale", "gaits")),
     ),
     "trainer": (
         Key("num_timesteps", INT, REQUIRED, 200_000, "[1, inf)"),
@@ -335,7 +324,6 @@ TABLE = {
         Key("entropy_cost", FLOAT, REQUIRED, 0.0, "[0, inf)", "POSITIVE_REQUIRED"),
         Key("discounting", FLOAT, REQUIRED, NO_DEFAULT, "(0, 1)", "GAMMA_RANGE"),
         Key("num_envs", POWER_OF_2, REQUIRED, 64),
-        Key("batch_size", POWER_OF_2, REQUIRED),
         Key("unroll_length", INT, REQUIRED, NO_DEFAULT, "[1, inf)"),
         Key("num_minibatches", INT, REQUIRED, 4, "[1, inf)"),
         Key("num_updates_per_batch", INT, REQUIRED, NO_DEFAULT, "[1, inf)"),
@@ -343,31 +331,22 @@ TABLE = {
         Key("seed", INT, REQUIRED, 0, "[0, inf)"),
         Key("reward_scaling", FLOAT, default=1.0),
         Key("normalize_observations", BOOL, default=True),
-        Key("action_repeat"),
     ),
     "ppo_network": (
         Key("policy_hidden_layer_sizes", LAYERS, REQUIRED, NO_DEFAULT),
         Key("value_hidden_layer_sizes", LAYERS, REQUIRED, NO_DEFAULT),
-        Key("activation", required=REQUIRED),
-        Key("policy_obs_key"),
-        Key("value_obs_key"),
-    ),
-    "randomization": (
-        Key("randomize_config_path", STRING, REQUIRED),
-        Key("randomize"),
     ),
 }
 KEYS = {f"{section}.{key.name}": key for section, keys in TABLE.items() for key in keys}
 
-# per section with a key some reader reads, a record type of those keys
-RECORDS = {section: namedtuple(f"{section}_config", [k.name for k in read])
-           for section, keys in TABLE.items()
-           if (read := [k for k in keys if k.default is not UNREAD])}
+# per section, the record type its readers read
+RECORDS = {section: namedtuple(f"{section}_config", [k.name for k in keys])
+           for section, keys in TABLE.items()}
 StageConfig = namedtuple("StageConfig", RECORDS)
 
 
 def section_config(section: str, values, error: type[StageflowError]):
-    """The frozen record of one config section: each key a reader reads,
+    """The frozen record of one config section: each of its keys,
     converted by its kind, at the table's default where ``values`` lacks it.
     ``values`` is a mapping, possibly partial, or already such a record. A
     value ``validate`` would report raises ``error`` with its finding's
@@ -379,8 +358,6 @@ def section_config(section: str, values, error: type[StageflowError]):
         raise error("MISSING_KEY", f"config must contain a '{section}:' mapping")
     built = {}
     for key in TABLE[section]:
-        if key.default is UNREAD:
-            continue
         if key.name in values:
             if problem := key.problem(values[key.name]):
                 raise error(problem[0], f"{section}.{key.name}: {problem[1]}")
@@ -406,16 +383,13 @@ def _validate_config(stage: StageBundle, out: list):
     def add(severity, code, path, msg):
         out.append(Finding(severity, code, stage.config_path, path, msg))
 
-    for section in CONFIG_SECTIONS:
-        if not isinstance(doc.get(section), dict):
-            add(ERROR, "MISSING_KEY", section, f"config must contain a '{section}:' mapping")
     for section in doc:
-        if section not in CONFIG_SECTIONS + OPTIONAL_CONFIG_SECTIONS:
+        if section not in TABLE:
             add(WARNING, "UNKNOWN_KEY", section, "unknown top-level config section")
-
     for section, keys in TABLE.items():
         body = doc.get(section)
         if not isinstance(body, dict):
+            add(ERROR, "MISSING_KEY", section, f"config must contain a '{section}:' mapping")
             continue
         for key in keys:
             if key.name not in body:
@@ -507,14 +481,6 @@ def validate(bundle: CurriculumBundle) -> ValidationReport:
                            "network layer sizes must be identical across all stages"))
 
     for s in bundle.stages:
-        rnd = s.config_doc.get("randomization") or {}
-        declared = rnd.get("randomize_config_path")
-        if isinstance(declared, str) and Path(declared).name != Path(s.randomize_path).name:
-            out.append(Finding(
-                ERROR, "PATH_MISMATCH", s.config_path, "randomization.randomize_config_path",
-                f"config names {Path(declared).name!r} but the workflow assigns "
-                f"{Path(s.randomize_path).name!r}",
-            ))
         _validate_config(s, out)
         _validate_reward(s, out)
         _validate_randomize(s, out)
@@ -529,7 +495,20 @@ class Mutant:
     label: str
     expected_code: str
     bundle: CurriculumBundle
-    expected_path: str | None = None  # set where the code is the only error, on this path
+    # set where the code on this path is the only error of each file changed
+    expected_path: str | None = None
+
+
+# per kind, values not of it: of another type and, for numbers, non-finite
+NOT_OF_KIND = {FLOAT: ("1.0e12", math.inf), INT: (0.5,), POWER_OF_2: ("64", 100),
+               RANGE: (0.5, [math.nan, 2.0]), LAYERS: ([64, "wide"],), BOOL: ("no",)}
+
+
+def _outside(key: Key):
+    """A value of ``key``'s kind just below its ``within`` interval, whose
+    lower end is finite."""
+    lo = float(key.within[1:].split(",")[0])
+    return key.kind.convert(lo if key.within[0] == "(" else lo - 1)
 
 
 def _clone(bundle: CurriculumBundle) -> CurriculumBundle:
@@ -537,8 +516,11 @@ def _clone(bundle: CurriculumBundle) -> CurriculumBundle:
 
 
 def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
-    """Deterministic set of >= 20 single-field mutations of a valid bundle,
-    each labeled with the finding code it must trigger."""
+    """Deterministic set of single-field mutations of a valid bundle, each
+    labeled with the finding code it must trigger: for every config table
+    row, the key left empty, set to values not of its kind, outside its
+    bounds and, if required, dropped; then the cross-key checks and the
+    reward, randomize and workflow checks."""
     rng = random.Random(seed)
     stage0 = bundle.stages[0]
     term_names = sorted((stage0.reward_doc.get("reward") or {}).keys())
@@ -559,45 +541,36 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
     def rz(b):
         return b.stages[0].randomize_doc["randomization"]
 
-    inf, nan = float("inf"), float("nan")
-    for label, path, value, code in (  # one config value each, the only error
-            ("batch_size not a power of two", "trainer.batch_size", 500, "POWER_OF_TWO"),
-            ("num_envs not a power of two", "trainer.num_envs", 100, "POWER_OF_TWO"),
-            ("x velocity command range inverted", "environment.command_lin_vel_x_range",
-             [0.5, -0.5], "RANGE_INVERTED"),
-            ("gait_frequency range inverted", "environment.gait_frequency", [2.5, 2.0],
-             "RANGE_INVERTED"),
-            ("stand probability above 1", "environment.command_stand_prob", 1.5, "PROB_RANGE"),
-            ("discount factor outside (0,1)", "trainer.discounting", 1.5, "GAMMA_RANGE"),
-            ("negative learning rate", "trainer.learning_rate", -1.0e-4, "POSITIVE_REQUIRED"),
-            ("zero clipping epsilon", "trainer.clipping_epsilon", 0, "POSITIVE_REQUIRED"),
-            ("negative observation noise", "environment.obs_noise", -1, "POSITIVE_REQUIRED"),
-            ("learning rate read as a string", "trainer.learning_rate", "1.0e12", "TYPE_ERROR"),
-            ("learning rate NaN", "trainer.learning_rate", nan, "TYPE_ERROR"),
-            ("infinite clipping epsilon", "trainer.clipping_epsilon", inf, "TYPE_ERROR"),
-            ("big kick velocity infinite", "environment.big_max_kick_vel", inf, "TYPE_ERROR"),
-            ("small kick velocity read as a string", "environment.small_min_kick_vel", "fast",
-             "TYPE_ERROR"),
-            ("gait_frequency bound NaN", "environment.gait_frequency", [nan, 2.0], "TYPE_ERROR"),
-            ("x velocity command bound infinite", "environment.command_lin_vel_x_range",
-             [-inf, 1.0], "TYPE_ERROR"),
-            ("max_foot_height NaN", "environment.max_foot_height", nan, "TYPE_ERROR"),
-            ("max_foot_height read as a string", "environment.max_foot_height", "high",
-             "TYPE_ERROR"),
-            ("reward_scaling infinite", "trainer.reward_scaling", inf, "TYPE_ERROR"),
-            ("reward_scaling read as a string", "trainer.reward_scaling", "big", "TYPE_ERROR"),
-            ("negative seed", "trainer.seed", -1, "TYPE_ERROR"),
-            ("learning rate left empty", "trainer.learning_rate", None, "TYPE_ERROR"),
-            ("num_envs left empty", "trainer.num_envs", None, "TYPE_ERROR"),
-            ("observation noise left empty", "environment.obs_noise", None, "TYPE_ERROR"),
-            ("gait_frequency left empty", "environment.gait_frequency", None, "TYPE_ERROR"),
-            ("more minibatches than rollout rows", "trainer.num_minibatches", 1_000_000,
-             "TOO_MANY_MINIBATCHES")):
+    def config_mutant(label, code, path, change):
+        """``change(section, name)`` applied to stage 1's config, or to every
+        stage's for a network key, which must match across stages; the only
+        errors are ``code`` on ``path``, one per changed file."""
         section, name = path.split(".")
-        mutant(label, code, lambda b, s=section, k=name, v=value:
-               b.stages[0].config_doc[s].update({k: v}), path)
-    mutant("num_timesteps dropped", "MISSING_KEY",
-           lambda b: b.stages[0].config_doc["trainer"].pop("num_timesteps"))
+        b = _clone(bundle)
+        for stage in b.stages if section == "ppo_network" else b.stages[:1]:
+            change(stage.config_doc[section], name)
+        mutants.append(Mutant(label, code, b, path))
+
+    for path, key in KEYS.items():  # the table's own checks, row by row
+        cases = [("left empty", None, "TYPE_ERROR")]
+        cases += [(f"set to {v!r}", v, key.kind.code) for v in NOT_OF_KIND[key.kind]]
+        if key.kind is RANGE:
+            cases.append(("inverted", [1.0, -1.0], "RANGE_INVERTED"))
+        if key.within:
+            v = _outside(key)
+            cases.append((f"set to {v!r}, outside {key.within}", v, key.code))
+        for label, value, code in cases:
+            config_mutant(f"{path} {label}", code, path,
+                          lambda body, name, v=value: body.update({name: copy.deepcopy(v)}))
+        if key.required:
+            config_mutant(f"{path} dropped", "MISSING_KEY", path,
+                          lambda body, name: body.pop(name))
+    config_mutant("more minibatches than rollout rows", "TOO_MANY_MINIBATCHES",
+                  "trainer.num_minibatches",
+                  lambda body, name: body.update({name: 1_000_000}))
+    config_mutant("big kick velocities inverted", "RANGE_INVERTED",
+                  "environment.big_min_kick_vel",
+                  lambda body, name: body.update(big_min_kick_vel=0.2, big_max_kick_vel=0.1))
     mutant("environment section dropped", "MISSING_KEY",
            lambda b: b.stages[0].config_doc.pop("environment"))
     mutant("reward top-level key renamed", "BAD_TOP_KEY",
@@ -634,9 +607,6 @@ def mutate_corpus(bundle: CurriculumBundle, seed: int = 0) -> list[Mutant]:
                minval=[0.0, 0.0], maxval=[1.0, 1.0, 1.0]))
     mutant("stage 1 resumes from a checkpoint", "RESUME_FIRST_STAGE",
            lambda b: setattr(b.stages[0], "resume_from_checkpoint", True))
-    mutant("config randomize path disagrees with workflow", "PATH_MISMATCH",
-           lambda b: b.stages[0].config_doc["randomization"].update(
-               randomize_config_path="somewhere/else.yaml"))
     mutant("stage index not contiguous", "STAGE_INDEX",
            lambda b: setattr(b.stages[-1], "index", b.stages[-1].index + 1))
     if len(bundle.stages) > 1:

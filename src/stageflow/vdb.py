@@ -77,10 +77,12 @@ _STAGE_DIR_RE = re.compile(r"stage(\d+)")
 
 
 def _read_text(path: Path) -> str:
-    """``path``'s text; a file that does not decode is a ``CORRUPT_RUN``
-    naming it."""
+    """``path``'s text; a file that is missing or does not decode is a
+    ``CORRUPT_RUN`` naming it."""
     try:
         return path.read_text()
+    except FileNotFoundError:
+        raise StoreError("CORRUPT_RUN", f"{path}: no such file") from None
     except UnicodeDecodeError as e:
         raise StoreError("CORRUPT_RUN", f"{path}: not UTF-8 text ({e.reason} at byte "
                          f"{e.start})") from None
@@ -187,8 +189,9 @@ class VectorStore:
         return artifact.run_id
 
     def get_run(self, run_id: str) -> RunArtifact:
-        """The stored run; a file of it that is not UTF-8 text, or a
-        ``scores.json`` that is not JSON, is a ``CORRUPT_RUN`` naming it."""
+        """The stored run; a file of it that is missing or not UTF-8 text,
+        or a ``scores.json`` that is not JSON, is a ``CORRUPT_RUN`` naming
+        it."""
         if run_id not in self._index["runs"]:
             raise StoreError("EMPTY_STORE", f"no run {run_id!r}")
         run_dir = self.root / "runs" / run_id

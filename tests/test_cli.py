@@ -55,7 +55,7 @@ class TestExitCodes:
 
     def test_mutant_bundle_is_a_finding(self, capsys, tiny_desk):
         cfg = tiny_desk / "configs/generated_config_stage1.yaml"
-        cfg.write_text(cfg.read_text().replace("batch_size: 64", "batch_size: 63"))
+        cfg.write_text(cfg.read_text().replace("num_envs: 64", "num_envs: 63"))
         code, out = _cli(capsys, "validate", tiny_desk)
         assert code == 1
         assert "POWER_OF_TWO" in {f["code"] for f in json.loads(out.out)["findings"]}
@@ -161,11 +161,11 @@ class TestRunOverrides:
             f"[PARSE_ERROR] override {key!r}: 'seed' holds 7, not a mapping")
 
     @pytest.mark.parametrize("override,reason", [
-        ("trainer.batch_size=63", "[POWER_OF_TWO] override 'trainer.batch_size': "
-                                  "batch_size must be a power of 2, got 63"),
+        ("trainer.num_envs=63", "[POWER_OF_TWO] override 'trainer.num_envs': "
+                                "num_envs must be a power of 2, got 63"),
         ("environment.init_rand=no", "[TYPE_ERROR] override 'environment.init_rand': "
                                      "init_rand must be true or false, got 'no'"),
-    ], ids=["batch_size=63", "init_rand=no"])
+    ], ids=["num_envs=63", "init_rand=no"])
     def test_an_override_the_schema_refuses_fails_before_any_exchange(
             self, capsys, tmp_path, override, reason):
         """The override is checked against the config table before the

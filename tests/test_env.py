@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,15 @@ SCENE_RULES = {
     "actuator_kp_kd": [{"target": "ALL", "operation": "scale",
                         "distribution": {"uniform": {"minval": 0.9, "maxval": 1.1}}}],
 }
+
+
+def test_the_prompts_variable_table_names_every_binding_with_its_shape():
+    """``reward_vars.txt``, the prompt's table of reward variables, names
+    exactly the walker's binding keys, in order, each with its shape."""
+    _header, table = (DATA / "docs" / "reward_vars.txt").read_text().split("\n\n", 1)
+    rows = re.findall(r"^(\S+) +(scalar|\([^)]*\)) ", table, re.MULTILINE)
+    assert rows == [(key, "scalar" if shape == () else str(shape))
+                    for key, shape in BINDING_SHAPES.items()]
 
 
 class TestDeskWalker:

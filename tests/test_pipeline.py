@@ -4,6 +4,7 @@ byte, and scripted agent responses for the paths the replay never takes
 
 import hashlib
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -105,42 +106,30 @@ def _run(tmp_path, responses, **kwargs):
     return run, transport
 
 
-# the revised config names the randomize file as the per_stage answer did,
-# and by the workflow's name for it through a folder the run layout lacks;
-# both must pass the check and be rewritten to the stage layout
-RANDOMIZE_PATHS = ["../randomize/generated_randomize_stage2.yaml", "../randomize/randomize.yaml"]
+REVISED_CONFIG = desk_stage_texts(2)["config"].replace(
+    f"num_timesteps: {TINY_STEPS}", f"num_timesteps: {2 * TINY_STEPS}  # a longer budget")
 
 
-def _revised_config(randomize_path: str) -> str:
-    return (desk_stage_texts(2)["config"]
-            .replace(f"num_timesteps: {TINY_STEPS}", f"num_timesteps: {2 * TINY_STEPS}")
-            .replace('"../randomize/generated_randomize_stage2.yaml"', f'"{randomize_path}"'))
-
-
-def _revise(randomize_path: str = RANDOMIZE_PATHS[0]) -> str:
+def _revise() -> str:
     return ("DECISION: revise\nRATIONALE: stage 2 needs a longer budget.\n\n"
             + serialize_file_blocks([GeneratedFileBlock(
                 "generated_config_stage2.yaml", "../configs/generated_config_stage2.yaml",
-                _revised_config(randomize_path))]))
+                REVISED_CONFIG)]))
 
 
 class TestFeedback:
-    def test_revise_rewrites_config_paths_and_keeps_other_roles(self, tmp_path):
+    def test_revise_writes_the_config_verbatim_and_keeps_other_roles(self, tmp_path):
         s1, s2 = desk_stage_texts(1), desk_stage_texts(2)
-        for k, randomize_path in enumerate(RANDOMIZE_PATHS):
-            run, _ = _run(tmp_path / str(k), [_curriculum_response(), _stage_response(1, s1),
-                                              _stage_response(2, s2), _revise(randomize_path)])
-            assert run.status == "completed", (randomize_path, run.failure_reason)
-            stage2 = Path(run.run_dir) / "stage2"
-            assert (stage2 / "config.yaml").read_text() == (
-                _revised_config(randomize_path)
-                .replace('"../rewards/generated_reward_stage2.yaml"', '"reward.yaml"')
-                .replace(f'"{randomize_path}"', '"randomize.yaml"'))
-            assert (stage2 / "reward.yaml").read_text() == s2["reward"]
-            assert (stage2 / "randomize.yaml").read_text() == s2["randomize"]
-            stage1 = Path(run.run_dir) / "stage1"
-            assert (stage1 / "reward.yaml").read_text() == s1["reward"]
-            assert (stage1 / "randomize.yaml").read_text() == s1["randomize"]
+        run, _ = _run(tmp_path, [_curriculum_response(), _stage_response(1, s1),
+                                 _stage_response(2, s2), _revise()])
+        assert run.status == "completed", run.failure_reason
+        assert REVISED_CONFIG != s2["config"]
+        stage1, stage2 = Path(run.run_dir) / "stage1", Path(run.run_dir) / "stage2"
+        assert (stage2 / "config.yaml").read_text() == REVISED_CONFIG
+        for role in ("reward", "randomize"):
+            assert (stage2 / f"{role}.yaml").read_text() == s2[role], role
+        for role in s1:
+            assert (stage1 / f"{role}.yaml").read_text() == s1[role], role
 
     def test_revised_next_stage_trains_with_revised_files(self, tmp_path):
         run, _ = _run(tmp_path, [_curriculum_response(), _stage_response(1, desk_stage_texts(1)),
@@ -183,6 +172,23 @@ class TestStageValidation:
             ["curriculum", "per_stage", "per_stage", "per_stage", "feedback"]
         assert ("- [UNKNOWN_FIELD] randomization.body_mass[0].target: "
                 "field 'body_mass' has no target named 'left_shin'") in transport.calls[2][1]
+
+    def test_an_invalid_bundle_is_a_bundle_error_naming_each_file(self, tmp_path):
+        """An override the per-key checks accept can still fail the whole
+        bundle; that is the bundle's finding, not an agent's give-up, and no
+        exchange is retried."""
+        run, _ = _run(
+            tmp_path, [_curriculum_response(), _stage_response(1, desk_stage_texts(1)),
+                       _stage_response(2, desk_stage_texts(2))],
+            config_overrides={"trainer.num_minibatches": 1_000_000})
+        assert (run.status, run.failure_stage) == ("failed", "validation")
+        finding = ("[TOO_MANY_MINIBATCHES] stage{}/config.yaml:trainer.num_minibatches: "
+                   "num_minibatches 1000000 exceeds the 1280 rollout rows "
+                   "(num_envs x unroll_length)")
+        assert run.failure_reason == (
+            "[TOO_MANY_MINIBATCHES] generated bundle failed validation: "
+            + "; ".join(finding.format(i) for i in (1, 2)))
+        assert [e["role"] for e in _log(run)] == ["curriculum", "per_stage", "per_stage"]
 
 
 def _log(run) -> list:
@@ -256,6 +262,16 @@ class TestRetrieval:
         assert [e["findings"] for e in _log(run)][:2] == [
             ["[EMPTY_TEXT] query '???' has no ASCII letter or digit to search by"], []]
 
+    def test_a_stored_run_whose_directory_is_gone_fails_the_run_in_generation(self, tmp_path):
+        store = VectorStore(tmp_path / "vdb")
+        store.add_run(RunArtifact("run-0001", "walk on the desk",
+                                  {"workflow.yaml": (DESK / "workflow.yaml").read_text()}))
+        shutil.rmtree(tmp_path / "vdb" / "runs" / "run-0001")
+        run, transport = _run(tmp_path, ["walk"])
+        assert (run.status, run.failure_stage) == ("failed", "generation")
+        missing = tmp_path / "vdb" / "runs" / "run-0001" / "prompt.txt"
+        assert run.failure_reason == f"[CORRUPT_RUN] {missing}: no such file"
+        assert [role for role, _ in transport.calls] == ["vdb_query"]
 
     def test_examples_come_from_every_retrieved_run(self, tmp_path):
         """Each selected file comes from the run its name starts with, even

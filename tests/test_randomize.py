@@ -181,8 +181,6 @@ def per_row_reference(rules, nominal, seed, env_index):
     to one env's copy of the scene."""
     out = {name: group.values.copy() for name, group in nominal.fields.items()}
     for field_name, rule_list in rules.items():
-        if field_name in ("randomize", "randomize_config_path"):
-            continue
         group = nominal.fields[field_name]
         earlier = []  # targets of this field's rules so far
         for rule in rule_list:

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stageflow import schema
+from stageflow.agents import parse_file_blocks
 from stageflow.env import BINDING_SHAPES
 from stageflow.errors import BundleError, RewardError, StageflowError
+from stageflow.orchestrator import _classify_blocks, final_scores
 from stageflow.reward import compile_term
-from stageflow.schema import ERROR, mutate_corpus, parse_bundle, validate
+from stageflow.schema import (ERROR, STAGE_ROLES, CurriculumBundle, build_stage,
+                              mutate_corpus, parse_bundle, validate)
 from stageflow.trainer import train_stage
 
 from conftest import DATA
@@ -50,9 +53,24 @@ class TestParse:
 class TestValidate:
     @pytest.mark.parametrize("name", BUNDLES)
     def test_corpus_bundles_clean(self, name):
+        """No finding, warnings included: a shipped config holds only the
+        table's keys."""
         report = validate(parse_bundle(DATA / "bundles" / name))
-        assert report.ok, report.to_text()
-        assert report.errors == []
+        assert report.findings == [], report.to_text()
+
+    @pytest.mark.parametrize("fixture", sorted(
+        p.name for p in (DATA / "fixtures" / "walker2").glob("*.txt")
+        if 'file_name: "generated_config' in p.read_text()))
+    def test_a_replayed_stage_answer_has_no_finding(self, fixture):
+        """The stage files the walker2 replay answers with validate clean,
+        warnings included, as the only stage of a workflow."""
+        roles = _classify_blocks(parse_file_blocks(
+            (DATA / "fixtures" / "walker2" / fixture).read_text()))
+        entry = {"index": 1, **{role: roles[role].file_name for role in STAGE_ROLES}}
+        stage = build_stage(entry, {role: roles[role].content for role in STAGE_ROLES})
+        bundle = CurriculumBundle("workflow.yaml", {"workflow": {"stages": [entry]}}, "",
+                                  [stage])
+        assert validate(bundle).findings == []
 
     @pytest.mark.parametrize("name", BUNDLES)
     def test_validation_fast(self, name):
@@ -150,9 +168,21 @@ class TestMutationCorpus:
             assert m.expected_code in report.codes(), (
                 f"mutant {m.label!r}: expected {m.expected_code}, "
                 f"got {sorted(report.codes())}")
-            if m.expected_path is not None:
+            if m.expected_path is not None:  # one error per file the mutant changed
+                files = {f.file for f in report.errors}
                 assert [(f.code, f.path) for f in report.errors] == [
-                    (m.expected_code, m.expected_path)], m.label
+                    (m.expected_code, m.expected_path)] * len(files), m.label
+
+    @pytest.mark.parametrize("name", BUNDLES)
+    def test_every_table_row_has_its_mutants(self, name):
+        """Each row is left empty and set to a value not of its kind; a row
+        with bounds is set outside them, and a required row is dropped."""
+        mutants = mutate_corpus(parse_bundle(DATA / "bundles" / name))
+        for path, key in schema.KEYS.items():
+            codes = [m.expected_code for m in mutants if m.expected_path == path]
+            assert "TYPE_ERROR" in codes and key.kind.code in codes, path
+            assert not key.within or key.code in codes, path
+            assert ("MISSING_KEY" in codes) == key.required, path
 
     def test_deterministic_under_seed(self):
         bundle = parse_bundle(DATA / "bundles" / "tune")
@@ -191,7 +221,7 @@ def _typed_fields(config):
     for path, key in schema.KEYS.items():
         section, name = path.split(".")
         value = config.get(section, {}).get(name)
-        if key.kind is not None and value is not None:
+        if value is not None:
             yield path, None
             if isinstance(value, list):
                 yield from ((path, i) for i in range(len(value)))
@@ -240,19 +270,33 @@ def test_a_mutated_number_is_reported_or_trains(field, value, tmp_path_factory):
 @pytest.mark.parametrize("path", sorted({".".join(p) for p, _ in
                                          _numeric_fields(KICKED.config_doc)}))
 def test_a_null_number_is_one_type_error_on_its_path(path):
-    """A key written with no value (``learning_rate:``) reads as None: on a
-    key the config table types it is one TYPE_ERROR on that key's path, not
-    taken for an absent key; any other key is not checked."""
+    """A key written with no value (``learning_rate:``) reads as None: it is
+    one TYPE_ERROR on that key's path, not taken for an absent key."""
     *parents, key = path.split(".")
     config = copy.deepcopy(KICKED.config_doc)
     holder = config
     for name in parents:
         holder = holder[name]
     holder[key] = None
-    typed = path in schema.KEYS and schema.KEYS[path].kind is not None
     errors = [(f.code, f.path) for f in
               validate(_alone("desk", dataclasses.replace(KICKED, config_doc=config))).errors]
-    assert errors == ([("TYPE_ERROR", path)] if typed else [])
+    assert errors == [("TYPE_ERROR", path)]
+
+
+def test_every_table_row_is_read(monkeypatch, tmp_path):
+    """Every key the config table holds is a field of its section's record
+    that a reader takes while a kicked, noisy tune stage trains at the
+    config's seed and is scored."""
+    reads = set()
+    for section, record in schema.RECORDS.items():
+        for i, name in enumerate(record._fields):
+            monkeypatch.setattr(record, name, property(
+                lambda self, path=f"{section}.{name}", i=i:
+                reads.add(path) or tuple.__getitem__(self, i)))
+    stage = _one_iteration_stage("tune")
+    result = train_stage(stage, tmp_path, eval_episodes=2)
+    final_scores(result.checkpoint_path, stage, episodes=2)
+    assert sorted(set(schema.KEYS) - reads) == []
 
 
 U = {"uniform": {"minval": 0.9, "maxval": 1.1}}

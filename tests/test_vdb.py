@@ -1,6 +1,8 @@
 """The vector store of past runs: what it keeps across a reopen, and how it
 refuses and ranks."""
 
+import shutil
+
 import pytest
 
 from stageflow.errors import StoreError
@@ -80,3 +82,12 @@ def test_a_stored_file_get_run_cannot_read_is_a_corrupt_run(tmp_path, rel, conte
         VectorStore(tmp_path).get_run("run-0001")
     assert e.value.code == "CORRUPT_RUN"
     assert str(bad) in e.value.message
+
+
+def test_a_run_whose_directory_is_gone_is_a_corrupt_run(tmp_path):
+    VectorStore(tmp_path).add_run(_artifact("run-0001"))
+    shutil.rmtree(tmp_path / "runs" / "run-0001")
+    with pytest.raises(StoreError) as e:
+        VectorStore(tmp_path).get_run("run-0001")
+    assert e.value.code == "CORRUPT_RUN"
+    assert str(tmp_path / "runs" / "run-0001" / "prompt.txt") in e.value.message
