@@ -284,14 +284,12 @@ class ReplayTransport:
         self.fixture_dir = Path(fixture_dir)
 
     def send(self, role: str, prompt: str) -> str:
-        path = self.fixture_dir / f"{request_digest(role, prompt)}.txt"
+        """The recorded response; ``NO_FIXTURE`` when none is recorded."""
+        digest = request_digest(role, prompt)
+        path = self.fixture_dir / f"{digest}.txt"
         if not path.exists():
-            raise AgentError(
-                "NO_BLOCKS",
-                f"no replay fixture for a {role!r} request "
-                f"(digest {request_digest(role, prompt)[:12]}...)",
-                role=role,
-            )
+            raise AgentError("NO_FIXTURE", f"no replay fixture for a {role!r} request "
+                                           f"(digest {digest})", role=role)
         return path.read_text()
 
 

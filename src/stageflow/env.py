@@ -416,10 +416,14 @@ class DeskWalker(VecEnv):
     Row e draws from ``default_rng(seed + 100 e)`` and takes its scene from
     key ``(seed + 100 e, 0)``, so each episode runs as it would alone. Rows
     are never truncated; a done row resets in place and steps on, so callers
-    stop reading it there. Final scoring reads all of its steps as one
-    reward block (``block_steps`` its horizon). Construction resets every row, draws one
-    observation and resets again, and the caller's first ``observe`` draws
-    the next: the draw sequence that the recorded ``scores.json`` pins.
+    stop reading it there. Final scoring steps it through the rollout
+    periodic evaluation runs too (``trainer.deterministic_rollout``), whose
+    alive masks stop each row at its first ``done``, and whose policy sees
+    the observations through the checkpoint's normalizer only when the stage
+    trained through one; it reads all of the walker's steps as one reward
+    block (``block_steps`` its horizon). Construction resets every row, draws
+    one observation and resets again, and the rollout's first ``observe``
+    draws the next: the draw sequence that the recorded ``scores.json`` pins.
     ``step`` is defined again here only so that the benchmark's trace can
     time final scoring's steps as their own layer, ``env.desk_walker_step``.
     """

@@ -28,9 +28,9 @@ from .env import DeskWalker
 from .errors import AgentError, BundleError, StageflowError, StoreError
 from .schema import (KEYS, STAGE_ROLES, CurriculumBundle, PromotionCriterion,
                      StageBundle, build_stage, parse_bundle, parse_workflow,
-                     validate)
-from .trainer import (Policy, RunningNorm, StageResult, load_checkpoint,
-                      restore_policy, train_stage)
+                     stage_config, validate)
+from .trainer import (Policy, RunningNorm, StageResult, deterministic_rollout,
+                      load_checkpoint, restore_policy, train_stage)
 from .vdb import VectorStore, check_run_id, run_artifact, tokenize
 
 _DATA = Path(__file__).parent / "data"
@@ -228,40 +228,30 @@ def _metrics_text(result: StageResult, limit: int = 6) -> str:
 
 # -- final scoring -------------------------------------------------------------
 
-def policy_from_checkpoint(path):
-    ckpt = load_checkpoint(path)
+def final_scores(checkpoint_path, stage: StageBundle, seed: int = 7,
+                 episodes: int = 8, horizon: int = 150) -> scoring.ScoreTriple:
+    """Deployment-style evaluation of the final policy: ``episodes``
+    deterministic rollouts (:func:`trainer.deterministic_rollout`, the one
+    periodic evaluation runs) stepped together as the rows of one
+    :class:`DeskWalker` whose one reward block holds every step, each row
+    read up to its first ``done`` and scored with the survival / tracking /
+    air-time formulas. The policy sees the observations through the
+    checkpoint's normalizer only if ``stage`` trained through one, and acts
+    on a stack of one-row products, which rounds each row as a lone
+    observation's product does."""
+    ckpt = load_checkpoint(checkpoint_path)
     policy = Policy(ckpt.policy_sizes[1:-1], ckpt.value_sizes[1:-1],
                     seed=0, obs_dim=ckpt.obs_dim, act_dim=ckpt.act_dim)
     obs_norm = RunningNorm(ckpt.obs_dim)
     restore_policy(ckpt, policy, obs_norm)
-    return policy, obs_norm
-
-
-def final_scores(checkpoint_path, stage: StageBundle, seed: int = 7,
-                 episodes: int = 8, horizon: int = 150) -> scoring.ScoreTriple:
-    """Deployment-style evaluation of the final policy: ``episodes``
-    deterministic rollouts stepped together as the rows of one
-    :class:`DeskWalker` whose one reward block holds every step, each row
-    read up to its first ``done`` and scored with the survival / tracking /
-    air-time formulas. The policy acts on (episodes, 1, OBS_DIM): a stack of
-    one-row products rounds each row as a lone observation's product does,
-    and an (episodes, OBS_DIM) product would not."""
-    policy, obs_norm = policy_from_checkpoint(checkpoint_path)
+    normalized = stage_config(stage.config_doc, BundleError).trainer.normalize_observations
     env = DeskWalker(stage.config_doc.get("environment", {}),
                      stage.randomize_doc.get("randomization") or {}, seed=seed,
                      episodes=episodes, binding_keys=scoring.SCORED_BINDINGS,
                      block_steps=horizon)
-    obs = env.observe()
-    lengths = np.zeros(episodes, dtype=int)
-    alive = np.ones(episodes, dtype=bool)
-    for _ in range(horizon):
-        action = policy.act_deterministic(obs_norm.normalize(obs)[:, None])[:, 0]
-        obs, done = env.step(action)
-        lengths += alive
-        alive &= ~done
-        if not alive.any():
-            break
-    return scoring.score_triple(env.bindings(), lengths, horizon)
+    [(block, masks)] = deterministic_rollout(env, policy, obs_norm if normalized else None,
+                                             horizon, stacked=True)
+    return scoring.score_triple(block, np.sum(masks, axis=0), horizon)
 
 
 # -- stage loop ----------------------------------------------------------------
@@ -516,12 +506,15 @@ def _generate_stages(task_prompt, wf_doc, descriptions, examples, transport,
             transport, log, "per_stage", prompt, parse_file_blocks,
             _stage_findings)
         if config_overrides:
-            roles = _classify_blocks(blocks)
-            doc = _apply_overrides(yaml.safe_load(roles["config"].content),
-                                   config_overrides)
-            blocks = [b for b in blocks if b is not roles["config"]]
-            blocks.append(GeneratedFileBlock(
-                roles["config"].file_name, roles["config"].file_path,
-                yaml.safe_dump(doc, sort_keys=False)))
+            config = _classify_blocks(blocks)["config"]
+            doc = _apply_overrides(yaml.safe_load(config.content), config_overrides)
+            blocks = [b for b in blocks if b is not config] + [GeneratedFileBlock(
+                config.file_name, config.file_path, yaml.safe_dump(doc, sort_keys=False))]
+            # the answer passed as generated, so the overrides broke it
+            if findings := _stage_findings(blocks):
+                raise BundleError(re.match(r"\[(\w+)\]", findings[0])[1],
+                                  f"stage {idx} fails under override "
+                                  f"{', '.join(map(repr, config_overrides))}: "
+                                  + "; ".join(findings))
         _write_stage_files(run_dir / f"stage{idx}", blocks)
     _write_workflow(run_dir, wf_doc)

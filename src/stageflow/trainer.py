@@ -12,24 +12,24 @@ derivatives, log-prob terms) into its buffers in place, in the rounding
 order of the plain expressions their comments give. ``mlp_forward`` names
 buffers by layer alone (``z0``, ``a0``, ...): ``ppo_loss`` runs the policy
 net's forward and backward and the ``log_std`` gradient, then the value
-net's over the same buffers, and ``_collect`` and ``_evaluate`` run
-``Policy`` inference on them too, in prefixes the update has sized. An array
-taken from a workspace is valid until its name is taken again:
-``Policy.mean``/``value`` return views valid until the next forward (a
-throwaway workspace when none is given), and ``mlp_backward`` writes the
-gradient flowing into each hidden activation over it. ``ppo_loss`` returns
-fresh gradient arrays, in the order policy, ``log_std``, value. No buffer of
-an update or of the observation normalizer holds more than ``ROW_CHUNK``
-(4,096) rows, whatever the minibatch or the rollout: ``ppo_update``
-normalizes a minibatch's advantages over all its rows, then gathers it and
-runs ``ppo_loss`` one chunk of at most ``ROW_CHUNK`` rows at a time, adding
-the chunks' gradients into one float64 set for one Adam step, and
-``RunningNorm.update`` sums its float64 mean and variance over row blocks of
-``ROW_CHUNK``. A 4096-env stage's 20,480-row minibatches then hold a fifth
-of the activations, and its normalizer no float64 copy of the 81,920-row
-rollout (peak RSS: ``BENCH_23.json``). Inference stays whole, on the
-rollout's ``num_envs`` or the evaluation's episodes: a forward pass in
-chunks rounds differently from a whole one.
+net's over the same buffers, and ``_collect`` and evaluation's
+:func:`deterministic_rollout` run ``Policy`` inference on them too, in
+prefixes the update has sized. An array taken from a workspace is valid
+until its name is taken again: ``Policy.mean``/``value`` return views valid
+until the next forward (a throwaway workspace when none is given), and
+``mlp_backward`` writes the gradient flowing into each hidden activation
+over it. ``ppo_loss`` returns fresh gradient arrays, in the order policy,
+``log_std``, value. No buffer of an update or of the observation normalizer
+holds more than ``ROW_CHUNK`` (4,096) rows, whatever the minibatch or the
+rollout: ``ppo_update`` normalizes a minibatch's advantages over all its
+rows, then gathers it and runs ``ppo_loss`` one chunk of at most
+``ROW_CHUNK`` rows at a time, adding the chunks' gradients into one float64
+set for one Adam step, and ``RunningNorm.update`` sums its float64 mean and
+variance over row blocks of ``ROW_CHUNK``. A 4096-env stage's 20,480-row
+minibatches then hold a fifth of the activations, and its normalizer no
+float64 copy of the 81,920-row rollout (peak RSS: ``BENCH_23.json``).
+Inference stays whole, on the rollout's ``num_envs`` or the evaluation's
+episodes: a forward pass in chunks rounds differently from a whole one.
 
 SiLU blocks. The backward reads, per hidden layer, only the layer's input
 and its SiLU derivative, so that is all a forward keeps: under ``grad``,
@@ -112,28 +112,40 @@ the gradient dict. A parameter array rebound after construction (say, by a
 restore) is no longer updated; ``train_stage`` restores before it builds
 the optimizer.
 
-Reward blocks. ``_collect`` and ``_evaluate`` do not evaluate the reward on
-every step: the env copies each step's state into the rows of its current
-reward block (``env.VecEnv`` docstring), and once per block the rollout
-calls ``eval_total_batch`` on the block's bindings, built once over all its
-rows, so that a row is a (step, env) pair. A block is as many whole steps
-as fit in ``env.REWARD_ROWS`` (256) rows, and at least one: 4 steps at 64
-envs, 16 at the 16 evaluation envs, one at 4096 envs; final scoring reads
-its whole rollout as one block. This is exact, because neither a reward
-program (``reward`` docstring) nor a binding build combines rows, and
-nothing in a rollout reads a step's reward before its block is evaluated.
-What stays per step: the action, the env step, the state copy and
-``done``; ``_evaluate`` also keeps each step's alive mask, stops stepping
-once every episode has ended, and adds each step's contributions in step
-order. The reward program is compiled once per stage into closures over
-raw arrays, whose cost is still mostly per node rather than per row, so a
-block costs about what one step would. Compiled programs and block
-bindings halved a 256-row ``tune`` reward call; their end-to-end effect on
-``tune_desk64``'s CPU time is unresolved, inside that workload's spread
-(``BENCH_25.json``). The cap bounds what a
-block holds, as larger blocks raised peak RSS for no clear wall-time gain
-(``BENCH_11.json`` and its probes). ``tests/data/rollout_golden.json`` pins
-both rollouts byte for byte, recorded before rewards were blocked.
+Reward blocks. No rollout evaluates the reward on every step: the env
+copies each step's state into the rows of its current reward block
+(``env.VecEnv`` docstring), and once per block the reward is evaluated by
+``eval_total_batch`` on the block's bindings, built once over all its rows,
+so that a row is a (step, env) pair. A block is as many whole steps as fit
+in ``env.REWARD_ROWS`` (256) rows, and at least one: 4 steps at 64 envs, 16
+at the 16 evaluation envs, one at 4096 envs; final scoring reads its whole
+rollout as one block. This is exact, because neither a reward program
+(``reward`` docstring) nor a binding build combines rows, and nothing in a
+rollout reads a step's reward before its block is evaluated. What stays per
+step: the action, the env step, the state copy and ``done``. The reward
+program is compiled once per stage into closures over raw arrays, whose
+cost is still mostly per node rather than per row, so a block costs about
+what one step would. Compiled programs and block bindings halved a 256-row
+``tune`` reward call; their end-to-end effect on ``tune_desk64``'s CPU time
+is unresolved, inside that workload's spread (``BENCH_25.json``). The cap
+bounds what a block holds, as larger blocks raised peak RSS for no clear
+wall-time gain (``BENCH_11.json`` and its probes).
+``tests/data/rollout_golden.json`` pins ``_collect`` and ``_evaluate`` byte
+for byte, recorded before rewards were blocked.
+
+One deterministic rollout. Periodic evaluation (``_evaluate``) and final
+scoring (``orchestrator.final_scores``) step their walkers through one
+generator, :func:`deterministic_rollout`: the deterministic policy acts
+until every row has finished or the step cap is reached, and each reward
+block comes back with the alive mask of each of its steps, so a row's steps
+after its first ``done`` are never counted. Evaluation sums the block's
+reward terms under those masks in step order; final scoring reads its one
+block with ``scoring.score_triple``. The policy sees each observation
+through the stage's normalizer only when the stage trained through one
+(``trainer.normalize_observations``): a stage is evaluated and scored on
+the observations it trained on. The two differ only in the forward's
+shape: evaluation acts on all rows in one product, final scoring on a stack
+of one-row products, the rounding its recorded scores have.
 
 One BLAS thread. ``train_stage`` runs on one thread of the OpenBLAS numpy
 links and restores the caller's count when it returns or raises; with any
@@ -982,39 +994,57 @@ def _collect(envs: VecEnv, policy: Policy, obs_norm, obs,
     return out, obs
 
 
-def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program, seed: int,
-              episodes: int, max_steps: int, workspace: Workspace,
-              dtype=np.float64) -> dict:
-    """Deterministic-policy rollouts, one env per episode slot, the policy
-    run in ``dtype``; per-term metrics are mean episode sums of each term's
-    contribution. Each step's alive mask is kept until its reward block is
-    evaluated, and contributions are added in step order."""
-    envs = VecEnv(env_cfg, episodes, base_seed=seed + 7777, randomize_rules=rules,
-                  episode_length=max_steps, binding_keys=program.required_variables)
-    alive = np.ones(episodes, dtype=bool)
-    totals = np.zeros(episodes)
-    lengths = np.zeros(episodes)
-    term_sums = {t.name: np.zeros(episodes) for t in program.terms}
+def deterministic_rollout(walker: VecEnv, policy: Policy, obs_norm, max_steps: int,
+                          stacked: bool = False, workspace: Workspace | None = None,
+                          dtype=np.float64):
+    """Step ``walker`` under ``policy.act_deterministic``, run in ``dtype``,
+    until every row has finished or ``max_steps`` steps have run; yield each
+    reward block's ``bindings()`` with the alive mask of each of its steps,
+    True for a row that had not finished before that step. The policy sees
+    the observations through ``obs_norm`` only when the stage trained through
+    it; pass None for a stage trained on raw ones. ``stacked`` acts on
+    (rows, 1, OBS_DIM), a stack of one-row products, instead of one
+    (rows, OBS_DIM) product: final scoring's rounding (module docstring)."""
+    alive = np.ones(walker.num_envs, dtype=bool)
     masks = []
-    obs = envs.observe()
+    obs = walker.observe()
     for step in range(max_steps):
-        norm_obs = obs_norm.normalize(obs) if obs_norm is not None else obs
-        action = policy.act_deterministic(norm_obs.astype(dtype, copy=False), workspace)
-        obs, finished = envs.step(action)
+        if obs_norm is not None:
+            obs = obs_norm.normalize(obs)
+        obs = obs.astype(dtype, copy=False)
+        action = (policy.act_deterministic(obs[:, None], workspace)[:, 0] if stacked
+                  else policy.act_deterministic(obs, workspace))
+        obs, finished = walker.step(action)
         masks.append(alive)
         alive = alive & ~finished
         done = not alive.any() or step == max_steps - 1
-        if len(masks) == envs.block_steps or done:
-            result = eval_total_batch(program, envs.bindings(), len(masks) * episodes)
-            for j, mask in enumerate(masks):
-                rows = slice(j * episodes, (j + 1) * episodes)
-                totals += mask * result["total"][rows]
-                lengths += mask
-                for name, v in result["per_term"].items():
-                    term_sums[name] += mask * v[rows]
-            masks.clear()
+        if len(masks) == walker.block_steps or done:
+            yield walker.bindings(), masks
+            masks = []
         if done:
-            break
+            return
+
+
+def _evaluate(policy: Policy, obs_norm, env_cfg, rules, program, seed: int,
+              episodes: int, max_steps: int, workspace: Workspace,
+              dtype=np.float64) -> dict:
+    """Deterministic-policy rollouts, one env per episode slot
+    (:func:`deterministic_rollout`); per-term metrics are mean episode sums
+    of each term's contribution, added in step order."""
+    envs = VecEnv(env_cfg, episodes, base_seed=seed + 7777, randomize_rules=rules,
+                  episode_length=max_steps, binding_keys=program.required_variables)
+    totals = np.zeros(episodes)
+    lengths = np.zeros(episodes)
+    term_sums = {t.name: np.zeros(episodes) for t in program.terms}
+    for bindings, masks in deterministic_rollout(envs, policy, obs_norm, max_steps,
+                                                 workspace=workspace, dtype=dtype):
+        result = eval_total_batch(program, bindings, len(masks) * episodes)
+        for j, mask in enumerate(masks):
+            rows = slice(j * episodes, (j + 1) * episodes)
+            totals += mask * result["total"][rows]
+            lengths += mask
+            for name, v in result["per_term"].items():
+                term_sums[name] += mask * v[rows]
     rec = {
         "eval/episode_reward": float(totals.mean()),
         "eval/episode_length": float(lengths.mean()),

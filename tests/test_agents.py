@@ -1,6 +1,6 @@
 """Agent exchanges: the parsers for agent output (file blocks, the
-selector's JSON, the retrieval query), the retry loop and its log, and the
-live transport's error handling."""
+selector's JSON, the retrieval query), the retry loop and its log, the
+replay transport's lookup and the live transport's error handling."""
 
 import io
 import json
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from stageflow import agents
 from stageflow.agents import (AgentLog, GeneratedFileBlock, LiveTransport,
+                              RecordingTransport, ReplayTransport,
                               ScriptedTransport, invoke_with_retry,
                               parse_file_blocks, parse_query,
                               parse_selector_json, request_digest,
@@ -158,6 +159,20 @@ class TestInvokeWithRetry:
             ("vdb_query", request_digest(role, prompt), findings)
             for (role, prompt), findings in zip(transport.calls, [
                 ["too short"], ["[NO_QUERY] the answer holds no query line"], []])]
+
+
+class TestReplayTransport:
+    def test_a_recorded_request_replays_its_response(self, tmp_path):
+        RecordingTransport(ScriptedTransport(["answer"]), tmp_path).send("feedback", "P")
+        assert ReplayTransport(tmp_path).send("feedback", "P") == "answer"
+
+    def test_an_unrecorded_request_is_no_fixture_naming_role_and_digest(self, tmp_path):
+        RecordingTransport(ScriptedTransport(["answer"]), tmp_path).send("feedback", "P")
+        with pytest.raises(AgentError) as e:
+            ReplayTransport(tmp_path).send("feedback", "P2")
+        assert (e.value.code, e.value.details) == ("NO_FIXTURE", {"role": "feedback"})
+        assert e.value.message == (f"no replay fixture for a 'feedback' request "
+                                   f"(digest {request_digest('feedback', 'P2')})")
 
 
 class _Reply(io.BytesIO):

@@ -61,6 +61,16 @@ class TestWalker2Replay:
         for entry in log:
             assert (FIXTURES / f"{entry['prompt_digest']}.txt").is_file(), entry
 
+    def test_a_prompt_with_no_recording_fails_with_no_fixture(self, tmp_path):
+        """A request the fixtures never recorded is a missing recording, not
+        an answer without file blocks."""
+        prompt = (FIXTURES / "prompt.txt").read_text().strip() + " Also hop."
+        run = orchestrator.run_pipeline(prompt, VectorStore(tmp_path / "vdb"),
+                                        ReplayTransport(FIXTURES), tmp_path / "runs", seed=7)
+        assert (run.status, run.failure_stage) == ("failed", "generation")
+        assert run.failure_reason.startswith("[NO_FIXTURE] no replay fixture for a "
+                                             "'curriculum' request (digest ")
+
     def test_store_holds_the_run(self, walker2):
         run, root = walker2
         store = VectorStore(root / "vdb")
@@ -174,21 +184,21 @@ class TestStageValidation:
                 "field 'body_mass' has no target named 'left_shin'") in transport.calls[2][1]
 
     def test_an_invalid_bundle_is_a_bundle_error_naming_each_file(self, tmp_path):
-        """An override the per-key checks accept can still fail the whole
-        bundle; that is the bundle's finding, not an agent's give-up, and no
-        exchange is retried."""
+        """An override the per-key checks accept can still fail a stage's
+        cross-key checks once applied; that is the override's finding, not
+        the agent's, so the first stage it breaks ends the run: the agent is
+        not re-prompted and no later stage is requested."""
         run, _ = _run(
             tmp_path, [_curriculum_response(), _stage_response(1, desk_stage_texts(1)),
                        _stage_response(2, desk_stage_texts(2))],
             config_overrides={"trainer.num_minibatches": 1_000_000})
-        assert (run.status, run.failure_stage) == ("failed", "validation")
-        finding = ("[TOO_MANY_MINIBATCHES] stage{}/config.yaml:trainer.num_minibatches: "
-                   "num_minibatches 1000000 exceeds the 1280 rollout rows "
-                   "(num_envs x unroll_length)")
+        assert (run.status, run.failure_stage) == ("failed", "generation")
         assert run.failure_reason == (
-            "[TOO_MANY_MINIBATCHES] generated bundle failed validation: "
-            + "; ".join(finding.format(i) for i in (1, 2)))
-        assert [e["role"] for e in _log(run)] == ["curriculum", "per_stage", "per_stage"]
+            "[TOO_MANY_MINIBATCHES] stage 1 fails under override 'trainer.num_minibatches': "
+            "[TOO_MANY_MINIBATCHES] trainer.num_minibatches: num_minibatches 1000000 "
+            "exceeds the 1280 rollout rows (num_envs x unroll_length)")
+        assert [e["role"] for e in _log(run)] == ["curriculum", "per_stage"]
+        assert not (Path(run.run_dir) / "stage1").exists()
 
 
 def _log(run) -> list:

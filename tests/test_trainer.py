@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stageflow import reductions, reward, trainer
+from stageflow import env, orchestrator, reductions, reward, trainer
 from stageflow.errors import TrainerError
 from stageflow.schema import parse_bundle
 from stageflow.trainer import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Adam, Policy,
@@ -404,6 +404,64 @@ class TestRollouts:
         obs = np.random.default_rng(5).standard_normal((8, OBS_DIM))
         lone = np.stack([policy.act_deterministic(o) for o in obs])
         assert policy.act_deterministic(obs[:, None])[:, 0].tobytes() == lone.tobytes()
+
+
+class TestDeterministicRollout:
+    """Periodic evaluation and final scoring run one rollout,
+    ``trainer.deterministic_rollout``."""
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_final_scoring_normalizes_only_a_stage_trained_normalized(
+            self, tmp_path, monkeypatch, normalized):
+        """A stage trained on raw observations is scored on raw ones, byte
+        for byte; one trained through its normalizer, through the
+        checkpoint's."""
+        stage = tiny_stage(normalize_observations=normalized)
+        result = train_stage(stage, tmp_path, eval_episodes=2, eval_max_steps=10)
+        obs_norm = RunningNorm(OBS_DIM)
+        restore_policy(load_checkpoint(result.checkpoint_path), Policy([64, 64], [64, 64], 0),
+                       obs_norm)
+        events = []  # (method, the observations it returned or was given)
+
+        def spy(cls, name, record):
+            def wrapped(self, *args, _real=vars(cls)[name]):
+                out = _real(self, *args)
+                events.append((name, record(args, out).copy()))
+                return out
+            monkeypatch.setattr(cls, name, wrapped)
+        spy(env.VecEnv, "observe", lambda args, out: out)
+        spy(env.DeskWalker, "step", lambda args, out: out[0])
+        spy(Policy, "act_deterministic", lambda args, out: args[0][:, 0])
+        orchestrator.final_scores(result.checkpoint_path, stage, episodes=2, horizon=10)
+        acts = [i for i, (name, _) in enumerate(events) if name == "act_deterministic"]
+        assert len(acts) == 10
+        for i in acts:
+            raw = events[i - 1][1]
+            want = obs_norm.normalize(raw) if normalized else raw
+            assert events[i][1].tobytes() == want.tobytes()
+
+    def test_evaluation_and_final_scoring_step_only_through_the_shared_rollout(
+            self, tmp_path, monkeypatch):
+        """No other loop steps either walker; final scoring's steps go
+        through ``DeskWalker.step``, which the benchmark's trace times."""
+        stage = tiny_stage()
+        rollout = trainer.deterministic_rollout.__code__
+        walker_step = env.DeskWalker.step.__code__
+        callers = set()
+        for cls in (env.VecEnv, env.DeskWalker):
+            def spy(self, actions, _real=vars(cls)["step"], _cls=cls.__name__):
+                callers.add((_cls, sys._getframe(1).f_code))
+                return _real(self, actions)
+            monkeypatch.setattr(cls, "step", spy)
+        program = reward.compile_program(stage.reward_doc["reward"], env.BINDING_SHAPES)
+        trainer._evaluate(Policy([64, 64], [64, 64], seed=0), None,
+                          stage.config_doc["environment"], {}, program, 0, 2, 5, Workspace())
+        assert callers == {("VecEnv", rollout)}
+        callers.clear()
+        policy = Policy([64, 64], [64, 64], seed=0)
+        save_checkpoint(tmp_path / "ckpt.bin", policy, RunningNorm(OBS_DIM), 0, {})
+        orchestrator.final_scores(tmp_path / "ckpt.bin", stage, episodes=2, horizon=5)
+        assert callers == {("DeskWalker", rollout), ("VecEnv", walker_step)}
 
 
 class TestAdamAndNorm:
