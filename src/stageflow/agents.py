@@ -24,14 +24,13 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AgentError
+from .errors import AgentError, StageflowError
 
 ROLES = ("vdb_query", "selector", "curriculum", "per_stage", "feedback")
 
 _TEMPLATE_DIR = Path(__file__).parent / "data" / "templates"
 
 _ANGLE_RE = re.compile(r"<(INSERT_[A-Z0-9_]+)>")
-_BRACE_RE = re.compile(r"\{(X|current_stage)\}")
 
 # block content is indented by this when serializing
 _INDENT = "  "
@@ -46,8 +45,7 @@ class PromptTemplate:
 
     @property
     def required(self) -> frozenset:
-        return frozenset(_ANGLE_RE.findall(self.text)) | \
-            frozenset(_BRACE_RE.findall(self.text))
+        return frozenset(_ANGLE_RE.findall(self.text))
 
 
 def load_template(role: str) -> PromptTemplate:
@@ -68,7 +66,6 @@ def render(template: PromptTemplate, values: dict) -> str:
             missing=missing,
         )
     out = _ANGLE_RE.sub(lambda m: str(values[m.group(1)]), template.text)
-    out = _BRACE_RE.sub(lambda m: str(values[m.group(1)]), out)
     if "<INSERT_" in out:
         raise AgentError(
             "MISSING_PLACEHOLDER",
@@ -384,7 +381,9 @@ MAX_RETRIES = 2
 def invoke_with_retry(transport, log: AgentLog, role: str, prompt: str,
                       parse_fn, validate_fn=None):
     """Send, parse, check; on findings, re-prompt with them appended to the
-    original prompt, up to ``MAX_RETRIES`` times. Every attempt is logged
+    original prompt, up to ``MAX_RETRIES`` times. ``parse_fn`` turns the
+    answer into what the caller uses, and a ``StageflowError`` it raises is
+    the attempt's one finding, ``[CODE] message``. Every attempt is logged
     under the prompt it sent, before deciding whether to retry; an
     ``AgentError`` from the transport is logged with an empty response and
     raised. Returns the accepted answer's parsed form."""
@@ -398,7 +397,7 @@ def invoke_with_retry(transport, log: AgentLog, role: str, prompt: str,
             raise
         try:
             parsed = parse_fn(response)
-        except AgentError as e:
+        except StageflowError as e:
             findings = [f"[{e.code}] {e.message}"]
         else:
             findings = [str(f) for f in validate_fn(parsed)] if validate_fn else []

@@ -7,23 +7,30 @@ Every run owns an append-only directory: ``workflow.yaml``,
 ``stageN/checkpoint.bin``, ``scores.json``, and ``agent_log.jsonl``. The log
 holds one entry per agent attempt, retries included: the digest of the prompt
 that attempt actually sent, the digest of its response and its findings.
+
+Each agent answer is parsed once into what the pipeline uses: the curriculum
+into its workflow document and stage descriptions, a per-stage answer into
+the :class:`StageBundle` it trains, a feedback answer into a decision holding
+the revised stage. A stage's files and ``workflow.yaml`` are written from
+those stages, overrides applied, so the run directory holds what trained.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import scoring
-from .agents import (AgentLog, GeneratedFileBlock, invoke_with_retry,
-                     load_template, parse_file_blocks, parse_query,
-                     parse_selector_json, render)
+from .agents import (AgentLog, invoke_with_retry, load_template,
+                     parse_file_blocks, parse_query, parse_selector_json,
+                     render)
 from .env import DeskWalker
 from .errors import AgentError, BundleError, StageflowError, StoreError
 from .schema import (KEYS, STAGE_ROLES, CurriculumBundle, PromotionCriterion,
@@ -40,7 +47,7 @@ _DATA = Path(__file__).parent / "data"
 class FeedbackDecision:
     action: str  # proceed_unchanged | proceed_with_revised_files | terminate
     rationale: str = ""
-    revised_blocks: list = field(default_factory=list)
+    revised_stage: StageBundle | None = None  # what trains next, on a revise
 
 
 @dataclass
@@ -117,26 +124,38 @@ def _classify_blocks(blocks) -> dict:
     return roles
 
 
-def _stage_findings(blocks) -> list:
-    """Validate one stage's three generated files in isolation, in memory,
-    as the only stage of a workflow; returns finding strings naming the
-    generated files."""
-    roles = _classify_blocks(blocks)
+def _stage_from_answer(response: str, entry: dict) -> StageBundle:
+    """The stage a per-stage answer writes for the curriculum's ``entry``,
+    each file named by its block."""
+    roles = _classify_blocks(parse_file_blocks(response))
     missing = [r for r in STAGE_ROLES if r not in roles]
     if missing:
-        return [f"missing generated file for: {', '.join(missing)}"]
-    # wrapped as a first stage, so resume stays off regardless of the real
-    # entry; the full-bundle validation covers resume placement
-    entry = {"index": 1, "resume_from_checkpoint": False,
-             **{role: roles[role].file_name for role in STAGE_ROLES}}
-    try:
-        stage = build_stage(entry, {role: roles[role].content for role in STAGE_ROLES})
-        report = validate(CurriculumBundle(
-            workflow_path="workflow.yaml", workflow_doc={"workflow": {"stages": [entry]}},
-            workflow_text="", stages=[stage]))
-    except StageflowError as e:
-        return [f"[{e.code}] {e.message}"]
-    return [f"[{f.code}] {f.path}: {f.message}" for f in report.errors]
+        raise AgentError("MISSING_FILE", f"missing generated file for: {', '.join(missing)}")
+    return build_stage({**entry, **{role: b.file_name for role, b in roles.items()}},
+                       {role: b.content for role, b in roles.items()})
+
+
+def _entry(stage: StageBundle, **paths) -> dict:
+    """The workflow entry ``stage`` is built from, its files named by
+    ``paths`` (role -> path) where given, else by the stage's own paths."""
+    return {"index": stage.index,
+            **{role: paths.get(role, getattr(stage, f"{role}_path")) for role in STAGE_ROLES},
+            "resume_from_checkpoint": stage.resume_from_checkpoint,
+            "feedback": stage.feedback,
+            "promotion": asdict(stage.promotion)}
+
+
+def _stage_findings(stage: StageBundle) -> list:
+    """The errors on one stage's own files, validated in memory as the only
+    stage of a workflow; the whole-bundle validation covers what the
+    workflow places (indices, resume, promotion, networks across stages)."""
+    report = validate(CurriculumBundle("workflow.yaml", {}, "", [stage]))
+    return [f for f in report.errors if f.file != "workflow.yaml"]
+
+
+def _check_stage(stage: StageBundle) -> list:
+    """The findings an agent is re-prompted with for a stage it wrote."""
+    return [f"[{f.code}] {f.path}: {f.message}" for f in _stage_findings(stage)]
 
 
 def _check_overrides(overrides: dict) -> None:
@@ -148,12 +167,13 @@ def _check_overrides(overrides: dict) -> None:
             raise BundleError(problem[0], f"override {dotted!r}: {problem[1]}")
 
 
-def _apply_overrides(config_doc: dict, overrides: dict) -> dict:
-    """Dotted-path overrides, e.g. {"trainer.num_timesteps": 4000}."""
-    import copy
-
-    doc = copy.deepcopy(config_doc)
-    for dotted, value in (overrides or {}).items():
+def _overridden(stage: StageBundle, overrides: dict) -> StageBundle:
+    """``stage`` with the dotted config paths of ``overrides`` set, e.g.
+    {"trainer.num_timesteps": 4000}. The agent's answer passed its checks,
+    so the findings now are the overrides': they raise, naming each file and
+    giving the code once."""
+    doc = copy.deepcopy(stage.config_doc)
+    for dotted, value in overrides.items():
         node = doc
         *parents, leaf = dotted.split(".")
         for p in parents:
@@ -162,35 +182,30 @@ def _apply_overrides(config_doc: dict, overrides: dict) -> dict:
                 raise StageflowError("PARSE_ERROR", f"override {dotted!r}: {p!r} "
                                                     f"holds {node!r}, not a mapping")
         node[leaf] = value
-    return doc
+    stage = replace(stage, config_doc=doc, config_text=yaml.safe_dump(doc, sort_keys=False))
+    if findings := _stage_findings(stage):
+        code = findings[0].code
+        raise BundleError(code, f"stage {stage.index} fails under override "
+                          f"{', '.join(map(repr, overrides))}: " + "; ".join(
+                              ("" if f.code == code else f"[{f.code}] ")
+                              + f"{f.file}:{f.path}: {f.message}" for f in findings))
+    return stage
 
 
-def _write_stage_files(stage_dir: Path, blocks) -> None:
-    """Write each given role's block as ``stage_dir/<role>.yaml``, verbatim;
-    roles not given are left as they are."""
+def _write_stage_files(stage_dir: Path, stage: StageBundle) -> None:
+    """Write the texts ``stage`` trains on as ``stage_dir/<role>.yaml``."""
     stage_dir.mkdir(parents=True, exist_ok=True)
-    for role, block in _classify_blocks(blocks).items():
-        (stage_dir / f"{role}.yaml").write_text(block.content)
+    for role in STAGE_ROLES:
+        (stage_dir / f"{role}.yaml").write_text(getattr(stage, f"{role}_text"))
 
 
-def _write_workflow(run_dir: Path, wf_doc: dict) -> None:
-    """Canonical run-root workflow pointing at the stageN/ file layout."""
-    stages = []
-    for entry in wf_doc["workflow"]["stages"]:
-        idx = int(entry["index"])
-        stages.append({
-            "index": idx,
-            "reward": f"stage{idx}/reward.yaml",
-            "config": f"stage{idx}/config.yaml",
-            "randomize": f"stage{idx}/randomize.yaml",
-            "resume_from_checkpoint": bool(entry.get("resume_from_checkpoint", idx > 1)),
-            "feedback": bool(entry.get("feedback", True)),
-            "promotion": entry.get("promotion") or {"mode": "timesteps_exhausted"},
-        })
+def _write_workflow(run_dir: Path, wf_doc: dict, stages: list) -> None:
+    """Canonical run-root workflow of ``stages`` in the stageN/ file layout."""
     out = {"workflow": {
         "name": wf_doc["workflow"].get("name", "generated-curriculum"),
         "task": wf_doc["workflow"].get("task", ""),
-        "stages": stages,
+        "stages": [_entry(s, **{role: f"stage{s.index}/{role}.yaml" for role in STAGE_ROLES})
+                   for s in stages],
     }}
     (run_dir / "workflow.yaml").write_text(yaml.safe_dump(out, sort_keys=False))
 
@@ -207,7 +222,10 @@ _ACTIONS = {
 }
 
 
-def parse_feedback(response: str) -> FeedbackDecision:
+def parse_feedback(response: str, next_stage: StageBundle) -> FeedbackDecision:
+    """The decision a feedback answer gives; a revision holds ``next_stage``
+    with each file the answer gives replaced, named by ``next_stage``'s path
+    for its role."""
     m = _DECISION_RE.search(response)
     if not m:
         raise AgentError("MALFORMED_BLOCK",
@@ -215,10 +233,13 @@ def parse_feedback(response: str) -> FeedbackDecision:
     word = m.group(1)
     rm = _RATIONALE_RE.search(response)
     rationale = rm.group(1).strip() if rm else ""
-    blocks = []
+    revised = None
     if word == "revise":
-        blocks = parse_file_blocks(response)
-    return FeedbackDecision(_ACTIONS[word], rationale, blocks)
+        texts = {role: getattr(next_stage, f"{role}_text") for role in STAGE_ROLES}
+        texts.update((role, b.content)
+                     for role, b in _classify_blocks(parse_file_blocks(response)).items())
+        revised = build_stage(_entry(next_stage), texts)
+    return FeedbackDecision(_ACTIONS[word], rationale, revised)
 
 
 def _metrics_text(result: StageResult, limit: int = 6) -> str:
@@ -264,10 +285,8 @@ def train_stages(bundle: CurriculumBundle, run_dir, seed: int = 7,
 
     ``feedback(stage, result, next_stage)``, when given, runs between a
     promoted stage with feedback on and the next stage, and returns a
-    :class:`FeedbackDecision`. Revised files are written to the next stage's
-    directory and the stage is reloaded from ``run_dir/workflow.yaml``, so
-    only a bundle laid out in ``run_dir`` (a pipeline run) can be revised;
-    the revised stage replaces its entry in ``bundle.stages``.
+    :class:`FeedbackDecision`. A revised stage replaces its entry in
+    ``bundle.stages``, its files are written to its directory, and it trains.
 
     Returns (results, (status, failure_stage, reason)) with status
     completed, terminated_by_feedback or failed.
@@ -294,8 +313,8 @@ def train_stages(bundle: CurriculumBundle, run_dir, seed: int = 7,
         if decision.action == "terminate":
             return results, ("terminated_by_feedback", "", decision.rationale)
         if decision.action == "proceed_with_revised_files":
-            _write_stage_files(run_dir / f"stage{nxt.index}", decision.revised_blocks)
-            stages[pos + 1] = parse_bundle(run_dir / "workflow.yaml").stages[pos + 1]
+            _write_stage_files(run_dir / f"stage{nxt.index}", decision.revised_stage)
+            stages[pos + 1] = decision.revised_stage
     return results, ("completed", "", "")
 
 
@@ -311,27 +330,11 @@ def _feedback_step(transport, log, stage, next_stage, result,
         f"Next stage config file:\n{next_stage.config_text}\n"
         f"Next stage randomize file:\n{next_stage.randomize_text}\n"
     )
-    prompt = render(template, {"current_stage": stage.index}) + context
-
-    def check(decision: FeedbackDecision):
-        if decision.action != "proceed_with_revised_files":
-            return []
-        return _stage_findings(
-            _merged_stage_blocks(next_stage, decision.revised_blocks))
-
-    return invoke_with_retry(transport, log, "feedback", prompt,
-                             parse_feedback, check)
-
-
-def _merged_stage_blocks(next_stage: StageBundle, revised) -> list:
-    """The next stage's files as they will be after the revision is written,
-    so the check sees exactly what trains."""
-    texts = {"reward": next_stage.reward_text,
-             "config": next_stage.config_text,
-             "randomize": next_stage.randomize_text,
-             **{role: b.content for role, b in _classify_blocks(revised).items()}}
-    return [GeneratedFileBlock(f"{role}.yaml", f"{role}.yaml", text)
-            for role, text in texts.items()]
+    prompt = render(template, {"INSERT_CURRENT_STAGE_HERE": stage.index}) + context
+    return invoke_with_retry(
+        transport, log, "feedback", prompt,
+        lambda response: parse_feedback(response, next_stage),
+        lambda decision: _check_stage(decision.revised_stage) if decision.revised_stage else [])
 
 
 # -- the pipeline --------------------------------------------------------------
@@ -453,42 +456,38 @@ def _generate_curriculum(task_prompt, examples, evaluation, transport, log):
         "INSERT_RANDOMIZE_YAML_HERE": examples["randomize"],
         "INSERT_ROBOT_DESCRIPTION_HERE":
             (_DATA / "docs" / "robot_description.txt").read_text(),
-        "X": "{X}",  # literal in the guideline text, not a slot here
     })
 
-    def check(blocks):
-        wf = next((b for b in blocks if "workflow" in b.file_name), None)
-        if wf is None:
-            return ["missing generated_workflow.yaml block"]
-        try:
-            _, stages = parse_workflow(wf.content, wf.file_name)
-        except BundleError as e:
-            return [f"[{e.code}] {e.message}"]
-        detail = [b for b in blocks if re.match(r"generated_stage\d+_details", b.file_name)]
-        if len(detail) != len(stages):
-            return [f"{len(stages)} stages in the workflow but "
-                    f"{len(detail)} stage description files"]
+    def check(parsed):
+        wf_doc, descriptions = parsed
+        n = len(wf_doc["workflow"]["stages"])
+        if len(descriptions) != n:
+            return [f"{n} stages in the workflow but {len(descriptions)} stage description files"]
         return []
 
-    blocks = invoke_with_retry(transport, log, "curriculum", prompt,
-                               parse_file_blocks, check)
-    wf_block = next(b for b in blocks if "workflow" in b.file_name)
-    wf_doc, _ = parse_workflow(wf_block.content, wf_block.file_name)
-    descriptions = {}
-    for b in blocks:
-        m = re.match(r"generated_stage(\d+)_details", b.file_name)
-        if m:
-            descriptions[int(m.group(1))] = b.content
-    return wf_doc, descriptions
+    return invoke_with_retry(transport, log, "curriculum", prompt, _parse_curriculum, check)
+
+
+def _parse_curriculum(response: str) -> tuple[dict, dict]:
+    """A curriculum answer's workflow document and its stage descriptions,
+    by stage index."""
+    blocks = parse_file_blocks(response)
+    wf = next((b for b in blocks if "workflow" in b.file_name), None)
+    if wf is None:
+        raise AgentError("MISSING_FILE", "missing generated_workflow.yaml block")
+    wf_doc, _ = parse_workflow(wf.content, wf.file_name)
+    return wf_doc, {int(m[1]): b.content for b in blocks
+                    if (m := re.match(r"generated_stage(\d+)_details", b.file_name))}
 
 
 def _generate_stages(task_prompt, wf_doc, descriptions, examples, transport,
                      log, run_dir: Path, config_overrides) -> None:
     template = load_template("per_stage")
+    stages = []
     for entry in wf_doc["workflow"]["stages"]:
         idx = int(entry["index"])
         prompt = render(template, {
-            "X": idx,
+            "INSERT_STAGE_INDEX_HERE": idx,
             "INSERT_TASK_PROMPT_HERE": task_prompt,
             "INSERT_STAGE_DESCRIPTION_HERE": descriptions.get(idx, ""),
             "INSERT_WORKFLOW_YAML_HERE": yaml.safe_dump(wf_doc, sort_keys=False),
@@ -502,19 +501,11 @@ def _generate_stages(task_prompt, wf_doc, descriptions, examples, transport,
             "INSERT_REWARD_EXAMPLE_HERE":
                 (_DATA / "docs" / "reward_example.yaml").read_text(),
         })
-        blocks = invoke_with_retry(
-            transport, log, "per_stage", prompt, parse_file_blocks,
-            _stage_findings)
+        stage = invoke_with_retry(
+            transport, log, "per_stage", prompt,
+            lambda response: _stage_from_answer(response, entry), _check_stage)
         if config_overrides:
-            config = _classify_blocks(blocks)["config"]
-            doc = _apply_overrides(yaml.safe_load(config.content), config_overrides)
-            blocks = [b for b in blocks if b is not config] + [GeneratedFileBlock(
-                config.file_name, config.file_path, yaml.safe_dump(doc, sort_keys=False))]
-            # the answer passed as generated, so the overrides broke it
-            if findings := _stage_findings(blocks):
-                raise BundleError(re.match(r"\[(\w+)\]", findings[0])[1],
-                                  f"stage {idx} fails under override "
-                                  f"{', '.join(map(repr, config_overrides))}: "
-                                  + "; ".join(findings))
-        _write_stage_files(run_dir / f"stage{idx}", blocks)
-    _write_workflow(run_dir, wf_doc)
+            stage = _overridden(stage, config_overrides)
+        _write_stage_files(run_dir / f"stage{idx}", stage)
+        stages.append(stage)
+    _write_workflow(run_dir, wf_doc, stages)

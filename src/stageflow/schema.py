@@ -149,9 +149,10 @@ def _parse_yaml(text: str, name) -> dict:
 
 def parse_workflow(text: str, wf_path) -> tuple[dict, list]:
     """A workflow file's document and its checked stage entries: each entry
-    is a mapping naming its three files, with an integer ``index`` and a
-    well-formed ``promotion``. Problems raise ``PARSE_ERROR`` naming
-    ``wf_path``."""
+    is a mapping naming its three files, with an integer ``index``, a
+    well-formed ``promotion`` and, where given, a YAML boolean
+    ``resume_from_checkpoint`` and ``feedback``. Problems raise
+    ``PARSE_ERROR`` naming ``wf_path``."""
     wf_doc = _parse_yaml(text, wf_path)
     wf = wf_doc.get("workflow")
     if not isinstance(wf, dict):
@@ -176,6 +177,9 @@ def parse_workflow(text: str, wf_path) -> tuple[dict, list]:
             if not isinstance(entry[role], str):
                 raise BundleError(
                     "PARSE_ERROR", f"{where}.{role}: {entry[role]!r} is not a file path")
+        for key in ("resume_from_checkpoint", "feedback"):  # bool("no") is True
+            if key in entry and (problem := Key(key, BOOL).problem(entry[key])):
+                raise BundleError("PARSE_ERROR", f"{where}.{key}: {problem[1]}")
         promo = entry.get("promotion") or {}
         if not isinstance(promo, dict):
             raise BundleError("PARSE_ERROR", f"{where}.promotion: must be a mapping")
@@ -188,21 +192,24 @@ def parse_workflow(text: str, wf_path) -> tuple[dict, list]:
 
 
 def build_stage(entry: dict, texts: dict, root: Path = Path()) -> StageBundle:
-    """One stage from its workflow entry and the already-read texts of its
-    files, keyed by role (``reward``, ``config``, ``randomize``). Errors name
-    each file as ``root`` joined with the entry's path for it."""
+    """One stage from its workflow entry, as :func:`parse_workflow` checks
+    it, and the already-read texts of its files, keyed by role (``reward``,
+    ``config``, ``randomize``). Errors name each file as ``root`` joined with
+    the entry's path for it. A stage after the first resumes from its
+    predecessor's checkpoint unless its entry says otherwise."""
     docs = {role: _parse_yaml(texts[role], root / entry[role]) for role in STAGE_ROLES}
     if "reward" not in docs["reward"]:
         raise BundleError(
             "PARSE_ERROR", f"{root / entry['reward']}: top-level key must be 'reward:'")
     promo_spec = entry.get("promotion") or {}
+    index = int(entry["index"])
     return StageBundle(
-        index=int(entry["index"]),
+        index=index,
         reward_path=str(entry["reward"]),
         config_path=str(entry["config"]),
         randomize_path=str(entry["randomize"]),
-        resume_from_checkpoint=bool(entry.get("resume_from_checkpoint", False)),
-        feedback=bool(entry.get("feedback", True)),
+        resume_from_checkpoint=entry.get("resume_from_checkpoint", index > 1),
+        feedback=entry.get("feedback", True),
         promotion=PromotionCriterion(
             mode=promo_spec.get("mode", "timesteps_exhausted"),
             reward_threshold=float(promo_spec.get("reward_threshold", 0.0)),

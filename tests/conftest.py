@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,14 @@ def desk_stage_texts(x: int) -> dict:
             (DESK / f"configs/generated_config_stage{x}.yaml").read_text()),
         "randomize": (DESK / f"randomize/generated_randomize_stage{x}.yaml").read_text(),
     }
+
+
+@pytest.fixture
+def tiny_desk(tmp_path):
+    """A copy of the shipped 2-stage desk bundle, one PPO iteration a stage."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(DESK, bundle)
+    for x in (1, 2):
+        (bundle / f"configs/generated_config_stage{x}.yaml").write_text(
+            desk_stage_texts(x)["config"])
+    return bundle

@@ -1,6 +1,7 @@
-"""Agent exchanges: the parsers for agent output (file blocks, the
-selector's JSON, the retrieval query), the retry loop and its log, the
-replay transport's lookup and the live transport's error handling."""
+"""Agent exchanges: prompt rendering, the parsers for agent output (file
+blocks, the selector's JSON, the retrieval query), the retry loop and its
+log, the replay transport's lookup and the live transport's error
+handling."""
 
 import io
 import json
@@ -18,8 +19,8 @@ from stageflow import agents
 from stageflow.agents import (AgentLog, GeneratedFileBlock, LiveTransport,
                               RecordingTransport, ReplayTransport,
                               ScriptedTransport, invoke_with_retry,
-                              parse_file_blocks, parse_query,
-                              parse_selector_json, request_digest,
+                              load_template, parse_file_blocks, parse_query,
+                              parse_selector_json, render, request_digest,
                               serialize_file_blocks)
 from stageflow.errors import AgentError
 
@@ -46,6 +47,23 @@ def carried_content(draw):
                                        st.just("")), max_size=6))
              + [draw(LINE)])
     return "".join(line + "\n" for line in lines)
+
+
+class TestRender:
+    def test_a_missing_value_is_named(self):
+        with pytest.raises(AgentError) as e:
+            render(load_template("feedback"), {"INSERT_TASK_PROMPT_HERE": "walk"})
+        assert e.value.code == "MISSING_PLACEHOLDER"
+        assert e.value.details["missing"] == ["INSERT_CURRENT_STAGE_HERE"]
+        assert e.value.message == \
+            "template 'feedback' is missing values for: INSERT_CURRENT_STAGE_HERE"
+
+    def test_braces_in_a_template_are_text(self):
+        """Every slot is an ``<INSERT_..._HERE>``; the curriculum's
+        ``{X}`` is written for the model to fill in."""
+        template = load_template("curriculum")
+        prompt = render(template, dict.fromkeys(template.required, ""))
+        assert "generated_stage{X}_details.txt" in prompt
 
 
 class TestFileBlocks:

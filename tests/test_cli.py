@@ -2,7 +2,6 @@
 not run (train, vdb add)."""
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -11,23 +10,12 @@ from stageflow import trainer
 from stageflow.cli import main
 from stageflow.vdb import VectorStore
 
-from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts
+from conftest import DATA, DESK, TINY_STEPS
 
 
 def _cli(capsys, *argv):
     code = main(["--json", *map(str, argv)])
     return code, capsys.readouterr()
-
-
-@pytest.fixture
-def tiny_desk(tmp_path):
-    """A copy of the shipped 2-stage desk bundle, one PPO iteration a stage."""
-    bundle = tmp_path / "bundle"
-    shutil.copytree(DESK, bundle)
-    for x in (1, 2):
-        (bundle / f"configs/generated_config_stage{x}.yaml").write_text(
-            desk_stage_texts(x)["config"])
-    return bundle
 
 
 def _write_run_dir(root: Path, stages: int) -> Path:

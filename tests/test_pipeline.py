@@ -14,7 +14,8 @@ from stageflow import orchestrator
 from stageflow.agents import (AgentLog, GeneratedFileBlock, ReplayTransport,
                               ScriptedTransport, request_digest,
                               serialize_file_blocks)
-from stageflow.errors import StoreError
+from stageflow.errors import AgentError, StoreError
+from stageflow.schema import parse_bundle
 from stageflow.vdb import RunArtifact, VectorStore
 
 from conftest import DATA, DESK, TINY_STEPS, desk_stage_texts
@@ -120,11 +121,11 @@ REVISED_CONFIG = desk_stage_texts(2)["config"].replace(
     f"num_timesteps: {TINY_STEPS}", f"num_timesteps: {2 * TINY_STEPS}  # a longer budget")
 
 
-def _revise() -> str:
+def _revise(config: str = REVISED_CONFIG) -> str:
     return ("DECISION: revise\nRATIONALE: stage 2 needs a longer budget.\n\n"
             + serialize_file_blocks([GeneratedFileBlock(
                 "generated_config_stage2.yaml", "../configs/generated_config_stage2.yaml",
-                REVISED_CONFIG)]))
+                config)]))
 
 
 class TestFeedback:
@@ -146,6 +147,36 @@ class TestFeedback:
                                  _stage_response(2, desk_stage_texts(2)), _revise()])
         assert run.status == "completed", run.failure_reason
         assert [r.env_steps for r in run.stage_results] == [TINY_STEPS, 2 * TINY_STEPS]
+
+    def test_an_invalid_revision_is_retried_and_the_accepted_one_trains(self, tmp_path):
+        """A revised file is named by the path of the file it replaces."""
+        run, transport = _run(tmp_path, [
+            _curriculum_response(), _stage_response(1, desk_stage_texts(1)),
+            _stage_response(2, desk_stage_texts(2)), _revise("trainer: [unclosed\n"),
+            _revise()])
+        assert run.status == "completed", run.failure_reason
+        assert [role for role, _ in transport.calls] == \
+            ["curriculum", "per_stage", "per_stage", "feedback", "feedback"]
+        finding = "[PARSE_ERROR] stage2/config.yaml: invalid YAML at line 2, column 1"
+        assert f"- {finding}" in transport.calls[4][1]
+        assert [e["findings"] for e in _log(run)][3:] == [[finding], []]
+        assert [r.env_steps for r in run.stage_results] == [TINY_STEPS, 2 * TINY_STEPS]
+        assert (Path(run.run_dir) / "stage2" / "config.yaml").read_text() == REVISED_CONFIG
+
+    def test_a_bundle_outside_the_run_directory_trains_its_revision(self, tmp_path, tiny_desk):
+        """``train_stages`` trains the revised stage itself: the run
+        directory holds no workflow to reload it from."""
+        bundle = parse_bundle(tiny_desk)
+        transport = ScriptedTransport([_revise()])
+        log = AgentLog(tmp_path / "log.jsonl")
+        results, outcome = orchestrator.train_stages(
+            bundle, tmp_path / "run", feedback=lambda stage, result, nxt:
+            orchestrator._feedback_step(transport, log, stage, nxt, result, ""))
+        assert outcome == ("completed", "", "")
+        assert [r.env_steps for r in results] == [TINY_STEPS, 2 * TINY_STEPS]
+        assert bundle.stages[1].config_text == REVISED_CONFIG
+        assert bundle.stages[1].config_path == "configs/generated_config_stage2.yaml"
+        assert (tmp_path / "run" / "stage2" / "config.yaml").read_text() == REVISED_CONFIG
 
     def test_terminate_stops_after_the_stage_and_still_scores(self, tmp_path):
         run, _ = _run(tmp_path, [
@@ -171,6 +202,14 @@ class TestStageValidation:
             in retries[0]
         assert tempfile.gettempdir() not in retries[0]
 
+    def test_an_answer_missing_a_file_is_one_coded_finding(self):
+        texts = desk_stage_texts(1)
+        del texts["randomize"]
+        with pytest.raises(AgentError) as e:
+            orchestrator._stage_from_answer(_stage_response(1, texts), {"index": 1})
+        assert (e.value.code, e.value.message) == \
+            ("MISSING_FILE", "missing generated file for: randomize")
+
     def test_unknown_randomization_target_is_retried_before_training(self, tmp_path):
         s1 = desk_stage_texts(1)
         bad = dict(s1, randomize=s1["randomize"].replace("target: ALL", "target: left_shin"))
@@ -195,7 +234,7 @@ class TestStageValidation:
         assert (run.status, run.failure_stage) == ("failed", "generation")
         assert run.failure_reason == (
             "[TOO_MANY_MINIBATCHES] stage 1 fails under override 'trainer.num_minibatches': "
-            "[TOO_MANY_MINIBATCHES] trainer.num_minibatches: num_minibatches 1000000 "
+            "generated_config_stage1.yaml:trainer.num_minibatches: num_minibatches 1000000 "
             "exceeds the 1280 rollout rows (num_envs x unroll_length)")
         assert [e["role"] for e in _log(run)] == ["curriculum", "per_stage"]
         assert not (Path(run.run_dir) / "stage1").exists()
@@ -376,6 +415,25 @@ class TestCurriculumCheck:
         assert (run.status, run.failure_stage) == ("failed", "generation")
         assert [role for role, _ in transport.calls] == ["curriculum", "curriculum", "per_stage"]
         assert "- [PARSE_ERROR] generated_workflow.yaml" in transport.calls[1][1]
+
+
+class TestWorkflowDefaults:
+    def test_a_stage_after_the_first_resumes_unless_its_entry_says_otherwise(self, tmp_path):
+        """A curriculum that omits ``resume_from_checkpoint`` trains stage 2
+        from stage 1's checkpoint, as one that says ``true`` does."""
+        explicit = (DESK / "workflow.yaml").read_text()
+        omitted = explicit.replace("      resume_from_checkpoint: false\n", "") \
+            .replace("      resume_from_checkpoint: true\n", "")
+        assert "resume_from_checkpoint" not in omitted
+        metrics = []
+        for name, workflow in (("explicit", explicit), ("omitted", omitted)):
+            run, _ = _run(tmp_path / name, [
+                _curriculum_response(workflow), _stage_response(1, desk_stage_texts(1)),
+                _stage_response(2, desk_stage_texts(2)), "DECISION: proceed\nRATIONALE: ok.\n"])
+            assert run.status == "completed", run.failure_reason
+            assert [s.resume_from_checkpoint for s in run.bundle.stages] == [False, True]
+            metrics.append((Path(run.run_dir) / "stage2" / "metrics.jsonl").read_text())
+        assert metrics[0] == metrics[1]
 
 
 class TestRunId:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import shutil
 import time
 
 import pytest
@@ -48,6 +49,24 @@ class TestParse:
         with pytest.raises(BundleError) as e:
             parse_bundle(tmp_path)
         assert e.value.code == "PARSE_ERROR"
+
+
+    @pytest.mark.parametrize("key", ["resume_from_checkpoint", "feedback"])
+    def test_a_quoted_workflow_bool_is_a_parse_error(self, key):
+        """``bool("false")`` is True: a workflow flag must be a YAML boolean."""
+        head, tail = (DATA / "bundles/desk/workflow.yaml").read_text().rsplit(f"{key}: true", 1)
+        text = f'{head}{key}: "false"{tail}'  # stage 2's
+        with pytest.raises(BundleError) as e:
+            schema.parse_workflow(text, "workflow.yaml")
+        assert e.value.code == "PARSE_ERROR"
+        assert e.value.message.startswith(f"workflow.yaml: workflow.stages[1].{key}: ")
+
+    def test_an_omitted_resume_is_on_from_stage_2(self, tmp_path):
+        shutil.copytree(DATA / "bundles/desk", tmp_path / "desk")
+        wf = tmp_path / "desk/workflow.yaml"
+        wf.write_text("".join(line for line in wf.read_text().splitlines(keepends=True)
+                              if "resume_from_checkpoint" not in line))
+        assert [s.resume_from_checkpoint for s in parse_bundle(wf).stages] == [False, True]
 
 
 class TestValidate:
