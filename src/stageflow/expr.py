@@ -1,72 +1,33 @@
-"""Expression language used inside reward YAML files: the tokenizer, the
-parser to an AST, and the free variables of an AST. Evaluation lives in
+"""Expression language used inside reward YAML files: the parser to an AST
+and the free variables of an AST. Evaluation lives in
 :mod:`stageflow.reward`.
 
-Grammar (low to high precedence)::
+An expression is written in Python expression syntax and parsed by
+:func:`ast.parse`. Only this subset is accepted:
 
-    or_expr   := and_expr ('|' and_expr)*
-    and_expr  := cmp ('&' cmp)*
-    cmp       := arith (('<'|'>'|'<='|'>='|'=='|'!=') arith)?
-    arith     := term (('+'|'-') term)*
-    term      := unary (('*'|'/') unary)*
-    unary     := '-' unary | postfix
-    postfix   := atom ('[' index_list ']')*
-    atom      := NUMBER | 'True' | 'False' | NAME | '(' or_expr ')'
-    index_list:= index_item (',' index_item)*
-    index_item:= '...' | INT | [INT] ':' [INT]
+- numbers (``2``, ``0.5``, ``.5``, ``2.5e-3``), ``True`` and ``False``
+- names; a dotted name like ``xd.vel`` is a single binding key
+- ``+ - * /``, unary ``-`` and one comparison ``< > <= >= == !=``
+- ``&`` and ``|``. A comparison under ``&`` or ``|`` is parenthesized:
+  ``(a > 1) & (b < 2)``. Python reads ``a > 1 & b < 2`` as a chained
+  comparison; chained comparisons are refused.
+- subscripts whose items are integer literals, slices ``start:stop`` with
+  either bound optional, and ``...``; a bound is an integer literal
 
-A dotted NAME like ``xd.vel`` is a single binding key. Index/slice bounds are
-integer literals only (that is all the file corpus uses).
+Blanks of any kind, newlines included, may stand between tokens and before
+the expression. Every fault is an :class:`ExpressionError` with the
+character offset of the problem.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 from dataclasses import dataclass
 
 from .errors import ExpressionError
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)
-  | (?P<ellipsis>\.\.\.)
-  | (?P<op><=|>=|==|!=|[-+*/<>&|()\[\]:,])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # number | name | ellipsis | op | end
-    text: str
-    offset: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        # '...' must win over the number rule's leading-dot branch
-        if text.startswith("...", pos):
-            tokens.append(Token("ellipsis", "...", pos))
-            pos += 3
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExpressionError(
-                "UNKNOWN_TOKEN", f"unrecognized character {text[pos]!r}", offset=pos
-            )
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(Token("end", "", len(text)))
-    return tokens
-
-
-# -- AST ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Num:
@@ -108,147 +69,25 @@ class Index:
     items: tuple  # of int | SliceItem | Ellipsis
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = tokenize(text)
-        self.i = 0
+_UNKNOWN = re.compile(r"[^\sA-Za-z0-9_.+\-*/<>=!&|()\[\]:,]")
+_NUMBER = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", re.ASCII)
+_ITEM = re.compile(r"\.\.\.|-?\d+|(-?\d+)?:(-?\d+)?")
+_OPS = dict(Add="+", Sub="-", Mult="*", Div="/", BitAnd="&", BitOr="|", Lt="<", Gt=">",
+            LtE="<=", GtE=">=", Eq="==", NotEq="!=")  # Python's operator names
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _item(text: str):
+    """One index item from its text, which ``_ITEM`` matches."""
+    bounds = [int(bound) if bound.lstrip("-").isdigit() else None for bound in text.split(":")]
+    return SliceItem(*bounds) if ":" in text else Ellipsis if text == "..." else bounds[0]
 
-    def expect(self, text: str) -> Token:
-        if self.cur.kind == "op" and self.cur.text == text:
-            return self.advance()
-        raise ExpressionError(
-            "SYNTAX_ERROR",
-            f"expected {text!r}, found {self.cur.text or 'end of input'!r}",
-            offset=self.cur.offset,
-        )
 
-    def at_op(self, *texts: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text in texts
-
-    def parse(self):
-        node = self.or_expr()
-        if self.cur.kind != "end":
-            raise ExpressionError(
-                "SYNTAX_ERROR",
-                f"unexpected {self.cur.text!r}",
-                offset=self.cur.offset,
-            )
-        return node
-
-    def or_expr(self):
-        node = self.and_expr()
-        while self.at_op("|"):
-            self.advance()
-            node = Bin("|", node, self.and_expr())
-        return node
-
-    def and_expr(self):
-        node = self.cmp()
-        while self.at_op("&"):
-            self.advance()
-            node = Bin("&", node, self.cmp())
-        return node
-
-    def cmp(self):
-        node = self.arith()
-        if self.at_op("<", ">", "<=", ">=", "==", "!="):
-            op = self.advance().text
-            node = Bin(op, node, self.arith())
-        return node
-
-    def arith(self):
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            node = Bin(op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.at_op("-"):
-            self.advance()
-            return Unary("-", self.unary())
-        return self.postfix()
-
-    def postfix(self):
-        node = self.atom()
-        while self.at_op("["):
-            self.advance()
-            items = [self.index_item()]
-            while self.at_op(","):
-                self.advance()
-                items.append(self.index_item())
-            self.expect("]")
-            node = Index(node, tuple(items))
-        return node
-
-    def _int_literal(self) -> int:
-        neg = False
-        if self.at_op("-"):
-            self.advance()
-            neg = True
-        tok = self.cur
-        if tok.kind != "number" or "." in tok.text or "e" in tok.text or "E" in tok.text:
-            raise ExpressionError(
-                "SYNTAX_ERROR", "index bounds must be integer literals", offset=tok.offset
-            )
-        self.advance()
-        v = int(tok.text)
-        return -v if neg else v
-
-    def index_item(self):
-        if self.cur.kind == "ellipsis":
-            self.advance()
-            return Ellipsis
-        start = None
-        if not self.at_op(":"):
-            start = self._int_literal()
-            if not self.at_op(":"):
-                return start  # plain integer index
-        self.expect(":")
-        stop = None
-        if not (self.at_op("]", ",")):
-            stop = self._int_literal()
-        return SliceItem(start, stop)
-
-    def atom(self):
-        tok = self.cur
-        if tok.kind == "number":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "True":
-                return BoolLit(True)
-            if tok.text == "False":
-                return BoolLit(False)
-            return Var(tok.text)
-        if self.at_op("("):
-            self.advance()
-            node = self.or_expr()
-            self.expect(")")
-            return node
-        raise ExpressionError(
-            "SYNTAX_ERROR",
-            f"unexpected {tok.text or 'end of input'!r}",
-            offset=tok.offset,
-        )
+def _bare_logical(cmp, side) -> bool:
+    """Whether ``side``, an operand of comparison ``cmp``, is an '&' or '|' outside
+    parentheses: an operand in parentheses starts and ends inside the comparison."""
+    return type(getattr(side, "op", None)) in (ast.BitAnd, ast.BitOr) and (
+        side.col_offset == cmp.col_offset or side.end_col_offset == cmp.end_col_offset)
 
 
 def parse_expression(text: str):
@@ -256,7 +95,44 @@ def parse_expression(text: str):
     with the character offset of the problem."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("SYNTAX_ERROR", "empty expression", offset=0)
-    return _Parser(text).parse()
+    if bad := _UNKNOWN.search(text):
+        raise ExpressionError("UNKNOWN_TOKEN", f"unknown character {bad[0]!r}", offset=bad.start())
+    code = re.sub(r"\s", " ", text).lstrip(" ")  # Python refuses a leading blank
+    lead = len(text) - len(code)
+
+    def refuse(n, why: str):
+        raise ExpressionError("SYNTAX_ERROR", why, offset=lead + n.col_offset)
+
+    def walk(n):
+        # each node's text must be the language's own token: 0x10, 1_0, 1j,
+        # "xd . vel" and "(xd).vel" are Python's alone
+        src = code[n.col_offset:n.end_col_offset]
+        if isinstance(n, ast.Constant) and (isinstance(n.value, bool) or _NUMBER.fullmatch(src)):
+            return BoolLit(n.value) if isinstance(n.value, bool) else Num(float(src))
+        if isinstance(n, (ast.Name, ast.Attribute)) and _NAME.fullmatch(src):
+            return Var(src)
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
+            return Unary("-", walk(n.operand))
+        if isinstance(n, ast.BinOp) and type(n.op).__name__ in _OPS:
+            return Bin(_OPS[type(n.op).__name__], walk(n.left), walk(n.right))
+        if isinstance(n, ast.Compare) and type(n.ops[0]).__name__ in _OPS:
+            if len(n.ops) > 1 or any(_bare_logical(n, o) for o in (n.left, *n.comparators)):
+                refuse(n, "parenthesize each comparison, joined by '&' or '|': (a > 1) & (b < 2)")
+            return Bin(_OPS[type(n.ops[0]).__name__], walk(n.left), walk(n.comparators[0]))
+        if isinstance(n, ast.Subscript):
+            items = code[n.slice.col_offset:n.end_col_offset - 1].replace(" ", "").split(",")
+            if not all(map(_ITEM.fullmatch, items)):
+                refuse(n.slice, "an index lists integer literals, slices of them and '...'")
+            return Index(walk(n.value), tuple(map(_item, items)))
+        refuse(n, f"{src!r} is not part of the expression language")
+
+    try:
+        with warnings.catch_warnings():  # Python warns of "1if" and the like, refused anyway
+            warnings.simplefilter("ignore")
+            return walk(ast.parse(code, mode="eval").body)
+    except (SyntaxError, RecursionError, MemoryError) as e:  # the last two: nested too deeply
+        raise ExpressionError("SYNTAX_ERROR", getattr(e, "msg", "the expression nests too deeply"),
+                              offset=lead + (getattr(e, "offset", None) or 1) - 1) from None
 
 
 def free_variables(node) -> set[str]:
@@ -269,4 +145,3 @@ def free_variables(node) -> set[str]:
     if isinstance(node, Index):
         return free_variables(node.base)
     return set()
-

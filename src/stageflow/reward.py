@@ -281,11 +281,8 @@ def _parse_param(value, where: str):
     if isinstance(value, str):
         try:
             return ex.parse_expression(value)
-        except Exception as e:  # keep the original code, add location
-            raise RewardError(
-                getattr(e, "code", "SYNTAX_ERROR"),
-                f"{where}: {getattr(e, 'message', e)}",
-            )
+        except ExpressionError as e:  # keep the original code, add location
+            raise RewardError(e.code, f"{where}: {e.message}")
     raise RewardError("SYNTAX_ERROR", f"{where}: expected expression, got {type(value).__name__}")
 
 

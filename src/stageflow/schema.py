@@ -472,10 +472,10 @@ def validate(bundle: CurriculumBundle) -> ValidationReport:
         out.append(Finding(ERROR, "RESUME_FIRST_STAGE", wf_file,
                            "workflow.stages[0].resume_from_checkpoint",
                            "stage 1 cannot resume from a checkpoint"))
-    for s in bundle.stages:
+    for pos, s in enumerate(bundle.stages):
         if s.promotion.mode not in ("timesteps_exhausted", "reward_threshold", "either"):
             out.append(Finding(ERROR, "UNKNOWN_PROMOTION", wf_file,
-                               f"workflow.stages[{s.index}].promotion.mode",
+                               f"workflow.stages[{pos}].promotion.mode",
                                f"unknown promotion mode {s.promotion.mode!r}"))
 
     # cross-stage: network sizes must be identical everywhere

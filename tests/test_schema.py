@@ -107,6 +107,15 @@ class TestValidate:
         bundle.stages[0].config_doc[section][key] = value
         assert [(f.code, f.path) for f in validate(bundle).errors] == [("TYPE_ERROR", path)]
 
+    def test_an_unknown_promotion_is_found_at_its_stage_position(self):
+        """The path names the stage's 0-based place in ``workflow.stages``,
+        as ``parse_workflow`` does, not its 1-based ``index``."""
+        bundle = parse_bundle(DATA / "bundles" / "desk")
+        stage = bundle.stages[0]
+        stage.promotion = dataclasses.replace(stage.promotion, mode="bogus")
+        assert [(f.code, f.path) for f in validate(bundle).errors] == [
+            ("UNKNOWN_PROMOTION", "workflow.stages[0].promotion.mode")]
+
     def test_report_json_roundtrip(self):
         import json
         report = validate(parse_bundle(DATA / "bundles" / "tune"))
